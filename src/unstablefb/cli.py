@@ -145,8 +145,12 @@ def _print_checks(manifest: RunManifest) -> None:
 
 
 def _default_phi_radii(n_r: int, lo: float = 0.25, hi: float = 0.8) -> list:
-    """Sampling ladder for the monotonicity profile, tied to the grid step."""
-    step = 4.0 / n_r
+    """Sampling ladder for the monotonicity profile, tied to the grid step.
+
+    Four radial cells apart, but no closer than 1/64: finer radial grids
+    keep the 36-radius ladder of n_r = 256.
+    """
+    step = max(4.0 / n_r, 1.0 / 64.0)
     return [lo + n * step for n in range(int((hi - lo) / step + 1e-9) + 1)]
 
 
@@ -173,6 +177,7 @@ def _failure_manifest(experiment: str, p: dict, out_dir, exc, t0: float) -> RunM
             "eps": stage.eps,
             "iterations": stage.iterations,
             "residual": stage.residual,
+            "linear_residual": stage.linear_residual,
             "reason": stage.reason,
         }
     else:
@@ -221,7 +226,6 @@ def run_cross(M: float = 40.0, n_r: int = 256, n_phi: int = 256,
         "blowup_radii": list(blowup_radii) if blowup_radii is not None else list(DEFAULT_BLOWUP_RADII),
         "arc_radii": list(arc_radii) if arc_radii is not None else list(DEFAULT_ARC_RADII),
         "trace_samples": TRACE_SAMPLES,
-        "backend": "direct",
     }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -340,7 +344,6 @@ def run_asterisk(n_r: int = 256, n_phi: int = 256, eps_min: float = 0.0125,
         "blowup_radii": list(blowup_radii) if blowup_radii is not None else list(DEFAULT_BLOWUP_RADII),
         "invariance_radii": [0.9, 0.8, 0.7, 0.6, 0.5],
         "trace_samples": TRACE_SAMPLES,
-        "backend": "direct",
     }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -532,7 +535,6 @@ def run_solve(k: int, M: float = 1.0, n_r: int = 256, n_phi: int = 256,
         "k": int(k), "M": float(M), "n_r": int(n_r), "n_phi": int(n_phi),
         "eps_start": float(eps_start), "eps_ratio": float(eps_ratio),
         "eps_min": float(eps_min), "newton_tol": float(newton_tol),
-        "backend": "direct",
     }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -572,8 +574,9 @@ def run_solve(k: int, M: float = 1.0, n_r: int = 256, n_phi: int = 256,
 def rerun_manifest(manifest_path, out_dir=None) -> tuple[RunManifest, bool]:
     """Replay a recorded run and compare headline numbers for equality.
 
-    With the direct backend the comparison is exact, down to the last bit
-    of every float, because the replay consumes only manifest parameters.
+    The comparison is exact, down to the last bit of every float, because
+    the replay consumes only manifest parameters and the solver is
+    deterministic on a given machine.
     """
     stored = RunManifest.load(manifest_path)
     out = Path(out_dir) if out_dir else Path(manifest_path).parent / "rerun"

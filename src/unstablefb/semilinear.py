@@ -8,9 +8,12 @@ bordered system
     [ A - diag(area * f_eps'(u))   b1 ] [du     ]   [ -R1 ]
     [ e                            0  ] [dkappa ] = [ -R2 ]
 
-by block elimination (two sparse solves with the (1,1) block).  The (1,1)
-block may be indefinite; that is the expected instability of the problem,
-not an error, so the solves use a direct factorization.
+by block elimination (two solves with the (1,1) block J).  J may be
+indefinite; that is the expected instability of the problem, not an error.
+So the solves use MINRES (Paige and Saunders 1975), which needs only a
+symmetric J, preconditioned by the exact inverse of the Laplacian A.  J
+differs from A by a diagonal supported on the smoothing band, so the
+preconditioned iteration needs few steps.
 """
 from __future__ import annotations
 
@@ -20,8 +23,7 @@ import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import LinearOperator, minres
 
 from .field import ScalarField, eval_origin, origin_weight_vector, write_field_csv, write_field_vtk
 from .mesh import PolarGrid
@@ -140,7 +142,8 @@ class Solution:
 class StageFailed(RuntimeError):
     """Newton failed to converge at one continuation stage."""
 
-    def __init__(self, eps: float, iterations: int, residual: float, reason: str):
+    def __init__(self, eps: float, iterations: int, residual: float, reason: str,
+                 linear_residual: float | None = None):
         super().__init__(
             f"stage eps={eps:g} failed after {iterations} iterations"
             f" (residual {residual:.3e}): {reason}"
@@ -149,6 +152,8 @@ class StageFailed(RuntimeError):
         self.iterations = iterations
         self.residual = residual
         self.reason = reason
+        # relative residual |J w - b| / |b| of a Krylov solve that stopped short
+        self.linear_residual = linear_residual
 
 
 class FixedPointError(RuntimeError):
@@ -172,6 +177,16 @@ ROUNDING_FACTOR = 4.0
 # The tolerance on R1 is raised to that level by at most this factor; a
 # tolerance set further below what the arithmetic resolves stays unreachable.
 MAX_TOL_RELAXATION = 100.0
+# Tolerance of the inner MINRES solves on scipy's backward-error estimate
+# |r| / (|J| |w|).  At this level a Newton step agrees with one from a sparse
+# LU factorization to that factorization's own rounding, so each stage takes
+# the same iterations.  1e-12 saves one MINRES iteration per solve, but then
+# the 256^2 headline moves from the LU result by more than two LU column
+# orderings differ from each other.
+KRYLOV_RTOL = 1e-14
+# The preconditioned Jacobians need 5 iterations at 256^2 and at most 17 at
+# 65536 x 8 cells; a solve that reaches this cap has not converged.
+KRYLOV_MAXITER = 500
 
 
 def _residual(lap: DiscreteLaplacian, e: np.ndarray, u: np.ndarray, kappa: float,
@@ -200,8 +215,8 @@ def initial_guess(grid: PolarGrid, g_arc, lap: DiscreteLaplacian | None = None
     if lap is None:
         lap = assemble(grid)
     g = g_arc(grid.phi) if callable(g_arc) else np.asarray(g_arc, dtype=float)
-    u_g = poisson_solve(lap, F=-1.0, g_arc=g, backend="direct")
-    u_shift = poisson_solve(lap, F=0.0, g_arc=-np.ones(grid.n_phi), backend="direct")
+    u_g = poisson_solve(lap, F=-1.0, g_arc=g)
+    u_shift = poisson_solve(lap, F=0.0, g_arc=-np.ones(grid.n_phi))
     # u = u_g + kappa * u_shift; pick kappa so the origin value vanishes
     denom = eval_origin(u_shift)
     kappa = -eval_origin(u_g) / denom
@@ -236,6 +251,7 @@ def newton_stage(
     e = origin_weight_vector(grid)
     b1 = lap.lift(np.ones(grid.n_phi))
     tol = config.newton_tol
+    precond = LinearOperator(lap.matrix.shape, matvec=lap.apply_inverse, dtype=float)
 
     def merit(r1, r2):
         # area-normalized so PDE and origin parts carry comparable units
@@ -256,14 +272,22 @@ def newton_stage(
             return u, kappa, it, res1, abs(r2)
         if it == config.max_newton:
             break
-        J = lap.matrix - sp.diags(lap.areas * f_eps_prime(u, eps), format="csc")
-        try:
-            lu = spla.splu(J)
-        except RuntimeError as exc:
-            raise StageFailed(eps, it, float(np.max(np.abs(r1))),
-                              f"Jacobian factorization failed: {exc}") from exc
-        w1 = lu.solve(r1)
-        w2 = lu.solve(b1)
+        shift = lap.areas * f_eps_prime(u, eps)
+        J = LinearOperator(lap.matrix.shape, matvec=lambda v: lap.matrix @ v - shift * v,
+                           dtype=float)
+
+        def jacobian_solve(b):
+            w, info = minres(J, b, rtol=KRYLOV_RTOL, maxiter=KRYLOV_MAXITER, M=precond)
+            if info != 0:
+                achieved = float(np.linalg.norm(J @ w - b) / np.linalg.norm(b))
+                raise StageFailed(eps, it, res1,
+                                  f"MINRES did not converge in {info} iterations"
+                                  f" (achieved relative residual {achieved:.3e})",
+                                  linear_residual=achieved)
+            return w
+
+        w1 = jacobian_solve(r1)
+        w2 = jacobian_solve(b1)
         denom = float(e @ w2)
         if not np.isfinite(denom) or abs(denom) < 1e-300:
             raise StageFailed(eps, it, float(np.max(np.abs(r1))),
@@ -293,8 +317,9 @@ def solve_fixed_point(grid: PolarGrid, g_arc, config: ContinuationConfig | None 
                       g_label: str = "") -> Solution:
     """Continuation in eps with warm-started bordered Newton stages.
 
-    Deterministic: identical inputs produce bit-identical solutions (all
-    linear solves are direct factorizations).
+    Deterministic: identical inputs produce bit-identical solutions (the
+    Krylov solves and the DCTs of the preconditioner run in a fixed order
+    on one worker).
     """
     if config is None:
         config = ContinuationConfig()

@@ -1,11 +1,22 @@
-"""Shared fixtures: cached grids and synthetic fields used across test modules."""
+"""Shared fixtures: cached grids, synthetic fields and a capped Krylov
+solver, used across test modules."""
 
 import math
 
 import numpy as np
 import pytest
 
+import unstablefb.semilinear as semilinear
 from unstablefb import PolarGrid, ScalarField, build_disk_grid, field_from_function
+
+
+@pytest.fixture
+def minres_capped(monkeypatch):
+    """Caps the Newton stage's MINRES solves at one iteration, so they stop
+    short of their tolerance."""
+    minres = semilinear.minres
+    monkeypatch.setattr(semilinear, "minres",
+                        lambda *args, **kw: minres(*args, **{**kw, "maxiter": 1}))
 
 
 @pytest.fixture(scope="session")

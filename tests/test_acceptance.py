@@ -62,9 +62,8 @@ def asterisk_fine_run(tmp_path_factory):
     """Criterion 7's run.  With u(0) = 0 pinned and f_eps(0) = 1 the
     regularized solution carries a paraboloid core of radius about
     2 sqrt(eps); eps here is just above the solver floor of 2 dr, so the
-    core (0.011) lies well inside the smallest blow-up radius 0.05.  The default phi
-    ladder steps 4 radial cells (9012 radii on this grid), so the profile
-    gets its own radii."""
+    core (0.011) lies well inside the smallest blow-up radius 0.05.  The
+    profile gets its own coarser radii, twelve instead of the default 36."""
     out = tmp_path_factory.mktemp("asterisk_fine")
     phi_radii = [round(0.25 + 0.05 * n, 2) for n in range(12)]  # 0.25 .. 0.80
     t0 = time.perf_counter()
@@ -242,7 +241,7 @@ def test_criterion_7_asterisk_experiment(asterisk_fine_run):
 
 def test_criterion_8_manifest_determinism(cross_run, asterisk_run, tmp_path):
     """Replaying both experiment manifests reproduces every headline number
-    bit-for-bit with the direct backend."""
+    bit-for-bit on the same machine."""
     results = {}
     for label, (out, m, _) in (("cross", cross_run), ("asterisk", asterisk_run)):
         fresh, same = rerun_manifest(out / "manifest.json", tmp_path / label)

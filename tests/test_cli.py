@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import unstablefb.semilinear as semilinear
 from unstablefb import (
     RunManifest,
     main,
@@ -18,6 +19,7 @@ from unstablefb import (
     run_solve,
     run_threshold_scan,
 )
+from unstablefb.cli import _default_phi_radii
 
 COARSE = dict(n_r=64, n_phi=64, eps_min=0.05)
 
@@ -42,7 +44,7 @@ class TestSolveDriver:
         assert stored.experiment == "solve"
         assert stored.content_hash == m.content_hash
         assert stored.headline == m.headline
-        assert stored.parameters["backend"] == "direct"
+        assert stored.parameters == m.parameters
 
     def test_outputs_exist(self, solve_run):
         out, m = solve_run
@@ -78,6 +80,27 @@ class TestFailurePath:
         assert m.failure  # reason recorded
         stored = json.loads((tmp_path / "manifest.json").read_text())
         assert stored["status"] == "solver_failure"
+
+    def test_unconverged_krylov_solve_reports_its_residual(self, tmp_path, minres_capped):
+        m = run_solve(2, M=40.0, n_r=32, n_phi=32, eps_min=0.1,
+                      out_dir=tmp_path, eps_start=0.1)
+        assert m.status == "solver_failure"
+        stored = json.loads((tmp_path / "manifest.json").read_text())
+        assert stored["failure"]["linear_residual"] > semilinear.KRYLOV_RTOL
+        assert "MINRES" in stored["failure"]["reason"]
+
+
+class TestDefaultPhiRadii:
+    def test_ladder_steps_four_cells_up_to_256(self):
+        for n_r in (64, 128, 256):
+            step = 4.0 / n_r
+            expected = [0.25 + n * step for n in range(int(0.55 / step + 1e-9) + 1)]
+            assert _default_phi_radii(n_r) == expected
+
+    def test_fine_radial_grids_keep_the_256_ladder(self):
+        assert len(_default_phi_radii(256)) == 36
+        for n_r in (512, 65536):
+            assert _default_phi_radii(n_r) == _default_phi_radii(256)
 
 
 class TestRerun:

@@ -3,11 +3,15 @@
 Two exact references: the radially symmetric response (1 - r^2)/4 to a
 unit sink with zero rim data, and the harmonic extension r^2 cos(2 phi)
 of its own rim trace on the quarter sector.  Solves happen on sector
-grids; disk fields arise later by reflection.
+grids; disk fields arise later by reflection.  The separable fast solver
+is also checked against a sparse LU factorization of the assembled matrix.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+
+from unstablefb import SolverError
 
 from conftest import degree2_field
 
@@ -84,17 +88,34 @@ class TestHarmonic:
         assert np.max(np.abs(u.values[:, 0] - u.values[:, 1])) < 2e-2
 
 
-class TestBackends:
-    def test_direct_and_cg_agree(self):
-        lap = assemble(build_sector_grid(2, 32, 32))
-        u_direct = solve(lap, F=-1.0, backend="direct")
-        u_cg = solve(lap, F=-1.0, backend="cg")
-        assert np.max(np.abs(u_direct.values - u_cg.values)) < 1e-9
+def lu_oracle(lap, F, g_arc):
+    """Reference solve: sparse LU of the assembled matrix."""
+    g = lap.grid
+    rhs = lap.lift(g_arc(g.phi)) - lap.areas * F(g.r[:, None], g.phi[None, :]).ravel()
+    return spla.splu(lap.matrix).solve(rhs).reshape(g.shape)
 
-    def test_unknown_backend_rejected(self):
+
+class TestBackends:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("n_r, n_phi", [(32, 32), (64, 8), (8, 64), (40, 24)])
+    def test_agrees_with_lu_oracle(self, k, n_r, n_phi):
+        g = build_sector_grid(k, n_r, n_phi)
+        lap = assemble(g)
+        F = lambda r, p: np.cos(3.0 * p) * r - 1.0  # noqa: E731
+        g_arc = lambda p: 1.0 + np.cos(k * p) + 0.3 * np.sin(5.0 * p)  # noqa: E731
+        u = solve(lap, F=field_from_function(g, F), g_arc=g_arc)
+        assert np.max(np.abs(u.values - lu_oracle(lap, F, g_arc))) <= 1e-9
+
+    def test_repeat_solves_are_bit_identical(self):
+        lap = assemble(build_sector_grid(2, 48, 40))
+        rhs = np.random.default_rng(5).standard_normal(lap.grid.size)
+        assert np.array_equal(lap.apply_inverse(rhs), lap.apply_inverse(rhs))
+
+    def test_stagnation_raises_with_residual(self):
         lap = assemble(build_sector_grid(2, 16, 16))
-        with pytest.raises(ValueError):
-            solve(lap, F=-1.0, backend="umfpack")
+        with pytest.raises(SolverError) as info:
+            solve(lap, F=-1.0, tol=0.0)
+        assert 0.0 < info.value.residual < 1e-12
 
     def test_rhs_forms_are_equivalent(self):
         g = build_sector_grid(2, 16, 16)

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import unstablefb.semilinear as semilinear
 from unstablefb import (
     ContinuationConfig,
     FixedPointError,
@@ -24,8 +27,33 @@ from unstablefb import (
     solve_fixed_point,
     transition_measure,
 )
+from unstablefb.field import origin_weight_vector
 
 EPS_VALUES = [0.2, 0.1, 0.05, 0.0125]
+
+
+def lu_continuation(grid, g, cfg):
+    """Reference: the bordered Newton continuation with full steps and
+    sparse LU solves of the Jacobian, stopped by the absolute tolerance."""
+    lap = assemble(grid)
+    u0, kappa = initial_guess(grid, g, lap)
+    u = u0.values.ravel()
+    e = origin_weight_vector(grid)
+    b1 = lap.lift(np.ones(grid.n_phi))
+    iters = []
+    for eps in cfg.schedule():
+        for it in range(cfg.max_newton + 1):
+            r1 = lap.matrix @ u - lap.areas * f_eps(u, eps) - lap.lift(g - kappa)
+            r2 = float(e @ u)
+            if np.max(np.abs(r1)) <= cfg.newton_tol and abs(r2) <= cfg.newton_tol:
+                break
+            jac = lap.matrix - sp.diags(lap.areas * f_eps_prime(u, eps), format="csc")
+            lu = spla.splu(jac)
+            w1, w2 = lu.solve(r1), lu.solve(b1)
+            dkappa = (r2 - float(e @ w1)) / float(e @ w2)
+            u, kappa = u - w1 - dkappa * w2, kappa + dkappa
+        iters.append(it)
+    return u, kappa, iters
 
 
 class TestSmoothedIndicator:
@@ -166,6 +194,18 @@ class TestNewtonStage:
         assert cfg.newton_tol < pde_res <= level
         assert origin_res <= cfg.newton_tol
 
+    def test_unconverged_krylov_solve_fails_with_its_residual(self, minres_capped):
+        grid = build_sector_grid(2, 32, 32)
+        lap = assemble(grid)
+        g = 40.0 * np.cos(2.0 * grid.phi)
+        u0, kappa = initial_guess(grid, g, lap)
+        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.2)
+        with pytest.raises(StageFailed) as info:
+            newton_stage(lap, u0.values.ravel(), kappa, 0.2, g, cfg)
+        assert info.value.iterations == 0
+        assert info.value.linear_residual > semilinear.KRYLOV_RTOL
+        assert "MINRES" in info.value.reason
+
     def test_unreachable_tolerance_fails_cleanly(self):
         grid = build_sector_grid(2, 32, 32)
         lap = assemble(grid)
@@ -193,6 +233,16 @@ class TestContinuation:
         assert max_res <= 1e-8
         assert zone > 0.0
         assert len(sol.transition_measures) == 3
+
+    def test_matches_lu_newton_oracle(self):
+        grid = build_sector_grid(2, 96, 96)
+        g = 40.0 * np.cos(2.0 * grid.phi)
+        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.05)
+        sol = solve_fixed_point(grid, g, cfg)
+        u_ref, kappa_ref, iters_ref = lu_continuation(grid, g, cfg)
+        assert sol.newton_iters == iters_ref
+        assert np.max(np.abs(sol.u.values.ravel() - u_ref)) <= 1e-9
+        assert abs(sol.kappa - kappa_ref) <= 1e-9
 
     def test_disk_grids_are_rejected(self):
         with pytest.raises(ValueError):
