@@ -19,7 +19,6 @@ from .mesh import (
     build_sector_grid,
     reflect_to_disk,
     reflection_index_map,
-    restrict_to_sector,
 )
 from .field import (
     CircleTrace,
@@ -41,7 +40,6 @@ from .poisson import DiscreteLaplacian, SolverError, assemble, solve
 from .semilinear import (
     ContinuationConfig,
     FixedPointError,
-    SmoothedHeaviside,
     Solution,
     StageFailed,
     export_solution,
@@ -99,13 +97,13 @@ __all__ = [
     "__version__",
     "PolarGrid", "SectorSpec", "SymmetryGroup",
     "build_disk_grid", "build_sector_grid", "reflect_to_disk",
-    "reflection_index_map", "restrict_to_sector",
+    "reflection_index_map",
     "CircleTrace", "ScalarField", "as_disk", "eval_origin", "field_from_function",
     "gradient_sq", "integrate_ball", "integrate_circle", "radial_derivative",
     "read_field_csv", "sample_circle", "trace_on_circle",
     "write_field_csv", "write_field_vtk",
     "DiscreteLaplacian", "SolverError", "assemble", "solve",
-    "ContinuationConfig", "FixedPointError", "SmoothedHeaviside", "Solution",
+    "ContinuationConfig", "FixedPointError", "Solution",
     "StageFailed", "export_solution", "f_eps", "f_eps_prime", "initial_guess",
     "newton_stage", "residual_check", "solve_fixed_point", "transition_measure",
     "MonotonicityProfile", "energy_bound_integral", "find_threshold",

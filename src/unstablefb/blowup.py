@@ -75,6 +75,31 @@ def blowup_profile(u: ScalarField, r: float, m: int = 256) -> CircleTrace:
     )
 
 
+def _sorted_radii(radii) -> np.ndarray:
+    radii = np.asarray(sorted(radii), dtype=float)
+    if len(radii) < 2:
+        raise ValueError("classification needs at least two radii")
+    return radii
+
+
+def _decide(u: ScalarField, radii: np.ndarray, s_small: float, s_large: float,
+            thresholds: BlowupThresholds) -> tuple[str, float, float, float]:
+    """Classification, phi at both end radii and delta, given S at the ends."""
+    phi_min = phi(u, float(radii[0]))
+    phi_max = phi(u, float(radii[-1]))
+    delta = max(thresholds.delta_phi_rel * abs(phi_max), thresholds.delta_phi_abs)
+    ratio_small = s_small / radii[0] ** 2
+    ratio_large = s_large / radii[-1] ** 2
+    growing_inward = ratio_small >= ratio_large * (1.0 - thresholds.trend_slack)
+    decaying_inward = ratio_small < ratio_large * (1.0 - thresholds.trend_slack)
+    classification = INCONCLUSIVE
+    if phi_min < -delta and growing_inward:
+        classification = CASE1
+    elif abs(phi_min) <= delta and decaying_inward:
+        classification = CASE3
+    return classification, phi_min, phi_max, delta
+
+
 def classify(u: ScalarField, radii, thresholds: BlowupThresholds | None = None) -> str:
     """Trend classification over the sampled radii.
 
@@ -83,23 +108,9 @@ def classify(u: ScalarField, radii, thresholds: BlowupThresholds | None = None) 
     case3: phi(r_min) within delta of zero and S(r)/r^2 decaying toward the
     origin (degeneracy surrogate).  Anything else is inconclusive.
     """
-    if thresholds is None:
-        thresholds = BlowupThresholds()
-    radii = np.asarray(sorted(radii), dtype=float)
-    if len(radii) < 2:
-        raise ValueError("classification needs at least two radii")
-    phi_min = phi(u, float(radii[0]))
-    phi_max = phi(u, float(radii[-1]))
-    delta = max(thresholds.delta_phi_rel * abs(phi_max), thresholds.delta_phi_abs)
-    ratio_small = s_norm(u, float(radii[0])) / radii[0] ** 2
-    ratio_large = s_norm(u, float(radii[-1])) / radii[-1] ** 2
-    growing_inward = ratio_small >= ratio_large * (1.0 - thresholds.trend_slack)
-    decaying_inward = ratio_small < ratio_large * (1.0 - thresholds.trend_slack)
-    if phi_min < -delta and growing_inward:
-        return CASE1
-    if abs(phi_min) <= delta and decaying_inward:
-        return CASE3
-    return INCONCLUSIVE
+    radii = _sorted_radii(radii)
+    s_small, s_large = (s_norm(u, float(r)) for r in (radii[0], radii[-1]))
+    return _decide(u, radii, s_small, s_large, thresholds or BlowupThresholds())[0]
 
 
 def blowup_report(u: ScalarField, radii, thresholds: BlowupThresholds | None = None,
@@ -107,22 +118,21 @@ def blowup_report(u: ScalarField, radii, thresholds: BlowupThresholds | None = N
     """Assemble S, normalized traces, mode energies, and the classification."""
     if thresholds is None:
         thresholds = BlowupThresholds()
-    radii = np.asarray(sorted(radii), dtype=float)
+    radii = _sorted_radii(radii)
     s_values = np.array([s_norm(u, float(r)) for r in radii])
     traces = [blowup_profile(u, float(r), m) for r in radii]
     fractions = {
         ell: np.array([tr.mode_energy_fraction(ell) for tr in traces]) for ell in modes
     }
-    phi_min = phi(u, float(radii[0]))
-    phi_max = phi(u, float(radii[-1]))
-    delta = max(thresholds.delta_phi_rel * abs(phi_max), thresholds.delta_phi_abs)
+    classification, phi_min, phi_max, delta = _decide(
+        u, radii, s_values[0], s_values[-1], thresholds)
     return BlowupReport(
         radii=radii,
         s_values=s_values,
         ratios=s_values / radii**2,
         traces=traces,
         mode_fractions=fractions,
-        classification=classify(u, radii, thresholds),
+        classification=classification,
         phi_min_r=phi_min,
         phi_max_r=phi_max,
         delta_phi=delta,

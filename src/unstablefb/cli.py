@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .blowup import CASE1, CASE3, blowup_report, write_blowup_csv
-from .field import ScalarField, eval_origin, read_field_csv
+from .field import eval_origin, read_field_csv
 from .freeboundary import (
     crossing_angles,
     extract_zero_set,
@@ -33,7 +34,7 @@ from .freeboundary import (
 )
 from .mesh import SymmetryGroup, build_sector_grid, reflect_to_disk
 from .monotonicity import (
-    energy_bound_integral,
+    check_window,
     find_threshold,
     mc_energy_bound,
     phi_profile,
@@ -54,7 +55,6 @@ EXIT_SOLVER = 3
 EXIT_CHECKS = 4
 
 TRACE_SAMPLES = 256
-DEG = 180.0 / math.pi
 
 
 # --- manifest plumbing ---------------------------------------------------
@@ -68,12 +68,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 
@@ -121,17 +117,8 @@ class _Checks:
     def __init__(self):
         self.records = []
 
-    def add(self, name: str, passed: bool, detail: str) -> bool:
+    def add(self, name: str, passed: bool, detail: str) -> None:
         self.records.append({"name": name, "passed": bool(passed), "detail": detail})
-        return bool(passed)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r["passed"] for r in self.records)
-
-
-def _status(checks: _Checks) -> str:
-    return "ok" if checks.all_passed else "check_failure"
 
 
 def _print_checks(manifest: RunManifest) -> None:
@@ -158,21 +145,23 @@ DEFAULT_BLOWUP_RADII = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
 DEFAULT_ARC_RADII = [0.05 + 0.025 * n for n in range(11)]  # 0.05 .. 0.30
 
 
-def _solve(k: int, g_arc, g_label: str, p: dict):
-    grid = build_sector_grid(k, p["n_r"], p["n_phi"])
-    config = ContinuationConfig(
-        eps_start=p["eps_start"],
-        eps_min=p["eps_min"],
-        eps_ratio=p["eps_ratio"],
-        newton_tol=p["newton_tol"],
-    )
-    return solve_fixed_point(grid, g_arc, config, g_label=g_label)
+def _solver_params(n_r, n_phi, eps_start, eps_ratio, eps_min, newton_tol) -> dict:
+    return {"n_r": int(n_r), "n_phi": int(n_phi), "eps_start": float(eps_start),
+            "eps_ratio": float(eps_ratio), "eps_min": float(eps_min),
+            "newton_tol": float(newton_tol)}
 
 
-def _failure_manifest(experiment: str, p: dict, out_dir, exc, t0: float) -> RunManifest:
+def _radii_params(n_r, phi_radii, blowup_radii) -> dict:
+    return {
+        "phi_radii": list(phi_radii) if phi_radii is not None else _default_phi_radii(n_r),
+        "blowup_radii": list(blowup_radii) if blowup_radii is not None else list(DEFAULT_BLOWUP_RADII),
+    }
+
+
+def _failure(exc) -> dict:
     if isinstance(exc, FixedPointError):
         stage = exc.stage
-        failure = {
+        return {
             "kind": "continuation_stage",
             "eps": stage.eps,
             "iterations": stage.iterations,
@@ -180,21 +169,102 @@ def _failure_manifest(experiment: str, p: dict, out_dir, exc, t0: float) -> RunM
             "linear_residual": stage.linear_residual,
             "reason": stage.reason,
         }
-    else:
-        failure = {"kind": type(exc).__name__, "reason": str(exc)}
+    return {"kind": type(exc).__name__, "reason": str(exc)}
+
+
+def _run(experiment: str, p: dict, out_dir, body) -> RunManifest:
+    """Run body(p, out) -> (outputs, headline, checks) and write the manifest.
+
+    A solver failure still writes a manifest, with no outputs and the
+    failure recorded; any other exception propagates without one.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
+    try:
+        outputs, headline, checks = body(p, out)
+        checks, failure = checks.records, None
+        status = "ok" if all(c["passed"] for c in checks) else "check_failure"
+    except (FixedPointError, SolverError) as exc:
+        outputs, headline, checks = [], {}, []
+        status, failure = "solver_failure", _failure(exc)
     manifest = RunManifest(
         experiment=experiment,
         parameters=p,
         content_hash=_content_hash(experiment, p),
-        outputs=[],
-        headline={},
-        checks=[],
-        status="solver_failure",
+        outputs=outputs,
+        headline=_jsonable(headline),
+        checks=checks,
+        status=status,
         failure=failure,
     )
     manifest.runtime_seconds = time.perf_counter() - t0
-    manifest.write(out_dir)
+    manifest.write(out)
     return manifest
+
+
+def _solve(p: dict, out: Path, g_label: str | None = None):
+    """Solve with arc data M cos(k phi) and export the solution.
+
+    M is 1 when p records none (asterisk).  Every radii list in p is
+    checked against the grid's window first, so bad radii fail before the
+    solve.  Returns the solution, the exported file names, the solution
+    headline and checks with `converged` added.
+    """
+    k, M = p["k"], p.get("M", 1.0)
+    grid = build_sector_grid(k, p["n_r"], p["n_phi"])
+    for key in ("phi_radii", "blowup_radii", "arc_radii"):
+        if key in p:
+            if len(p[key]) < 2:
+                raise ValueError(f"{key} needs at least two radii, got {p[key]}")
+            for r in p[key]:
+                check_window(grid, r)
+    config = ContinuationConfig(
+        eps_start=p["eps_start"],
+        eps_min=p["eps_min"],
+        eps_ratio=p["eps_ratio"],
+        newton_tol=p["newton_tol"],
+    )
+    sol = solve_fixed_point(grid, lambda phi: M * np.cos(k * phi), config,
+                            g_label=g_label or f"{M:g}*cos({k}*phi)")
+    outputs = [Path(f).name for f in export_solution(sol, out)]
+    origin_value = eval_origin(sol.u)
+    checks = _Checks()
+    checks.add("converged", sol.converged and abs(origin_value) <= 1e-8,
+               f"final eps {sol.eps:g}, u(0) = {origin_value:.3e}")
+    headline = {
+        "kappa": sol.kappa,
+        "eps_final": sol.eps,
+        "origin_value": origin_value,
+        "pde_residual": sol.pde_residual,
+    }
+    return sol, outputs, headline, checks
+
+
+def _analyze(sol, p: dict, out: Path, outputs: list):
+    """Profile, blow-up report, zero set and origin arcs of the disk extension.
+
+    Appends the names of the four files it writes to outputs.  The zero
+    set may not reach the arc radii near the origin, so a failed arc fit
+    is recorded as a note in arcs.json and the angles read None.
+    """
+    disk = reflect_to_disk(sol.u, SymmetryGroup(p["k"]))
+    prof = phi_profile(disk, p["phi_radii"])
+    write_profile_csv(prof, out / "phi_profile.csv")
+    report = blowup_report(disk, p["blowup_radii"], m=TRACE_SAMPLES)
+    write_blowup_csv(report, out / "blowup.csv")
+    levelset = extract_zero_set(disk, circle_radii=p["blowup_radii"])
+    write_levelset_csv(levelset, out / "fb.csv")
+    try:
+        arcs = fit_arcs_at_origin(levelset, p.get("arc_radii", DEFAULT_ARC_RADII))
+        write_arcs_json(arcs, out / "arcs.json")
+        arc_angles_deg = list(np.degrees(arcs.limit_angles))
+    except ValueError as exc:
+        with open(out / "arcs.json", "w", encoding="utf-8") as fh:
+            json.dump({"limit_angles_deg": [], "note": str(exc)}, fh, indent=2)
+        arc_angles_deg = None
+    outputs += ["phi_profile.csv", "blowup.csv", "fb.csv", "arcs.json"]
+    return disk, prof, report, levelset, arc_angles_deg
 
 
 def _circular_gap_to(targets_deg, angle_deg: float) -> float:
@@ -219,61 +289,31 @@ def run_cross(M: float = 40.0, n_r: int = 256, n_phi: int = 256,
     if M <= 0:
         raise ValueError(f"M must be positive, got {M}")
     p = {
-        "k": 2, "M": float(M), "n_r": int(n_r), "n_phi": int(n_phi),
-        "eps_start": float(eps_start), "eps_ratio": float(eps_ratio),
-        "eps_min": float(eps_min), "newton_tol": float(newton_tol),
-        "phi_radii": list(phi_radii) if phi_radii is not None else _default_phi_radii(n_r),
-        "blowup_radii": list(blowup_radii) if blowup_radii is not None else list(DEFAULT_BLOWUP_RADII),
+        "k": 2, "M": float(M),
+        **_solver_params(n_r, n_phi, eps_start, eps_ratio, eps_min, newton_tol),
+        **_radii_params(n_r, phi_radii, blowup_radii),
         "arc_radii": list(arc_radii) if arc_radii is not None else list(DEFAULT_ARC_RADII),
         "trace_samples": TRACE_SAMPLES,
     }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    try:
-        sol = _solve(2, lambda phi: M * np.cos(2.0 * phi), f"{M:g}*cos(2*phi)", p)
-    except (FixedPointError, SolverError) as exc:
-        return _failure_manifest("cross", p, out, exc, t0)
+    return _run("cross", p, out_dir, _cross_body)
 
-    disk = reflect_to_disk(sol.u, SymmetryGroup(2))
-    outputs = [Path(f).name for f in export_solution(sol, out)]
 
-    prof = phi_profile(disk, p["phi_radii"])
-    write_profile_csv(prof, out / "phi_profile.csv")
-    outputs.append("phi_profile.csv")
+def _cross_body(p: dict, out: Path):
+    sol, outputs, headline, checks = _solve(p, out)
+    _, prof, report, levelset, arc_angles_deg = _analyze(sol, p, out, outputs)
+    arc_angles_deg = arc_angles_deg or []
 
-    report = blowup_report(disk, p["blowup_radii"], m=TRACE_SAMPLES)
-    write_blowup_csv(report, out / "blowup.csv")
-    outputs.append("blowup.csv")
+    # tolerance for the monotone trend, two percent of the Phi increment
+    # over the window [0.25, 0.75] if both ends are sampled, else overall
+    ends = [int(np.argmin(np.abs(prof.radii - r))) for r in (0.25, 0.75)]
+    if any(abs(prof.radii[i] - r) >= 1e-12 for i, r in zip(ends, (0.25, 0.75))):
+        ends = [0, -1]
+    trend_tol = max(0.02 * abs(prof.phi_values[ends[1]] - prof.phi_values[ends[0]]), 1e-3)
 
-    levelset = extract_zero_set(disk, circle_radii=p["blowup_radii"])
-    write_levelset_csv(levelset, out / "fb.csv")
-    outputs.append("fb.csv")
-    arcs = fit_arcs_at_origin(levelset, p["arc_radii"])
-    write_arcs_json(arcs, out / "arcs.json")
-    outputs.append("arcs.json")
-
-    origin_value = eval_origin(sol.u)
-    # tolerance for the monotone trend, two percent of the window increment
-    r_lo, r_hi = 0.25, 0.75
-    sampled = list(prof.radii)
-    window_ok = any(abs(r - r_lo) < 1e-12 for r in sampled) and any(
-        abs(r - r_hi) < 1e-12 for r in sampled)
-    if window_ok:
-        phi_lo = prof.phi_values[np.argmin(np.abs(prof.radii - r_lo))]
-        phi_hi = prof.phi_values[np.argmin(np.abs(prof.radii - r_hi))]
-        trend_tol = max(0.02 * abs(phi_hi - phi_lo), 1e-3)
-    else:
-        trend_tol = max(0.02 * abs(prof.phi_values[-1] - prof.phi_values[0]), 1e-3)
-
-    arc_angles_deg = list(np.degrees(arcs.limit_angles))
     diag_targets = [45.0, 135.0, 225.0, 315.0]
     worst_arc_dev = (max(_circular_gap_to(diag_targets, a) for a in arc_angles_deg)
                      if len(arc_angles_deg) == 4 else float("inf"))
 
-    checks = _Checks()
-    checks.add("converged", sol.converged and abs(origin_value) <= 1e-8,
-               f"final eps {sol.eps:g}, u(0) = {origin_value:.3e}")
     checks.add("kappa_bracket", 0.0 < sol.kappa < 0.26, f"kappa = {sol.kappa:.6f}")
     checks.add("phi_negative", float(np.max(prof.phi_values)) < 0.0,
                f"max phi over window = {np.max(prof.phi_values):.4f}")
@@ -288,11 +328,7 @@ def run_cross(M: float = 40.0, n_r: int = 256, n_phi: int = 256,
                len(arc_angles_deg) == 4 and worst_arc_dev <= 5.0,
                f"{len(arc_angles_deg)} arcs, worst deviation {worst_arc_dev:.2f} deg")
 
-    headline = {
-        "kappa": sol.kappa,
-        "eps_final": sol.eps,
-        "origin_value": origin_value,
-        "pde_residual": sol.pde_residual,
+    headline.update({
         "phi_radii": list(prof.radii),
         "phi_values": list(prof.phi_values),
         "min_phi_increment": prof.min_increment(),
@@ -302,19 +338,8 @@ def run_cross(M: float = 40.0, n_r: int = 256, n_phi: int = 256,
         "arc_angles_deg": arc_angles_deg,
         "worst_arc_deviation_deg": worst_arc_dev,
         "n_polylines": len(levelset.polylines),
-    }
-    manifest = RunManifest(
-        experiment="cross",
-        parameters=p,
-        content_hash=_content_hash("cross", p),
-        outputs=outputs,
-        headline=_jsonable(headline),
-        checks=checks.records,
-        status=_status(checks),
-    )
-    manifest.runtime_seconds = time.perf_counter() - t0
-    manifest.write(out)
-    return manifest
+    })
+    return outputs, headline, checks
 
 
 def run_asterisk(n_r: int = 256, n_phi: int = 256, eps_min: float = 0.0125,
@@ -337,48 +362,18 @@ def run_asterisk(n_r: int = 256, n_phi: int = 256, eps_min: float = 0.0125,
     steps 4 radial cells.
     """
     p = {
-        "k": 4, "n_r": int(n_r), "n_phi": int(n_phi),
-        "eps_start": float(eps_start), "eps_ratio": float(eps_ratio),
-        "eps_min": float(eps_min), "newton_tol": float(newton_tol),
-        "phi_radii": list(phi_radii) if phi_radii is not None else _default_phi_radii(n_r),
-        "blowup_radii": list(blowup_radii) if blowup_radii is not None else list(DEFAULT_BLOWUP_RADII),
+        "k": 4,
+        **_solver_params(n_r, n_phi, eps_start, eps_ratio, eps_min, newton_tol),
+        **_radii_params(n_r, phi_radii, blowup_radii),
         "invariance_radii": [0.9, 0.8, 0.7, 0.6, 0.5],
         "trace_samples": TRACE_SAMPLES,
     }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    try:
-        sol = _solve(4, lambda phi: np.cos(4.0 * phi), "cos(4*phi)", p)
-    except (FixedPointError, SolverError) as exc:
-        return _failure_manifest("asterisk", p, out, exc, t0)
+    return _run("asterisk", p, out_dir, _asterisk_body)
 
-    disk = reflect_to_disk(sol.u, SymmetryGroup(4))
-    outputs = [Path(f).name for f in export_solution(sol, out)]
 
-    prof = phi_profile(disk, p["phi_radii"])
-    write_profile_csv(prof, out / "phi_profile.csv")
-    outputs.append("phi_profile.csv")
-
-    report = blowup_report(disk, p["blowup_radii"], m=TRACE_SAMPLES)
-    write_blowup_csv(report, out / "blowup.csv")
-    outputs.append("blowup.csv")
-
-    levelset = extract_zero_set(disk, circle_radii=p["blowup_radii"])
-    write_levelset_csv(levelset, out / "fb.csv")
-    outputs.append("fb.csv")
-
-    # the zero set may not reach the sampling window near the origin, so
-    # the arc fit degrades gracefully into a recorded note
-    arcs_payload = None
-    try:
-        arcs = fit_arcs_at_origin(levelset, DEFAULT_ARC_RADII)
-        write_arcs_json(arcs, out / "arcs.json")
-        arcs_payload = list(np.degrees(arcs.limit_angles))
-    except ValueError as exc:
-        with open(out / "arcs.json", "w", encoding="utf-8") as fh:
-            json.dump({"limit_angles_deg": [], "note": str(exc)}, fh, indent=2)
-    outputs.append("arcs.json")
+def _asterisk_body(p: dict, out: Path):
+    sol, outputs, headline, checks = _solve(p, out, "cos(4*phi)")
+    disk, prof, report, levelset, arc_angles_deg = _analyze(sol, p, out, outputs)
 
     mode2_max = max(
         float(np.max(np.abs([tr.a[2], tr.b[2]]))) for tr in report.traces)
@@ -407,10 +402,6 @@ def run_asterisk(n_r: int = 256, n_phi: int = 256, eps_min: float = 0.0125,
     idx_005 = int(np.argmin(np.abs(report.radii - 0.05)))
     idx_02 = int(np.argmin(np.abs(report.radii - 0.2)))
 
-    checks = _Checks()
-    origin_value = eval_origin(sol.u)
-    checks.add("converged", sol.converged and abs(origin_value) <= 1e-8,
-               f"final eps {sol.eps:g}, u(0) = {origin_value:.3e}")
     checks.add("mode2_annihilated", mode2_max <= 1e-10,
                f"max |a2|,|b2| over radii = {mode2_max:.3e}")
     checks.add("s_ratio_decay", float(ratios[idx_005]) < float(ratios[idx_02]),
@@ -422,11 +413,7 @@ def run_asterisk(n_r: int = 256, n_phi: int = 256, eps_min: float = 0.0125,
                f"radius {invariance_r}, {n_crossings} crossings, quarter-turn "
                f"and reflection deviation {gap_dev:.2e} rad")
 
-    headline = {
-        "kappa": sol.kappa,
-        "eps_final": sol.eps,
-        "origin_value": origin_value,
-        "pde_residual": sol.pde_residual,
+    headline.update({
         "phi_radii": list(prof.radii),
         "phi_values": list(prof.phi_values),
         "classification": report.classification,
@@ -435,21 +422,10 @@ def run_asterisk(n_r: int = 256, n_phi: int = 256, eps_min: float = 0.0125,
         "mode4_fraction": list(report.mode_fractions[4]),
         "invariance_radius": invariance_r,
         "crossing_gap_deviation": gap_dev if math.isfinite(gap_dev) else None,
-        "arc_angles_deg": arcs_payload,
+        "arc_angles_deg": arc_angles_deg,
         "n_polylines": len(levelset.polylines),
-    }
-    manifest = RunManifest(
-        experiment="asterisk",
-        parameters=p,
-        content_hash=_content_hash("asterisk", p),
-        outputs=outputs,
-        headline=_jsonable(headline),
-        checks=checks.records,
-        status=_status(checks),
-    )
-    manifest.runtime_seconds = time.perf_counter() - t0
-    manifest.write(out)
-    return manifest
+    })
+    return outputs, headline, checks
 
 
 def run_threshold_scan(M_values, C1: float = 0.5, out_dir="runs/scan", *,
@@ -472,11 +448,12 @@ def run_threshold_scan(M_values, C1: float = 0.5, out_dir="runs/scan", *,
         "n_phi": int(n_phi), "mc_samples": int(mc_samples),
         "mc_seed": int(mc_seed), "bisect_tol": float(bisect_tol),
     }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
+    return _run("scan", p, out_dir, _scan_body)
 
-    Ms, values = threshold_scan(M_values, C1, n_r=n_r, n_phi=n_phi)
+
+def _scan_body(p: dict, out: Path):
+    C1, n_r, n_phi = p["C1"], p["n_r"], p["n_phi"]
+    Ms, values = threshold_scan(p["M_values"], C1, n_r=n_r, n_phi=n_phi)
     rows = np.column_stack([Ms, values])
     np.savetxt(out / "threshold_scan.csv", rows, delimiter=",",
                header="M,energy_bound", comments="", fmt="%.17g")
@@ -486,19 +463,19 @@ def run_threshold_scan(M_values, C1: float = 0.5, out_dir="runs/scan", *,
         (n for n in range(len(values) - 1) if values[n] > 0 >= values[n + 1]), None)
     if sign_change is not None:
         m_star = find_threshold(C1, float(Ms[sign_change]), float(Ms[sign_change + 1]),
-                                tol=bisect_tol, n_r=n_r, n_phi=n_phi)
+                                tol=p["bisect_tol"], n_r=n_r, n_phi=n_phi)
 
     mc_rows = []
     for m_chk in {Ms[0], Ms[-1]}:
         quad = float(values[list(Ms).index(m_chk)])
-        mc = mc_energy_bound(float(m_chk), C1, samples=mc_samples, seed=mc_seed)
+        mc = mc_energy_bound(float(m_chk), C1, samples=p["mc_samples"], seed=p["mc_seed"])
         mc_rows.append({"M": float(m_chk), "quadrature": quad, "monte_carlo": mc})
 
     scale = math.pi * C1 * C1
     checks = _Checks()
     checks.add("scan_nonincreasing", bool(np.all(np.diff(values) <= 1e-12)),
                "values nonincreasing in M")
-    if max(M_values) >= 4.0 * C1:
+    if max(p["M_values"]) >= 4.0 * C1:
         checks.add("negative_tail_found", bool(np.any(values < 0.0)),
                    f"min value {np.min(values):.6f}")
     mc_dev = max(abs(r["quadrature"] - r["monte_carlo"]) /
@@ -512,60 +489,25 @@ def run_threshold_scan(M_values, C1: float = 0.5, out_dir="runs/scan", *,
         "m_star": m_star,
         "monte_carlo": mc_rows,
     }
-    manifest = RunManifest(
-        experiment="scan",
-        parameters=p,
-        content_hash=_content_hash("scan", p),
-        outputs=["threshold_scan.csv"],
-        headline=_jsonable(headline),
-        checks=checks.records,
-        status=_status(checks),
-    )
-    manifest.runtime_seconds = time.perf_counter() - t0
-    manifest.write(out)
-    return manifest
+    return ["threshold_scan.csv"], headline, checks
 
 
-def run_solve(k: int, M: float = 1.0, n_r: int = 256, n_phi: int = 256,
+def run_solve(k: int, M: float = 40.0, n_r: int = 256, n_phi: int = 256,
               eps_min: float = 0.0125, out_dir="runs/solve", *,
               eps_start: float = 0.2, eps_ratio: float = 0.5,
               newton_tol: float = 1e-10) -> RunManifest:
     """Generic single solve with arc data M cos(k phi), artifacts only."""
-    p = {
-        "k": int(k), "M": float(M), "n_r": int(n_r), "n_phi": int(n_phi),
-        "eps_start": float(eps_start), "eps_ratio": float(eps_ratio),
-        "eps_min": float(eps_min), "newton_tol": float(newton_tol),
-    }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    try:
-        sol = _solve(k, lambda phi: M * np.cos(k * phi), f"{M:g}*cos({k}*phi)", p)
-    except (FixedPointError, SolverError) as exc:
-        return _failure_manifest("solve", p, out, exc, t0)
-    outputs = [Path(f).name for f in export_solution(sol, out)]
-    origin_value = eval_origin(sol.u)
-    checks = _Checks()
-    checks.add("converged", sol.converged and abs(origin_value) <= 1e-8,
-               f"final eps {sol.eps:g}, u(0) = {origin_value:.3e}")
-    headline = {
-        "kappa": sol.kappa,
-        "eps_final": sol.eps,
-        "origin_value": origin_value,
-        "pde_residual": sol.pde_residual,
-    }
-    manifest = RunManifest(
-        experiment="solve",
-        parameters=p,
-        content_hash=_content_hash("solve", p),
-        outputs=outputs,
-        headline=_jsonable(headline),
-        checks=checks.records,
-        status=_status(checks),
-    )
-    manifest.runtime_seconds = time.perf_counter() - t0
-    manifest.write(out)
-    return manifest
+    p = {"k": int(k), "M": float(M),
+         **_solver_params(n_r, n_phi, eps_start, eps_ratio, eps_min, newton_tol)}
+    return _run("solve", p, out_dir, lambda p, out: _solve(p, out)[1:])
+
+
+EXPERIMENTS = {
+    "cross": run_cross,
+    "asterisk": run_asterisk,
+    "scan": run_threshold_scan,
+    "solve": run_solve,
+}
 
 
 # --- rerun ---------------------------------------------------------------
@@ -574,33 +516,20 @@ def run_solve(k: int, M: float = 1.0, n_r: int = 256, n_phi: int = 256,
 def rerun_manifest(manifest_path, out_dir=None) -> tuple[RunManifest, bool]:
     """Replay a recorded run and compare headline numbers for equality.
 
-    The comparison is exact, down to the last bit of every float, because
+    The driver gets every stored parameter it accepts; recorded constants
+    such as k and trace_samples are not arguments and are ignored.  The
+    comparison is exact, down to the last bit of every float, because
     the replay consumes only manifest parameters and the solver is
     deterministic on a given machine.
     """
     stored = RunManifest.load(manifest_path)
     out = Path(out_dir) if out_dir else Path(manifest_path).parent / "rerun"
-    p = stored.parameters
-    if stored.experiment == "cross":
-        fresh = run_cross(p["M"], p["n_r"], p["n_phi"], p["eps_min"], out,
-                          eps_start=p["eps_start"], eps_ratio=p["eps_ratio"],
-                          newton_tol=p["newton_tol"], phi_radii=p["phi_radii"],
-                          blowup_radii=p["blowup_radii"], arc_radii=p["arc_radii"])
-    elif stored.experiment == "asterisk":
-        fresh = run_asterisk(p["n_r"], p["n_phi"], p["eps_min"], out,
-                             eps_start=p["eps_start"], eps_ratio=p["eps_ratio"],
-                             newton_tol=p["newton_tol"], phi_radii=p["phi_radii"],
-                             blowup_radii=p["blowup_radii"])
-    elif stored.experiment == "scan":
-        fresh = run_threshold_scan(p["M_values"], p["C1"], out, n_r=p["n_r"],
-                                   n_phi=p["n_phi"], mc_samples=p["mc_samples"],
-                                   mc_seed=p["mc_seed"], bisect_tol=p["bisect_tol"])
-    elif stored.experiment == "solve":
-        fresh = run_solve(p["k"], p["M"], p["n_r"], p["n_phi"], p["eps_min"], out,
-                          eps_start=p["eps_start"], eps_ratio=p["eps_ratio"],
-                          newton_tol=p["newton_tol"])
-    else:
+    driver = EXPERIMENTS.get(stored.experiment)
+    if driver is None:
         raise ValueError(f"unknown experiment in manifest: {stored.experiment!r}")
+    accepted = inspect.signature(driver).parameters
+    fresh = driver(**{key: value for key, value in stored.parameters.items()
+                      if key in accepted}, out_dir=out)
     same = json.dumps(stored.headline, sort_keys=True) == json.dumps(
         fresh.headline, sort_keys=True)
     return fresh, same
@@ -616,16 +545,20 @@ def _radii_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"bad radii list {text!r}") from exc
 
 
+def _add_grid_flags(sp):
+    sp.add_argument("--nr", dest="n_r", type=int, help="radial cells")
+    sp.add_argument("--nphi", dest="n_phi", type=int, help="angular cells per sector")
+    sp.add_argument("--out", dest="out_dir", help="output directory")
+
+
 def _add_solver_flags(sp, with_m: bool):
     if with_m:
-        sp.add_argument("--M", type=float, default=40.0, help="arc data amplitude")
-    sp.add_argument("--nr", type=int, default=256, help="radial cells")
-    sp.add_argument("--nphi", type=int, default=256, help="angular cells per sector")
-    sp.add_argument("--eps-min", type=float, default=0.0125, help="final smoothing width")
-    sp.add_argument("--eps-start", type=float, default=0.2, help="initial smoothing width")
-    sp.add_argument("--eps-ratio", type=float, default=0.5, help="width shrink factor per stage")
-    sp.add_argument("--tol", type=float, default=1e-10, help="Newton residual tolerance")
-    sp.add_argument("--out", default=None, help="output directory")
+        sp.add_argument("--M", type=float, help="arc data amplitude")
+    _add_grid_flags(sp)
+    sp.add_argument("--eps-min", type=float, help="final smoothing width")
+    sp.add_argument("--eps-start", type=float, help="initial smoothing width")
+    sp.add_argument("--eps-ratio", type=float, help="width shrink factor per stage")
+    sp.add_argument("--tol", dest="newton_tol", type=float, help="Newton residual tolerance")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -635,27 +568,29 @@ def _build_parser() -> argparse.ArgumentParser:
                     "problem on the unit disk.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("cross", help="boundary data M cos(2 phi) on the quarter sector")
-    _add_solver_flags(sp, with_m=True)
-    sp.add_argument("--radii", type=_radii_list, default=None,
-                    help="comma list of radii for the scaled-energy profile")
+    # experiment flags carry no defaults: an unset flag is left out of the
+    # call, so each default lives only in the driver's signature
+    def experiment(name, help_text):
+        return sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
 
-    sp = sub.add_parser("asterisk", help="boundary data cos(4 phi) on the eighth sector")
-    _add_solver_flags(sp, with_m=False)
-    sp.add_argument("--radii", type=_radii_list, default=None,
-                    help="comma list of radii for the scaled-energy profile")
+    for name, help_text, with_m in (
+        ("cross", "boundary data M cos(2 phi) on the quarter sector", True),
+        ("asterisk", "boundary data cos(4 phi) on the eighth sector", False),
+    ):
+        sp = experiment(name, help_text)
+        _add_solver_flags(sp, with_m)
+        sp.add_argument("--radii", dest="phi_radii", type=_radii_list,
+                        help="comma list of radii for the scaled-energy profile")
 
-    sp = sub.add_parser("scan", help="energy bound sign scan over M")
-    sp.add_argument("--M-list", type=_radii_list, required=True,
+    sp = experiment("scan", "energy bound sign scan over M")
+    sp.add_argument("--M-list", dest="M_values", type=_radii_list, required=True,
                     help="comma list of M values")
-    sp.add_argument("--C1", type=float, default=0.5)
-    sp.add_argument("--nr", type=int, default=1024)
-    sp.add_argument("--nphi", type=int, default=1024)
-    sp.add_argument("--mc-samples", type=int, default=1_000_000)
-    sp.add_argument("--mc-seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--C1", type=float)
+    sp.add_argument("--mc-samples", type=int)
+    sp.add_argument("--mc-seed", type=int)
+    _add_grid_flags(sp)
 
-    sp = sub.add_parser("solve", help="single solve with arc data M cos(k phi)")
+    sp = experiment("solve", "single solve with arc data M cos(k phi)")
     sp.add_argument("--k", type=int, required=True, help="sector count parameter")
     _add_solver_flags(sp, with_m=True)
 
@@ -679,39 +614,12 @@ def _build_parser() -> argparse.ArgumentParser:
 # --- command handlers ----------------------------------------------------
 
 
-def _cmd_cross(args) -> int:
-    manifest = run_cross(args.M, args.nr, args.nphi, args.eps_min,
-                         args.out or "runs/cross", eps_start=args.eps_start,
-                         eps_ratio=args.eps_ratio, newton_tol=args.tol,
-                         phi_radii=args.radii)
-    _print_checks(manifest)
-    return manifest.exit_code
-
-
-def _cmd_asterisk(args) -> int:
-    manifest = run_asterisk(args.nr, args.nphi, args.eps_min,
-                            args.out or "runs/asterisk", eps_start=args.eps_start,
-                            eps_ratio=args.eps_ratio, newton_tol=args.tol,
-                            phi_radii=args.radii)
-    _print_checks(manifest)
-    return manifest.exit_code
-
-
-def _cmd_scan(args) -> int:
-    manifest = run_threshold_scan(args.M_list, args.C1, args.out or "runs/scan",
-                                  n_r=args.nr, n_phi=args.nphi,
-                                  mc_samples=args.mc_samples, mc_seed=args.mc_seed)
+def _cmd_experiment(args) -> int:
+    params = vars(args)
+    manifest = EXPERIMENTS[params.pop("command")](**params)
     _print_checks(manifest)
     if manifest.headline.get("m_star") is not None:
         print(f"threshold M* = {manifest.headline['m_star']:.6f}")
-    return manifest.exit_code
-
-
-def _cmd_solve(args) -> int:
-    manifest = run_solve(args.k, args.M, args.nr, args.nphi, args.eps_min,
-                         args.out or "runs/solve", eps_start=args.eps_start,
-                         eps_ratio=args.eps_ratio, newton_tol=args.tol)
-    _print_checks(manifest)
     return manifest.exit_code
 
 
@@ -759,16 +667,11 @@ def _cmd_rerun(args) -> int:
     fresh, same = rerun_manifest(args.manifest, args.out)
     _print_checks(fresh)
     print("headline comparison:", "identical" if same else "DIFFERS")
-    if not same:
-        return EXIT_CHECKS
-    return fresh.exit_code
+    return fresh.exit_code if same else EXIT_CHECKS
 
 
 _HANDLERS = {
-    "cross": _cmd_cross,
-    "asterisk": _cmd_asterisk,
-    "scan": _cmd_scan,
-    "solve": _cmd_solve,
+    **dict.fromkeys(EXPERIMENTS, _cmd_experiment),
     "phi": _cmd_phi,
     "blowup": _cmd_blowup,
     "fb": _cmd_fb,
@@ -784,9 +687,6 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FixedPointError, SolverError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

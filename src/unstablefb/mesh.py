@@ -159,18 +159,3 @@ def reflect_to_disk(field, sym: SymmetryGroup):
     disk = build_disk_grid(grid.n_r, 2 * sym.k * grid.n_phi)
     return ScalarField(disk, field.values[:, src].copy())
 
-
-def restrict_to_sector(disk_field, spec: SectorSpec):
-    """Inverse of reflect_to_disk on the first sector copy (exact)."""
-    from .field import ScalarField
-
-    grid = disk_field.grid
-    if not grid.periodic:
-        raise ValueError("restrict_to_sector needs a disk field")
-    if grid.n_phi % (2 * spec.k) != 0:
-        raise ValueError(
-            f"disk grid with {grid.n_phi} columns does not split into {2 * spec.k} sector copies"
-        )
-    n_phi = grid.n_phi // (2 * spec.k)
-    sector = build_sector_grid(spec, grid.n_r, n_phi)
-    return ScalarField(sector, disk_field.values[:, :n_phi].copy())

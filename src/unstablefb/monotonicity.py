@@ -31,7 +31,8 @@ from .field import (
 from .mesh import SectorSpec, build_sector_grid
 
 
-def _check_window(grid, r: float) -> None:
+def check_window(grid, r: float) -> None:
+    """Reject radii where derivative stencils and traces are not valid."""
     h = grid.dr
     if not (h < r < 1.0 - h + 1e-12):
         raise ValueError(
@@ -47,7 +48,7 @@ def phi(u: ScalarField, r: float) -> float:
     derivative is spectral and the circle integrals see periodic data.
     """
     u = as_disk(u)
-    _check_window(u.grid, r)
+    check_window(u.grid, r)
     grad = gradient_sq(u)
     bulk = integrate_ball(grad, None, r) - integrate_ball(
         u, lambda v: 2.0 * np.maximum(v, 0.0), r
@@ -99,7 +100,7 @@ def phi_profile(u: ScalarField, radii) -> MonotonicityProfile:
     if len(radii) < 2:
         raise ValueError("need at least two radii for a profile")
     for r in radii:
-        _check_window(u.grid, r)
+        check_window(u.grid, r)
     grad = gradient_sq(u)
     du_dr = radial_derivative(u)
     u_sq = u.apply(np.square)

@@ -67,27 +67,6 @@ def f_eps_prime(z, eps: float):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class SmoothedHeaviside:
-    """Smoothed indicator at a fixed width, with its derivative."""
-
-    eps: float
-
-    def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError(f"regularization width must be positive, got {self.eps}")
-
-    def __call__(self, z):
-        return f_eps(z, self.eps)
-
-    def derivative(self, z):
-        return f_eps_prime(z, self.eps)
-
-    @property
-    def derivative_bound(self) -> float:
-        return 1.875 / self.eps
-
-
 # --- configuration and results -------------------------------------------
 
 

@@ -4,22 +4,26 @@ Solver-backed cases run on coarse grids with a mild final width so each
 test stays around a second.
 """
 
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import unstablefb.cli as cli
 import unstablefb.semilinear as semilinear
 from unstablefb import (
     RunManifest,
     main,
     read_field_csv,
     rerun_manifest,
+    run_asterisk,
+    run_cross,
     run_solve,
     run_threshold_scan,
 )
-from unstablefb.cli import _default_phi_radii
+from unstablefb.cli import _build_parser, _default_phi_radii
 
 COARSE = dict(n_r=64, n_phi=64, eps_min=0.05)
 
@@ -103,12 +107,55 @@ class TestDefaultPhiRadii:
             assert _default_phi_radii(n_r) == _default_phi_radii(256)
 
 
+class TestRadiiValidation:
+    @pytest.mark.parametrize("radii", [
+        {"phi_radii": [0.001, 0.5]},
+        {"blowup_radii": [0.1, 0.995]},
+        {"arc_radii": [0.2]},
+    ], ids=["phi", "blowup", "arc"])
+    def test_bad_radii_rejected_before_the_solve(self, radii, tmp_path, monkeypatch):
+        def unexpected_solve(*args, **kwargs):
+            raise AssertionError("solve_fixed_point called with bad radii")
+
+        monkeypatch.setattr(cli, "solve_fixed_point", unexpected_solve)
+        with pytest.raises(ValueError):
+            run_cross(40.0, out_dir=tmp_path, **COARSE, **radii)
+        assert not any(tmp_path.iterdir())
+
+
+RECORDED_RUNS = {
+    "cross": lambda out: run_cross(40.0, out_dir=out, **COARSE),
+    "asterisk": lambda out: run_asterisk(out_dir=out, **COARSE),
+    "scan": lambda out: run_threshold_scan([0.0, 2.0, 4.0], 0.5, out, n_r=128,
+                                           n_phi=128, mc_samples=100_000),
+}
+
+
 class TestRerun:
-    def test_headline_is_bit_stable(self, solve_run, tmp_path):
-        out, m = solve_run
-        fresh, same = rerun_manifest(out / "manifest.json", tmp_path)
+    @pytest.mark.parametrize("experiment", ["cross", "asterisk", "scan", "solve"])
+    def test_headline_is_bit_stable(self, experiment, solve_run, tmp_path):
+        if experiment == "solve":
+            out, m = solve_run
+        else:
+            out = tmp_path / "recorded"
+            m = RECORDED_RUNS[experiment](out)
+        fresh, same = rerun_manifest(out / "manifest.json", tmp_path / "replay")
         assert same
-        assert fresh.headline["kappa"] == m.headline["kappa"]
+        assert fresh.experiment == experiment
+        assert fresh.headline == m.headline
+        assert fresh.parameters == m.parameters
+        assert fresh.content_hash == m.content_hash
+
+    def test_unknown_parameter_keys_are_ignored(self, solve_run, tmp_path):
+        # manifests written while the solver had a backend option carry it
+        out, m = solve_run
+        raw = json.loads((out / "manifest.json").read_text())
+        raw["parameters"]["backend"] = "direct"
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw))
+        fresh, same = rerun_manifest(path, tmp_path / "replay")
+        assert same
+        assert fresh.content_hash == m.content_hash
 
     def test_unknown_experiment_rejected(self, tmp_path):
         bad = {"experiment": "mystery", "parameters": {}, "content_hash": "0" * 64,
@@ -160,6 +207,28 @@ class TestConsoleEntry:
         assert (tmp_path / "prof.csv").exists()
         assert (tmp_path / "blow.csv").exists()
         assert (tmp_path / "fb.csv").exists()
+
+    def test_solve_without_M_records_the_driver_default(self, tmp_path, capsys):
+        code = main(["solve", "--k", "2", "--nr", "32", "--nphi", "32",
+                     "--eps-min", "0.1", "--eps-start", "0.1", "--out", str(tmp_path)])
+        assert code == 0
+        stored = RunManifest.load(tmp_path / "manifest.json")
+        assert stored.parameters["M"] == inspect.signature(run_solve).parameters["M"].default
+
+    @pytest.mark.parametrize("argv, given", [
+        (["cross"], {}),
+        (["asterisk"], {}),
+        (["scan", "--M-list", "0,4"], {"M_values": [0.0, 4.0]}),
+        (["solve", "--k", "3"], {"k": 3}),
+    ], ids=["cross", "asterisk", "scan", "solve"])
+    def test_unset_flags_fall_through_to_the_driver(self, argv, given):
+        assert vars(_build_parser().parse_args(argv)) == {"command": argv[0], **given}
+
+    def test_bad_radii_exit_2_without_artifacts(self, tmp_path):
+        code = main(["cross", "--nr", "64", "--nphi", "64", "--eps-min", "0.05",
+                     "--radii", "0.001,0.5", "--out", str(tmp_path)])
+        assert code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_rerun_command(self, tmp_path, capsys, solve_run):
         run_dir, _ = solve_run

@@ -12,7 +12,6 @@ from unstablefb import (
     ContinuationConfig,
     FixedPointError,
     ScalarField,
-    SmoothedHeaviside,
     StageFailed,
     assemble,
     build_disk_grid,
@@ -101,18 +100,11 @@ class TestSmoothedIndicator:
         fd = (f_eps(z + h, eps) - f_eps(z - h, eps)) / (2.0 * h)
         assert np.max(np.abs(fd - f_eps_prime(z, eps))) < 1e-5
 
-    def test_callable_wrapper_consistent(self):
-        fw = SmoothedHeaviside(0.05)
-        z = np.linspace(-0.2, 0.1, 301)
-        assert np.array_equal(fw(z), f_eps(z, 0.05))
-        assert np.array_equal(fw.derivative(z), f_eps_prime(z, 0.05))
-        assert fw.derivative_bound == pytest.approx(15.0 / (8.0 * 0.05))
-
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError):
             f_eps(0.0, 0.0)
         with pytest.raises(ValueError):
-            SmoothedHeaviside(-0.1)
+            f_eps_prime(0.0, -0.1)
 
 
 class TestContinuationConfig:
