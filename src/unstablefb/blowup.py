@@ -18,6 +18,8 @@ from .monotonicity import phi
 CASE1 = "case1"
 CASE3 = "case3"
 INCONCLUSIVE = "inconclusive"
+# S(r) at or below this fraction of max |u| (or 1) is too small to normalize by
+S_FLOOR = 1e-12
 
 
 class DegenerateTrace(RuntimeError):
@@ -35,7 +37,6 @@ class BlowupThresholds:
     delta_phi_rel: float = 0.05
     delta_phi_abs: float = 1e-3
     trend_slack: float = 0.05
-    s_floor: float = 1e-12
 
 
 @dataclass
@@ -63,7 +64,7 @@ def blowup_profile(u: ScalarField, r: float, m: int = 256) -> CircleTrace:
     """Trace of u on dB_r divided by S(r); unit L2(dB_1) norm by construction."""
     s = s_norm(u, r)
     scale = float(np.max(np.abs(u.values)))
-    if s <= BlowupThresholds().s_floor * max(scale, 1.0):
+    if s <= S_FLOOR * max(scale, 1.0):
         raise DegenerateTrace(f"S({r:g}) = {s:.3e} is too small to normalize the trace")
     tr = trace_on_circle(u, r, m)
     return CircleTrace(

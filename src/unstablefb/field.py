@@ -304,7 +304,10 @@ def write_field_csv(field: ScalarField, path) -> None:
 
 
 def read_field_csv(path) -> ScalarField:
-    """Rebuild a ScalarField from a CSV produced by write_field_csv."""
+    """Rebuild a ScalarField from a CSV produced by write_field_csv.
+
+    Every r and phi node must be a cell center of the grid it implies, to 1e-9.
+    """
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.ndim != 2 or data.shape[1] != 3:
         raise ValueError(f"{path}: expected 3 columns r,phi,value")
@@ -313,11 +316,9 @@ def read_field_csv(path) -> ScalarField:
     n_r, n_phi = len(r_vals), len(phi_vals)
     if n_r * n_phi != data.shape[0]:
         raise ValueError(f"{path}: rows do not form a tensor grid")
-    dr = 1.0 / n_r
-    if abs(r_vals[0] - 0.5 * dr) > 1e-9 or abs(r_vals[-1] - (1.0 - 0.5 * dr)) > 1e-9:
-        raise ValueError(f"{path}: radial nodes are not cell centers of the unit disk")
-    dphi = phi_vals[1] - phi_vals[0]
-    phi_total = dphi * n_phi
+    if min(n_r, n_phi) < 2:
+        raise ValueError(f"{path}: need at least two r and two phi nodes, got {n_r}x{n_phi}")
+    phi_total = (phi_vals[1] - phi_vals[0]) * n_phi
     if abs(phi_total - 2.0 * math.pi) < 1e-9:
         grid = build_disk_grid(n_r, n_phi)
     else:
@@ -325,6 +326,8 @@ def read_field_csv(path) -> ScalarField:
         if k < 1 or abs(phi_total - math.pi / k) > 1e-9:
             raise ValueError(f"{path}: angular extent {phi_total} is not pi/k or 2*pi")
         grid = PolarGrid(n_r=n_r, n_phi=n_phi, phi_total=math.pi / k, spec=SectorSpec(k))
+    if max(np.max(np.abs(r_vals - grid.r)), np.max(np.abs(phi_vals - grid.phi))) > 1e-9:
+        raise ValueError(f"{path}: nodes are not the cell centers of a {n_r}x{n_phi} grid")
     order = np.lexsort((data[:, 1], data[:, 0]))
     vals = data[order, 2].reshape(n_r, n_phi)
     return ScalarField(grid, vals)

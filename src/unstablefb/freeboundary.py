@@ -1,8 +1,8 @@
 """Zero level set extraction and free-boundary arc geometry.
 
-Marching squares runs on the logical (r, phi) grid of the symmetric disk
-extension (nodes are cell centers, periodic in phi, nothing below the
-innermost ring).  Crossing points are linear interpolations along grid
+Marching squares classifies every quad of the logical (r, phi) grid of
+the symmetric disk extension in one array pass (nodes are cell centers,
+periodic in phi, nothing below the innermost ring).  Crossing points are linear interpolations along grid
 edges, shared exactly between neighbouring quads, so polylines chain
 without seams.  Saddle quads are resolved by the sign of the corner
 average, which keeps the extraction deterministic.
@@ -35,125 +35,96 @@ def crossing_angles(u: ScalarField, r: float, m: int = 2048) -> np.ndarray:
     The count is even for any sign-changing periodic trace.
     """
     angles, vals = sample_circle(u, r, m)
-    step = TWO_PI / m
     inside = vals > 0.0
-    flips = np.nonzero(inside != np.roll(inside, -1))[0]
-    out = []
-    for s in flips:
-        v0 = vals[s]
-        v1 = vals[(s + 1) % m]
-        t = v0 / (v0 - v1)
-        out.append((angles[s] + t * step) % TWO_PI)
-    return np.sort(np.asarray(out))
+    s = np.nonzero(inside != np.roll(inside, -1))[0]
+    v0, v1 = vals[s], vals[(s + 1) % m]
+    return np.sort((angles[s] + v0 / (v0 - v1) * (TWO_PI / m)) % TWO_PI)
+
+
+def _case_segments(case: int, center_in: int) -> list[tuple[int, int]]:
+    """Edge pairs of one quad, padded to two with (-1, -1).
+
+    Bits 0-3 of case are the corner signs s00, s10, s01, s11, where s_ab is
+    corner (i + a, j + b).  Edges are 0 left (i, j)-(i+1, j), 1 right
+    (i, jn)-(i+1, jn), 2 bottom (i, j)-(i, jn) and 3 top (i+1, j)-(i+1, jn).
+    """
+    s00, s10, s01, s11 = (case >> np.arange(4)) & 1
+    crossed = [e for e, (a, b) in enumerate([(s00, s10), (s01, s11), (s00, s01), (s10, s11)])
+               if a != b]
+    if len(crossed) == 4:
+        # saddle: corner average picks which diagonal the set hugs
+        return [(0, 3), (2, 1)] if center_in == s00 else [(0, 2), (3, 1)]
+    return [tuple(crossed), (-1, -1)] if crossed else [(-1, -1)] * 2
+
+
+# Lorensen-Cline case table, indexed by [case, center_in]
+_SEGMENTS = np.array([[_case_segments(c, m) for m in (0, 1)] for c in range(16)])
 
 
 def _march(disk: ScalarField) -> tuple[list[np.ndarray], list[float]]:
     vals = disk.values
     g = disk.grid
-    n_r, n_phi = g.shape
-    r_nodes = g.r
-    phi_nodes = g.phi
+    n_phi = g.n_phi
+    inside = (vals > 0.0).astype(np.uint8)
+    c = inside[:-1] + 2 * inside[1:]
+    case = c + 4 * np.roll(c, -1, axis=1)
+    qi, qj = np.nonzero((case > 0) & (case < 15))
+    jn = (qj + 1) % n_phi
+    center_in = vals[qi, qj] + vals[qi + 1, qj] + vals[qi, jn] + vals[qi + 1, jn] > 0.0
+    pos = _SEGMENTS[case[qi, qj], center_in.astype(int)]
+    # edge id 2*(i*n_phi + j) for the radial edge from (i, j), plus 1 for the angular one
+    cell = qi * n_phi
+    ids = 2 * np.stack([cell + qj, cell + jn, cell + qj, cell + n_phi + qj], axis=1) + [0, 0, 1, 1]
+    # row-major quad order, a saddle's second segment right after its first
+    quad, k = np.nonzero(pos[:, :, 0] >= 0)
+    segments = ids[quad[:, None], pos[quad, k]]
 
-    edge_point: dict[tuple, tuple[float, float]] = {}
+    # crossing point on each edge, t = v0 / (v0 - v1) along it
+    edges, first_seen, seg = np.unique(segments, return_index=True, return_inverse=True)
+    angular = edges & 1
+    i, j = np.divmod(edges >> 1, n_phi)
+    v0, v1 = vals[i, j], vals[i + 1 - angular, (j + angular) % n_phi]
+    t = v0 / (v0 - v1)
+    rp = np.where(angular, g.r[i], g.r[i] + t * g.dr)
+    ph = np.where(angular, g.phi[j] + t * g.dphi, g.phi[j])
+    xy = np.array([(a * math.cos(b), a * math.sin(b)) for a, b in zip(rp.tolist(), ph.tolist())])
 
-    def cross_r(i, j):
-        """Crossing on the radial edge (i,j)-(i+1,j), logical coords."""
-        key = ("r", i, j)
-        if key not in edge_point:
-            v0, v1 = vals[i, j], vals[i + 1, j]
-            t = v0 / (v0 - v1)
-            edge_point[key] = (r_nodes[i] + t * g.dr, phi_nodes[j])
-        return key
+    polylines = [xy[chain] for chain in _chain(seg.reshape(segments.shape), first_seen)]
+    lengths = [float(np.sum(np.hypot(*np.diff(pts, axis=0).T))) for pts in polylines]
+    return polylines, lengths
 
-    def cross_a(i, j):
-        """Crossing on the angular edge (i,j)-(i,j+1 mod n)."""
-        key = ("a", i, j)
-        if key not in edge_point:
-            v0, v1 = vals[i, j], vals[i, (j + 1) % n_phi]
-            t = v0 / (v0 - v1)
-            edge_point[key] = (r_nodes[i], phi_nodes[j] + t * g.dphi)
-        return key
 
-    inside = vals > 0.0
-    segments: list[tuple[tuple, tuple]] = []
-    for i in range(n_r - 1):
-        for j in range(n_phi):
-            jn = (j + 1) % n_phi
-            s00, s10 = inside[i, j], inside[i + 1, j]
-            s01, s11 = inside[i, jn], inside[i + 1, jn]
-            if s00 == s10 == s01 == s11:
-                continue
-            edges = []
-            if s00 != s10:
-                edges.append(cross_r(i, j))
-            if s01 != s11:
-                edges.append(cross_r(i, jn))
-            if s00 != s01:
-                edges.append(cross_a(i, j))
-            if s10 != s11:
-                edges.append(cross_a(i + 1, j))
-            if len(edges) == 2:
-                segments.append((edges[0], edges[1]))
-            elif len(edges) == 4:
-                # saddle: corner average picks which diagonal the set hugs
-                center_in = vals[i, j] + vals[i + 1, j] + vals[i, jn] + vals[i + 1, jn] > 0.0
-                left, right = cross_r(i, j), cross_r(i, jn)
-                bottom, top = cross_a(i, j), cross_a(i + 1, j)
-                if center_in == s00:
-                    segments.append((left, top))
-                    segments.append((bottom, right))
-                else:
-                    segments.append((left, bottom))
-                    segments.append((top, right))
+def _chain(seg: np.ndarray, first_seen: np.ndarray) -> list[list[int]]:
+    """Chain segments (rows of two edge ids 0..E-1) into edge sequences.
 
-    # chain segments into polylines by shared edges
-    adjacency: dict[tuple, list[int]] = {}
-    for sid, (e1, e2) in enumerate(segments):
-        adjacency.setdefault(e1, []).append(sid)
-        adjacency.setdefault(e2, []).append(sid)
+    Every edge borders at most two segments.  Open chains come first, each
+    walked from its end that appears first in the segment list; closed
+    loops follow by lowest segment id, from that segment's first edge.
+    """
+    degree = np.bincount(seg.ravel())
+    by_edge = np.argsort(seg.ravel(), kind="stable") // 2
+    last = np.cumsum(degree) - 1
+    # the one or two segments on each edge, lowest id first
+    touching = np.stack([by_edge[last - degree + 1], by_edge[last]], axis=1).tolist()
+    ends = seg.tolist()
+    used = [False] * len(ends)
 
-    used = [False] * len(segments)
-
-    def walk(start_edge) -> list[tuple]:
-        chain = [start_edge]
-        edge = start_edge
-        while True:
-            nxt = [s for s in adjacency[edge] if not used[s]]
-            if not nxt:
-                break
-            sid = nxt[0]
+    def walk(edge: int, sid: int) -> list[int]:
+        chain = [edge]
+        while not used[sid]:
             used[sid] = True
-            e1, e2 = segments[sid]
-            edge = e2 if e1 == edge else e1
+            a, b = ends[sid]
+            edge = b if a == edge else a
             chain.append(edge)
-            if edge == start_edge:
-                break
+            s0, s1 = touching[edge]
+            sid = s1 if s0 == sid else s0
         return chain
 
-    chains: list[list[tuple]] = []
-    open_edges = [e for e, sids in adjacency.items() if len(sids) == 1]
-    for e in open_edges:
-        if any(not used[s] for s in adjacency[e]):
-            chains.append(walk(e))
-    for sid in range(len(segments)):
-        if not used[sid]:
-            used[sid] = True
-            e1, e2 = segments[sid]
-            chain = walk(e2)
-            chains.append([e1] + chain)
-
-    polylines: list[np.ndarray] = []
-    lengths: list[float] = []
-    for chain in chains:
-        pts = np.array(
-            [
-                (rp * math.cos(ph), rp * math.sin(ph))
-                for rp, ph in (edge_point[e] for e in chain)
-            ]
-        )
-        polylines.append(pts)
-        lengths.append(float(np.sum(np.hypot(*np.diff(pts, axis=0).T))) if len(pts) > 1 else 0.0)
-    return polylines, lengths
+    open_ends = np.flatnonzero(degree == 1)
+    starts = [(e, touching[e][0]) for e in open_ends[np.argsort(first_seen[open_ends])].tolist()]
+    starts += [(a, sid) for sid, (a, _) in enumerate(ends)]
+    # each walk marks its segments used, so later starts on the same chain drop out
+    return [walk(e, sid) for e, sid in starts if not used[sid]]
 
 
 def extract_zero_set(u: ScalarField, circle_radii=()) -> LevelSet:
@@ -247,14 +218,12 @@ def fit_arcs_at_origin(ls: LevelSet, radii) -> ArcFit:
 
 def write_levelset_csv(ls: LevelSet, path) -> None:
     """Columns polyline, vertex, x, y."""
-    rows = []
-    for pid, pts in enumerate(ls.polylines):
-        for vid, (x, y) in enumerate(pts):
-            rows.append([pid, vid, x, y])
-    if not rows:
-        rows = np.empty((0, 4))
-    np.savetxt(path, np.asarray(rows), delimiter=",", header="polyline,vertex,x,y",
-               comments="", fmt="%.17g")
+    lens = [len(pts) for pts in ls.polylines]
+    pid = np.repeat(np.arange(len(lens)), lens)
+    vid = np.arange(sum(lens)) - np.repeat(np.cumsum(lens) - lens, lens)
+    xy = np.concatenate([np.empty((0, 2)), *ls.polylines])
+    np.savetxt(path, np.column_stack([pid, vid, xy]), delimiter=",",
+               header="polyline,vertex,x,y", comments="", fmt="%.17g")
 
 
 def write_arcs_json(fit: ArcFit, path) -> None:

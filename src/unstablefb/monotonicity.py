@@ -79,8 +79,8 @@ class MonotonicityProfile:
     valid_window: tuple[float, float]
 
     def defect_between(self, rho: float, sigma: float) -> float:
-        i = int(np.searchsorted(self.radii, rho))
-        j = int(np.searchsorted(self.radii, sigma))
+        """Defect over [rho, sigma]; ValueError unless both are sampled radii."""
+        i, j = np.minimum(np.searchsorted(self.radii, [rho, sigma]), len(self.radii) - 1)
         if not (np.isclose(self.radii[i], rho) and np.isclose(self.radii[j], sigma)):
             raise ValueError(f"({rho}, {sigma}) are not sampled radii")
         return float(np.sum(self.defects[i:j]))

@@ -81,10 +81,6 @@ class ContinuationConfig:
     # the finest widths on fine grids spend ~36 damped steps before the
     # quadratic phase (asterisk, 65536 x 16 cells, eps = 3.125e-5)
     max_newton: int = 60
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    max_backtracks: int = 30
-    eps_floor_cells: float = 2.0
 
     def __post_init__(self):
         if not (0.0 < self.eps_min <= self.eps_start):
@@ -166,6 +162,12 @@ KRYLOV_RTOL = 1e-14
 # The preconditioned Jacobians need 5 iterations at 256^2 and at most 17 at
 # 65536 x 8 cells; a solve that reaches this cap has not converged.
 KRYLOV_MAXITER = 500
+# Armijo line search: sufficient-decrease constant, step shrink, backtrack cap.
+ARMIJO_C = 1e-4
+ARMIJO_SHRINK = 0.5
+MAX_BACKTRACKS = 30
+# eps may not drop below this many radial cells: the smoothing band must be resolved.
+EPS_FLOOR_CELLS = 2.0
 
 
 def _residual(lap: DiscreteLaplacian, e: np.ndarray, u: np.ndarray, kappa: float,
@@ -222,10 +224,10 @@ def newton_stage(
     exceeds newton_tol).
     """
     grid = lap.grid
-    if eps < config.eps_floor_cells * grid.dr:
+    if eps < EPS_FLOOR_CELLS * grid.dr:
         raise ValueError(
             f"eps={eps:g} below the resolution floor "
-            f"{config.eps_floor_cells:g}*dr={config.eps_floor_cells * grid.dr:g}"
+            f"{EPS_FLOOR_CELLS:g}*dr={EPS_FLOOR_CELLS * grid.dr:g}"
         )
     e = origin_weight_vector(grid)
     b1 = lap.lift(np.ones(grid.n_phi))
@@ -277,15 +279,15 @@ def newton_stage(
         m0 = merit(r1, r2)
         lam = 1.0
         accepted = False
-        for _ in range(config.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             u_try = u + lam * du
             k_try = kappa + lam * dkappa
             r1_try, r2_try = _residual(lap, e, u_try, k_try, g, eps)
-            if merit(r1_try, r2_try) <= (1.0 - 2.0 * config.armijo_c * lam) * m0:
+            if merit(r1_try, r2_try) <= (1.0 - 2.0 * ARMIJO_C * lam) * m0:
                 u, kappa, r1, r2 = u_try, k_try, r1_try, r2_try
                 accepted = True
                 break
-            lam *= config.armijo_shrink
+            lam *= ARMIJO_SHRINK
         if not accepted:
             raise StageFailed(eps, it, float(np.max(np.abs(r1))), "line search stalled")
     raise StageFailed(eps, config.max_newton, float(np.max(np.abs(r1))),
@@ -305,10 +307,10 @@ def solve_fixed_point(grid: PolarGrid, g_arc, config: ContinuationConfig | None 
     if grid.periodic or grid.spec is None:
         raise ValueError("solve_fixed_point needs a sector grid")
     schedule = config.schedule()
-    if schedule[-1] < config.eps_floor_cells * grid.dr:
+    if schedule[-1] < EPS_FLOOR_CELLS * grid.dr:
         raise ValueError(
             f"eps_min={schedule[-1]:g} below the resolution floor "
-            f"{config.eps_floor_cells * grid.dr:g} of a {grid.n_r}x{grid.n_phi} grid"
+            f"{EPS_FLOOR_CELLS * grid.dr:g} of a {grid.n_r}x{grid.n_phi} grid"
         )
     lap = assemble(grid)
     g = g_arc(grid.phi) if callable(g_arc) else np.asarray(g_arc, dtype=float)

@@ -15,6 +15,7 @@ import unstablefb.cli as cli
 import unstablefb.semilinear as semilinear
 from unstablefb import (
     RunManifest,
+    build_disk_grid,
     main,
     read_field_csv,
     rerun_manifest,
@@ -229,6 +230,32 @@ class TestConsoleEntry:
                      "--radii", "0.001,0.5", "--out", str(tmp_path)])
         assert code == 2
         assert not any(tmp_path.iterdir())
+
+    @staticmethod
+    def _malformed_csv(tmp_path, edit) -> str:
+        """A 64 x 64 disk field CSV with its rows passed through edit."""
+        rr, pp = build_disk_grid(64, 64).mesh_coords()
+        rows = np.column_stack([rr.ravel(), pp.ravel(), (rr**2 * np.cos(2 * pp)).ravel()])
+        path = tmp_path / "outside.csv"
+        np.savetxt(path, edit(rows), delimiter=",", header="r,phi,value", comments="",
+                   fmt="%.17g")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["phi", "blowup", "fb"])
+    def test_single_phi_node_is_usage_error(self, tmp_path, capsys, command):
+        csv = self._malformed_csv(tmp_path, lambda rows: rows[rows[:, 1] == rows[0, 1]])
+        assert main([command, csv, "--out", str(tmp_path / "out")]) == 2
+        assert "outside.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["phi", "blowup", "fb"])
+    def test_moved_phi_node_is_usage_error(self, tmp_path, capsys, command):
+        def move(rows):
+            rows[rows[:, 1] == np.unique(rows[:, 1])[5], 1] += 0.05
+            return rows
+
+        csv = self._malformed_csv(tmp_path, move)
+        assert main([command, csv, "--out", str(tmp_path / "out")]) == 2
+        assert "outside.csv" in capsys.readouterr().err
 
     def test_rerun_command(self, tmp_path, capsys, solve_run):
         run_dir, _ = solve_run

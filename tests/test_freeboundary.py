@@ -8,11 +8,19 @@ import pytest
 
 from conftest import degree2_field
 
+import unstablefb.freeboundary as freeboundary
 from unstablefb import (
+    ContinuationConfig,
+    ScalarField,
+    SymmetryGroup,
+    build_disk_grid,
+    build_sector_grid,
     crossing_angles,
     extract_zero_set,
     field_from_function,
     fit_arcs_at_origin,
+    reflect_to_disk,
+    solve_fixed_point,
     write_arcs_json,
     write_levelset_csv,
 )
@@ -77,6 +85,153 @@ class TestMarching:
         u = field_from_function(disk64, lambda r, p: 1.0 + r)
         ls = extract_zero_set(u)
         assert ls.polylines == [] and ls.lengths == []
+
+
+def reference_march(disk):
+    """The per-cell marching loop that the case-table _march replaced, kept
+    verbatim as its oracle."""
+    vals = disk.values
+    g = disk.grid
+    n_r, n_phi = g.shape
+    r_nodes = g.r
+    phi_nodes = g.phi
+
+    edge_point: dict[tuple, tuple[float, float]] = {}
+
+    def cross_r(i, j):
+        """Crossing on the radial edge (i,j)-(i+1,j), logical coords."""
+        key = ("r", i, j)
+        if key not in edge_point:
+            v0, v1 = vals[i, j], vals[i + 1, j]
+            t = v0 / (v0 - v1)
+            edge_point[key] = (r_nodes[i] + t * g.dr, phi_nodes[j])
+        return key
+
+    def cross_a(i, j):
+        """Crossing on the angular edge (i,j)-(i,j+1 mod n)."""
+        key = ("a", i, j)
+        if key not in edge_point:
+            v0, v1 = vals[i, j], vals[i, (j + 1) % n_phi]
+            t = v0 / (v0 - v1)
+            edge_point[key] = (r_nodes[i], phi_nodes[j] + t * g.dphi)
+        return key
+
+    inside = vals > 0.0
+    segments: list[tuple[tuple, tuple]] = []
+    for i in range(n_r - 1):
+        for j in range(n_phi):
+            jn = (j + 1) % n_phi
+            s00, s10 = inside[i, j], inside[i + 1, j]
+            s01, s11 = inside[i, jn], inside[i + 1, jn]
+            if s00 == s10 == s01 == s11:
+                continue
+            edges = []
+            if s00 != s10:
+                edges.append(cross_r(i, j))
+            if s01 != s11:
+                edges.append(cross_r(i, jn))
+            if s00 != s01:
+                edges.append(cross_a(i, j))
+            if s10 != s11:
+                edges.append(cross_a(i + 1, j))
+            if len(edges) == 2:
+                segments.append((edges[0], edges[1]))
+            elif len(edges) == 4:
+                # saddle: corner average picks which diagonal the set hugs
+                center_in = vals[i, j] + vals[i + 1, j] + vals[i, jn] + vals[i + 1, jn] > 0.0
+                left, right = cross_r(i, j), cross_r(i, jn)
+                bottom, top = cross_a(i, j), cross_a(i + 1, j)
+                if center_in == s00:
+                    segments.append((left, top))
+                    segments.append((bottom, right))
+                else:
+                    segments.append((left, bottom))
+                    segments.append((top, right))
+
+    # chain segments into polylines by shared edges
+    adjacency: dict[tuple, list[int]] = {}
+    for sid, (e1, e2) in enumerate(segments):
+        adjacency.setdefault(e1, []).append(sid)
+        adjacency.setdefault(e2, []).append(sid)
+
+    used = [False] * len(segments)
+
+    def walk(start_edge) -> list[tuple]:
+        chain = [start_edge]
+        edge = start_edge
+        while True:
+            nxt = [s for s in adjacency[edge] if not used[s]]
+            if not nxt:
+                break
+            sid = nxt[0]
+            used[sid] = True
+            e1, e2 = segments[sid]
+            edge = e2 if e1 == edge else e1
+            chain.append(edge)
+            if edge == start_edge:
+                break
+        return chain
+
+    chains: list[list[tuple]] = []
+    open_edges = [e for e, sids in adjacency.items() if len(sids) == 1]
+    for e in open_edges:
+        if any(not used[s] for s in adjacency[e]):
+            chains.append(walk(e))
+    for sid in range(len(segments)):
+        if not used[sid]:
+            used[sid] = True
+            e1, e2 = segments[sid]
+            chain = walk(e2)
+            chains.append([e1] + chain)
+
+    polylines: list[np.ndarray] = []
+    lengths: list[float] = []
+    for chain in chains:
+        pts = np.array(
+            [
+                (rp * math.cos(ph), rp * math.sin(ph))
+                for rp, ph in (edge_point[e] for e in chain)
+            ]
+        )
+        polylines.append(pts)
+        lengths.append(float(np.sum(np.hypot(*np.diff(pts, axis=0).T))) if len(pts) > 1 else 0.0)
+    return polylines, lengths
+
+
+def assert_marches_like_reference(disk):
+    polylines, lengths = freeboundary._march(disk)
+    ref_polylines, ref_lengths = reference_march(disk)
+    assert len(polylines) == len(ref_polylines)
+    for got, ref in zip(polylines, ref_polylines):
+        assert np.array_equal(got, ref)
+    assert lengths == ref_lengths
+
+
+class TestMarchingOracle:
+    """The case-table march reproduces the per-cell loop bit for bit: the
+    same polylines in the same order, walked from the same ends."""
+
+    @pytest.mark.parametrize("shape", [(64, 64), (40, 24)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_standard_normal_fields(self, shape, seed):
+        """About 100 to 500 saddles per field, open chains and closed loops."""
+        values = np.random.default_rng(seed).standard_normal(shape)
+        assert_marches_like_reference(ScalarField(build_disk_grid(*shape), values))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_integer_fields_with_exact_zeros(self, seed):
+        """Zero counts as outside, and a corner sum of exactly zero too."""
+        values = np.random.default_rng(seed).integers(-1, 2, (40, 24)).astype(float)
+        assert np.any(values == 0.0)
+        assert_marches_like_reference(ScalarField(build_disk_grid(40, 24), values))
+
+    def test_sign_definite_field(self, disk64):
+        assert_marches_like_reference(field_from_function(disk64, lambda r, p: 1.0 + r))
+
+    def test_reflected_cross_solution(self):
+        sol = solve_fixed_point(build_sector_grid(2, 96, 96), lambda p: 40.0 * np.cos(2.0 * p),
+                                ContinuationConfig(eps_min=0.05))
+        assert_marches_like_reference(reflect_to_disk(sol.u, SymmetryGroup(2)))
 
 
 class TestArcFit:

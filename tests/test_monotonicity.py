@@ -60,6 +60,12 @@ class TestDegree2Oracle:
         assert total == pytest.approx(float(np.sum(prof.defects)), abs=1e-15)
         assert prof.total_defect() == pytest.approx(total, abs=1e-15)
 
+    def test_defect_between_unsampled_radii_is_value_error(self, disk64):
+        prof = phi_profile(degree2_field(disk64), [0.3, 0.4, 0.5])
+        for rho, sigma in [(0.3, 0.9), (0.35, 0.5), (0.3, 0.45)]:
+            with pytest.raises(ValueError):
+                prof.defect_between(rho, sigma)
+
     def test_window_is_enforced(self, disk64):
         u = degree2_field(disk64)
         with pytest.raises(ValueError):
