@@ -443,6 +443,10 @@ def run_threshold_scan(M_values, C1: float = 0.5, out_dir="runs/scan", *,
         raise ValueError("M_values must be nonempty")
     if C1 <= 0:
         raise ValueError(f"C1 must be positive, got {C1}")
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
+    if not bisect_tol > 0:
+        raise ValueError(f"bisect_tol must be positive, got {bisect_tol}")
     p = {
         "M_values": M_values, "C1": float(C1), "n_r": int(n_r),
         "n_phi": int(n_phi), "mc_samples": int(mc_samples),

@@ -72,21 +72,27 @@ def _quadratic_at(x_nodes: np.ndarray, y_nodes: np.ndarray, s: float) -> float:
 def integrate_ball(field: ScalarField, integrand, r: float) -> float:
     """Integral of integrand(u) over the disk of radius r about the origin.
 
-    Reduces to the radial integral of g(s) = s * (angular integral at s),
-    evaluated by the composite midpoint rule over full rings with the
-    Euler-Maclaurin endpoint correction, plus an interpolated contribution
-    of the partial ring at the cut.  The midpoint values of g come from
-    exact cell sums, so the angular part inherits the spectral accuracy of
-    the rectangle rule on periodic data.  Symmetry multiplicity is applied
-    for sector fields.
+    Reduces to the radial integral of g(s) = s * (angular integral at s);
+    the angular integral at each ring comes from exact cell sums, so it
+    inherits the spectral accuracy of the rectangle rule on periodic data.
+    The radial rule is _integrate_rings.
     """
-    g = field.grid
     vals = field.values if integrand is None else np.asarray(integrand(field.values), dtype=float)
+    return _integrate_rings(field.grid, vals.sum(axis=1), r)
+
+
+def _integrate_rings(g: PolarGrid, row_sums: np.ndarray, r: float) -> float:
+    """Ball integral of radius r from the per-ring sums of the cell values.
+
+    The composite midpoint rule over full rings with the Euler-Maclaurin
+    endpoint correction, plus an interpolated contribution of the partial
+    ring at the cut.  Symmetry multiplicity is applied for sector grids.
+    """
     if not (0.0 < r <= 1.0 + 1e-12):
         raise ValueError(f"ball radius must lie in (0, 1], got {r}")
     r = min(r, 1.0)
     dr = g.dr
-    ring_line = vals.sum(axis=1) * g.dphi * g.multiplicity  # angular integral per ring
+    ring_line = row_sums * g.dphi * g.multiplicity  # angular integral per ring
     gvals = g.r * ring_line
     n_full = int(math.floor(r / dr + 1e-12))
     delta = r - n_full * dr
@@ -96,7 +102,7 @@ def integrate_ball(field: ScalarField, integrand, r: float) -> float:
     if n_full < 4:
         # tiny balls: fall back to exact-area ring weighting, no correction
         w = _ring_weights(g, r)
-        return float(np.dot(w, vals.sum(axis=1) * g.cell_areas) * g.multiplicity)
+        return float(np.dot(w, row_sums * g.cell_areas) * g.multiplicity)
 
     total = dr * float(gvals[:n_full].sum())
     # endpoint derivatives for the midpoint correction (dr^2 / 24) * [g' (b) - g'(a)];

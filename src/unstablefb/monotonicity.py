@@ -21,8 +21,8 @@ import numpy as np
 
 from .field import (
     ScalarField,
+    _integrate_rings,
     as_disk,
-    field_from_function,
     gradient_sq,
     integrate_ball,
     integrate_circle,
@@ -134,19 +134,31 @@ def energy_bound_integral(M: float, C1: float = 0.5, n_r: int = 1024, n_phi: int
     Negative values certify that the constrained solution with arc data
     M*cos(2 phi) cannot stay sign-definite.  At M = 0 the value is exactly
     pi*C1^2.
+
+    The quadrature is integrate_ball's on the n_r x n_phi quarter-sector
+    grid, without sampling the field: with the angular values a_j =
+    M*cos(2 phi_j) sorted in decreasing order and P their prefix sums,
+    ring i's cell sum of 2*(r_i^2 a_j - C1)^+ is 2*(r_i^2 P[k] - C1*k),
+    where k counts the a_j above C1/r_i^2.  Cost O(n_r log n_phi).
     """
     if C1 <= 0.0:
         raise ValueError(f"torsion bound C1 must be positive, got {C1}")
-    if M == 0.0:
-        return float(np.pi * C1 * C1)
+    if not np.isfinite(M):
+        raise ValueError(f"amplitude M must be finite, got {M}")
     grid = build_sector_grid(SectorSpec(2), n_r, n_phi)
-    h = field_from_function(grid, lambda r, p: M * r**2 * np.cos(2.0 * p))
-    excess = integrate_ball(h, lambda v: 2.0 * np.maximum(v - C1, 0.0), 1.0)
-    return float(np.pi * C1 * C1 - excess)
+    a = -np.sort(-M * np.cos(2.0 * grid.phi))
+    prefix = np.concatenate(([0.0], np.cumsum(a)))
+    k = np.searchsorted(-a, -C1 / grid.r**2, side="left")
+    row_sums = 2.0 * (grid.r**2 * prefix[k] - C1 * k)
+    return float(np.pi * C1 * C1 - _integrate_rings(grid, row_sums, 1.0))
 
 
 def mc_energy_bound(M: float, C1: float = 0.5, samples: int = 1_000_000, seed: int = 0) -> float:
     """Monte-Carlo estimate of energy_bound_integral (seeded, for cross-checks)."""
+    if samples < 1:
+        raise ValueError(f"need at least one Monte Carlo sample, got {samples}")
+    if C1 <= 0.0:
+        raise ValueError(f"torsion bound C1 must be positive, got {C1}")
     rng = np.random.default_rng(seed)
     r = np.sqrt(rng.random(samples))
     t = 2.0 * np.pi * rng.random(samples)
@@ -170,6 +182,8 @@ def find_threshold(C1: float, m_lo: float, m_hi: float, tol: float = 1e-6,
     The bound is continuous and strictly decreasing once the positive part
     activates, so a bracket with opposite signs pins the threshold.
     """
+    if not tol > 0.0:
+        raise ValueError(f"bisection tolerance must be positive, got {tol}")
     f_lo = energy_bound_integral(m_lo, C1, n_r, n_phi)
     f_hi = energy_bound_integral(m_hi, C1, n_r, n_phi)
     if f_lo <= 0.0 or f_hi >= 0.0:

@@ -179,6 +179,31 @@ class TestScanDriver:
         assert m.headline["m_star"] is not None
         assert 1.5 < m.headline["m_star"] < 2.5
 
+    @pytest.mark.parametrize("bad", [{"mc_samples": 0}, {"mc_samples": -1},
+                                     {"bisect_tol": 0.0}, {"bisect_tol": -1e-6}])
+    def test_bad_settings_rejected_before_writing(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            run_threshold_scan([0.0, 4.0], 0.5, tmp_path, n_r=64, n_phi=64, **bad)
+        assert not any(tmp_path.iterdir())
+
+    def test_zero_mc_samples_exit_2_without_artifacts(self, tmp_path):
+        out = tmp_path / "scan"
+        code = main(["scan", "--M-list", "0,4", "--mc-samples", "0", "--nr", "64",
+                     "--nphi", "64", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_rerun_with_zero_bisect_tol_exits_2(self, tmp_path):
+        recorded = tmp_path / "recorded"
+        run_threshold_scan([0.0, 4.0], 0.5, recorded, n_r=64, n_phi=64, mc_samples=1000)
+        raw = json.loads((recorded / "manifest.json").read_text())
+        raw["parameters"]["bisect_tol"] = 0.0
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw))
+        replay = tmp_path / "replay"
+        assert main(["rerun", str(path), "--out", str(replay)]) == 2
+        assert not replay.exists()
+
     def test_all_positive_scan_has_no_threshold(self, tmp_path):
         m = run_threshold_scan([0.0, 0.5], 0.5, tmp_path,
                                n_r=256, n_phi=256, mc_samples=100_000)

@@ -31,7 +31,49 @@ from unstablefb import (
 )
 
 
+def reference_integrate_ball(field, integrand, r):
+    """integrate_ball as it was when it built its ring sums inline, kept
+    as the bit-level reference for the shared radial rule."""
+    g = field.grid
+    vals = field.values if integrand is None else np.asarray(integrand(field.values), dtype=float)
+    r = min(r, 1.0)
+    dr = g.dr
+    ring_line = vals.sum(axis=1) * g.dphi * g.multiplicity
+    gvals = g.r * ring_line
+    n_full = int(math.floor(r / dr + 1e-12))
+    delta = r - n_full * dr
+    if delta < 1e-12 * dr:
+        delta = 0.0
+    if n_full < 4:
+        rf2 = g.r_faces**2
+        w = np.clip((min(r, 1.0) ** 2 - rf2[:-1]) / (rf2[1:] - rf2[:-1]), 0.0, 1.0)
+        return float(np.dot(w, vals.sum(axis=1) * g.cell_areas) * g.multiplicity)
+    total = dr * float(gvals[:n_full].sum())
+    gp_zero = 1.5 * float(ring_line[0]) - 0.5 * float(ring_line[1])
+    gp_face = float(gvals[n_full - 3] - 3.0 * gvals[n_full - 2] + 2.0 * gvals[n_full - 1]) / dr
+    total += dr * dr / 24.0 * (gp_face - gp_zero)
+    if delta > 0.0:
+        lo = min(max(n_full - 1, 0), g.n_r - 3)
+        (x0, x1, x2), (y0, y1, y2) = g.r[lo:lo + 3], gvals[lo:lo + 3]
+        s = n_full * dr + 0.5 * delta
+        total += delta * float(
+            y0 * (s - x1) * (s - x2) / ((x0 - x1) * (x0 - x2))
+            + y1 * (s - x0) * (s - x2) / ((x1 - x0) * (x1 - x2))
+            + y2 * (s - x0) * (s - x1) / ((x2 - x0) * (x2 - x1))
+        )
+    return total
+
+
 class TestBallIntegrals:
+    @pytest.mark.parametrize("grid", [build_disk_grid(64, 48), build_sector_grid(2, 50, 30)],
+                             ids=["disk", "sector"])
+    @pytest.mark.parametrize("r", [0.02, 0.5, 0.73, 1.0])
+    def test_bit_equal_to_inline_ring_sums(self, grid, r):
+        # 0.02 is a tiny ball, 0.73 cuts a ring, 0.5 and 1.0 end on faces
+        u = ScalarField(grid, np.random.default_rng(7).standard_normal(grid.shape))
+        for integrand in (None, lambda v: 2.0 * np.maximum(v, 0.0)):
+            assert integrate_ball(u, integrand, r) == reference_integrate_ball(u, integrand, r)
+
     def test_constant_gives_ball_area(self, disk256):
         one = field_from_function(disk256, lambda r, p: np.ones_like(r))
         for r in (0.2, 0.5, 0.93):

@@ -8,6 +8,8 @@ Oracles used here:
    in conftest.radial_composite_phi.
  * At M = 0 the comparison bound integrates the indicator of a disk of
    radius C1, giving pi C1^2 exactly.
+ * The prefix-sum energy bound equals the full-grid quadrature it replaces
+   (reference_energy_bound) to rounding.
 """
 
 import math
@@ -18,10 +20,13 @@ import pytest
 from conftest import degree2_field, radial_composite, radial_composite_phi
 
 from unstablefb import (
+    SectorSpec,
     build_disk_grid,
+    build_sector_grid,
     energy_bound_integral,
     field_from_function,
     find_threshold,
+    integrate_ball,
     mc_energy_bound,
     phi,
     phi_profile,
@@ -111,7 +116,31 @@ class TestRadialCompositeOracle:
         assert prof.min_increment() > -1e-3
 
 
+def reference_energy_bound(M, C1, n_r, n_phi):
+    """The bound by sampling M r^2 cos(2 phi) on every cell of the grid."""
+    grid = build_sector_grid(SectorSpec(2), n_r, n_phi)
+    h = field_from_function(grid, lambda r, p: M * r**2 * np.cos(2.0 * p))
+    excess = integrate_ball(h, lambda v: 2.0 * np.maximum(v - C1, 0.0), 1.0)
+    return float(np.pi * C1 * C1 - excess)
+
+
 class TestEnergyBound:
+    @pytest.mark.parametrize("n_r, n_phi", [(1024, 1024), (256, 256), (128, 128),
+                                            (32, 8), (8, 200)])
+    def test_prefix_sums_match_full_grid_quadrature(self, n_r, n_phi):
+        C1 = 0.5
+        for M in (-3.0, 0.5, 1.0, 1.89, 2.0, 3.0, 4.0, 40.0):
+            got = energy_bound_integral(M, C1, n_r, n_phi)
+            bound = 1e-13 * max(abs(got), math.pi * C1 * C1)
+            assert abs(got - reference_energy_bound(M, C1, n_r, n_phi)) <= bound
+            # the cell-centred grid is symmetric under phi -> pi/2 - phi
+            assert abs(energy_bound_integral(-M, C1, n_r, n_phi) - got) <= bound
+
+    def test_non_finite_amplitude_rejected(self):
+        for M in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                energy_bound_integral(M, 0.5, 64, 64)
+
     def test_zero_amplitude_gives_disk_area(self):
         assert energy_bound_integral(0.0, 0.5) == pytest.approx(
             math.pi * 0.25, abs=1e-9)
@@ -122,6 +151,11 @@ class TestEnergyBound:
             mc = mc_energy_bound(M, 0.5, samples=1_000_000, seed=0)
             scale = max(abs(quad), math.pi * 0.25)
             assert abs(quad - mc) / scale < 0.01
+
+    @pytest.mark.parametrize("samples, C1", [(0, 0.5), (-5, 0.5), (100, 0.0), (100, -1.0)])
+    def test_monte_carlo_rejects_bad_arguments(self, samples, C1):
+        with pytest.raises(ValueError):
+            mc_energy_bound(2.0, C1, samples=samples)
 
     def test_monte_carlo_is_seed_stable(self):
         a = mc_energy_bound(3.0, 0.5, samples=200_000, seed=42)
@@ -139,3 +173,10 @@ class TestEnergyBound:
         assert m_star == pytest.approx(BISECTED_THRESHOLD, abs=5e-6)
         assert energy_bound_integral(m_star + 0.01, 0.5) < 0.0
         assert energy_bound_integral(m_star - 0.01, 0.5) > 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_bisection_rejects_non_positive_tolerance(self, tol):
+        # adjacent floats have one of themselves as midpoint, so tol <= 0
+        # would never end the loop
+        with pytest.raises(ValueError, match="tolerance"):
+            find_threshold(0.5, 1.5, 2.0, tol=tol, n_r=64, n_phi=64)
