@@ -301,12 +301,21 @@ def trace_on_circle(field: ScalarField, r: float, m: int = 256) -> CircleTrace:
 
 
 def write_field_csv(field: ScalarField, path) -> None:
-    """Columns r, phi, value; one row per cell, row-major in (r, phi)."""
+    """Columns r, phi, value; one row per cell, row-major in (r, phi).
+
+    Every number is written as "%.17g", which round-trips float64, so the
+    bytes are those of np.savetxt(fmt="%.17g", delimiter=",").  Each r and
+    phi node is formatted once; a ring's values fill one template with a
+    single %, and the file is written one ring at a time.
+    """
     g = field.grid
-    rr, pp = g.mesh_coords()
-    data = np.column_stack([rr.ravel(), pp.ravel(), field.values.ravel()])
-    header = "r,phi,value"
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+    # ",phi_j,%.17g\n" per node; joining with a ring's r gives its rows
+    pieces = ["," + "%.17g" % p + ",%.17g\n" for p in g.phi]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("r,phi,value\n")
+        for r, row in zip(g.r, field.values):
+            r_txt = "%.17g" % r
+            fh.write(r_txt + r_txt.join(pieces) % tuple(row.tolist()))
 
 
 def read_field_csv(path) -> ScalarField:
@@ -340,23 +349,35 @@ def read_field_csv(path) -> ScalarField:
 
 
 def write_field_vtk(field: ScalarField, path, name: str = "u") -> None:
-    """Legacy-VTK structured grid of cell centers with point data."""
+    """Legacy-VTK BINARY structured grid of cell centers with point data.
+
+    Points (r cos phi, r sin phi, 0) and the values are big-endian float64,
+    as the legacy format requires, in Fortran order (r fastest).  The name
+    titles the file and names the scalar array, so it must be a single
+    token: empty names and names with whitespace raise ValueError.
+    """
+    if not name or any(ch.isspace() for ch in name):
+        raise ValueError(f"VTK array name must be a non-empty token without whitespace, "
+                         f"got {name!r}")
     g = field.grid
-    rr, pp = g.mesh_coords()
-    x = (rr * np.cos(pp)).ravel(order="F")
-    y = (rr * np.sin(pp)).ravel(order="F")
-    vals = field.values.ravel(order="F")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{name} on polar grid\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET STRUCTURED_GRID\n")
-        fh.write(f"DIMENSIONS {g.n_r} {g.n_phi} 1\n")
-        fh.write(f"POINTS {g.size} double\n")
-        for xi, yi in zip(x, y):
-            fh.write(f"{xi:.17g} {yi:.17g} 0\n")
-        fh.write(f"POINT_DATA {g.size}\n")
-        fh.write(f"SCALARS {name} double 1\n")
-        fh.write("LOOKUP_TABLE default\n")
-        for v in vals:
-            fh.write(f"{v:.17g}\n")
+    # Fortran order of (n_r, n_phi) is C order of (n_phi, n_r); the arrays
+    # are written from their own buffers, so nothing else of size n is made
+    points = np.zeros((g.n_phi, g.n_r, 3), dtype=">f8")
+    np.multiply.outer(np.cos(g.phi), g.r, out=points[..., 0])
+    np.multiply.outer(np.sin(g.phi), g.r, out=points[..., 1])
+    values = np.ascontiguousarray(field.values.T, dtype=">f8")
+    header = (
+        "# vtk DataFile Version 3.0\n"
+        f"{name} on polar grid\n"
+        "BINARY\n"
+        "DATASET STRUCTURED_GRID\n"
+        f"DIMENSIONS {g.n_r} {g.n_phi} 1\n"
+        f"POINTS {g.size} double\n"
+    )
+    point_data = f"\nPOINT_DATA {g.size}\nSCALARS {name} double 1\nLOOKUP_TABLE default\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8"))
+        fh.write(points)
+        fh.write(point_data.encode("utf-8"))
+        fh.write(values)
+        fh.write(b"\n")

@@ -184,6 +184,8 @@ def find_threshold(C1: float, m_lo: float, m_hi: float, tol: float = 1e-6,
     """
     if not tol > 0.0:
         raise ValueError(f"bisection tolerance must be positive, got {tol}")
+    if not m_lo < m_hi:
+        raise ValueError(f"bisection bracket must have m_lo < m_hi, got [{m_lo}, {m_hi}]")
     f_lo = energy_bound_integral(m_lo, C1, n_r, n_phi)
     f_hi = energy_bound_integral(m_hi, C1, n_r, n_phi)
     if f_lo <= 0.0 or f_hi >= 0.0:

@@ -363,7 +363,11 @@ def residual_check(sol: Solution, lap: DiscreteLaplacian | None = None) -> tuple
 
 
 def export_solution(sol: Solution, out_dir, basename: str = "solution") -> list[str]:
-    """Write field CSV + VTK and a JSON sidecar; returns the paths."""
+    """Write the field and a JSON sidecar; returns the paths.
+
+    The CSV is the text field that `phi`, `blowup` and `fb` read back; the
+    VTK file is legacy-VTK BINARY (big-endian float64) for viewers.
+    """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{basename}.csv")
     vtk_path = os.path.join(out_dir, f"{basename}.vtk")

@@ -64,6 +64,38 @@ def reference_integrate_ball(field, integrand, r):
     return total
 
 
+def reference_write_field_csv(field: ScalarField, path) -> None:
+    """write_field_csv as it was when it called np.savetxt, kept as the
+    byte-level reference for the ring-at-a-time writer."""
+    g = field.grid
+    rr, pp = g.mesh_coords()
+    data = np.column_stack([rr.ravel(), pp.ravel(), field.values.ravel()])
+    header = "r,phi,value"
+    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+
+
+def read_legacy_vtk(path):
+    """Header lines, points, point-data lines, values and trailing bytes of a
+    BINARY legacy-VTK structured grid as write_field_vtk lays it out."""
+    raw = path.read_bytes()
+    pos = 0
+
+    def line():
+        nonlocal pos
+        end = raw.index(b"\n", pos)
+        text, pos = raw[pos:end].decode(), end + 1
+        return text
+
+    header = [line() for _ in range(6)]
+    n = int(header[5].split()[1])
+    points = np.frombuffer(raw, ">f8", 3 * n, pos).reshape(n, 3)
+    pos += 24 * n
+    assert line() == ""  # the newline that ends the point block
+    point_data = [line() for _ in range(3)]
+    values = np.frombuffer(raw, ">f8", n, pos)
+    return header, points, point_data, values, raw[pos + 8 * n:]
+
+
 class TestBallIntegrals:
     @pytest.mark.parametrize("grid", [build_disk_grid(64, 48), build_sector_grid(2, 50, 30)],
                              ids=["disk", "sector"])
@@ -241,7 +273,76 @@ class TestSerialization:
         u = degree2_field(disk64)
         path = tmp_path / "field.vtk"
         write_field_vtk(u, path)
-        text = path.read_text()
-        assert text.startswith("# vtk DataFile")
-        assert "STRUCTURED_GRID" in text
-        assert "SCALARS" in text
+        data = path.read_bytes()
+        assert data.startswith(b"# vtk DataFile")
+        assert b"STRUCTURED_GRID" in data
+        assert b"SCALARS" in data
+
+    @pytest.mark.parametrize("grid", [
+        build_disk_grid(64, 64),
+        build_sector_grid(2, 64, 64),
+        build_sector_grid(4, 24, 8),
+        build_sector_grid(2, 40, 24),
+    ], ids=["disk64", "k2", "k4-nphi8", "k2-nr-ne-nphi"])
+    def test_csv_bytes_equal_savetxt(self, tmp_path, grid):
+        u = ScalarField(grid, np.random.default_rng(5).standard_normal(grid.shape))
+        write_field_csv(u, tmp_path / "new.csv")
+        reference_write_field_csv(u, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_csv_bytes_equal_savetxt_on_special_values(self, tmp_path):
+        g = build_sector_grid(2, 16, 8)
+        u = ScalarField(g, np.random.default_rng(6).standard_normal(g.shape))
+        special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 3.0, -7.0, 2.0**53,
+                   math.nan, math.inf, -math.inf]
+        # ScalarField rejects non-finite values, so they go in after construction
+        u.values[3, :] = special[:8]
+        u.values[4, :4] = special[8:]
+        write_field_csv(u, tmp_path / "new.csv")
+        reference_write_field_csv(u, tmp_path / "ref.csv")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        assert b",-0\n" in new and b",nan\n" in new and b",-inf\n" in new
+
+    @pytest.mark.parametrize("grid, name", [
+        (build_disk_grid(64, 64), "u"),
+        (build_sector_grid(2, 40, 24), "kappa_u"),
+    ], ids=["disk64", "k2-named"])
+    def test_vtk_binary_roundtrip_is_bitwise(self, tmp_path, grid, name):
+        u = ScalarField(grid, np.random.default_rng(8).standard_normal(grid.shape))
+        path = tmp_path / "field.vtk"
+        write_field_vtk(u, path, name=name)
+        header, points, point_data, values, rest = read_legacy_vtk(path)
+        n = grid.size
+        assert header == [
+            "# vtk DataFile Version 3.0",
+            f"{name} on polar grid",
+            "BINARY",
+            "DATASET STRUCTURED_GRID",
+            f"DIMENSIONS {grid.n_r} {grid.n_phi} 1",
+            f"POINTS {n} double",
+        ]
+        assert point_data == [f"POINT_DATA {n}", f"SCALARS {name} double 1",
+                              "LOOKUP_TABLE default"]
+        rr, pp = grid.mesh_coords()
+        x = (rr * np.cos(pp)).ravel(order="F")
+        y = (rr * np.sin(pp)).ravel(order="F")
+        assert points[:, 0].tobytes() == x.astype(">f8").tobytes()
+        assert points[:, 1].tobytes() == y.astype(">f8").tobytes()
+        assert points[:, 2].tobytes() == bytes(8 * n)
+        assert values.tobytes() == u.values.ravel(order="F").astype(">f8").tobytes()
+        assert rest == b"\n"
+
+    def test_vtk_file_size(self, tmp_path, disk64):
+        path = tmp_path / "field.vtk"
+        write_field_vtk(degree2_field(disk64), path)
+        # 112 header bytes, 4096 points of 3 doubles, 57 point-data bytes
+        # (with the newline ending the points), 4096 doubles, final newline
+        assert path.stat().st_size == 112 + 24 * 4096 + 57 + 8 * 4096 + 1
+
+    @pytest.mark.parametrize("name", ["", "u v", "u\tv", "u\n", " "])
+    def test_vtk_rejects_names_that_are_not_one_token(self, tmp_path, disk64, name):
+        path = tmp_path / "field.vtk"
+        with pytest.raises(ValueError, match="VTK array name"):
+            write_field_vtk(degree2_field(disk64), path, name=name)
+        assert not path.exists()

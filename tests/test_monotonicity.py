@@ -180,3 +180,10 @@ class TestEnergyBound:
         # would never end the loop
         with pytest.raises(ValueError, match="tolerance"):
             find_threshold(0.5, 1.5, 2.0, tol=tol, n_r=64, n_phi=64)
+
+    @pytest.mark.parametrize("m_lo, m_hi", [(1.0, -3.0), (1.5, 1.5), (math.nan, 2.0)])
+    def test_bisection_rejects_reversed_bracket(self, m_lo, m_hi):
+        # the bound is even in M, so f(1) > 0 > f(-3) passes the sign test;
+        # without the order check the loop ends at once and returns -1.0
+        with pytest.raises(ValueError, match="m_lo < m_hi"):
+            find_threshold(0.5, m_lo, m_hi, n_r=64, n_phi=64)
