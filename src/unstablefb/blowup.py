@@ -12,8 +12,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import CircleTrace, ScalarField, integrate_circle, trace_on_circle
-from .monotonicity import phi
+from .field import CircleTrace, ScalarField, as_disk, integrate_circle, trace_on_circle
+from .monotonicity import _phi_values
 
 CASE1 = "case1"
 CASE3 = "case3"
@@ -57,13 +57,22 @@ class BlowupReport:
 
 def s_norm(u: ScalarField, r: float) -> float:
     """Boundary L2 amplitude (r^-1 int_{dB_r} u^2)^(1/2)."""
-    return math.sqrt(max(integrate_circle(u.apply(np.square), r) / r, 0.0))
+    return _s_from_square(u.apply(np.square), r)
+
+
+def _s_from_square(u_sq: ScalarField, r: float) -> float:
+    """S(r) from the squared field u^2."""
+    return math.sqrt(max(integrate_circle(u_sq, r) / r, 0.0))
 
 
 def blowup_profile(u: ScalarField, r: float, m: int = 256) -> CircleTrace:
     """Trace of u on dB_r divided by S(r); unit L2(dB_1) norm by construction."""
-    s = s_norm(u, r)
-    scale = float(np.max(np.abs(u.values)))
+    return _normalized_trace(u, r, m, s_norm(u, r), float(np.max(np.abs(u.values))))
+
+
+def _normalized_trace(u: ScalarField, r: float, m: int, s: float, scale: float
+                      ) -> CircleTrace:
+    """Trace of u on dB_r divided by s = S(r); scale is max |u|."""
     if s <= S_FLOOR * max(scale, 1.0):
         raise DegenerateTrace(f"S({r:g}) = {s:.3e} is too small to normalize the trace")
     tr = trace_on_circle(u, r, m)
@@ -86,8 +95,7 @@ def _sorted_radii(radii) -> np.ndarray:
 def _decide(u: ScalarField, radii: np.ndarray, s_small: float, s_large: float,
             thresholds: BlowupThresholds) -> tuple[str, float, float, float]:
     """Classification, phi at both end radii and delta, given S at the ends."""
-    phi_min = phi(u, float(radii[0]))
-    phi_max = phi(u, float(radii[-1]))
+    phi_min, phi_max = (float(v) for v in _phi_values(as_disk(u), radii[[0, -1]]))
     delta = max(thresholds.delta_phi_rel * abs(phi_max), thresholds.delta_phi_abs)
     ratio_small = s_small / radii[0] ** 2
     ratio_large = s_large / radii[-1] ** 2
@@ -120,13 +128,17 @@ def blowup_report(u: ScalarField, radii, thresholds: BlowupThresholds | None = N
     if thresholds is None:
         thresholds = BlowupThresholds()
     radii = _sorted_radii(radii)
-    s_values = np.array([s_norm(u, float(r)) for r in radii])
-    traces = [blowup_profile(u, float(r), m) for r in radii]
+    u_sq = u.apply(np.square)
+    s_values = np.array([_s_from_square(u_sq, float(r)) for r in radii])
+    # the traces sample the disk extension, made once here
+    disk = as_disk(u)
+    scale = float(np.max(np.abs(u.values)))
+    traces = [_normalized_trace(disk, float(r), m, s, scale) for r, s in zip(radii, s_values)]
     fractions = {
         ell: np.array([tr.mode_energy_fraction(ell) for tr in traces]) for ell in modes
     }
     classification, phi_min, phi_max, delta = _decide(
-        u, radii, s_values[0], s_values[-1], thresholds)
+        disk, radii, s_values[0], s_values[-1], thresholds)
     return BlowupReport(
         radii=radii,
         s_values=s_values,

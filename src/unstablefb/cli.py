@@ -542,11 +542,12 @@ def rerun_manifest(manifest_path, out_dir=None) -> tuple[RunManifest, bool]:
 # --- argument parsing ----------------------------------------------------
 
 
-def _radii_list(text: str) -> list:
+def _number_list(text: str) -> list:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad radii list {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of numbers, got {text!r}") from exc
 
 
 def _add_grid_flags(sp):
@@ -583,11 +584,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = experiment(name, help_text)
         _add_solver_flags(sp, with_m)
-        sp.add_argument("--radii", dest="phi_radii", type=_radii_list,
+        sp.add_argument("--radii", dest="phi_radii", type=_number_list,
                         help="comma list of radii for the scaled-energy profile")
 
     sp = experiment("scan", "energy bound sign scan over M")
-    sp.add_argument("--M-list", dest="M_values", type=_radii_list, required=True,
+    sp.add_argument("--M-list", dest="M_values", type=_number_list, required=True,
                     help="comma list of M values")
     sp.add_argument("--C1", type=float)
     sp.add_argument("--mc-samples", type=int)
@@ -605,7 +606,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("field", help="field CSV produced by a solve")
-        sp.add_argument("--radii", type=_radii_list, default=None)
+        sp.add_argument("--radii", type=_number_list, default=None)
         sp.add_argument("--out", default=None, help="output file or directory")
 
     sp = sub.add_parser("rerun", help="replay a manifest and compare headline numbers")

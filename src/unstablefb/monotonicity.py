@@ -24,7 +24,6 @@ from .field import (
     _integrate_rings,
     as_disk,
     gradient_sq,
-    integrate_ball,
     integrate_circle,
     radial_derivative,
 )
@@ -41,26 +40,28 @@ def check_window(grid, r: float) -> None:
         )
 
 
+def _phi_values(u: ScalarField, radii) -> np.ndarray:
+    """Phi at each radius of a disk field from one gradient, one square of
+    u and one set of per-ring sums of the bulk integrands."""
+    for r in radii:
+        check_window(u.grid, r)
+    grad_rows = gradient_sq(u).values.sum(axis=1)
+    pos_rows = (2.0 * np.maximum(u.values, 0.0)).sum(axis=1)
+    u_sq = u.apply(np.square)
+    out = np.empty(len(radii))
+    for n, r in enumerate(radii):
+        bulk = _integrate_rings(u.grid, grad_rows, r) - _integrate_rings(u.grid, pos_rows, r)
+        out[n] = bulk / r**4 - 2.0 * integrate_circle(u_sq, r) / r**5
+    return out
+
+
 def phi(u: ScalarField, r: float) -> float:
     """Scaled energy of u at radius r (see module docstring).
 
     Sector fields are extended to the full disk first, so the angular
     derivative is spectral and the circle integrals see periodic data.
     """
-    u = as_disk(u)
-    check_window(u.grid, r)
-    grad = gradient_sq(u)
-    bulk = integrate_ball(grad, None, r) - integrate_ball(
-        u, lambda v: 2.0 * np.maximum(v, 0.0), r
-    )
-    surface = integrate_circle(u.apply(np.square), r)
-    return float(bulk / r**4 - 2.0 * surface / r**5)
-
-
-def _identity_integrand(u: ScalarField, du_dr: ScalarField, r: float) -> float:
-    """r^-4 int_{dB_r} 2 (du/dr - 2u/r)^2 dH."""
-    w = ScalarField(u.grid, (du_dr.values - 2.0 * u.values / u.grid.r[:, None]) ** 2)
-    return 2.0 * integrate_circle(w, r) / r**4
+    return float(_phi_values(as_disk(u), [r])[0])
 
 
 @dataclass
@@ -99,20 +100,11 @@ def phi_profile(u: ScalarField, radii) -> MonotonicityProfile:
     radii = np.asarray(sorted(radii), dtype=float)
     if len(radii) < 2:
         raise ValueError("need at least two radii for a profile")
-    for r in radii:
-        check_window(u.grid, r)
-    grad = gradient_sq(u)
-    du_dr = radial_derivative(u)
-    u_sq = u.apply(np.square)
-
-    phis = np.empty(len(radii))
-    integrand = np.empty(len(radii))
-    for n, r in enumerate(radii):
-        bulk = integrate_ball(grad, None, r) - integrate_ball(
-            u, lambda v: 2.0 * np.maximum(v, 0.0), r
-        )
-        phis[n] = bulk / r**4 - 2.0 * integrate_circle(u_sq, r) / r**5
-        integrand[n] = _identity_integrand(u, du_dr, r)
+    phis = _phi_values(u, radii)
+    # r^-4 int_{dB_r} 2 (du/dr - 2u/r)^2 dH, the rate in the identity
+    w = ScalarField(u.grid, (radial_derivative(u).values
+                             - 2.0 * u.values / u.grid.r[:, None]) ** 2)
+    integrand = np.array([2.0 * integrate_circle(w, r) / r**4 for r in radii])
     rhs = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(radii)
     defects = np.diff(phis) - rhs
     h = u.grid.dr

@@ -5,15 +5,17 @@ arc data g - kappa, and the scalar shift kappa is adjusted so the
 extrapolated origin value of u vanishes.  Each Newton step solves the
 bordered system
 
-    [ A - diag(area * f_eps'(u))   b1 ] [du     ]   [ -R1 ]
-    [ e                            0  ] [dkappa ] = [ -R2 ]
+    K [du; dkappa] = -[R1; R2],   K = [ A - diag(area * f_eps'(u))   b1 ]
+                                      [ e                            0  ]
 
-by block elimination (two solves with the (1,1) block J).  J may be
+with one GMRES solve (Saad and Schultz 1986).  K is nonsymmetric, since
+the kappa column b1 is not the pin row e, and its (1,1) block may be
 indefinite; that is the expected instability of the problem, not an error.
-So the solves use MINRES (Paige and Saunders 1975), which needs only a
-symmetric J, preconditioned by the exact inverse of the Laplacian A.  J
-differs from A by a diagonal supported on the smoothing band, so the
-preconditioned iteration needs few steps.
+The preconditioner is the exact inverse of the bordered Laplacian
+[[A, b1], [e, 0]], which costs one Laplacian inverse because A 1 = b1.
+K differs from it by a diagonal supported on the smoothing band, so GMRES
+needs few iterations, and an inexact-Newton forcing term (Dembo, Eisenstat
+and Steihaug 1982) stops it well before the rounding level.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .field import ScalarField, eval_origin, origin_weight_vector, write_field_csv, write_field_vtk
 from .mesh import PolarGrid
@@ -127,7 +129,7 @@ class StageFailed(RuntimeError):
         self.iterations = iterations
         self.residual = residual
         self.reason = reason
-        # relative residual |J w - b| / |b| of a Krylov solve that stopped short
+        # relative residual |K x - b| / |b| of a Krylov solve that stopped short
         self.linear_residual = linear_residual
 
 
@@ -152,16 +154,19 @@ ROUNDING_FACTOR = 4.0
 # The tolerance on R1 is raised to that level by at most this factor; a
 # tolerance set further below what the arithmetic resolves stays unreachable.
 MAX_TOL_RELAXATION = 100.0
-# Tolerance of the inner MINRES solves on scipy's backward-error estimate
-# |r| / (|J| |w|).  At this level a Newton step agrees with one from a sparse
-# LU factorization to that factorization's own rounding, so each stage takes
-# the same iterations.  1e-12 saves one MINRES iteration per solve, but then
-# the 256^2 headline moves from the LU result by more than two LU column
-# orderings differ from each other.
-KRYLOV_RTOL = 1e-14
-# The preconditioned Jacobians need 5 iterations at 256^2 and at most 17 at
-# 65536 x 8 cells; a solve that reaches this cap has not converged.
-KRYLOV_MAXITER = 500
+# Forcing term of the Newton step: GMRES stops once the true residual of the
+# bordered system is this fraction of |[R1; R2]|.  Every stage then takes the
+# Newton iterations it takes with exact solves.  Not much tighter: the
+# attainable residual grows with n_r (first stage of the asterisk: 1.6e-10
+# at 4096 x 8 cells, 6.2e-10 at 8192 x 8, 4.0e-8 at 65536 x 8), so 1e-8
+# already fails on the finest grid in use.
+KRYLOV_RTOL = 1e-6
+# A solve takes 2-4 iterations on the 256^2 cross, 4-9 on the 256^2
+# asterisk and at most 16 at 65536 x 8 cells, so one basis of
+# KRYLOV_RESTART vectors holds a whole solve; a solve that reaches
+# KRYLOV_MAXITER iterations (a multiple of the restart) has not converged.
+KRYLOV_RESTART = 40
+KRYLOV_MAXITER = 400
 # Armijo line search: sufficient-decrease constant, step shrink, backtrack cap.
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -205,6 +210,45 @@ def initial_guess(grid: PolarGrid, g_arc, lap: DiscreteLaplacian | None = None
     return u0, float(kappa)
 
 
+def _bordered_inverse(lap: DiscreteLaplacian, e: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """[[A, b1], [e, 0]]^-1 v with one Laplacian inverse.
+
+    A 1 = b1 (constants leave only the arc term), so the solution of
+    A x + t b1 = v[:-1], e x = v[-1] is x = z - t 1 with z = A^-1 v[:-1]
+    and t = (e z - v[-1]) / (e 1).
+    """
+    z = lap.apply_inverse(v[:-1])
+    t = (float(e @ z) - v[-1]) / float(e.sum())
+    return np.append(z - t, t)
+
+
+def _newton_direction(lap: DiscreteLaplacian, e: np.ndarray, b1: np.ndarray,
+                      shift: np.ndarray, r1: np.ndarray, r2: float
+                      ) -> tuple[np.ndarray, float, float | None]:
+    """Solve K [du; dkappa] = -[r1; r2] by preconditioned GMRES.
+
+    K has the (1,1) block A - diag(shift), the column b1 and the row e.
+    Returns (du, dkappa, missed): missed is None when the true relative
+    residual meets KRYLOV_RTOL, and that residual otherwise.
+    """
+    n = lap.matrix.shape[0]
+
+    def bordered(v):
+        du = v[:-1]
+        return np.append(lap.matrix @ du - shift * du + v[-1] * b1, e @ du)
+
+    K = LinearOperator((n + 1, n + 1), matvec=bordered, dtype=float)
+    M = LinearOperator((n + 1, n + 1), matvec=lambda v: _bordered_inverse(lap, e, v),
+                       dtype=float)
+    rhs = -np.append(r1, r2)
+    x, info = gmres(K, rhs, rtol=KRYLOV_RTOL, restart=KRYLOV_RESTART,
+                    maxiter=KRYLOV_MAXITER // KRYLOV_RESTART, M=M)
+    missed = None
+    if info != 0:
+        missed = float(np.linalg.norm(bordered(x) - rhs) / np.linalg.norm(rhs))
+    return x[:-1], float(x[-1]), missed
+
+
 def newton_stage(
     lap: DiscreteLaplacian,
     u: np.ndarray,
@@ -232,7 +276,6 @@ def newton_stage(
     e = origin_weight_vector(grid)
     b1 = lap.lift(np.ones(grid.n_phi))
     tol = config.newton_tol
-    precond = LinearOperator(lap.matrix.shape, matvec=lap.apply_inverse, dtype=float)
 
     def merit(r1, r2):
         # area-normalized so PDE and origin parts carry comparable units
@@ -254,27 +297,11 @@ def newton_stage(
         if it == config.max_newton:
             break
         shift = lap.areas * f_eps_prime(u, eps)
-        J = LinearOperator(lap.matrix.shape, matvec=lambda v: lap.matrix @ v - shift * v,
-                           dtype=float)
-
-        def jacobian_solve(b):
-            w, info = minres(J, b, rtol=KRYLOV_RTOL, maxiter=KRYLOV_MAXITER, M=precond)
-            if info != 0:
-                achieved = float(np.linalg.norm(J @ w - b) / np.linalg.norm(b))
-                raise StageFailed(eps, it, res1,
-                                  f"MINRES did not converge in {info} iterations"
-                                  f" (achieved relative residual {achieved:.3e})",
-                                  linear_residual=achieved)
-            return w
-
-        w1 = jacobian_solve(r1)
-        w2 = jacobian_solve(b1)
-        denom = float(e @ w2)
-        if not np.isfinite(denom) or abs(denom) < 1e-300:
-            raise StageFailed(eps, it, float(np.max(np.abs(r1))),
-                              "bordered elimination denominator vanished")
-        dkappa = (r2 - float(e @ w1)) / denom
-        du = -w1 - dkappa * w2
+        du, dkappa, missed = _newton_direction(lap, e, b1, shift, r1, r2)
+        if missed is not None:
+            raise StageFailed(eps, it, res1,
+                              f"GMRES did not reach the relative residual {KRYLOV_RTOL:g}"
+                              f" (achieved {missed:.3e})", linear_residual=missed)
 
         m0 = merit(r1, r2)
         lam = 1.0

@@ -11,12 +11,12 @@ from unstablefb import PolarGrid, ScalarField, build_disk_grid, field_from_funct
 
 
 @pytest.fixture
-def minres_capped(monkeypatch):
-    """Caps the Newton stage's MINRES solves at one iteration, so they stop
-    short of their tolerance."""
-    minres = semilinear.minres
-    monkeypatch.setattr(semilinear, "minres",
-                        lambda *args, **kw: minres(*args, **{**kw, "maxiter": 1}))
+def gmres_capped(monkeypatch):
+    """Caps the Newton stage's GMRES solve at one iteration, so it stops
+    short of its tolerance."""
+    gmres = semilinear.gmres
+    monkeypatch.setattr(semilinear, "gmres",
+                        lambda *args, **kw: gmres(*args, **{**kw, "restart": 1, "maxiter": 1}))
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +37,13 @@ def disk512() -> PolarGrid:
 def degree2_field(grid: PolarGrid, M: float = 1.0) -> ScalarField:
     """The homogeneous harmonic M r^2 cos(2 phi) sampled at cell centers."""
     return field_from_function(grid, lambda r, p: M * r**2 * np.cos(2.0 * p))
+
+
+def saddle_field(grid: PolarGrid) -> ScalarField:
+    """r^2 cos(2 phi) plus a radial bump: both signs and a nonzero rate
+    (du/dr - 2u/r)^2 in the monotonicity identity."""
+    return field_from_function(
+        grid, lambda r, p: r**2 * np.cos(2.0 * p) + 0.05 * np.cos(3.0 * r))
 
 
 def radial_composite(grid: PolarGrid, R: float = 0.5) -> ScalarField:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import degree2_field
+from conftest import degree2_field, saddle_field
 
 from unstablefb import (
     CASE1,
@@ -25,11 +25,15 @@ from unstablefb import (
     ScalarField,
     blowup_profile,
     blowup_report,
+    build_disk_grid,
+    build_sector_grid,
     classify,
     field_from_function,
+    phi,
     s_norm,
     write_blowup_csv,
 )
+from unstablefb.field import integrate_circle, trace_on_circle
 
 RADII = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
 
@@ -112,3 +116,36 @@ class TestReport:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("r,")
         assert len(lines) == 1 + len(RADII)
+
+
+def reference_trace(u, r, m):
+    """S(r) and the normalized trace at one radius, each from its own
+    square of u and its own disk extension."""
+    s = math.sqrt(max(integrate_circle(u.apply(np.square), r) / r, 0.0))
+    tr = trace_on_circle(u, r, m)
+    return s, (tr.radius, tr.angles, tr.samples / s, tr.a / s, tr.b / s)
+
+
+class TestSharedWork:
+    """blowup_report squares the field once, reuses each S(r) for its trace
+    and takes Phi at the end radii from one gradient; every number must be
+    that of the per-radius evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("grid", [
+        build_disk_grid(96, 64),
+        build_sector_grid(2, 64, 48),
+        build_sector_grid(4, 80, 16),
+    ], ids=["disk", "sector_k2", "sector_k4"])
+    def test_report_equals_per_radius_evaluation(self, grid):
+        u = saddle_field(grid)
+        rep = blowup_report(u, RADII[::-1], m=128)
+        assert np.array_equal(rep.radii, np.asarray(RADII))
+        for n, r in enumerate(RADII):
+            s_ref, trace_ref = reference_trace(u, r, 128)
+            assert rep.s_values[n] == s_norm(u, r) == s_ref
+            for tr in (rep.traces[n], blowup_profile(u, r, m=128)):
+                got = (tr.radius, tr.angles, tr.samples, tr.a, tr.b)
+                assert all(np.array_equal(x, y) for x, y in zip(got, trace_ref))
+        assert rep.phi_min_r == phi(u, RADII[0])
+        assert rep.phi_max_r == phi(u, RADII[-1])
+        assert rep.classification == classify(u, RADII)

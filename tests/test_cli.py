@@ -86,13 +86,13 @@ class TestFailurePath:
         stored = json.loads((tmp_path / "manifest.json").read_text())
         assert stored["status"] == "solver_failure"
 
-    def test_unconverged_krylov_solve_reports_its_residual(self, tmp_path, minres_capped):
+    def test_unconverged_krylov_solve_reports_its_residual(self, tmp_path, gmres_capped):
         m = run_solve(2, M=40.0, n_r=32, n_phi=32, eps_min=0.1,
                       out_dir=tmp_path, eps_start=0.1)
         assert m.status == "solver_failure"
         stored = json.loads((tmp_path / "manifest.json").read_text())
         assert stored["failure"]["linear_residual"] > semilinear.KRYLOV_RTOL
-        assert "MINRES" in stored["failure"]["reason"]
+        assert "GMRES" in stored["failure"]["reason"]
 
 
 class TestDefaultPhiRadii:
@@ -300,3 +300,15 @@ class TestConsoleEntry:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv, option", [
+        (["scan", "--M-list", "1,x"], "--M-list"),
+        (["cross", "--radii", "0.3,,y"], "--radii"),
+    ])
+    def test_bad_number_list_names_option(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected a comma-separated list of numbers" in err
+        assert "radii list" not in err

@@ -17,9 +17,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import degree2_field, radial_composite, radial_composite_phi
+from conftest import degree2_field, radial_composite, radial_composite_phi, saddle_field
 
 from unstablefb import (
+    ScalarField,
     SectorSpec,
     build_disk_grid,
     build_sector_grid,
@@ -32,6 +33,7 @@ from unstablefb import (
     phi_profile,
     threshold_scan,
 )
+from unstablefb.field import as_disk, gradient_sq, integrate_circle, radial_derivative
 
 BISECTED_THRESHOLD = 1.890723705291748  # frozen bisection output at C1 = 1/2
 
@@ -114,6 +116,43 @@ class TestRadialCompositeOracle:
         u = radial_composite(disk256)
         prof = phi_profile(u, np.linspace(0.25, 0.75, 51))
         assert prof.min_increment() > -1e-3
+
+
+def reference_phi(u, r):
+    """Phi at one radius, each term evaluated on its own (the per-radius
+    evaluation that phi_profile's shared ring sums replace)."""
+    u = as_disk(u)
+    bulk = integrate_ball(gradient_sq(u), None, r) - integrate_ball(
+        u, lambda v: 2.0 * np.maximum(v, 0.0), r)
+    surface = integrate_circle(u.apply(np.square), r)
+    return float(bulk / r**4 - 2.0 * surface / r**5)
+
+
+def reference_identity_integrand(u, r):
+    """r^-4 int_{dB_r} 2 (du/dr - 2u/r)^2 dH at one radius."""
+    u = as_disk(u)
+    du_dr = radial_derivative(u)
+    w = ScalarField(u.grid, (du_dr.values - 2.0 * u.values / u.grid.r[:, None]) ** 2)
+    return 2.0 * integrate_circle(w, r) / r**4
+
+
+class TestSharedRingSums:
+    """phi_profile evaluates every radius from one gradient and one set of
+    ring sums; its numbers must be those of the per-radius evaluation, bit
+    for bit."""
+
+    @pytest.mark.parametrize("grid", [
+        build_disk_grid(96, 64),
+        build_sector_grid(2, 64, 48),
+        build_sector_grid(4, 80, 16),
+    ], ids=["disk", "sector_k2", "sector_k4"])
+    def test_profile_equals_per_radius_evaluation(self, grid):
+        u = saddle_field(grid)
+        radii = [0.7, 0.25, 0.3125, 0.5, 0.61]
+        prof = phi_profile(u, radii)
+        for n, r in enumerate(sorted(radii)):
+            assert prof.phi_values[n] == phi(u, r) == reference_phi(u, r)
+            assert prof.boundary_integrand[n] == reference_identity_integrand(u, r)
 
 
 def reference_energy_bound(M, C1, n_r, n_phi):

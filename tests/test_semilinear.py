@@ -55,6 +55,27 @@ def lu_continuation(grid, g, cfg):
     return u, kappa, iters
 
 
+def minres_elimination_direction(lap, e, b1, shift, r1, r2):
+    """Reference Newton direction: two MINRES solves with the Jacobian
+    J = A - diag(shift), preconditioned by A^-1, and block elimination of
+    the bordered system."""
+    n = lap.matrix.shape[0]
+    jac = spla.LinearOperator((n, n), matvec=lambda v: lap.matrix @ v - shift * v,
+                              dtype=float)
+    precond = spla.LinearOperator((n, n), matvec=lap.apply_inverse, dtype=float)
+    w1, info1 = spla.minres(jac, r1, rtol=1e-14, maxiter=500, M=precond)
+    w2, info2 = spla.minres(jac, b1, rtol=1e-14, maxiter=500, M=precond)
+    assert info1 == info2 == 0
+    dkappa = (r2 - float(e @ w1)) / float(e @ w2)
+    return -w1 - dkappa * w2, dkappa, None
+
+
+def bordered_matrix(lap, e, b1, shift):
+    """K = [[A - diag(shift), b1], [e, 0]] as a sparse matrix."""
+    return sp.bmat([[lap.matrix - sp.diags(shift), sp.csc_matrix(b1[:, None])],
+                    [sp.csr_matrix(e[None, :]), None]], format="csc")
+
+
 class TestSmoothedIndicator:
     @pytest.mark.parametrize("eps", EPS_VALUES)
     def test_plateau_on_nonnegative_arguments(self, eps):
@@ -186,7 +207,7 @@ class TestNewtonStage:
         assert cfg.newton_tol < pde_res <= level
         assert origin_res <= cfg.newton_tol
 
-    def test_unconverged_krylov_solve_fails_with_its_residual(self, minres_capped):
+    def test_unconverged_krylov_solve_fails_with_its_residual(self, gmres_capped):
         grid = build_sector_grid(2, 32, 32)
         lap = assemble(grid)
         g = 40.0 * np.cos(2.0 * grid.phi)
@@ -196,7 +217,67 @@ class TestNewtonStage:
             newton_stage(lap, u0.values.ravel(), kappa, 0.2, g, cfg)
         assert info.value.iterations == 0
         assert info.value.linear_residual > semilinear.KRYLOV_RTOL
-        assert "MINRES" in info.value.reason
+        assert "GMRES" in info.value.reason
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_preconditioner_inverts_bordered_laplacian(self, n):
+        # normwise backward error |P x - v| / (|P| |x|), max norms: a plain
+        # relative residual is bounded by cond(A) eps_mach, and at 256^2 even
+        # a sparse LU solve of P leaves 4e-12 on a Newton residual
+        grid = build_sector_grid(2, n, n)
+        lap = assemble(grid)
+        e = origin_weight_vector(grid)
+        b1 = lap.lift(np.ones(grid.n_phi))
+        P = bordered_matrix(lap, e, b1, np.zeros(grid.size))
+        p_norm = spla.norm(P, np.inf)
+        g = 40.0 * np.cos(2.0 * grid.phi)
+        u0, kappa = initial_guess(grid, g, lap)
+        r1, r2 = semilinear._residual(lap, e, u0.values.ravel(), kappa, g, 0.05)
+        rng = np.random.default_rng(7)
+        for v in (np.append(r1, r2), rng.standard_normal(grid.size + 1),
+                  np.append(b1, 1.0), np.append(np.zeros(grid.size), 1.0)):
+            x = semilinear._bordered_inverse(lap, e, v)
+            assert np.max(np.abs(P @ x - v)) <= 1e-12 * p_norm * np.max(np.abs(x))
+
+    def test_step_meets_forcing_term(self):
+        grid = build_sector_grid(2, 64, 64)
+        lap = assemble(grid)
+        g = 40.0 * np.cos(2.0 * grid.phi)
+        u0, kappa = initial_guess(grid, g, lap)
+        # off the pin, so that R2 enters the step as well as R1
+        u = u0.values.ravel() + 1e-3 * np.cos(grid.r).repeat(grid.n_phi)
+        e = origin_weight_vector(grid)
+        b1 = lap.lift(np.ones(grid.n_phi))
+        for eps in (0.2, 0.05):
+            r1, r2 = semilinear._residual(lap, e, u, kappa, g, eps)
+            shift = lap.areas * f_eps_prime(u, eps)
+            assert abs(r2) > 1e-4
+            du, dkappa, missed = semilinear._newton_direction(lap, e, b1, shift, r1, r2)
+            assert missed is None
+            res = np.append(r1, r2)
+            K = bordered_matrix(lap, e, b1, shift)
+            assert np.linalg.norm(K @ np.append(du, dkappa) + res) \
+                <= semilinear.KRYLOV_RTOL * np.linalg.norm(res)
+
+    @pytest.mark.parametrize("k, g_fn, eps, offset", [
+        (2, lambda p: 40.0 * np.cos(2.0 * p), 0.2, 0.0),
+        (2, lambda p: 40.0 * np.cos(2.0 * p), 0.05, 0.0),
+        (2, lambda p: 40.0 * np.cos(2.0 * p), 0.05, 1e-2),
+        (4, lambda p: np.cos(4.0 * p), 0.1, 0.0),
+    ])
+    def test_stage_matches_minres_elimination(self, monkeypatch, k, g_fn, eps, offset):
+        grid = build_sector_grid(k, 64, 64)
+        lap = assemble(grid)
+        g = g_fn(grid.phi)
+        u0, kappa0 = initial_guess(grid, g, lap)
+        # a nonzero offset starts off the pin u(0) = 0
+        start = u0.values.ravel() + offset
+        cfg = ContinuationConfig(eps_start=eps, eps_min=eps)
+        _, kappa, iters, _, _ = newton_stage(lap, start, kappa0, eps, g, cfg)
+        monkeypatch.setattr(semilinear, "_newton_direction", minres_elimination_direction)
+        _, kappa_ref, iters_ref, _, _ = newton_stage(lap, start, kappa0, eps, g, cfg)
+        assert iters == iters_ref
+        assert abs(kappa - kappa_ref) <= 1e-10 * abs(kappa_ref)
 
     def test_unreachable_tolerance_fails_cleanly(self):
         grid = build_sector_grid(2, 32, 32)
