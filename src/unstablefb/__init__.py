@@ -13,17 +13,12 @@ __version__ = "0.1.0"
 
 from .mesh import (
     PolarGrid,
-    SectorSpec,
-    SymmetryGroup,
     build_disk_grid,
     build_sector_grid,
-    reflect_to_disk,
-    reflection_index_map,
 )
 from .field import (
     CircleTrace,
     ScalarField,
-    as_disk,
     eval_origin,
     field_from_function,
     gradient_sq,
@@ -67,7 +62,6 @@ from .blowup import (
     CASE3,
     INCONCLUSIVE,
     BlowupReport,
-    BlowupThresholds,
     blowup_profile,
     blowup_report,
     classify,
@@ -95,10 +89,8 @@ from .cli import (
 
 __all__ = [
     "__version__",
-    "PolarGrid", "SectorSpec", "SymmetryGroup",
-    "build_disk_grid", "build_sector_grid", "reflect_to_disk",
-    "reflection_index_map",
-    "CircleTrace", "ScalarField", "as_disk", "eval_origin", "field_from_function",
+    "PolarGrid", "build_disk_grid", "build_sector_grid",
+    "CircleTrace", "ScalarField", "eval_origin", "field_from_function",
     "gradient_sq", "integrate_ball", "integrate_circle", "radial_derivative",
     "read_field_csv", "sample_circle", "trace_on_circle",
     "write_field_csv", "write_field_vtk",
@@ -108,7 +100,7 @@ __all__ = [
     "newton_stage", "residual_check", "solve_fixed_point", "transition_measure",
     "MonotonicityProfile", "energy_bound_integral", "find_threshold",
     "mc_energy_bound", "phi", "phi_profile", "threshold_scan", "write_profile_csv",
-    "CASE1", "CASE3", "INCONCLUSIVE", "BlowupReport", "BlowupThresholds",
+    "CASE1", "CASE3", "INCONCLUSIVE", "BlowupReport",
     "DegenerateTrace",
     "blowup_profile", "blowup_report", "classify", "s_norm", "write_blowup_csv",
     "ArcFit", "LevelSet", "crossing_angles", "extract_zero_set",

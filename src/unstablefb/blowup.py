@@ -8,11 +8,11 @@ sampled radii, never as a limit claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .field import CircleTrace, ScalarField, as_disk, integrate_circle, trace_on_circle
+from .field import CircleTrace, ScalarField, integrate_circle, trace_on_circle
 from .monotonicity import _phi_values
 
 CASE1 = "case1"
@@ -20,23 +20,19 @@ CASE3 = "case3"
 INCONCLUSIVE = "inconclusive"
 # S(r) at or below this fraction of max |u| (or 1) is too small to normalize by
 S_FLOOR = 1e-12
+# the near-zero band of phi is DELTA_PHI_REL * |phi(r_max)|, at least
+# DELTA_PHI_ABS; TREND_SLACK is the relative tolerance on the S(r)/r^2
+# endpoint comparison
+DELTA_PHI_REL = 0.05
+DELTA_PHI_ABS = 1e-3
+TREND_SLACK = 0.05
+# samples per circle trace, and the modes whose energy share is reported
+TRACE_SAMPLES = 256
+REPORTED_MODES = (2, 4)
 
 
 class DegenerateTrace(RuntimeError):
     """Trace amplitude too small to normalize."""
-
-
-@dataclass
-class BlowupThresholds:
-    """Calibration constants for the finite-radius classifier.
-
-    delta_phi is 0.05*|phi(r_max)| with an absolute floor; trend_slack is
-    the relative tolerance on the S(r)/r^2 endpoint comparison.
-    """
-
-    delta_phi_rel: float = 0.05
-    delta_phi_abs: float = 1e-3
-    trend_slack: float = 0.05
 
 
 @dataclass
@@ -52,7 +48,6 @@ class BlowupReport:
     phi_min_r: float
     phi_max_r: float
     delta_phi: float
-    thresholds: BlowupThresholds = dc_field(default_factory=BlowupThresholds)
 
 
 def s_norm(u: ScalarField, r: float) -> float:
@@ -65,7 +60,7 @@ def _s_from_square(u_sq: ScalarField, r: float) -> float:
     return math.sqrt(max(integrate_circle(u_sq, r) / r, 0.0))
 
 
-def blowup_profile(u: ScalarField, r: float, m: int = 256) -> CircleTrace:
+def blowup_profile(u: ScalarField, r: float, m: int = TRACE_SAMPLES) -> CircleTrace:
     """Trace of u on dB_r divided by S(r); unit L2(dB_1) norm by construction."""
     return _normalized_trace(u, r, m, s_norm(u, r), float(np.max(np.abs(u.values))))
 
@@ -92,24 +87,23 @@ def _sorted_radii(radii) -> np.ndarray:
     return radii
 
 
-def _decide(u: ScalarField, radii: np.ndarray, s_small: float, s_large: float,
-            thresholds: BlowupThresholds) -> tuple[str, float, float, float]:
+def _decide(u: ScalarField, radii: np.ndarray, s_small: float, s_large: float
+            ) -> tuple[str, float, float, float]:
     """Classification, phi at both end radii and delta, given S at the ends."""
-    phi_min, phi_max = (float(v) for v in _phi_values(as_disk(u), radii[[0, -1]]))
-    delta = max(thresholds.delta_phi_rel * abs(phi_max), thresholds.delta_phi_abs)
+    phi_min, phi_max = (float(v) for v in _phi_values(u, radii[[0, -1]]))
+    delta = max(DELTA_PHI_REL * abs(phi_max), DELTA_PHI_ABS)
     ratio_small = s_small / radii[0] ** 2
     ratio_large = s_large / radii[-1] ** 2
-    growing_inward = ratio_small >= ratio_large * (1.0 - thresholds.trend_slack)
-    decaying_inward = ratio_small < ratio_large * (1.0 - thresholds.trend_slack)
+    decaying_inward = ratio_small < ratio_large * (1.0 - TREND_SLACK)
     classification = INCONCLUSIVE
-    if phi_min < -delta and growing_inward:
+    if phi_min < -delta and not decaying_inward:
         classification = CASE1
     elif abs(phi_min) <= delta and decaying_inward:
         classification = CASE3
     return classification, phi_min, phi_max, delta
 
 
-def classify(u: ScalarField, radii, thresholds: BlowupThresholds | None = None) -> str:
+def classify(u: ScalarField, radii) -> str:
     """Trend classification over the sampled radii.
 
     case1: phi(r_min) clearly negative and S(r)/r^2 does not decay toward
@@ -119,26 +113,22 @@ def classify(u: ScalarField, radii, thresholds: BlowupThresholds | None = None) 
     """
     radii = _sorted_radii(radii)
     s_small, s_large = (s_norm(u, float(r)) for r in (radii[0], radii[-1]))
-    return _decide(u, radii, s_small, s_large, thresholds or BlowupThresholds())[0]
+    return _decide(u, radii, s_small, s_large)[0]
 
 
-def blowup_report(u: ScalarField, radii, thresholds: BlowupThresholds | None = None,
-                  m: int = 256, modes: tuple[int, ...] = (2, 4)) -> BlowupReport:
+def blowup_report(u: ScalarField, radii) -> BlowupReport:
     """Assemble S, normalized traces, mode energies, and the classification."""
-    if thresholds is None:
-        thresholds = BlowupThresholds()
     radii = _sorted_radii(radii)
     u_sq = u.apply(np.square)
     s_values = np.array([_s_from_square(u_sq, float(r)) for r in radii])
-    # the traces sample the disk extension, made once here
-    disk = as_disk(u)
     scale = float(np.max(np.abs(u.values)))
-    traces = [_normalized_trace(disk, float(r), m, s, scale) for r, s in zip(radii, s_values)]
+    traces = [_normalized_trace(u, float(r), TRACE_SAMPLES, s, scale)
+              for r, s in zip(radii, s_values)]
     fractions = {
-        ell: np.array([tr.mode_energy_fraction(ell) for tr in traces]) for ell in modes
+        ell: np.array([tr.mode_energy_fraction(ell) for tr in traces])
+        for ell in REPORTED_MODES
     }
-    classification, phi_min, phi_max, delta = _decide(
-        disk, radii, s_values[0], s_values[-1], thresholds)
+    classification, phi_min, phi_max, delta = _decide(u, radii, s_values[0], s_values[-1])
     return BlowupReport(
         radii=radii,
         s_values=s_values,
@@ -149,7 +139,6 @@ def blowup_report(u: ScalarField, radii, thresholds: BlowupThresholds | None = N
         phi_min_r=phi_min,
         phi_max_r=phi_max,
         delta_phi=delta,
-        thresholds=thresholds,
     )
 
 

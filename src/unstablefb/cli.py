@@ -18,12 +18,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .blowup import CASE1, CASE3, blowup_report, write_blowup_csv
+from .blowup import CASE1, CASE3, TRACE_SAMPLES, blowup_report, write_blowup_csv
 from .field import eval_origin, read_field_csv
 from .freeboundary import (
     crossing_angles,
@@ -32,7 +32,7 @@ from .freeboundary import (
     write_arcs_json,
     write_levelset_csv,
 )
-from .mesh import SymmetryGroup, build_sector_grid, reflect_to_disk
+from .mesh import build_sector_grid
 from .monotonicity import (
     check_window,
     find_threshold,
@@ -53,8 +53,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_CHECKS = 4
-
-TRACE_SAMPLES = 256
 
 
 # --- manifest plumbing ---------------------------------------------------
@@ -105,10 +103,20 @@ class RunManifest:
 
     @staticmethod
     def load(path) -> "RunManifest":
+        """Read a manifest; keys it does not know are ignored.
+
+        ValueError names the file unless it holds a JSON object with every
+        required key, a string experiment and an object of parameters.
+        """
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        raw.pop("exit_code", None)
-        return RunManifest(**raw)
+        names = [f.name for f in fields(RunManifest)]
+        required = [f.name for f in fields(RunManifest) if f.default is MISSING]
+        if not (isinstance(raw, dict) and all(name in raw for name in required)
+                and isinstance(raw["experiment"], str) and isinstance(raw["parameters"], dict)):
+            raise ValueError(f"{path} is not a run manifest: expected a JSON object with "
+                             f"the keys {', '.join(required)}")
+        return RunManifest(**{name: raw[name] for name in names if name in raw})
 
 
 class _Checks:
@@ -242,18 +250,17 @@ def _solve(p: dict, out: Path, g_label: str | None = None):
 
 
 def _analyze(sol, p: dict, out: Path, outputs: list):
-    """Profile, blow-up report, zero set and origin arcs of the disk extension.
+    """Profile, blow-up report, zero set and origin arcs of the solution.
 
     Appends the names of the four files it writes to outputs.  The zero
     set may not reach the arc radii near the origin, so a failed arc fit
     is recorded as a note in arcs.json and the angles read None.
     """
-    disk = reflect_to_disk(sol.u, SymmetryGroup(p["k"]))
-    prof = phi_profile(disk, p["phi_radii"])
+    prof = phi_profile(sol.u, p["phi_radii"])
     write_profile_csv(prof, out / "phi_profile.csv")
-    report = blowup_report(disk, p["blowup_radii"], m=TRACE_SAMPLES)
+    report = blowup_report(sol.u, p["blowup_radii"])
     write_blowup_csv(report, out / "blowup.csv")
-    levelset = extract_zero_set(disk, circle_radii=p["blowup_radii"])
+    levelset = extract_zero_set(sol.u, circle_radii=p["blowup_radii"])
     write_levelset_csv(levelset, out / "fb.csv")
     try:
         arcs = fit_arcs_at_origin(levelset, p.get("arc_radii", DEFAULT_ARC_RADII))
@@ -264,7 +271,7 @@ def _analyze(sol, p: dict, out: Path, outputs: list):
             json.dump({"limit_angles_deg": [], "note": str(exc)}, fh, indent=2)
         arc_angles_deg = None
     outputs += ["phi_profile.csv", "blowup.csv", "fb.csv", "arcs.json"]
-    return disk, prof, report, levelset, arc_angles_deg
+    return prof, report, levelset, arc_angles_deg
 
 
 def _circular_gap_to(targets_deg, angle_deg: float) -> float:
@@ -282,9 +289,10 @@ def run_cross(M: float = 40.0, n_r: int = 256, n_phi: int = 256,
               arc_radii=None) -> RunManifest:
     """Quarter-plane data M cos(2 phi), expected to produce a cross pattern.
 
-    Solves on the k = 2 sector, extends to the disk, and emits the full
-    artifact set with headline checks on the sign and trend of the scaled
-    energy, the blow-up classification, and the arc geometry at the origin.
+    Solves on the k = 2 sector, analyses its even extension to the disk,
+    and emits the full artifact set with headline checks on the sign and
+    trend of the scaled energy, the blow-up classification, and the arc
+    geometry at the origin.
     """
     if M <= 0:
         raise ValueError(f"M must be positive, got {M}")
@@ -300,7 +308,7 @@ def run_cross(M: float = 40.0, n_r: int = 256, n_phi: int = 256,
 
 def _cross_body(p: dict, out: Path):
     sol, outputs, headline, checks = _solve(p, out)
-    _, prof, report, levelset, arc_angles_deg = _analyze(sol, p, out, outputs)
+    prof, report, levelset, arc_angles_deg = _analyze(sol, p, out, outputs)
     arc_angles_deg = arc_angles_deg or []
 
     # tolerance for the monotone trend, two percent of the Phi increment
@@ -373,7 +381,7 @@ def run_asterisk(n_r: int = 256, n_phi: int = 256, eps_min: float = 0.0125,
 
 def _asterisk_body(p: dict, out: Path):
     sol, outputs, headline, checks = _solve(p, out, "cos(4*phi)")
-    disk, prof, report, levelset, arc_angles_deg = _analyze(sol, p, out, outputs)
+    prof, report, levelset, arc_angles_deg = _analyze(sol, p, out, outputs)
 
     mode2_max = max(
         float(np.max(np.abs([tr.a[2], tr.b[2]]))) for tr in report.traces)
@@ -386,7 +394,7 @@ def _asterisk_body(p: dict, out: Path):
     gap_dev = float("inf")
     n_crossings = 0
     for r_try in p["invariance_radii"]:
-        angles = crossing_angles(disk, r_try)
+        angles = crossing_angles(sol.u, r_try)
         if len(angles) >= 8 and len(angles) % 4 == 0:
             invariance_r = r_try
             n_crossings = len(angles)
@@ -642,7 +650,7 @@ def _cmd_phi(args) -> int:
 def _cmd_blowup(args) -> int:
     field = read_field_csv(args.field)
     radii = args.radii or DEFAULT_BLOWUP_RADII
-    report = blowup_report(field, radii, m=TRACE_SAMPLES)
+    report = blowup_report(field, radii)
     out = Path(args.out or "blowup.csv")
     write_blowup_csv(report, out)
     print(f"wrote {out}; classification {report.classification}")

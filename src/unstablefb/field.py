@@ -1,7 +1,10 @@
 """Scalar fields on polar grids: quadrature, derivatives, circle traces.
 
-All quadrature helpers return full-disk values: integrals over a sector
-field are multiplied by the number of symmetric copies (2k).
+A sector field stands for its even extension to the disk, and every helper
+evaluates that extension without building it: integrals are multiplied by
+the number of symmetric copies (2k), the angular derivative is a cosine
+series, and circle samples read the disk columns through the reflection
+index map.
 """
 from __future__ import annotations
 
@@ -9,8 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dct, idst
 
-from .mesh import PolarGrid, SectorSpec, SymmetryGroup, build_disk_grid, reflect_to_disk
+from .mesh import TWO_PI, PolarGrid, reflection_index_map
 
 FOURIER_MODES = 8
 
@@ -159,7 +163,7 @@ def radial_derivative(field: ScalarField) -> ScalarField:
 
 
 def _angular_derivative(field: ScalarField) -> np.ndarray:
-    """du/dphi: spectral on disks, central differences on sectors."""
+    """du/dphi of the disk field or of the sector's even extension, spectrally."""
     u = field.values
     g = field.grid
     if g.periodic:
@@ -170,12 +174,13 @@ def _angular_derivative(field: ScalarField) -> np.ndarray:
         if g.n_phi % 2 == 0:
             ell[-1] = 0.0  # the unmatched mode has no odd counterpart
         return np.fft.irfft(1j * ell * spec, n=g.n_phi, axis=1)
-    out = np.empty_like(u)
-    out[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * g.dphi)
-    # Neumann edges: even reflection puts the ghost value equal to the edge cell
-    out[:, 0] = (u[:, 1] - u[:, 0]) / (2.0 * g.dphi)
-    out[:, -1] = (u[:, -1] - u[:, -2]) / (2.0 * g.dphi)
-    return out
+    # cosine series sum_m c_m cos(m pi phi / phi0): the DCT-II gives c_m and
+    # the inverse DST-II sums -c_m (m pi / phi0) sin(m pi phi / phi0); the
+    # sine of order n_phi vanishes, as the disk's unmatched mode does
+    c = dct(u, type=2, axis=1, workers=1)
+    s = np.zeros_like(c)
+    s[:, :-1] = c[:, 1:] * (np.arange(1, g.n_phi) * (-math.pi / g.phi_total))
+    return idst(s, type=2, axis=1, workers=1)
 
 
 def gradient_sq(field: ScalarField) -> ScalarField:
@@ -256,30 +261,25 @@ class CircleTrace:
         return float(part / total)
 
 
-def as_disk(field: ScalarField) -> ScalarField:
-    """The field itself on a disk grid, or its symmetric extension for sectors."""
-    if field.grid.periodic:
-        return field
-    k = field.grid.spec.k if field.grid.spec is not None else None
-    if k is None:
-        raise ValueError("sector field lacks a SectorSpec; cannot extend to the disk")
-    return reflect_to_disk(field, SymmetryGroup(k))
-
-
 def sample_circle(field: ScalarField, r: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear samples of the symmetric disk extension at m equispaced angles."""
-    disk = as_disk(field)
-    g = disk.grid
+    """Bilinear samples of the symmetric disk extension at m equispaced angles.
+
+    The bracketing columns are those of the disk grid with copies * n_phi
+    columns, read from this grid through the reflection index map.
+    """
+    g = field.grid
     if not (g.dr < r <= 1.0 - g.dr + 1e-12):
         raise ValueError(f"trace radius must lie in (dr, 1 - dr], got {r}")
+    n_disk = g.copies * g.n_phi
     angles = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
     i, t = _radial_interp_rows(g, r)
-    jf = angles / g.dphi - 0.5
-    j0 = np.floor(jf).astype(int) % g.n_phi
+    jf = angles / (TWO_PI / n_disk) - 0.5
+    j0 = np.floor(jf).astype(int) % n_disk
     s = jf - np.floor(jf)
-    j1 = (j0 + 1) % g.n_phi
-    v0 = (1.0 - s) * disk.values[i, j0] + s * disk.values[i, j1]
-    v1 = (1.0 - s) * disk.values[i + 1, j0] + s * disk.values[i + 1, j1]
+    src = reflection_index_map(g)
+    c0, c1 = src[j0], src[(j0 + 1) % n_disk]
+    v0 = (1.0 - s) * field.values[i, c0] + s * field.values[i, c1]
+    v1 = (1.0 - s) * field.values[i + 1, c0] + s * field.values[i + 1, c1]
     return angles, (1.0 - t) * v0 + t * v1
 
 
@@ -334,13 +334,10 @@ def read_field_csv(path) -> ScalarField:
     if min(n_r, n_phi) < 2:
         raise ValueError(f"{path}: need at least two r and two phi nodes, got {n_r}x{n_phi}")
     phi_total = (phi_vals[1] - phi_vals[0]) * n_phi
-    if abs(phi_total - 2.0 * math.pi) < 1e-9:
-        grid = build_disk_grid(n_r, n_phi)
-    else:
-        k = round(math.pi / phi_total)
-        if k < 1 or abs(phi_total - math.pi / k) > 1e-9:
-            raise ValueError(f"{path}: angular extent {phi_total} is not pi/k or 2*pi")
-        grid = PolarGrid(n_r=n_r, n_phi=n_phi, phi_total=math.pi / k, spec=SectorSpec(k))
+    copies = max(round(TWO_PI / phi_total), 1)
+    if (copies > 1 and copies % 2) or abs(phi_total - TWO_PI / copies) > 1e-9:
+        raise ValueError(f"{path}: angular extent {phi_total} is not pi/k or 2*pi")
+    grid = PolarGrid(n_r, n_phi, copies)
     if max(np.max(np.abs(r_vals - grid.r)), np.max(np.abs(phi_vals - grid.phi))) > 1e-9:
         raise ValueError(f"{path}: nodes are not the cell centers of a {n_r}x{n_phi} grid")
     order = np.lexsort((data[:, 1], data[:, 0]))

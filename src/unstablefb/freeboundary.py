@@ -2,10 +2,12 @@
 
 Marching squares classifies every quad of the logical (r, phi) grid of
 the symmetric disk extension in one array pass (nodes are cell centers,
-periodic in phi, nothing below the innermost ring).  Crossing points are linear interpolations along grid
-edges, shared exactly between neighbouring quads, so polylines chain
-without seams.  Saddle quads are resolved by the sign of the corner
-average, which keeps the extraction deterministic.
+periodic in phi, nothing below the innermost ring); that extension is the
+one copy of a sector field the analyses make.  Crossing points are linear
+interpolations along grid edges, shared exactly between neighbouring
+quads, so polylines chain without seams.  Saddle quads are resolved by
+the sign of the corner average, which keeps the extraction deterministic.
+Crossing angles on circles read the sector field directly.
 """
 from __future__ import annotations
 
@@ -15,8 +17,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import ScalarField, as_disk, sample_circle
-TWO_PI = 2.0 * math.pi
+from . import mesh
+from .field import ScalarField, sample_circle
+from .mesh import TWO_PI
 
 
 @dataclass
@@ -26,7 +29,7 @@ class LevelSet:
     polylines: list[np.ndarray]
     lengths: list[float]
     circle_angles: dict[float, np.ndarray]
-    disk: ScalarField = dc_field(repr=False)
+    field: ScalarField = dc_field(repr=False)
 
 
 def crossing_angles(u: ScalarField, r: float, m: int = 2048) -> np.ndarray:
@@ -129,10 +132,9 @@ def _chain(seg: np.ndarray, first_seen: np.ndarray) -> list[list[int]]:
 
 def extract_zero_set(u: ScalarField, circle_radii=()) -> LevelSet:
     """March the zero set of the symmetric disk extension of u."""
-    disk = as_disk(u)
-    polylines, lengths = _march(disk)
-    angles = {float(r): crossing_angles(disk, float(r)) for r in circle_radii}
-    return LevelSet(polylines=polylines, lengths=lengths, circle_angles=angles, disk=disk)
+    polylines, lengths = _march(mesh.reflect_to_disk(u))
+    angles = {float(r): crossing_angles(u, float(r)) for r in circle_radii}
+    return LevelSet(polylines=polylines, lengths=lengths, circle_angles=angles, field=u)
 
 
 @dataclass
@@ -173,7 +175,7 @@ def fit_arcs_at_origin(ls: LevelSet, radii) -> ArcFit:
     radii = np.asarray(sorted(radii, reverse=True), dtype=float)
     if len(radii) < 2:
         raise ValueError("need at least two radii to extrapolate arcs")
-    base = crossing_angles(ls.disk, float(radii[0]))
+    base = crossing_angles(ls.field, float(radii[0]))
     if len(base) == 0:
         raise ValueError(f"no zero crossings on the circle r={radii[0]:g}")
     gaps = np.diff(np.append(base, base[0] + TWO_PI))
@@ -184,7 +186,7 @@ def fit_arcs_at_origin(ls: LevelSet, radii) -> ArcFit:
     topology_change = False
     prev = base
     for r in radii[1:]:
-        new = crossing_angles(ls.disk, float(r))
+        new = crossing_angles(ls.field, float(r))
         matched = _circular_match(prev, new, cap)
         if matched is None:
             topology_change = True

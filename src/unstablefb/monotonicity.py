@@ -22,12 +22,11 @@ import numpy as np
 from .field import (
     ScalarField,
     _integrate_rings,
-    as_disk,
     gradient_sq,
     integrate_circle,
     radial_derivative,
 )
-from .mesh import SectorSpec, build_sector_grid
+from .mesh import build_sector_grid
 
 
 def check_window(grid, r: float) -> None:
@@ -41,8 +40,8 @@ def check_window(grid, r: float) -> None:
 
 
 def _phi_values(u: ScalarField, radii) -> np.ndarray:
-    """Phi at each radius of a disk field from one gradient, one square of
-    u and one set of per-ring sums of the bulk integrands."""
+    """Phi at each radius from one gradient, one square of u and one set of
+    per-ring sums of the bulk integrands."""
     for r in radii:
         check_window(u.grid, r)
     grad_rows = gradient_sq(u).values.sum(axis=1)
@@ -58,10 +57,9 @@ def _phi_values(u: ScalarField, radii) -> np.ndarray:
 def phi(u: ScalarField, r: float) -> float:
     """Scaled energy of u at radius r (see module docstring).
 
-    Sector fields are extended to the full disk first, so the angular
-    derivative is spectral and the circle integrals see periodic data.
+    On a sector field this is Phi of its even extension to the disk.
     """
-    return float(_phi_values(as_disk(u), [r])[0])
+    return float(_phi_values(u, [r])[0])
 
 
 @dataclass
@@ -96,7 +94,6 @@ class MonotonicityProfile:
 
 def phi_profile(u: ScalarField, radii) -> MonotonicityProfile:
     """Evaluate Phi and the identity defect over increasing radii."""
-    u = as_disk(u)
     radii = np.asarray(sorted(radii), dtype=float)
     if len(radii) < 2:
         raise ValueError("need at least two radii for a profile")
@@ -137,7 +134,7 @@ def energy_bound_integral(M: float, C1: float = 0.5, n_r: int = 1024, n_phi: int
         raise ValueError(f"torsion bound C1 must be positive, got {C1}")
     if not np.isfinite(M):
         raise ValueError(f"amplitude M must be finite, got {M}")
-    grid = build_sector_grid(SectorSpec(2), n_r, n_phi)
+    grid = build_sector_grid(2, n_r, n_phi)
     a = -np.sort(-M * np.cos(2.0 * grid.phi))
     prefix = np.concatenate(([0.0], np.cumsum(a)))
     k = np.searchsorted(-a, -C1 / grid.r**2, side="left")

@@ -29,7 +29,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .field import ScalarField, eval_origin, origin_weight_vector, write_field_csv, write_field_vtk
 from .mesh import PolarGrid
-from .poisson import DiscreteLaplacian, assemble, solve as poisson_solve
+from .poisson import DiscreteLaplacian, _arc_values, assemble, solve as poisson_solve
 
 
 # --- smoothed indicator --------------------------------------------------
@@ -109,11 +109,15 @@ class Solution:
     origin_residual: float
     newton_iters: list[int]
     eps_schedule: list[float]
-    k: int
     g_values: np.ndarray
     g_label: str = ""
     transition_measures: list[float] = dc_field(default_factory=list)
     converged: bool = True
+
+    @property
+    def k(self) -> int:
+        """Sector order of the grid the solution lives on."""
+        return self.u.grid.k
 
 
 class StageFailed(RuntimeError):
@@ -200,7 +204,7 @@ def initial_guess(grid: PolarGrid, g_arc, lap: DiscreteLaplacian | None = None
     """
     if lap is None:
         lap = assemble(grid)
-    g = g_arc(grid.phi) if callable(g_arc) else np.asarray(g_arc, dtype=float)
+    g = _arc_values(grid, g_arc)
     u_g = poisson_solve(lap, F=-1.0, g_arc=g)
     u_shift = poisson_solve(lap, F=0.0, g_arc=-np.ones(grid.n_phi))
     # u = u_g + kappa * u_shift; pick kappa so the origin value vanishes
@@ -331,7 +335,7 @@ def solve_fixed_point(grid: PolarGrid, g_arc, config: ContinuationConfig | None 
     """
     if config is None:
         config = ContinuationConfig()
-    if grid.periodic or grid.spec is None:
+    if grid.periodic:
         raise ValueError("solve_fixed_point needs a sector grid")
     schedule = config.schedule()
     if schedule[-1] < EPS_FLOOR_CELLS * grid.dr:
@@ -340,7 +344,7 @@ def solve_fixed_point(grid: PolarGrid, g_arc, config: ContinuationConfig | None 
             f"{EPS_FLOOR_CELLS * grid.dr:g} of a {grid.n_r}x{grid.n_phi} grid"
         )
     lap = assemble(grid)
-    g = g_arc(grid.phi) if callable(g_arc) else np.asarray(g_arc, dtype=float)
+    g = _arc_values(grid, g_arc)
     u_field, kappa = initial_guess(grid, g, lap)
     u = u_field.values.ravel()
 
@@ -363,8 +367,7 @@ def solve_fixed_point(grid: PolarGrid, g_arc, config: ContinuationConfig | None 
             origin_residual=origin_res,
             newton_iters=list(iters),
             eps_schedule=schedule[: len(iters)],
-            k=grid.spec.k,
-            g_values=np.asarray(g, dtype=float),
+            g_values=g,
             g_label=g_label,
             transition_measures=list(trans),
         )

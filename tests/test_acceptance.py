@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from conftest import (
     degree2_field,
@@ -124,7 +125,7 @@ def test_criterion_3_homogeneity(disk256):
     radii = 0.3 + (4.0 / 256) * np.arange(33)  # 0.3 to 0.8 in 4-cell strides
     prof = phi_profile(u, radii)
     spread = float(np.ptp(prof.phi_values))
-    dissipated = float(np.trapezoid(prof.boundary_integrand, prof.radii))
+    dissipated = float(trapezoid(prof.boundary_integrand, prof.radii))
     scale = 2.0 * math.pi
     ok = spread <= 1e-3 and dissipated <= 1e-6 * scale
     verdict(ok, "criterion 3",

@@ -167,6 +167,34 @@ class TestRerun:
         with pytest.raises(ValueError):
             rerun_manifest(path, tmp_path / "out")
 
+    def test_unknown_top_level_keys_are_ignored(self, solve_run, tmp_path):
+        out, m = solve_run
+        raw = json.loads((out / "manifest.json").read_text())
+        raw.update(exit_code=0, written_by="an older version")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw))
+        assert RunManifest.load(path) == RunManifest.load(out / "manifest.json")
+        fresh, same = rerun_manifest(path, tmp_path / "replay")
+        assert same
+
+    @pytest.mark.parametrize("content", [
+        {}, [1, 2], "manifest", None,
+        {"experiment": "solve", "parameters": {}},
+        {"experiment": ["solve"], "parameters": {}, "content_hash": "", "outputs": [],
+         "headline": {}, "checks": [], "status": "ok"},
+        {"experiment": "solve", "parameters": [1], "content_hash": "", "outputs": [],
+         "headline": {}, "checks": [], "status": "ok"},
+    ], ids=["empty", "list", "string", "null", "missing-keys", "experiment-list",
+            "parameters-list"])
+    def test_malformed_manifest_exits_2_and_writes_nothing(self, tmp_path, capsys, content):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(content))
+        replay = tmp_path / "replay"
+        assert main(["rerun", str(path), "--out", str(replay)]) == 2
+        err = capsys.readouterr().err
+        assert "f.json is not a run manifest" in err
+        assert not replay.exists()
+
 
 class TestScanDriver:
     def test_small_scan(self, tmp_path):

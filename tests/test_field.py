@@ -13,8 +13,6 @@ from conftest import degree2_field
 
 from unstablefb import (
     ScalarField,
-    SectorSpec,
-    as_disk,
     build_disk_grid,
     build_sector_grid,
     eval_origin,
@@ -29,6 +27,7 @@ from unstablefb import (
     write_field_csv,
     write_field_vtk,
 )
+from unstablefb.mesh import reflect_to_disk
 
 
 def reference_integrate_ball(field, integrand, r):
@@ -186,9 +185,9 @@ class TestDerivatives:
         u = degree2_field(sector)
         gs = gradient_sq(u)
         exact = 4.0 * sector.r[:, None] ** 2
-        # sector grids differentiate angles by second-order central
-        # differences (reflected ghosts), so expect O(dphi^2) accuracy
-        assert np.max(np.abs(gs.values - exact * np.ones(sector.shape))) < 5e-3
+        # the cosine-series derivative is exact on cos(2 phi), as the disk's
+        # Fourier derivative is, so only the radial stencil and rounding remain
+        assert np.max(np.abs(gs.values - exact * np.ones(sector.shape))) < 1e-10
 
 
 class TestOriginValue:
@@ -229,23 +228,15 @@ class TestTraces:
 class TestDiskExtension:
     def test_disk_field_passes_through(self, disk64):
         u = degree2_field(disk64)
-        assert as_disk(u) is u
+        assert reflect_to_disk(u) is u
 
     def test_sector_field_extends(self):
         g = build_sector_grid(2, 32, 32)
         u = degree2_field(g)
-        d = as_disk(u)
+        d = reflect_to_disk(u)
         assert d.grid.periodic and d.grid.n_phi == 4 * 32
         direct = degree2_field(d.grid)
         assert np.max(np.abs(d.values - direct.values)) < 1e-13
-
-    def test_sector_without_spec_is_rejected(self):
-        g = build_sector_grid(2, 16, 16)
-        stripped = ScalarField(
-            type(g)(g.n_r, g.n_phi, g.phi_total, periodic=False, spec=None),
-            np.zeros(g.shape))
-        with pytest.raises(ValueError):
-            as_disk(stripped)
 
 
 class TestSerialization:
@@ -266,7 +257,7 @@ class TestSerialization:
         write_field_csv(u, path)
         back = read_field_csv(path)
         assert not back.grid.periodic
-        assert back.grid.spec == SectorSpec(4)
+        assert back.grid == build_sector_grid(4, 16, 16)
         assert np.array_equal(back.values, u.values)
 
     def test_vtk_header(self, tmp_path, disk64):

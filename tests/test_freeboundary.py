@@ -12,18 +12,17 @@ import unstablefb.freeboundary as freeboundary
 from unstablefb import (
     ContinuationConfig,
     ScalarField,
-    SymmetryGroup,
     build_disk_grid,
     build_sector_grid,
     crossing_angles,
     extract_zero_set,
     field_from_function,
     fit_arcs_at_origin,
-    reflect_to_disk,
     solve_fixed_point,
     write_arcs_json,
     write_levelset_csv,
 )
+from unstablefb.mesh import reflect_to_disk
 
 DIAGONALS = np.array([1.0, 3.0, 5.0, 7.0]) * math.pi / 4.0
 
@@ -231,7 +230,7 @@ class TestMarchingOracle:
     def test_reflected_cross_solution(self):
         sol = solve_fixed_point(build_sector_grid(2, 96, 96), lambda p: 40.0 * np.cos(2.0 * p),
                                 ContinuationConfig(eps_min=0.05))
-        assert_marches_like_reference(reflect_to_disk(sol.u, SymmetryGroup(2)))
+        assert_marches_like_reference(reflect_to_disk(sol.u))
 
 
 class TestArcFit:

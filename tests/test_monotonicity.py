@@ -16,12 +16,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from conftest import degree2_field, radial_composite, radial_composite_phi, saddle_field
 
 from unstablefb import (
     ScalarField,
-    SectorSpec,
     build_disk_grid,
     build_sector_grid,
     energy_bound_integral,
@@ -33,7 +33,7 @@ from unstablefb import (
     phi_profile,
     threshold_scan,
 )
-from unstablefb.field import as_disk, gradient_sq, integrate_circle, radial_derivative
+from unstablefb.field import gradient_sq, integrate_circle, radial_derivative
 
 BISECTED_THRESHOLD = 1.890723705291748  # frozen bisection output at C1 = 1/2
 
@@ -57,7 +57,7 @@ class TestDegree2Oracle:
         (du/dr - 2u/r)^2 is zero up to discretization noise."""
         u = degree2_field(disk256)
         prof = phi_profile(u, np.linspace(0.3, 0.8, 33))
-        dissipated = float(np.trapezoid(prof.boundary_integrand, prof.radii))
+        dissipated = float(trapezoid(prof.boundary_integrand, prof.radii))
         assert dissipated < 1e-6 * 2.0 * math.pi  # energy scale 2 pi M^2
 
     def test_defects_are_additive(self, disk256):
@@ -121,7 +121,6 @@ class TestRadialCompositeOracle:
 def reference_phi(u, r):
     """Phi at one radius, each term evaluated on its own (the per-radius
     evaluation that phi_profile's shared ring sums replace)."""
-    u = as_disk(u)
     bulk = integrate_ball(gradient_sq(u), None, r) - integrate_ball(
         u, lambda v: 2.0 * np.maximum(v, 0.0), r)
     surface = integrate_circle(u.apply(np.square), r)
@@ -130,7 +129,6 @@ def reference_phi(u, r):
 
 def reference_identity_integrand(u, r):
     """r^-4 int_{dB_r} 2 (du/dr - 2u/r)^2 dH at one radius."""
-    u = as_disk(u)
     du_dr = radial_derivative(u)
     w = ScalarField(u.grid, (du_dr.values - 2.0 * u.values / u.grid.r[:, None]) ** 2)
     return 2.0 * integrate_circle(w, r) / r**4
@@ -157,7 +155,7 @@ class TestSharedRingSums:
 
 def reference_energy_bound(M, C1, n_r, n_phi):
     """The bound by sampling M r^2 cos(2 phi) on every cell of the grid."""
-    grid = build_sector_grid(SectorSpec(2), n_r, n_phi)
+    grid = build_sector_grid(2, n_r, n_phi)
     h = field_from_function(grid, lambda r, p: M * r**2 * np.cos(2.0 * p))
     excess = integrate_ball(h, lambda v: 2.0 * np.maximum(v - C1, 0.0), 1.0)
     return float(np.pi * C1 * C1 - excess)
