@@ -2,9 +2,10 @@
 
 Each experiment writes every artifact it produced plus a JSON manifest that
 records all parameters (defaults included), a content hash of the inputs,
-the headline numbers, and the outcome of each built-in check.  A manifest
-is written even when the solver fails, and `rerun` replays any manifest
-and compares the fresh headline numbers against the recorded ones.
+the headline numbers, the outcome of each built-in check and the BLAS
+thread settings it ran under.  A manifest is written even when the solver
+fails, and `rerun` replays any manifest and compares the fresh headline
+numbers against the recorded ones.
 
 Exit codes: 0 success, 2 bad parameters, 3 solver failure, 4 headline
 check failure.
@@ -16,6 +17,8 @@ import hashlib
 import inspect
 import json
 import math
+import numbers
+import os
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -54,6 +57,12 @@ EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_CHECKS = 4
 
+# BLAS/OpenMP pool sizes: the Krylov reductions split by thread, so a replay
+# is bit-identical only under the settings the run was made with.  The
+# manifest stores their values as a list in this order (None if unset):
+# keyed by name they would grow a scan manifest by 6 % instead of 3 %.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 # --- manifest plumbing ---------------------------------------------------
 
@@ -69,6 +78,10 @@ def _jsonable(obj):
     if isinstance(obj, np.generic):
         return obj.item()
     return obj
+
+
+def _thread_settings() -> list:
+    return [os.environ.get(var) for var in THREAD_VARS]
 
 
 def _content_hash(experiment: str, parameters: dict) -> str:
@@ -90,6 +103,8 @@ class RunManifest:
     status: str  # "ok" | "check_failure" | "solver_failure"
     failure: dict | None = None
     runtime_seconds: float | None = None
+    # values of THREAD_VARS (None if unset); not part of the hash or the replay
+    threads: list | None = None
 
     @property
     def exit_code(self) -> int:
@@ -153,16 +168,39 @@ DEFAULT_BLOWUP_RADII = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
 DEFAULT_ARC_RADII = [0.05 + 0.025 * n for n in range(11)]  # 0.05 .. 0.30
 
 
+def _number(name: str, value, kind=float):
+    """kind(value); ValueError naming the parameter unless value is a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"parameter {name} must be a number, got {value!r}")
+    return kind(value)
+
+
+def _numbers(name: str, values) -> list:
+    """list(values); ValueError naming the parameter unless it is a list of
+    real numbers."""
+    try:
+        values = list(values)
+        for v in values:
+            _number(name, v)
+    except (TypeError, ValueError):
+        raise ValueError(f"parameter {name} must be a list of numbers, got {values!r}") from None
+    return values
+
+
 def _solver_params(n_r, n_phi, eps_start, eps_ratio, eps_min, newton_tol) -> dict:
-    return {"n_r": int(n_r), "n_phi": int(n_phi), "eps_start": float(eps_start),
-            "eps_ratio": float(eps_ratio), "eps_min": float(eps_min),
-            "newton_tol": float(newton_tol)}
+    return {"n_r": _number("n_r", n_r, int), "n_phi": _number("n_phi", n_phi, int),
+            "eps_start": _number("eps_start", eps_start),
+            "eps_ratio": _number("eps_ratio", eps_ratio),
+            "eps_min": _number("eps_min", eps_min),
+            "newton_tol": _number("newton_tol", newton_tol)}
 
 
 def _radii_params(n_r, phi_radii, blowup_radii) -> dict:
     return {
-        "phi_radii": list(phi_radii) if phi_radii is not None else _default_phi_radii(n_r),
-        "blowup_radii": list(blowup_radii) if blowup_radii is not None else list(DEFAULT_BLOWUP_RADII),
+        "phi_radii": (_numbers("phi_radii", phi_radii) if phi_radii is not None
+                      else _default_phi_radii(n_r)),
+        "blowup_radii": (_numbers("blowup_radii", blowup_radii) if blowup_radii is not None
+                         else list(DEFAULT_BLOWUP_RADII)),
     }
 
 
@@ -207,6 +245,7 @@ def _run(experiment: str, p: dict, out_dir, body) -> RunManifest:
         failure=failure,
     )
     manifest.runtime_seconds = time.perf_counter() - t0
+    manifest.threads = _thread_settings()
     manifest.write(out)
     return manifest
 
@@ -294,13 +333,15 @@ def run_cross(M: float = 40.0, n_r: int = 256, n_phi: int = 256,
     trend of the scaled energy, the blow-up classification, and the arc
     geometry at the origin.
     """
+    M = _number("M", M)
     if M <= 0:
         raise ValueError(f"M must be positive, got {M}")
     p = {
-        "k": 2, "M": float(M),
+        "k": 2, "M": M,
         **_solver_params(n_r, n_phi, eps_start, eps_ratio, eps_min, newton_tol),
         **_radii_params(n_r, phi_radii, blowup_radii),
-        "arc_radii": list(arc_radii) if arc_radii is not None else list(DEFAULT_ARC_RADII),
+        "arc_radii": (_numbers("arc_radii", arc_radii) if arc_radii is not None
+                      else list(DEFAULT_ARC_RADII)),
         "trace_samples": TRACE_SAMPLES,
     }
     return _run("cross", p, out_dir, _cross_body)
@@ -446,20 +487,22 @@ def run_threshold_scan(M_values, C1: float = 0.5, out_dir="runs/scan", *,
     change by bisection, and cross-checks the endpoints of the scan by
     Monte Carlo.
     """
-    M_values = [float(m) for m in M_values]
-    if not M_values:
-        raise ValueError("M_values must be nonempty")
-    if C1 <= 0:
-        raise ValueError(f"C1 must be positive, got {C1}")
-    if mc_samples < 1:
-        raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
-    if not bisect_tol > 0:
-        raise ValueError(f"bisect_tol must be positive, got {bisect_tol}")
     p = {
-        "M_values": M_values, "C1": float(C1), "n_r": int(n_r),
-        "n_phi": int(n_phi), "mc_samples": int(mc_samples),
-        "mc_seed": int(mc_seed), "bisect_tol": float(bisect_tol),
+        "M_values": [float(m) for m in _numbers("M_values", M_values)],
+        "C1": _number("C1", C1), "n_r": _number("n_r", n_r, int),
+        "n_phi": _number("n_phi", n_phi, int),
+        "mc_samples": _number("mc_samples", mc_samples, int),
+        "mc_seed": _number("mc_seed", mc_seed, int),
+        "bisect_tol": _number("bisect_tol", bisect_tol),
     }
+    if not p["M_values"]:
+        raise ValueError("M_values must be nonempty")
+    if p["C1"] <= 0:
+        raise ValueError(f"C1 must be positive, got {C1}")
+    if p["mc_samples"] < 1:
+        raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
+    if not p["bisect_tol"] > 0:
+        raise ValueError(f"bisect_tol must be positive, got {bisect_tol}")
     return _run("scan", p, out_dir, _scan_body)
 
 
@@ -509,7 +552,7 @@ def run_solve(k: int, M: float = 40.0, n_r: int = 256, n_phi: int = 256,
               eps_start: float = 0.2, eps_ratio: float = 0.5,
               newton_tol: float = 1e-10) -> RunManifest:
     """Generic single solve with arc data M cos(k phi), artifacts only."""
-    p = {"k": int(k), "M": float(M),
+    p = {"k": _number("k", k, int), "M": _number("M", M),
          **_solver_params(n_r, n_phi, eps_start, eps_ratio, eps_min, newton_tol)}
     return _run("solve", p, out_dir, lambda p, out: _solve(p, out)[1:])
 
@@ -532,7 +575,8 @@ def rerun_manifest(manifest_path, out_dir=None) -> tuple[RunManifest, bool]:
     such as k and trace_samples are not arguments and are ignored.  The
     comparison is exact, down to the last bit of every float, because
     the replay consumes only manifest parameters and the solver is
-    deterministic on a given machine.
+    deterministic on a given machine under the same BLAS thread count.  A
+    stored parameter of the wrong type raises ValueError naming it.
     """
     stored = RunManifest.load(manifest_path)
     out = Path(out_dir) if out_dir else Path(manifest_path).parent / "rerun"
@@ -680,6 +724,12 @@ def _cmd_rerun(args) -> int:
     fresh, same = rerun_manifest(args.manifest, args.out)
     _print_checks(fresh)
     print("headline comparison:", "identical" if same else "DIFFERS")
+    recorded = RunManifest.load(args.manifest).threads
+    if not same and recorded is not None and recorded != fresh.threads:
+        print(f"note: the run was recorded under the thread settings "
+              f"{dict(zip(THREAD_VARS, recorded))} and replayed under "
+              f"{dict(zip(THREAD_VARS, fresh.threads))}; the Krylov reductions depend "
+              "on the thread count, so the headline can differ in the last digits")
     return fresh.exit_code if same else EXIT_CHECKS
 
 

@@ -49,7 +49,7 @@ class DiscreteLaplacian:
     """
 
     grid: PolarGrid
-    matrix: sp.csc_matrix
+    matrix: sp.csr_matrix
     arc_coeff: float  # per-column Dirichlet transmissibility 2*dphi/dr
     areas: np.ndarray  # flat cell areas, grid.size
     _modes: tuple | None = field(default=None, repr=False, compare=False)
@@ -112,28 +112,39 @@ def _factor_modes(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble(grid: PolarGrid) -> DiscreteLaplacian:
-    """Build the SPD finite-volume matrix for a sector grid."""
+    """Build the SPD finite-volume matrix for a sector grid, directly in CSR.
+
+    Row c = i n_phi + j couples cell (i, j) to its neighbours at columns
+    c - n_phi, c - 1, c, c + 1, c + n_phi, in that (sorted) order; a
+    neighbour outside the grid is left out.  The diagonal sums the inner
+    radial, outer radial and two angular face coefficients and then the
+    arc coefficient, in that order.
+    """
     if grid.periodic:
         raise ValueError("the Dirichlet-arc operator is assembled on sector grids only")
     n_r, n_phi = grid.n_r, grid.n_phi
     n = grid.size
-    cells = np.arange(n).reshape(n_r, n_phi)
     t_radial, t_angular, arc_coeff = _transmissibilities(grid)
+    shape = (n_r, n_phi)
+    # face coefficient toward each neighbour, 0 where the grid ends
+    inner = np.broadcast_to(np.append(0.0, t_radial)[:, None], shape)
+    outer = np.broadcast_to(np.append(t_radial, 0.0)[:, None], shape)
+    left = np.zeros(shape)
+    left[:, 1:] = t_angular[:, None]
+    right = np.zeros(shape)
+    right[:, :-1] = t_angular[:, None]
+    diag = inner + outer + right + left
+    diag[-1] += arc_coeff
 
-    def faces(c1, c2, t):
-        # face-major order (face row, then c1/c2 entries, then cells), which
-        # fixes the order in which duplicate diagonal entries are summed
-        t = np.broadcast_to(t[:, None], c1.shape)
-        return (np.stack([c1, c2, c1, c2], axis=1).ravel(),
-                np.stack([c1, c2, c2, c1], axis=1).ravel(),
-                np.stack([t, t, -t, -t], axis=1).ravel())
-
-    radial = faces(cells[:-1], cells[1:], t_radial)
-    angular = faces(cells[:, :-1], cells[:, 1:], t_angular)
-    outer = cells[-1]
-    rows, cols, vals = (np.concatenate(parts) for parts in zip(
-        radial, angular, (outer, outer, np.full(n_phi, arc_coeff))))
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+    i, j = np.indices(shape)
+    present = np.stack([i > 0, j > 0, np.ones(shape, dtype=bool), j < n_phi - 1,
+                        i < n_r - 1], axis=-1).reshape(n, 5)
+    cols = np.arange(n, dtype=np.int32)[:, None] + np.array([-n_phi, -1, 0, 1, n_phi],
+                                                            dtype=np.int32)
+    vals = np.stack([-inner, -left, diag, -right, -outer], axis=-1).reshape(n, 5)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    A = sp.csr_matrix((vals[present], cols[present], indptr), shape=(n, n))
     areas = np.repeat(grid.cell_areas, n_phi)
     return DiscreteLaplacian(grid=grid, matrix=A, arc_coeff=arc_coeff, areas=areas)
 

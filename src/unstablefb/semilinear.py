@@ -11,11 +11,17 @@ bordered system
 with one GMRES solve (Saad and Schultz 1986).  K is nonsymmetric, since
 the kappa column b1 is not the pin row e, and its (1,1) block may be
 indefinite; that is the expected instability of the problem, not an error.
-The preconditioner is the exact inverse of the bordered Laplacian
-[[A, b1], [e, 0]], which costs one Laplacian inverse because A 1 = b1.
-K differs from it by a diagonal supported on the smoothing band, so GMRES
-needs few iterations, and an inexact-Newton forcing term (Dembo, Eisenstat
-and Steihaug 1982) stops it well before the rounding level.
+GMRES is right-preconditioned by the exact inverse of the bordered
+Laplacian P = [[A, b1], [e, 0]], which costs one Laplacian inverse because
+A 1 = b1.  K differs from P by the diagonal on the smoothing band, so
+K P^-1 v = v - [area f_eps'(u) (P^-1 v)_1; 0] needs no product with A:
+each Krylov iteration is one Laplacian inverse.  With right
+preconditioning the Arnoldi residual estimate is the residual of K itself
+(Saad, Iterative Methods for Sparse Linear Systems, 2003, 9.3), so the
+inexact-Newton forcing term (Dembo, Eisenstat and Steihaug 1982) is tested
+on it, and one product with K at the end of each GMRES cycle confirms the
+true residual.  A 256^2 cross run makes 25 Laplacian inverses in its ten
+Newton steps, a 256^2 asterisk run 66.
 """
 from __future__ import annotations
 
@@ -25,7 +31,6 @@ import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .field import ScalarField, eval_origin, origin_weight_vector, write_field_csv, write_field_vtk
 from .mesh import PolarGrid
@@ -158,15 +163,16 @@ ROUNDING_FACTOR = 4.0
 # The tolerance on R1 is raised to that level by at most this factor; a
 # tolerance set further below what the arithmetic resolves stays unreachable.
 MAX_TOL_RELAXATION = 100.0
-# Forcing term of the Newton step: GMRES stops once the true residual of the
-# bordered system is this fraction of |[R1; R2]|.  Every stage then takes the
-# Newton iterations it takes with exact solves.  Not much tighter: the
-# attainable residual grows with n_r (first stage of the asterisk: 1.6e-10
-# at 4096 x 8 cells, 6.2e-10 at 8192 x 8, 4.0e-8 at 65536 x 8), so 1e-8
-# already fails on the finest grid in use.
+# Forcing term of the Newton step: GMRES stops once the residual of the
+# bordered system is this fraction of |[R1; R2]|, estimated by the Givens
+# rotations and confirmed by one product with K per cycle.  Every stage
+# then takes the Newton iterations it takes with exact solves.  Not much
+# tighter: the attainable residual grows with n_r (first stage of the
+# asterisk: 1.6e-10 at 4096 x 8 cells, 6.2e-10 at 8192 x 8, 4.0e-8 at
+# 65536 x 8), so 1e-8 already fails on the finest grid in use.
 KRYLOV_RTOL = 1e-6
-# A solve takes 2-4 iterations on the 256^2 cross, 4-9 on the 256^2
-# asterisk and at most 16 at 65536 x 8 cells, so one basis of
+# A solve takes 2-3 iterations on the 256^2 cross, 4-7 on the 256^2
+# asterisk and at most 13 at 65536 x 8 cells, so one basis of
 # KRYLOV_RESTART vectors holds a whole solve; a solve that reaches
 # KRYLOV_MAXITER iterations (a multiple of the restart) has not converged.
 KRYLOV_RESTART = 40
@@ -226,31 +232,84 @@ def _bordered_inverse(lap: DiscreteLaplacian, e: np.ndarray, v: np.ndarray) -> n
     return np.append(z - t, t)
 
 
+def _gmres(b: np.ndarray, matvec, precond_step) -> tuple[np.ndarray, int, float]:
+    """Restarted GMRES for K x = b, right-preconditioned by P.
+
+    precond_step(v) returns (z, K z) with z = P^-1 v.  The basis holds the
+    Arnoldi vectors v_j and their images z_j (the flexible-GMRES storage),
+    so x = sum y_j z_j needs no further inverse.  With right
+    preconditioning the Givens estimate |g_{j+1}| is the residual of K x = b
+    itself, and an iteration stops once it reaches KRYLOV_RTOL |b|.  Each
+    cycle ends with one product K x to confirm the true residual; a miss
+    restarts from x.  Returns (x, iterations, |b - K x| / |b|); the solve
+    has converged iff that ratio is at most KRYLOV_RTOL.
+    """
+    b_norm = float(np.linalg.norm(b))
+    target = KRYLOV_RTOL * b_norm
+    x = np.zeros_like(b)
+    r, beta = b, b_norm
+    iterations = 0
+    while beta > target and iterations < KRYLOV_MAXITER:
+        basis, images, columns, rotations = [r / beta], [], [], []
+        g = [beta]
+        for _ in range(min(KRYLOV_RESTART, KRYLOV_MAXITER - iterations)):
+            z, w = precond_step(basis[-1])
+            images.append(z)
+            iterations += 1
+            h = []
+            for v in basis:  # modified Gram-Schmidt
+                h.append(float(w @ v))
+                w = w - h[-1] * v
+            h.append(float(np.linalg.norm(w)))
+            for i, (c, s) in enumerate(rotations):
+                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+            rho = math.hypot(h[-2], h[-1])
+            c, s = h[-2] / rho, h[-1] / rho
+            rotations.append((c, s))
+            h[-2] = rho
+            g.append(-s * g[-1])
+            g[-2] *= c
+            columns.append(h[:-1])
+            if abs(g[-1]) <= target:
+                break
+            basis.append(w / h[-1])
+        # back substitution on the rotated Hessenberg matrix
+        m = len(columns)
+        y = [0.0] * m
+        for i in reversed(range(m)):
+            y[i] = (g[i] - sum(columns[k][i] * y[k] for k in range(i + 1, m))) / columns[i][i]
+        for yi, z in zip(y, images):
+            x = x + yi * z
+        r = b - matvec(x)
+        beta = float(np.linalg.norm(r))
+    return x, iterations, beta / b_norm if b_norm else 0.0
+
+
 def _newton_direction(lap: DiscreteLaplacian, e: np.ndarray, b1: np.ndarray,
                       shift: np.ndarray, r1: np.ndarray, r2: float
                       ) -> tuple[np.ndarray, float, float | None]:
-    """Solve K [du; dkappa] = -[r1; r2] by preconditioned GMRES.
+    """Solve K [du; dkappa] = -[r1; r2] by right-preconditioned GMRES.
 
-    K has the (1,1) block A - diag(shift), the column b1 and the row e.
+    K has the (1,1) block A - diag(shift), the column b1 and the row e;
+    P = [[A, b1], [e, 0]] differs from it by the diagonal shift alone, so
+    for z = P^-1 v the product K z = v - [shift * z[:-1]; 0] costs no
+    product with A: each Krylov iteration is one Laplacian inverse.  Only
+    the true residual at the end of a GMRES cycle multiplies by A.
     Returns (du, dkappa, missed): missed is None when the true relative
     residual meets KRYLOV_RTOL, and that residual otherwise.
     """
-    n = lap.matrix.shape[0]
+    def bordered(x):
+        du = x[:-1]
+        return np.append(lap.matrix @ du - shift * du + x[-1] * b1, e @ du)
 
-    def bordered(v):
-        du = v[:-1]
-        return np.append(lap.matrix @ du - shift * du + v[-1] * b1, e @ du)
+    def precond_step(v):
+        z = _bordered_inverse(lap, e, v)
+        kz = v.copy()
+        kz[:-1] -= shift * z[:-1]
+        return z, kz
 
-    K = LinearOperator((n + 1, n + 1), matvec=bordered, dtype=float)
-    M = LinearOperator((n + 1, n + 1), matvec=lambda v: _bordered_inverse(lap, e, v),
-                       dtype=float)
-    rhs = -np.append(r1, r2)
-    x, info = gmres(K, rhs, rtol=KRYLOV_RTOL, restart=KRYLOV_RESTART,
-                    maxiter=KRYLOV_MAXITER // KRYLOV_RESTART, M=M)
-    missed = None
-    if info != 0:
-        missed = float(np.linalg.norm(bordered(x) - rhs) / np.linalg.norm(rhs))
-    return x[:-1], float(x[-1]), missed
+    x, _, relres = _gmres(-np.append(r1, r2), bordered, precond_step)
+    return x[:-1], float(x[-1]), None if relres <= KRYLOV_RTOL else relres
 
 
 def newton_stage(
@@ -329,9 +388,13 @@ def solve_fixed_point(grid: PolarGrid, g_arc, config: ContinuationConfig | None 
                       g_label: str = "") -> Solution:
     """Continuation in eps with warm-started bordered Newton stages.
 
-    Deterministic: identical inputs produce bit-identical solutions (the
-    Krylov solves and the DCTs of the preconditioner run in a fixed order
-    on one worker).
+    Each Newton step is one right-preconditioned GMRES solve: one Laplacian
+    inverse per Krylov iteration and one product with A per GMRES cycle, to
+    confirm the true residual (2-3 iterations per step on the 256^2 cross).
+
+    Deterministic: identical inputs produce bit-identical solutions under
+    the same BLAS thread count (the Krylov solves and the DCTs of the
+    preconditioner run in a fixed order, the DCTs on one worker).
     """
     if config is None:
         config = ContinuationConfig()

@@ -6,6 +6,7 @@ test stays around a second.
 
 import inspect
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,64 @@ class TestRerun:
         assert not replay.exists()
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_r", [64]), ("M", "40"), ("eps_min", None), ("k", True), ("newton_tol", {}),
+    ])
+    def test_parameter_of_wrong_type_exits_2_naming_it(self, solve_run, tmp_path, capsys,
+                                                       key, value):
+        out, _ = solve_run
+        raw = json.loads((out / "manifest.json").read_text())
+        raw["parameters"][key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw))
+        replay = tmp_path / "replay"
+        assert main(["rerun", str(path), "--out", str(replay)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"parameter {key} must be" in err
+        assert not replay.exists()
+
+
+class TestThreadSettings:
+    def test_recorded_outside_parameters_and_headline(self, solve_run):
+        out, m = solve_run
+        raw = json.loads((out / "manifest.json").read_text())
+        assert cli.THREAD_VARS == ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                   "MKL_NUM_THREADS")
+        assert raw["threads"] == [os.environ.get(var) for var in cli.THREAD_VARS]
+        assert not set(cli.THREAD_VARS) & (set(m.parameters) | set(m.headline))
+
+    def test_other_settings_keep_hash_and_comparison(self, solve_run, tmp_path, monkeypatch):
+        # the pool of a loaded BLAS keeps its size, so the replay is unchanged
+        out, m = solve_run
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        fresh, same = rerun_manifest(out / "manifest.json", tmp_path / "replay")
+        assert same
+        assert fresh.content_hash == m.content_hash
+        assert fresh.threads[2] == "3"
+
+    @pytest.mark.parametrize("threads, noted", [
+        (["64", None, None], True),
+        ("current", False),
+        (None, False),
+    ], ids=["other", "same", "unrecorded"])
+    def test_differs_names_other_thread_settings(self, solve_run, tmp_path, capsys,
+                                                 threads, noted):
+        out, _ = solve_run
+        raw = json.loads((out / "manifest.json").read_text())
+        raw["headline"]["kappa"] += 1e-9
+        if threads is None:
+            del raw["threads"]
+        elif threads != "current":
+            raw["threads"] = threads
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw))
+        assert main(["rerun", str(path), "--out", str(tmp_path / "replay")]) == 4
+        printed = capsys.readouterr().out
+        assert "DIFFERS" in printed
+        assert ("thread settings" in printed) == noted
+
+
 class TestScanDriver:
     def test_small_scan(self, tmp_path):
         m = run_threshold_scan([0.0, 2.0, 4.0], 0.5, tmp_path,
@@ -230,6 +289,20 @@ class TestScanDriver:
         path.write_text(json.dumps(raw))
         replay = tmp_path / "replay"
         assert main(["rerun", str(path), "--out", str(replay)]) == 2
+        assert not replay.exists()
+
+    @pytest.mark.parametrize("key, value", [("M_values", 3), ("M_values", [0, "4"]),
+                                            ("mc_samples", "many"), ("C1", [0.5])])
+    def test_rerun_with_parameter_of_wrong_type_exits_2(self, tmp_path, capsys, key, value):
+        recorded = tmp_path / "recorded"
+        run_threshold_scan([0.0, 4.0], 0.5, recorded, n_r=64, n_phi=64, mc_samples=1000)
+        raw = json.loads((recorded / "manifest.json").read_text())
+        raw["parameters"][key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw))
+        replay = tmp_path / "replay"
+        assert main(["rerun", str(path), "--out", str(replay)]) == 2
+        assert f"error: parameter {key} must be" in capsys.readouterr().err
         assert not replay.exists()
 
     def test_all_positive_scan_has_no_threshold(self, tmp_path):

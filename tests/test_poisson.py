@@ -9,9 +9,11 @@ is also checked against a sparse LU factorization of the assembled matrix.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from unstablefb import SolverError
+from unstablefb.poisson import _transmissibilities
 
 from conftest import degree2_field
 
@@ -39,7 +41,39 @@ def harmonic_error(n: int) -> float:
     return float(np.max(np.abs(u.values - exact.values)))
 
 
+def coo_assembly(grid):
+    """Reference: the 5-point matrix stacked face by face as COO triplets,
+    duplicates summed by the conversion to CSC."""
+    n_r, n_phi = grid.shape
+    cells = np.arange(grid.size).reshape(n_r, n_phi)
+    t_radial, t_angular, arc_coeff = _transmissibilities(grid)
+
+    def faces(c1, c2, t):
+        t = np.broadcast_to(t[:, None], c1.shape)
+        return (np.stack([c1, c2, c1, c2], axis=1).ravel(),
+                np.stack([c1, c2, c2, c1], axis=1).ravel(),
+                np.stack([t, t, -t, -t], axis=1).ravel())
+
+    radial = faces(cells[:-1], cells[1:], t_radial)
+    angular = faces(cells[:, :-1], cells[:, 1:], t_angular)
+    outer = cells[-1]
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(
+        radial, angular, (outer, outer, np.full(n_phi, arc_coeff))))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(grid.size, grid.size)).tocsc()
+
+
 class TestAssembly:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("n_r, n_phi", [(32, 32), (64, 8), (8, 64), (40, 24), (4096, 8)])
+    def test_csr_matches_coo_assembly(self, k, n_r, n_phi):
+        A = assemble(build_sector_grid(k, n_r, n_phi)).matrix
+        ref = coo_assembly(build_sector_grid(k, n_r, n_phi)).tocsr()
+        ref.sort_indices()
+        assert A.format == "csr" and A.has_sorted_indices
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert np.all(np.abs(A.data - ref.data) <= 1e-15 * np.abs(ref.data))
+
     def test_matrix_is_symmetric(self):
         for k in (1, 2, 4):
             lap = assemble(build_sector_grid(k, 16, 16))
@@ -92,7 +126,7 @@ def lu_oracle(lap, F, g_arc):
     """Reference solve: sparse LU of the assembled matrix."""
     g = lap.grid
     rhs = lap.lift(g_arc(g.phi)) - lap.areas * F(g.r[:, None], g.phi[None, :]).ravel()
-    return spla.splu(lap.matrix).solve(rhs).reshape(g.shape)
+    return spla.splu(lap.matrix.tocsc()).solve(rhs).reshape(g.shape)
 
 
 class TestBackends:

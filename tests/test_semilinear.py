@@ -47,7 +47,7 @@ def lu_continuation(grid, g, cfg):
             if np.max(np.abs(r1)) <= cfg.newton_tol and abs(r2) <= cfg.newton_tol:
                 break
             jac = lap.matrix - sp.diags(lap.areas * f_eps_prime(u, eps), format="csc")
-            lu = spla.splu(jac)
+            lu = spla.splu(jac.tocsc())
             w1, w2 = lu.solve(r1), lu.solve(b1)
             dkappa = (r2 - float(e @ w1)) / float(e @ w2)
             u, kappa = u - w1 - dkappa * w2, kappa + dkappa
@@ -74,6 +74,29 @@ def bordered_matrix(lap, e, b1, shift):
     """K = [[A - diag(shift), b1], [e, 0]] as a sparse matrix."""
     return sp.bmat([[lap.matrix - sp.diags(shift), sp.csc_matrix(b1[:, None])],
                     [sp.csr_matrix(e[None, :]), None]], format="csc")
+
+
+def assert_step_meets_forcing_term():
+    """|K step + R| <= KRYLOV_RTOL |R| for Newton steps on a 64^2 cross,
+    with K assembled as a sparse matrix."""
+    grid = build_sector_grid(2, 64, 64)
+    lap = assemble(grid)
+    g = 40.0 * np.cos(2.0 * grid.phi)
+    u0, kappa = initial_guess(grid, g, lap)
+    # off the pin, so that R2 enters the step as well as R1
+    u = u0.values.ravel() + 1e-3 * np.cos(grid.r).repeat(grid.n_phi)
+    e = origin_weight_vector(grid)
+    b1 = lap.lift(np.ones(grid.n_phi))
+    for eps in (0.2, 0.05):
+        r1, r2 = semilinear._residual(lap, e, u, kappa, g, eps)
+        shift = lap.areas * f_eps_prime(u, eps)
+        assert abs(r2) > 1e-4
+        du, dkappa, missed = semilinear._newton_direction(lap, e, b1, shift, r1, r2)
+        assert missed is None
+        res = np.append(r1, r2)
+        K = bordered_matrix(lap, e, b1, shift)
+        assert np.linalg.norm(K @ np.append(du, dkappa) + res) \
+            <= semilinear.KRYLOV_RTOL * np.linalg.norm(res)
 
 
 class TestSmoothedIndicator:
@@ -240,24 +263,62 @@ class TestNewtonStage:
             assert np.max(np.abs(P @ x - v)) <= 1e-12 * p_norm * np.max(np.abs(x))
 
     def test_step_meets_forcing_term(self):
-        grid = build_sector_grid(2, 64, 64)
+        assert_step_meets_forcing_term()
+
+    @pytest.mark.parametrize("restart", [2, 1])
+    def test_restarted_step_meets_forcing_term(self, monkeypatch, restart):
+        # short cycles confirm the true residual and restart from x
+        monkeypatch.setattr(semilinear, "KRYLOV_RESTART", restart)
+        assert_step_meets_forcing_term()
+
+    def test_one_laplacian_inverse_per_krylov_iteration(self, monkeypatch):
+        grid = build_sector_grid(2, 96, 96)
         lap = assemble(grid)
         g = 40.0 * np.cos(2.0 * grid.phi)
         u0, kappa = initial_guess(grid, g, lap)
-        # off the pin, so that R2 enters the step as well as R1
-        u = u0.values.ravel() + 1e-3 * np.cos(grid.r).repeat(grid.n_phi)
-        e = origin_weight_vector(grid)
-        b1 = lap.lift(np.ones(grid.n_phi))
-        for eps in (0.2, 0.05):
-            r1, r2 = semilinear._residual(lap, e, u, kappa, g, eps)
-            shift = lap.areas * f_eps_prime(u, eps)
-            assert abs(r2) > 1e-4
-            du, dkappa, missed = semilinear._newton_direction(lap, e, b1, shift, r1, r2)
-            assert missed is None
-            res = np.append(r1, r2)
-            K = bordered_matrix(lap, e, b1, shift)
-            assert np.linalg.norm(K @ np.append(du, dkappa) + res) \
-                <= semilinear.KRYLOV_RTOL * np.linalg.norm(res)
+        inverses, iterations = [], []
+        apply_inverse, gmres = lap.apply_inverse, semilinear._gmres
+
+        def counted_inverse(rhs):
+            inverses.append(rhs.size)
+            return apply_inverse(rhs)
+
+        def counted_gmres(*args):
+            x, its, relres = gmres(*args)
+            iterations.append(its)
+            return x, its, relres
+
+        monkeypatch.setattr(lap, "apply_inverse", counted_inverse)
+        monkeypatch.setattr(semilinear, "_gmres", counted_gmres)
+        u = u0.values.ravel()
+        for eps in (0.2, 0.1):
+            cfg = ContinuationConfig(eps_start=eps, eps_min=eps)
+            u, kappa, _, _, _ = newton_stage(lap, u, kappa, eps, g, cfg)
+        assert len(iterations) >= 2 and all(its >= 1 for its in iterations)
+        assert len(inverses) == sum(iterations)
+
+    @pytest.mark.parametrize("restart", [semilinear.KRYLOV_RESTART, 3])
+    def test_gmres_solves_a_small_nonsymmetric_system(self, monkeypatch, restart):
+        # the Givens estimate is the true residual, so every cycle but the
+        # last runs to the restart and one product with K ends each cycle
+        monkeypatch.setattr(semilinear, "KRYLOV_RESTART", restart)
+        rng = np.random.default_rng(11)
+        n = 40
+        K = np.eye(n) + 0.4 * rng.standard_normal((n, n)) / np.sqrt(n)
+        b = rng.standard_normal(n)
+        products = []
+
+        def matvec(v):
+            products.append(v)
+            return K @ v
+
+        x, its, relres = semilinear._gmres(b, matvec, lambda v: (v, K @ v))
+        assert its > 3
+        assert len(products) == -(-its // restart)
+        assert relres <= semilinear.KRYLOV_RTOL
+        assert relres == pytest.approx(np.linalg.norm(b - K @ x) / np.linalg.norm(b),
+                                       rel=1e-12)
+        assert np.max(np.abs(x - np.linalg.solve(K, b))) <= 1e-4
 
     @pytest.mark.parametrize("k, g_fn, eps, offset", [
         (2, lambda p: 40.0 * np.cos(2.0 * p), 0.2, 0.0),
