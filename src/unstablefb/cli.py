@@ -169,9 +169,12 @@ DEFAULT_ARC_RADII = [0.05 + 0.025 * n for n in range(11)]  # 0.05 .. 0.30
 
 
 def _number(name: str, value, kind=float):
-    """kind(value); ValueError naming the parameter unless value is a real number."""
+    """kind(value); ValueError naming the parameter unless value is a real
+    number, and for kind int one without a fractional part (64.0 passes)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"parameter {name} must be a number, got {value!r}")
+    if kind is int and not (math.isfinite(value) and value == int(value)):
+        raise ValueError(f"parameter {name} must be an integer, got {value!r}")
     return kind(value)
 
 
@@ -210,6 +213,8 @@ def _failure(exc) -> dict:
         return {
             "kind": "continuation_stage",
             "eps": stage.eps,
+            "n_r": stage.n_r,
+            "n_phi": stage.n_phi,
             "iterations": stage.iterations,
             "residual": stage.residual,
             "linear_residual": stage.linear_residual,

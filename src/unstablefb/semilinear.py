@@ -20,8 +20,17 @@ preconditioning the Arnoldi residual estimate is the residual of K itself
 (Saad, Iterative Methods for Sparse Linear Systems, 2003, 9.3), so the
 inexact-Newton forcing term (Dembo, Eisenstat and Steihaug 1982) is tested
 on it, and one product with K at the end of each GMRES cycle confirms the
-true residual.  A 256^2 cross run makes 25 Laplacian inverses in its ten
-Newton steps, a 256^2 asterisk run 66.
+true residual.
+
+The eps continuation is grid-sequenced (nested iteration; Briggs, Henson
+and McCormick, A Multigrid Tutorial, 2000, ch. 3): the ladder halves eps
+while each coarser level of the grid doubles dr, so every stage runs on
+the coarsest level whose resolution floor admits its eps, and only the
+last stage runs on the given grid.  A 256^2 cross run climbs 16^2, 32^2,
+..., 256^2, one level per stage: its eleven Newton steps make 26 Laplacian
+inverses, 5 of them on 256^2 (25 inverses, all on 256^2, with every stage
+on the given grid).  A 256^2 asterisk run makes 70, 18 of them on 256^2
+(66).
 """
 from __future__ import annotations
 
@@ -113,6 +122,8 @@ class Solution:
     pde_residual: float
     origin_residual: float
     newton_iters: list[int]
+    # [n_r, n_phi] of the grid each eps stage ran on, beside newton_iters
+    stage_grids: list[list[int]]
     eps_schedule: list[float]
     g_values: np.ndarray
     g_label: str = ""
@@ -128,13 +139,14 @@ class Solution:
 class StageFailed(RuntimeError):
     """Newton failed to converge at one continuation stage."""
 
-    def __init__(self, eps: float, iterations: int, residual: float, reason: str,
-                 linear_residual: float | None = None):
+    def __init__(self, eps: float, grid: PolarGrid, iterations: int, residual: float,
+                 reason: str, linear_residual: float | None = None):
         super().__init__(
-            f"stage eps={eps:g} failed after {iterations} iterations"
-            f" (residual {residual:.3e}): {reason}"
+            f"stage eps={eps:g} on {grid.n_r}x{grid.n_phi} cells failed after"
+            f" {iterations} iterations (residual {residual:.3e}): {reason}"
         )
         self.eps = eps
+        self.n_r, self.n_phi = grid.n_r, grid.n_phi
         self.iterations = iterations
         self.residual = residual
         self.reason = reason
@@ -143,7 +155,11 @@ class StageFailed(RuntimeError):
 
 
 class FixedPointError(RuntimeError):
-    """Continuation aborted; carries the last converged stage if any."""
+    """Continuation aborted; carries the last converged stage if any.
+
+    The stages run on coarser levels of the grid before the last one, so
+    partial may live on a coarser grid than the one that was asked for.
+    """
 
     def __init__(self, stage: StageFailed, partial: Solution | None):
         super().__init__(str(stage))
@@ -362,7 +378,7 @@ def newton_stage(
         shift = lap.areas * f_eps_prime(u, eps)
         du, dkappa, missed = _newton_direction(lap, e, b1, shift, r1, r2)
         if missed is not None:
-            raise StageFailed(eps, it, res1,
+            raise StageFailed(eps, grid, it, res1,
                               f"GMRES did not reach the relative residual {KRYLOV_RTOL:g}"
                               f" (achieved {missed:.3e})", linear_residual=missed)
 
@@ -379,18 +395,83 @@ def newton_stage(
                 break
             lam *= ARMIJO_SHRINK
         if not accepted:
-            raise StageFailed(eps, it, float(np.max(np.abs(r1))), "line search stalled")
-    raise StageFailed(eps, config.max_newton, float(np.max(np.abs(r1))),
+            raise StageFailed(eps, grid, it, float(np.max(np.abs(r1))), "line search stalled")
+    raise StageFailed(eps, grid, config.max_newton, float(np.max(np.abs(r1))),
                       "iteration cap reached")
+
+
+def _grid_levels(grid: PolarGrid) -> list[PolarGrid]:
+    """The grid and its coarser levels, coarsest first.
+
+    Each level halves n_r while n_r is even and n_r / 2 >= 8, and halves
+    n_phi in the same step only if n_phi is even and n_phi / 2 >= 8, so
+    thin grids such as 65536 x 8 coarsen in r alone.  Cell-centered levels
+    nest: coarse cell (i, j) covers the fine cells 2i..2i+1 in r and 2j..2j+1
+    in phi (j alone when n_phi was kept).
+    """
+    levels = [grid]
+    n_r, n_phi = grid.n_r, grid.n_phi
+    while n_r % 2 == 0 and n_r // 2 >= 8:
+        n_r //= 2
+        if n_phi % 2 == 0 and n_phi // 2 >= 8:
+            n_phi //= 2
+        levels.append(PolarGrid(n_r, n_phi, grid.copies))
+    return levels[::-1]
+
+
+def _stage_levels(levels: list[PolarGrid], schedule: list[float]) -> list[int]:
+    """Index into levels (coarsest first) of the grid each eps stage runs on.
+
+    A stage runs on the coarsest level whose floor EPS_FLOOR_CELLS * dr it
+    meets, never on a coarser level than the stage before, and the last
+    stage on the finest level, which the caller has checked admits eps_min.
+    """
+    placed, level = [], 0
+    for eps in schedule[:-1]:
+        while eps < EPS_FLOOR_CELLS * levels[level].dr:
+            level += 1
+        placed.append(level)
+    return placed + [len(levels) - 1]
+
+
+def _interpolation(coarse: np.ndarray, fine: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, t) with fine = (1 - t) coarse[i] + t coarse[i + 1] for increasing
+    coarse nodes; t leaves [0, 1] outside the coarse range (extrapolation)."""
+    i = np.clip(np.searchsorted(coarse, fine) - 1, 0, coarse.size - 2)
+    return i, (fine - coarse[i]) / (coarse[i + 1] - coarse[i])
+
+
+def _prolong(u: np.ndarray, coarse: PolarGrid, fine: PolarGrid) -> np.ndarray:
+    """Flat cell values of coarse interpolated onto fine, linearly in r, then in phi.
+
+    Linear extrapolation past the innermost and outermost ring centers; a
+    constant beyond the outermost phi centers, which is linear
+    interpolation against the mirror image across the sector edge.
+    """
+    u = u.reshape(coarse.shape)
+    i, t = _interpolation(coarse.r, fine.r)
+    u = (1.0 - t)[:, None] * u[i] + t[:, None] * u[i + 1]
+    j, s = _interpolation(coarse.phi, fine.phi)
+    s = np.clip(s, 0.0, 1.0)
+    return ((1.0 - s) * u[:, j] + s * u[:, j + 1]).ravel()
 
 
 def solve_fixed_point(grid: PolarGrid, g_arc, config: ContinuationConfig | None = None,
                       g_label: str = "") -> Solution:
-    """Continuation in eps with warm-started bordered Newton stages.
+    """Grid-sequenced continuation in eps with warm-started bordered Newton stages.
+
+    Each stage runs on the coarsest level of the grid (`_grid_levels`)
+    whose floor EPS_FLOOR_CELLS * dr admits its eps, and the last stage on
+    the grid itself.  The ladder halves eps while each level halves dr, so
+    it climbs one level per stage.  The linear predictor runs on the first
+    level; where the level changes, u is prolonged linearly (`_prolong`)
+    and kappa carried over.  Coarse levels see the fine arc data averaged
+    over the fine cells of each coarse cell.
 
     Each Newton step is one right-preconditioned GMRES solve: one Laplacian
     inverse per Krylov iteration and one product with A per GMRES cycle, to
     confirm the true residual (2-3 iterations per step on the 256^2 cross).
+    The last stage takes 2 Newton iterations on the 256^2 cross.
 
     Deterministic: identical inputs produce bit-identical solutions under
     the same BLAS thread count (the Krylov solves and the DCTs of the
@@ -406,29 +487,38 @@ def solve_fixed_point(grid: PolarGrid, g_arc, config: ContinuationConfig | None 
             f"eps_min={schedule[-1]:g} below the resolution floor "
             f"{EPS_FLOOR_CELLS * grid.dr:g} of a {grid.n_r}x{grid.n_phi} grid"
         )
-    lap = assemble(grid)
-    g = _arc_values(grid, g_arc)
-    u_field, kappa = initial_guess(grid, g, lap)
-    u = u_field.values.ravel()
+    g_fine = _arc_values(grid, g_arc)
+    levels = _grid_levels(grid)
+    placed = [levels[i] for i in _stage_levels(levels, schedule)]
 
     iters: list[int] = []
     trans: list[float] = []
-    pde_res = origin_res = math.inf
+    lap: DiscreteLaplacian | None = None
     last_good: Solution | None = None
-    for eps in schedule:
+    for eps, here in zip(schedule, placed):
+        if lap is None or lap.grid is not here:
+            # cell averages of the fine arc data over each coarse arc cell
+            g = g_fine.reshape(here.n_phi, -1).mean(axis=1)
+            coarse, lap = lap, assemble(here)
+            if coarse is None:
+                u_field, kappa = initial_guess(here, g, lap)
+                u = u_field.values.ravel()
+            else:
+                u = _prolong(u, coarse.grid, here)
         try:
             u, kappa, n_it, pde_res, origin_res = newton_stage(lap, u, kappa, eps, g, config)
         except StageFailed as exc:
             raise FixedPointError(exc, last_good) from exc
         iters.append(n_it)
-        trans.append(transition_measure(ScalarField(grid, u.reshape(grid.shape)), eps))
+        trans.append(transition_measure(ScalarField(here, u.reshape(here.shape)), eps))
         last_good = Solution(
-            u=ScalarField(grid, u.reshape(grid.shape).copy()),
+            u=ScalarField(here, u.reshape(here.shape).copy()),
             kappa=float(kappa),
             eps=eps,
             pde_residual=pde_res,
             origin_residual=origin_res,
             newton_iters=list(iters),
+            stage_grids=[[level.n_r, level.n_phi] for level in placed[: len(iters)]],
             eps_schedule=schedule[: len(iters)],
             g_values=g,
             g_label=g_label,
@@ -476,6 +566,7 @@ def export_solution(sol: Solution, out_dir, basename: str = "solution") -> list[
         "eps": sol.eps,
         "eps_schedule": sol.eps_schedule,
         "newton_iters": sol.newton_iters,
+        "stage_grids": sol.stage_grids,
         "pde_residual": sol.pde_residual,
         "origin_residual": sol.origin_residual,
         "transition_measures": sol.transition_measures,

@@ -86,6 +86,8 @@ class TestFailurePath:
         assert m.failure  # reason recorded
         stored = json.loads((tmp_path / "manifest.json").read_text())
         assert stored["status"] == "solver_failure"
+        # the grid of the failed stage, which may be a coarser level
+        assert (stored["failure"]["n_r"], stored["failure"]["n_phi"]) == (32, 32)
 
     def test_unconverged_krylov_solve_reports_its_residual(self, tmp_path, gmres_capped):
         m = run_solve(2, M=40.0, n_r=32, n_phi=32, eps_min=0.1,
@@ -213,6 +215,55 @@ class TestRerun:
         assert err.startswith("error:")
         assert f"parameter {key} must be" in err
         assert not replay.exists()
+
+
+    @pytest.mark.parametrize("key, value", [("n_r", 64.5), ("n_phi", 63.9999), ("k", 2.5),
+                                            ("n_r", float("inf"))])
+    def test_fractional_integer_parameter_exits_2_naming_it(self, solve_run, tmp_path,
+                                                            capsys, key, value):
+        out, _ = solve_run
+        raw = json.loads((out / "manifest.json").read_text())
+        raw["parameters"][key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw))
+        replay = tmp_path / "replay"
+        assert main(["rerun", str(path), "--out", str(replay)]) == 2
+        assert f"error: parameter {key} must be an integer" in capsys.readouterr().err
+        assert not replay.exists()
+
+    def test_integral_float_parameters_replay_identically(self, solve_run, tmp_path):
+        out, m = solve_run
+        raw = json.loads((out / "manifest.json").read_text())
+        raw["parameters"].update(n_r=64.0, n_phi=64.0, k=2.0)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw))
+        fresh, same = rerun_manifest(path, tmp_path / "replay")
+        assert same
+        assert fresh.parameters == m.parameters
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("key", ["n_r", "n_phi"])
+    def test_solve_rejects_a_fractional_grid_size(self, tmp_path, key):
+        grid = {"n_r": 32, "n_phi": 32, key: 32.7}
+        with pytest.raises(ValueError, match=f"parameter {key} must be an integer, got 32.7"):
+            run_solve(2, 40.0, eps_min=0.1, eps_start=0.1, out_dir=tmp_path, **grid)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key, value", [("mc_samples", 1000.5), ("mc_seed", 0.25),
+                                            ("n_r", 64.1), ("n_phi", float("nan"))])
+    def test_scan_rejects_a_fractional_integer(self, tmp_path, key, value):
+        settings = {"n_r": 64, "n_phi": 64, "mc_samples": 1000, key: value}
+        with pytest.raises(ValueError, match=f"parameter {key} must be an integer"):
+            run_threshold_scan([0.0, 4.0], 0.5, tmp_path, **settings)
+        assert not any(tmp_path.iterdir())
+
+    def test_integral_floats_are_accepted_as_integers(self, tmp_path):
+        m = run_solve(2.0, 40.0, n_r=32.0, n_phi=32.0, eps_min=0.1, eps_start=0.1,
+                      out_dir=tmp_path)
+        assert m.status == "ok"
+        assert (m.parameters["k"], m.parameters["n_r"], m.parameters["n_phi"]) == (2, 32, 32)
+        assert all(type(m.parameters[key]) is int for key in ("k", "n_r", "n_phi"))
 
 
 class TestThreadSettings:

@@ -1,5 +1,6 @@
 """Regularized indicator properties and constrained Newton continuation."""
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from unstablefb import (
     build_disk_grid,
     build_sector_grid,
     eval_origin,
+    export_solution,
     f_eps,
     f_eps_prime,
     field_from_function,
@@ -52,6 +54,17 @@ def lu_continuation(grid, g, cfg):
             dkappa = (r2 - float(e @ w1)) / float(e @ w2)
             u, kappa = u - w1 - dkappa * w2, kappa + dkappa
         iters.append(it)
+    return u, kappa, iters
+
+
+def single_level_continuation(grid, g, cfg):
+    """Reference: the eps continuation with every stage on the given grid."""
+    lap = assemble(grid)
+    u0, kappa = initial_guess(grid, g, lap)
+    u, iters = u0.values.ravel(), []
+    for eps in cfg.schedule():
+        u, kappa, n_it, _, _ = newton_stage(lap, u, kappa, eps, g, cfg)
+        iters.append(n_it)
     return u, kappa, iters
 
 
@@ -374,7 +387,9 @@ class TestContinuation:
         cfg = ContinuationConfig(eps_start=0.2, eps_min=0.05)
         sol = solve_fixed_point(grid, g, cfg)
         u_ref, kappa_ref, iters_ref = lu_continuation(grid, g, cfg)
-        assert sol.newton_iters == iters_ref
+        # the stages before the last run on coarser levels, so only the
+        # number of stages is comparable, not the iterations of each
+        assert len(sol.newton_iters) == len(iters_ref)
         assert np.max(np.abs(sol.u.values.ravel() - u_ref)) <= 1e-9
         assert abs(sol.kappa - kappa_ref) <= 1e-9
 
@@ -396,6 +411,119 @@ class TestContinuation:
             solve_fixed_point(grid, lambda p: np.cos(2 * p), cfg)
         assert info.value.partial is None  # first stage already failed
         assert info.value.stage.eps == 0.2
+        # a one-stage schedule runs its only stage on the grid itself
+        assert (info.value.stage.n_r, info.value.stage.n_phi) == (32, 32)
+        assert "on 32x32 cells" in str(info.value)
+
+    def test_partial_solution_may_live_on_a_coarser_level(self, monkeypatch):
+        grid = build_sector_grid(2, 64, 64)
+        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.05)
+        stage = semilinear.newton_stage
+
+        def fails_on_the_finest_grid(lap, u, kappa, eps, g, config):
+            if lap.grid.n_r == grid.n_r:
+                raise StageFailed(eps, lap.grid, 0, 1.0, "forced")
+            return stage(lap, u, kappa, eps, g, config)
+
+        monkeypatch.setattr(semilinear, "newton_stage", fails_on_the_finest_grid)
+        with pytest.raises(FixedPointError) as info:
+            solve_fixed_point(grid, lambda p: 40.0 * np.cos(2.0 * p), cfg)
+        assert (info.value.stage.n_r, info.value.stage.n_phi) == (64, 64)
+        partial = info.value.partial
+        assert partial.eps == 0.1
+        assert partial.stage_grids == [[16, 16], [32, 32]]
+        assert partial.u.grid.shape == (32, 32)
+        assert partial.g_values.shape == (32,)
+        max_res, _ = residual_check(partial)
+        assert max_res <= 1e-8
+
+
+class TestGridSequencing:
+    @pytest.mark.parametrize("coarse, fine", [((16, 16), (32, 32)), ((16, 8), (32, 8)),
+                                              ((8, 8), (64, 32))])
+    def test_prolongation_is_exact_on_linear_in_r(self, coarse, fine):
+        coarse, fine = build_sector_grid(2, *coarse), build_sector_grid(2, *fine)
+        u = np.repeat(0.3 - 1.7 * coarse.r, coarse.n_phi)
+        expected = np.repeat(0.3 - 1.7 * fine.r, fine.n_phi)
+        # linear extrapolation at both radial ends
+        assert np.max(np.abs(semilinear._prolong(u, coarse, fine) - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("coarse, fine", [((16, 16), (32, 32)), ((8, 8), (32, 64))])
+    def test_prolongation_is_exact_on_linear_in_phi_away_from_edges(self, coarse, fine):
+        coarse, fine = build_sector_grid(3, *coarse), build_sector_grid(3, *fine)
+        u = np.tile(0.5 + 2.0 * coarse.phi, coarse.n_r)
+        got = semilinear._prolong(u, coarse, fine).reshape(fine.shape)
+        inside = (fine.phi >= coarse.phi[0]) & (fine.phi <= coarse.phi[-1])
+        assert np.max(np.abs(got[:, inside] - (0.5 + 2.0 * fine.phi[inside]))) <= 1e-14
+        # even reflection across the sector edges: constant beyond the end centers
+        for edge, end in ((fine.phi < coarse.phi[0], 0), (fine.phi > coarse.phi[-1], -1)):
+            assert np.max(np.abs(got[:, edge] - (0.5 + 2.0 * coarse.phi[end]))) <= 1e-14
+
+    def test_prolongation_onto_the_same_nodes_is_bitwise_exact(self):
+        # so a level that keeps n_phi copies every column's phi values as they are
+        grid = build_sector_grid(4, 16, 8)
+        u = np.random.default_rng(3).standard_normal(grid.size)
+        assert np.array_equal(semilinear._prolong(u, grid, grid), u)
+
+    def test_levels_of_a_square_grid_climb_one_per_stage(self):
+        grid = build_sector_grid(2, 256, 256)
+        levels = semilinear._grid_levels(grid)
+        assert [g.shape for g in levels] == [(n, n) for n in (8, 16, 32, 64, 128, 256)]
+        assert levels[-1] is grid and all(g.copies == 4 for g in levels)
+        schedule = ContinuationConfig(eps_min=0.0125).schedule()
+        placed = semilinear._stage_levels(levels, schedule)
+        assert [levels[i].shape for i in placed] == [(n, n) for n in (16, 32, 64, 128, 256)]
+
+    def test_thin_grids_coarsen_in_r_only(self):
+        grid = build_sector_grid(4, 65536, 8)
+        levels = semilinear._grid_levels(grid)
+        assert [g.shape for g in levels] == [(2**p, 8) for p in range(3, 17)]
+        schedule = ContinuationConfig(eps_min=3.125e-5).schedule()
+        placed = semilinear._stage_levels(levels, schedule)
+        assert len(schedule) == 14
+        assert [levels[i].n_r for i in placed] == [2**p for p in range(4, 16)] + [65536] * 2
+
+    def test_phi_halves_only_while_it_stays_even_and_at_least_8(self):
+        levels = semilinear._grid_levels(build_sector_grid(2, 64, 24))
+        assert [g.shape for g in levels] == [(8, 12), (16, 12), (32, 12), (64, 24)]
+
+    @pytest.mark.parametrize("shape", [(255, 256), (97, 96)])
+    def test_odd_radial_count_gives_one_level(self, shape):
+        grid = build_sector_grid(2, *shape)
+        assert semilinear._grid_levels(grid) == [grid]
+        schedule = ContinuationConfig(eps_min=0.05).schedule()
+        assert semilinear._stage_levels([grid], schedule) == [0] * len(schedule)
+
+    def test_last_stage_runs_on_the_grid_even_when_a_coarser_level_admits_it(self):
+        levels = semilinear._grid_levels(build_sector_grid(2, 256, 256))
+        placed = semilinear._stage_levels(levels, [0.2, 0.1])
+        assert placed == [1, 5]
+
+    @pytest.mark.parametrize("k, M, n, eps_min", [(2, 40.0, 96, 0.025), (3, 10.0, 128, 0.05)])
+    def test_matches_single_level_continuation(self, k, M, n, eps_min):
+        grid = build_sector_grid(k, n, n)
+        g = M * np.cos(k * grid.phi)
+        cfg = ContinuationConfig(eps_min=eps_min)
+        sol = solve_fixed_point(grid, g, cfg)
+        u_ref, kappa_ref, iters_ref = single_level_continuation(grid, g, cfg)
+        assert sol.u.grid is grid
+        assert len(sol.newton_iters) == len(iters_ref) == len(sol.stage_grids)
+        assert sol.stage_grids[-1] == [n, n] and sol.stage_grids[0][0] < n
+        assert sol.newton_iters[-1] <= 3
+        assert np.max(np.abs(sol.u.values.ravel() - u_ref)) <= 1e-9
+        assert abs(sol.kappa - kappa_ref) <= 1e-9 * abs(kappa_ref)
+
+    def test_sidecar_records_the_grid_of_each_stage(self, tmp_path):
+        grid = build_sector_grid(2, 64, 64)
+        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.05)
+        sol = solve_fixed_point(grid, lambda p: 40.0 * np.cos(2.0 * p), cfg)
+        assert sol.stage_grids == [[16, 16], [32, 32], [64, 64]]
+        paths = export_solution(sol, tmp_path)
+        sidecar = json.loads(open(paths[-1], encoding="utf-8").read())
+        assert sidecar["stage_grids"] == sol.stage_grids
+        assert len(sidecar["stage_grids"]) == len(sidecar["newton_iters"])
+        # each transition measure is taken on its own stage's grid
+        assert sol.transition_measures[-1] == transition_measure(sol.u, sol.eps)
 
 
 class TestTransitionMeasure:
