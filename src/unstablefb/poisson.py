@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fft import dct, idct
 from scipy.linalg.lapack import dpttrf, dpttrs
 
@@ -40,19 +39,40 @@ class SolverError(RuntimeError):
 
 @dataclass
 class DiscreteLaplacian:
-    """Assembled operator A = -L plus the Dirichlet lift structure.
+    """Operator A = -L as its face coefficients, plus the Dirichlet lift.
 
     For cell c the finite-volume balance reads
         (L u)_c + (B g)_c = area_c * (Delta u)_c + O(h^2),
     with B supported on the outer ring.  Solving Delta u = F with u = g on
-    the arc is A u = B g - area * F.
+    the arc is A u = B g - area * F.  Cell (i, j) is c = i n_phi + j.
     """
 
     grid: PolarGrid
-    matrix: sp.csr_matrix
+    radial: np.ndarray  # face between cells c and c + n_phi, size - n_phi
+    angular: np.ndarray  # face between cells c and c + 1 (0 across rings), size - 1
+    diag: np.ndarray  # diagonal of A, size
     arc_coeff: float  # per-column Dirichlet transmissibility 2*dphi/dr
     areas: np.ndarray  # flat cell areas, grid.size
     _modes: tuple | None = field(default=None, repr=False, compare=False)
+
+    def apply(self, x: np.ndarray, magnitude: bool = False) -> np.ndarray:
+        """A x for a flat vector x as the 5-point stencil, or |A| x.
+
+        Row c sums from 0 in column order c - n_phi, c - 1, c, c + 1,
+        c + n_phi, as a sorted sparse-matrix product does, so the result is
+        bitwise that product's.  The zero face between two rings adds a
+        signed zero, which changes no sum.
+        """
+        n, n_phi = x.size, self.grid.n_phi
+        off = np.add if magnitude else np.subtract
+        y = np.zeros(n)
+        term = np.empty(n)
+        off(y[n_phi:], np.multiply(self.radial, x[:-n_phi], out=term[n_phi:]), out=y[n_phi:])
+        off(y[1:], np.multiply(self.angular, x[:-1], out=term[1:]), out=y[1:])
+        y += np.multiply(self.diag, x, out=term)
+        off(y[:-1], np.multiply(self.angular, x[1:], out=term[1:]), out=y[:-1])
+        off(y[:-n_phi], np.multiply(self.radial, x[n_phi:], out=term[n_phi:]), out=y[:-n_phi])
+        return y
 
     def lift(self, g_values: np.ndarray) -> np.ndarray:
         """Flat rhs contribution B g of arc boundary values."""
@@ -97,9 +117,7 @@ def _factor_modes(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
     """
     n_r, n_phi = grid.shape
     t_radial, t_angular, arc_coeff = _transmissibilities(grid)
-    radial = np.zeros(n_r)
-    radial[:-1] += t_radial
-    radial[1:] += t_radial
+    radial = np.append(0.0, t_radial) + np.append(t_radial, 0.0)
     radial[-1] += arc_coeff
     eig = 4.0 * np.sin(0.5 * np.pi * np.arange(n_phi) / n_phi) ** 2
     d = (radial[None, :] + eig[:, None] * t_angular[None, :]).ravel()
@@ -112,41 +130,25 @@ def _factor_modes(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble(grid: PolarGrid) -> DiscreteLaplacian:
-    """Build the SPD finite-volume matrix for a sector grid, directly in CSR.
+    """Face coefficients and diagonal of the SPD finite-volume operator.
 
-    Row c = i n_phi + j couples cell (i, j) to its neighbours at columns
-    c - n_phi, c - 1, c, c + 1, c + n_phi, in that (sorted) order; a
-    neighbour outside the grid is left out.  The diagonal sums the inner
-    radial, outer radial and two angular face coefficients and then the
-    arc coefficient, in that order.
+    The diagonal of cell c sums its inner radial, outer radial and two
+    angular face coefficients and then the arc coefficient, in that order.
     """
     if grid.periodic:
         raise ValueError("the Dirichlet-arc operator is assembled on sector grids only")
-    n_r, n_phi = grid.n_r, grid.n_phi
-    n = grid.size
+    n_phi = grid.n_phi
     t_radial, t_angular, arc_coeff = _transmissibilities(grid)
-    shape = (n_r, n_phi)
-    # face coefficient toward each neighbour, 0 where the grid ends
-    inner = np.broadcast_to(np.append(0.0, t_radial)[:, None], shape)
-    outer = np.broadcast_to(np.append(t_radial, 0.0)[:, None], shape)
-    left = np.zeros(shape)
-    left[:, 1:] = t_angular[:, None]
-    right = np.zeros(shape)
-    right[:, :-1] = t_angular[:, None]
-    diag = inner + outer + right + left
-    diag[-1] += arc_coeff
-
-    i, j = np.indices(shape)
-    present = np.stack([i > 0, j > 0, np.ones(shape, dtype=bool), j < n_phi - 1,
-                        i < n_r - 1], axis=-1).reshape(n, 5)
-    cols = np.arange(n, dtype=np.int32)[:, None] + np.array([-n_phi, -1, 0, 1, n_phi],
-                                                            dtype=np.int32)
-    vals = np.stack([-inner, -left, diag, -right, -outer], axis=-1).reshape(n, 5)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1), out=indptr[1:])
-    A = sp.csr_matrix((vals[present], cols[present], indptr), shape=(n, n))
-    areas = np.repeat(grid.cell_areas, n_phi)
-    return DiscreteLaplacian(grid=grid, matrix=A, arc_coeff=arc_coeff, areas=areas)
+    radial = np.repeat(t_radial, n_phi)
+    angular = np.repeat(t_angular, n_phi)
+    angular[::n_phi] = 0.0  # no face between the ends of two rings
+    angular = angular[1:]
+    diag = np.repeat(np.append(0.0, t_radial) + np.append(t_radial, 0.0), n_phi)
+    diag[:-1] += angular
+    diag[1:] += angular
+    diag[-n_phi:] += arc_coeff
+    return DiscreteLaplacian(grid=grid, radial=radial, angular=angular, diag=diag,
+                             arc_coeff=arc_coeff, areas=np.repeat(grid.cell_areas, n_phi))
 
 
 def _arc_values(grid: PolarGrid, g_arc) -> np.ndarray:
@@ -174,19 +176,15 @@ def solve(
     raises SolverError.
     """
     grid = lap.grid
-    if F is None:
-        f_flat = np.zeros(grid.size)
-    elif isinstance(F, ScalarField):
-        f_flat = F.values.ravel()
-    elif np.isscalar(F):
-        f_flat = np.full(grid.size, float(F))
-    else:
-        f_flat = np.asarray(F, dtype=float).reshape(grid.size)
-    rhs = lap.lift(_arc_values(grid, g_arc)) - lap.areas * f_flat
+    if isinstance(F, ScalarField):
+        F = F.values
+    f = np.asarray(0.0 if F is None else F, dtype=float)
+    f = f if f.ndim == 0 else f.reshape(grid.size)
+    rhs = lap.lift(_arc_values(grid, g_arc)) - lap.areas * f
 
     u = lap.apply_inverse(rhs)
     rhs_norm = float(np.linalg.norm(rhs))
-    rel = float(np.linalg.norm(lap.matrix @ u - rhs)) / max(rhs_norm, 1e-300)
+    rel = float(np.linalg.norm(lap.apply(u) - rhs)) / max(rhs_norm, 1e-300)
     if rel > tol and rhs_norm > 0.0:
         raise SolverError("linear solve stagnated", rel)
     return ScalarField(grid, u.reshape(grid.shape))

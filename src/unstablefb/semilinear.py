@@ -128,7 +128,6 @@ class Solution:
     g_values: np.ndarray
     g_label: str = ""
     transition_measures: list[float] = dc_field(default_factory=list)
-    converged: bool = True
 
     @property
     def k(self) -> int:
@@ -204,7 +203,7 @@ EPS_FLOOR_CELLS = 2.0
 def _residual(lap: DiscreteLaplacian, e: np.ndarray, u: np.ndarray, kappa: float,
               g: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
     """Finite-volume residual R1 (area-weighted) and origin residual R2."""
-    r1 = lap.matrix @ u - lap.areas * f_eps(u, eps) - lap.lift(g - kappa)
+    r1 = lap.apply(u) - lap.areas * f_eps(u, eps) - lap.lift(g - kappa)
     r2 = float(e @ u)
     return r1, r2
 
@@ -212,7 +211,7 @@ def _residual(lap: DiscreteLaplacian, e: np.ndarray, u: np.ndarray, kappa: float
 def _rounding_level(lap: DiscreteLaplacian, u: np.ndarray, kappa: float,
                     g: np.ndarray, eps: float) -> float:
     """Size of an R1 entry at the rounding level of its evaluation at u."""
-    terms = (abs(lap.matrix) @ np.abs(u) + lap.areas * f_eps(u, eps)
+    terms = (lap.apply(np.abs(u), magnitude=True) + lap.areas * f_eps(u, eps)
              + np.abs(lap.lift(g - kappa)))
     return ROUNDING_FACTOR * np.finfo(float).eps * float(np.max(terms))
 
@@ -316,7 +315,7 @@ def _newton_direction(lap: DiscreteLaplacian, e: np.ndarray, b1: np.ndarray,
     """
     def bordered(x):
         du = x[:-1]
-        return np.append(lap.matrix @ du - shift * du + x[-1] * b1, e @ du)
+        return np.append(lap.apply(du) - shift * du + x[-1] * b1, e @ du)
 
     def precond_step(v):
         z = _bordered_inverse(lap, e, v)
@@ -570,7 +569,6 @@ def export_solution(sol: Solution, out_dir, basename: str = "solution") -> list[
         "pde_residual": sol.pde_residual,
         "origin_residual": sol.origin_residual,
         "transition_measures": sol.transition_measures,
-        "converged": sol.converged,
     }
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)

@@ -1,13 +1,15 @@
-"""Shared fixtures: cached grids, synthetic fields and a capped Krylov
-solver, used across test modules."""
+"""Shared fixtures: cached grids, synthetic fields, a capped Krylov solver
+and the sparse-matrix oracle of the Laplacian, used across test modules."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import unstablefb.semilinear as semilinear
 from unstablefb import PolarGrid, ScalarField, build_disk_grid, field_from_function
+from unstablefb.poisson import _transmissibilities
 
 
 @pytest.fixture
@@ -15,6 +17,27 @@ def gmres_capped(monkeypatch):
     """Caps the Newton stage's GMRES solve at one iteration, so it stops
     short of its tolerance."""
     monkeypatch.setattr(semilinear, "KRYLOV_MAXITER", 1)
+
+
+def coo_assembly(grid):
+    """Reference: the 5-point matrix stacked face by face as COO triplets,
+    duplicates summed by the conversion to CSC."""
+    n_r, n_phi = grid.shape
+    cells = np.arange(grid.size).reshape(n_r, n_phi)
+    t_radial, t_angular, arc_coeff = _transmissibilities(grid)
+
+    def faces(c1, c2, t):
+        t = np.broadcast_to(t[:, None], c1.shape)
+        return (np.stack([c1, c2, c1, c2], axis=1).ravel(),
+                np.stack([c1, c2, c2, c1], axis=1).ravel(),
+                np.stack([t, t, -t, -t], axis=1).ravel())
+
+    radial = faces(cells[:-1], cells[1:], t_radial)
+    angular = faces(cells[:, :-1], cells[:, 1:], t_angular)
+    outer = cells[-1]
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(
+        radial, angular, (outer, outer, np.full(n_phi, arc_coeff))))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(grid.size, grid.size)).tocsc()
 
 
 @pytest.fixture(scope="session")

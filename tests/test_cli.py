@@ -231,6 +231,19 @@ class TestRerun:
         assert f"error: parameter {key} must be an integer" in capsys.readouterr().err
         assert not replay.exists()
 
+    def test_stored_out_dir_is_ignored(self, solve_run, tmp_path):
+        out, m = solve_run
+        raw = json.loads((out / "manifest.json").read_text())
+        stored = tmp_path / "stored"
+        raw["parameters"]["out_dir"] = str(stored)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw))
+        fresh, same = rerun_manifest(path, tmp_path / "replay")
+        assert same
+        assert fresh.content_hash == m.content_hash
+        assert (tmp_path / "replay" / "manifest.json").exists()
+        assert not stored.exists()
+
     def test_integral_float_parameters_replay_identically(self, solve_run, tmp_path):
         out, m = solve_run
         raw = json.loads((out / "manifest.json").read_text())
@@ -264,6 +277,39 @@ class TestIntegerParameters:
         assert m.status == "ok"
         assert (m.parameters["k"], m.parameters["n_r"], m.parameters["n_phi"]) == (2, 32, 32)
         assert all(type(m.parameters[key]) is int for key in ("k", "n_r", "n_phi"))
+
+
+class TestNonFiniteParameters:
+    INF, NAN = float("inf"), float("nan")
+
+    @pytest.mark.parametrize("driver, key, value", [
+        (run_threshold_scan, "bisect_tol", INF), (run_threshold_scan, "C1", INF),
+        (run_threshold_scan, "M_values", [0.0, NAN]), (run_solve, "M", NAN),
+        (run_solve, "eps_min", -INF), (run_cross, "newton_tol", NAN),
+    ])
+    def test_rejected_before_writing(self, tmp_path, driver, key, value):
+        required = {run_threshold_scan: {"M_values": [0.0, 4.0]}, run_solve: {"k": 2}}
+        args = {**required.get(driver, {}), key: value}
+        with pytest.raises(ValueError, match=f"parameter {key} must be"):
+            driver(out_dir=tmp_path / "out", n_r=64, n_phi=64, **args)
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["solve", "--k", "2", "--M", "nan", "--out", str(out)]) == 2
+        assert "error: parameter M must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rerun_exits_2_naming_it(self, solve_run, tmp_path, capsys):
+        out, _ = solve_run
+        raw = json.loads((out / "manifest.json").read_text())
+        raw["parameters"]["M"] = self.INF
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw))
+        replay = tmp_path / "replay"
+        assert main(["rerun", str(path), "--out", str(replay)]) == 2
+        assert "error: parameter M must be finite, got inf" in capsys.readouterr().err
+        assert not replay.exists()
 
 
 class TestThreadSettings:

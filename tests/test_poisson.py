@@ -4,18 +4,22 @@ Two exact references: the radially symmetric response (1 - r^2)/4 to a
 unit sink with zero rim data, and the harmonic extension r^2 cos(2 phi)
 of its own rim trace on the quarter sector.  Solves happen on sector
 grids; disk fields arise later by reflection.  The separable fast solver
-is also checked against a sparse LU factorization of the assembled matrix.
+is also checked against a sparse LU factorization of the oracle matrix.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import unstablefb
 from unstablefb import SolverError
-from unstablefb.poisson import _transmissibilities
 
-from conftest import degree2_field
+from conftest import coo_assembly, degree2_field
 
 from unstablefb import (
     assemble,
@@ -41,51 +45,47 @@ def harmonic_error(n: int) -> float:
     return float(np.max(np.abs(u.values - exact.values)))
 
 
-def coo_assembly(grid):
-    """Reference: the 5-point matrix stacked face by face as COO triplets,
-    duplicates summed by the conversion to CSC."""
-    n_r, n_phi = grid.shape
-    cells = np.arange(grid.size).reshape(n_r, n_phi)
-    t_radial, t_angular, arc_coeff = _transmissibilities(grid)
-
-    def faces(c1, c2, t):
-        t = np.broadcast_to(t[:, None], c1.shape)
-        return (np.stack([c1, c2, c1, c2], axis=1).ravel(),
-                np.stack([c1, c2, c2, c1], axis=1).ravel(),
-                np.stack([t, t, -t, -t], axis=1).ravel())
-
-    radial = faces(cells[:-1], cells[1:], t_radial)
-    angular = faces(cells[:, :-1], cells[:, 1:], t_angular)
-    outer = cells[-1]
-    rows, cols, vals = (np.concatenate(parts) for parts in zip(
-        radial, angular, (outer, outer, np.full(n_phi, arc_coeff))))
-    return sp.coo_matrix((vals, (rows, cols)), shape=(grid.size, grid.size)).tocsc()
-
-
 class TestAssembly:
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("n_r, n_phi", [(32, 32), (64, 8), (8, 64), (40, 24), (4096, 8)])
     def test_csr_matches_coo_assembly(self, k, n_r, n_phi):
-        A = assemble(build_sector_grid(k, n_r, n_phi)).matrix
-        ref = coo_assembly(build_sector_grid(k, n_r, n_phi)).tocsr()
-        ref.sort_indices()
-        assert A.format == "csr" and A.has_sorted_indices
-        assert np.array_equal(A.indptr, ref.indptr)
-        assert np.array_equal(A.indices, ref.indices)
-        assert np.all(np.abs(A.data - ref.data) <= 1e-15 * np.abs(ref.data))
+        # the stencil product sums each row as a sorted CSR product does
+        grid = build_sector_grid(k, n_r, n_phi)
+        lap, ref = assemble(grid), coo_assembly(grid)
+        x = np.random.default_rng(n_r + n_phi).standard_normal(grid.size)
+        scale = abs(ref) @ np.abs(x)
+        assert np.all(np.abs(lap.apply(x) - ref @ x) <= 1e-15 * scale)
+        assert np.all(np.abs(lap.apply(np.abs(x), magnitude=True) - scale) <= 1e-15 * scale)
+
+    def test_product_is_bitwise_that_of_the_matrix(self):
+        grid = build_sector_grid(2, 256, 256)
+        lap, ref = assemble(grid), coo_assembly(grid)
+        x = np.random.default_rng(5).standard_normal(grid.size)
+        x[::3] = 0.0
+        assert np.array_equal(lap.apply(x), ref @ x)
+        assert np.array_equal(lap.apply(np.abs(x), magnitude=True), abs(ref) @ np.abs(x))
 
     def test_matrix_is_symmetric(self):
         for k in (1, 2, 4):
             lap = assemble(build_sector_grid(k, 16, 16))
-            asym = (lap.matrix - lap.matrix.T).tocoo()
-            assert len(asym.data) == 0 or np.max(np.abs(asym.data)) < 1e-15
+            A = np.column_stack([lap.apply(col) for col in np.eye(lap.grid.size)])
+            assert np.max(np.abs(A - A.T)) < 1e-15
 
     def test_matrix_is_positive_definite(self):
         lap = assemble(build_sector_grid(2, 16, 16))
         rng = np.random.default_rng(3)
         for _ in range(5):
             v = rng.standard_normal(lap.grid.size)
-            assert v @ (lap.matrix @ v) > 0.0
+            assert v @ lap.apply(v) > 0.0
+
+    def test_import_leaves_out_scipy_sparse(self):
+        # any scipy.sparse submodule imports the package itself
+        path = [str(Path(unstablefb.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        code = "import sys, unstablefb; print('scipy.sparse' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"
 
     def test_periodic_grids_are_rejected(self):
         with pytest.raises(ValueError):
@@ -123,10 +123,10 @@ class TestHarmonic:
 
 
 def lu_oracle(lap, F, g_arc):
-    """Reference solve: sparse LU of the assembled matrix."""
+    """Reference solve: sparse LU of the oracle matrix."""
     g = lap.grid
     rhs = lap.lift(g_arc(g.phi)) - lap.areas * F(g.r[:, None], g.phi[None, :]).ravel()
-    return spla.splu(lap.matrix.tocsc()).solve(rhs).reshape(g.shape)
+    return spla.splu(coo_assembly(g)).solve(rhs).reshape(g.shape)
 
 
 class TestBackends:
