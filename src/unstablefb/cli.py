@@ -173,9 +173,13 @@ def _number(name: str, value, kind=float):
     real number, and for kind int one without a fractional part (64.0 passes)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"parameter {name} must be a number, got {value!r}")
-    if kind is int and not (math.isfinite(value) and value == int(value)):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"parameter {name} must be finite, got {value!r}") from None
+    if kind is int and not (finite and value == int(value)):
         raise ValueError(f"parameter {name} must be an integer, got {value!r}")
-    if not math.isfinite(value):
+    if not finite:
         raise ValueError(f"parameter {name} must be finite, got {value!r}")
     return kind(value)
 

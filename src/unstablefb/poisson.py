@@ -63,15 +63,14 @@ class DiscreteLaplacian:
         bitwise that product's.  The zero face between two rings adds a
         signed zero, which changes no sum.
         """
-        n, n_phi = x.size, self.grid.n_phi
-        off = np.add if magnitude else np.subtract
-        y = np.zeros(n)
-        term = np.empty(n)
-        off(y[n_phi:], np.multiply(self.radial, x[:-n_phi], out=term[n_phi:]), out=y[n_phi:])
-        off(y[1:], np.multiply(self.angular, x[:-1], out=term[1:]), out=y[1:])
-        y += np.multiply(self.diag, x, out=term)
-        off(y[:-1], np.multiply(self.angular, x[1:], out=term[1:]), out=y[:-1])
-        off(y[:-n_phi], np.multiply(self.radial, x[n_phi:], out=term[n_phi:]), out=y[:-n_phi])
+        n_phi = self.grid.n_phi
+        off = np.add if magnitude else np.subtract  # sign of the off-diagonal terms
+        y = np.zeros(x.size)
+        off(y[n_phi:], self.radial * x[:-n_phi], out=y[n_phi:])
+        off(y[1:], self.angular * x[:-1], out=y[1:])
+        y += self.diag * x
+        off(y[:-1], self.angular * x[1:], out=y[:-1])
+        off(y[:-n_phi], self.radial * x[n_phi:], out=y[:-n_phi])
         return y
 
     def lift(self, g_values: np.ndarray) -> np.ndarray:
@@ -117,7 +116,9 @@ def _factor_modes(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
     """
     n_r, n_phi = grid.shape
     t_radial, t_angular, arc_coeff = _transmissibilities(grid)
-    radial = np.append(0.0, t_radial) + np.append(t_radial, 0.0)
+    radial = np.zeros(n_r)
+    radial[:-1] += t_radial
+    radial[1:] += t_radial
     radial[-1] += arc_coeff
     eig = 4.0 * np.sin(0.5 * np.pi * np.arange(n_phi) / n_phi) ** 2
     d = (radial[None, :] + eig[:, None] * t_angular[None, :]).ravel()
@@ -176,11 +177,15 @@ def solve(
     raises SolverError.
     """
     grid = lap.grid
-    if isinstance(F, ScalarField):
-        F = F.values
-    f = np.asarray(0.0 if F is None else F, dtype=float)
-    f = f if f.ndim == 0 else f.reshape(grid.size)
-    rhs = lap.lift(_arc_values(grid, g_arc)) - lap.areas * f
+    if F is None:
+        f_flat = np.zeros(grid.size)
+    elif isinstance(F, ScalarField):
+        f_flat = F.values.ravel()
+    elif np.isscalar(F):
+        f_flat = np.full(grid.size, float(F))
+    else:
+        f_flat = np.asarray(F, dtype=float).reshape(grid.size)
+    rhs = lap.lift(_arc_values(grid, g_arc)) - lap.areas * f_flat
 
     u = lap.apply_inverse(rhs)
     rhs_norm = float(np.linalg.norm(rhs))

@@ -286,6 +286,9 @@ class TestNonFiniteParameters:
         (run_threshold_scan, "bisect_tol", INF), (run_threshold_scan, "C1", INF),
         (run_threshold_scan, "M_values", [0.0, NAN]), (run_solve, "M", NAN),
         (run_solve, "eps_min", -INF), (run_cross, "newton_tol", NAN),
+        pytest.param(run_solve, "M", 10**400, id="run_solve-M-int_beyond_float"),
+        pytest.param(run_threshold_scan, "mc_samples", 10**400,
+                     id="run_threshold_scan-mc_samples-int_beyond_float"),
     ])
     def test_rejected_before_writing(self, tmp_path, driver, key, value):
         required = {run_threshold_scan: {"M_values": [0.0, 4.0]}, run_solve: {"k": 2}}
@@ -300,15 +303,16 @@ class TestNonFiniteParameters:
         assert "error: parameter M must be finite, got nan" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_rerun_exits_2_naming_it(self, solve_run, tmp_path, capsys):
+    @pytest.mark.parametrize("value", [INF, 10**400], ids=["inf", "int_beyond_float"])
+    def test_rerun_exits_2_naming_it(self, solve_run, tmp_path, capsys, value):
         out, _ = solve_run
         raw = json.loads((out / "manifest.json").read_text())
-        raw["parameters"]["M"] = self.INF
+        raw["parameters"]["M"] = value
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(raw))
         replay = tmp_path / "replay"
         assert main(["rerun", str(path), "--out", str(replay)]) == 2
-        assert "error: parameter M must be finite, got inf" in capsys.readouterr().err
+        assert f"error: parameter M must be finite, got {value!r}" in capsys.readouterr().err
         assert not replay.exists()
 
 
