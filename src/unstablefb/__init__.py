@@ -34,7 +34,6 @@ from .field import (
 from .poisson import DiscreteLaplacian, SolverError, assemble, solve
 from .semilinear import (
     ContinuationConfig,
-    FixedPointError,
     Solution,
     StageFailed,
     export_solution,
@@ -95,8 +94,8 @@ __all__ = [
     "read_field_csv", "sample_circle", "trace_on_circle",
     "write_field_csv", "write_field_vtk",
     "DiscreteLaplacian", "SolverError", "assemble", "solve",
-    "ContinuationConfig", "FixedPointError", "Solution",
-    "StageFailed", "export_solution", "f_eps", "f_eps_prime", "initial_guess",
+    "ContinuationConfig", "Solution", "StageFailed",
+    "export_solution", "f_eps", "f_eps_prime", "initial_guess",
     "newton_stage", "residual_check", "solve_fixed_point", "transition_measure",
     "MonotonicityProfile", "energy_bound_integral", "find_threshold",
     "mc_energy_bound", "phi", "phi_profile", "threshold_scan", "write_profile_csv",

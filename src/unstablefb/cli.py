@@ -44,13 +44,7 @@ from .monotonicity import (
     threshold_scan,
     write_profile_csv,
 )
-from .poisson import SolverError
-from .semilinear import (
-    ContinuationConfig,
-    FixedPointError,
-    export_solution,
-    solve_fixed_point,
-)
+from .semilinear import ContinuationConfig, StageFailed, export_solution, solve_fixed_point
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -111,6 +105,7 @@ class RunManifest:
         return {"ok": EXIT_OK, "check_failure": EXIT_CHECKS}.get(self.status, EXIT_SOLVER)
 
     def write(self, out_dir) -> Path:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
         path = Path(out_dir) / "manifest.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(_jsonable(asdict(self)), fh, indent=2)
@@ -196,10 +191,9 @@ def _numbers(name: str, values) -> list:
     return values
 
 
-def _solver_params(n_r, n_phi, eps_start, eps_ratio, eps_min, newton_tol) -> dict:
+def _solver_params(n_r, n_phi, eps_start, eps_min, newton_tol) -> dict:
     return {"n_r": _number("n_r", n_r, int), "n_phi": _number("n_phi", n_phi, int),
             "eps_start": _number("eps_start", eps_start),
-            "eps_ratio": _number("eps_ratio", eps_ratio),
             "eps_min": _number("eps_min", eps_min),
             "newton_tol": _number("newton_tol", newton_tol)}
 
@@ -213,36 +207,36 @@ def _radii_params(n_r, phi_radii, blowup_radii) -> dict:
     }
 
 
-def _failure(exc) -> dict:
-    if isinstance(exc, FixedPointError):
-        stage = exc.stage
-        return {
-            "kind": "continuation_stage",
-            "eps": stage.eps,
-            "n_r": stage.n_r,
-            "n_phi": stage.n_phi,
-            "iterations": stage.iterations,
-            "residual": stage.residual,
-            "linear_residual": stage.linear_residual,
-            "reason": stage.reason,
-        }
-    return {"kind": type(exc).__name__, "reason": str(exc)}
+def _failure(stage: StageFailed) -> dict:
+    return {
+        "kind": "continuation_stage",
+        "eps": stage.eps,
+        "n_r": stage.n_r,
+        "n_phi": stage.n_phi,
+        "iterations": stage.iterations,
+        "residual": stage.residual,
+        "linear_residual": stage.linear_residual,
+        "reason": stage.reason,
+    }
 
 
 def _run(experiment: str, p: dict, out_dir, body) -> RunManifest:
     """Run body(p, out) -> (outputs, headline, checks) and write the manifest.
 
     A solver failure still writes a manifest, with no outputs and the
-    failure recorded; any other exception propagates without one.
+    failure recorded; any other exception propagates without one.  out is
+    made only when something is written to it, and the body checks every
+    parameter before it writes, so a rejected parameter leaves no directory.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise ValueError(f"output path {out} exists and is not a directory")
     t0 = time.perf_counter()
     try:
         outputs, headline, checks = body(p, out)
         checks, failure = checks.records, None
         status = "ok" if all(c["passed"] for c in checks) else "check_failure"
-    except (FixedPointError, SolverError) as exc:
+    except StageFailed as exc:
         outputs, headline, checks = [], {}, []
         status, failure = "solver_failure", _failure(exc)
     manifest = RunManifest(
@@ -280,7 +274,6 @@ def _solve(p: dict, out: Path, g_label: str | None = None):
     config = ContinuationConfig(
         eps_start=p["eps_start"],
         eps_min=p["eps_min"],
-        eps_ratio=p["eps_ratio"],
         newton_tol=p["newton_tol"],
     )
     sol = solve_fixed_point(grid, lambda phi: M * np.cos(k * phi), config,
@@ -299,27 +292,37 @@ def _solve(p: dict, out: Path, g_label: str | None = None):
     return sol, outputs, headline, checks
 
 
+def _write_arcs(u, radii, path) -> tuple[list | None, str]:
+    """Fit the arcs of u at the origin over radii and write them to path.
+
+    Returns (limit angles in degrees, "").  The zero set may not reach the
+    radii near the origin: a failed fit still writes path, with no angles
+    and the reason as a note, and returns (None, reason).
+    """
+    try:
+        arcs = fit_arcs_at_origin(u, radii)
+    except ValueError as exc:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"limit_angles_deg": [], "note": str(exc)}, fh, indent=2)
+        return None, str(exc)
+    write_arcs_json(arcs, path)
+    return list(np.degrees(arcs.limit_angles)), ""
+
+
 def _analyze(sol, p: dict, out: Path, outputs: list):
     """Profile, blow-up report, zero set and origin arcs of the solution.
 
-    Appends the names of the four files it writes to outputs.  The zero
-    set may not reach the arc radii near the origin, so a failed arc fit
-    is recorded as a note in arcs.json and the angles read None.
+    Appends the names of the four files it writes to outputs.  The arc
+    angles read None when the arc fit fails (`_write_arcs`).
     """
     prof = phi_profile(sol.u, p["phi_radii"])
     write_profile_csv(prof, out / "phi_profile.csv")
     report = blowup_report(sol.u, p["blowup_radii"])
     write_blowup_csv(report, out / "blowup.csv")
-    levelset = extract_zero_set(sol.u, circle_radii=p["blowup_radii"])
+    levelset = extract_zero_set(sol.u)
     write_levelset_csv(levelset, out / "fb.csv")
-    try:
-        arcs = fit_arcs_at_origin(levelset, p.get("arc_radii", DEFAULT_ARC_RADII))
-        write_arcs_json(arcs, out / "arcs.json")
-        arc_angles_deg = list(np.degrees(arcs.limit_angles))
-    except ValueError as exc:
-        with open(out / "arcs.json", "w", encoding="utf-8") as fh:
-            json.dump({"limit_angles_deg": [], "note": str(exc)}, fh, indent=2)
-        arc_angles_deg = None
+    arc_angles_deg, _ = _write_arcs(sol.u, p.get("arc_radii", DEFAULT_ARC_RADII),
+                                    out / "arcs.json")
     outputs += ["phi_profile.csv", "blowup.csv", "fb.csv", "arcs.json"]
     return prof, report, levelset, arc_angles_deg
 
@@ -334,9 +337,8 @@ def _circular_gap_to(targets_deg, angle_deg: float) -> float:
 
 def run_cross(M: float = 40.0, n_r: int = 256, n_phi: int = 256,
               eps_min: float = 0.0125, out_dir="runs/cross", *,
-              eps_start: float = 0.2, eps_ratio: float = 0.5,
-              newton_tol: float = 1e-10, phi_radii=None, blowup_radii=None,
-              arc_radii=None) -> RunManifest:
+              eps_start: float = 0.2, newton_tol: float = 1e-10,
+              phi_radii=None, blowup_radii=None, arc_radii=None) -> RunManifest:
     """Quarter-plane data M cos(2 phi), expected to produce a cross pattern.
 
     Solves on the k = 2 sector, analyses its even extension to the disk,
@@ -349,7 +351,7 @@ def run_cross(M: float = 40.0, n_r: int = 256, n_phi: int = 256,
         raise ValueError(f"M must be positive, got {M}")
     p = {
         "k": 2, "M": M,
-        **_solver_params(n_r, n_phi, eps_start, eps_ratio, eps_min, newton_tol),
+        **_solver_params(n_r, n_phi, eps_start, eps_min, newton_tol),
         **_radii_params(n_r, phi_radii, blowup_radii),
         "arc_radii": (_numbers("arc_radii", arc_radii) if arc_radii is not None
                       else list(DEFAULT_ARC_RADII)),
@@ -404,8 +406,8 @@ def _cross_body(p: dict, out: Path):
 
 def run_asterisk(n_r: int = 256, n_phi: int = 256, eps_min: float = 0.0125,
                  out_dir="runs/asterisk", *, eps_start: float = 0.2,
-                 eps_ratio: float = 0.5, newton_tol: float = 1e-10,
-                 phi_radii=None, blowup_radii=None) -> RunManifest:
+                 newton_tol: float = 1e-10, phi_radii=None,
+                 blowup_radii=None) -> RunManifest:
     """Eighth-sector data cos(4 phi), the second-order degenerate candidate.
 
     Solves on the k = 4 sector with its 8-fold extension and checks for
@@ -423,7 +425,7 @@ def run_asterisk(n_r: int = 256, n_phi: int = 256, eps_min: float = 0.0125,
     """
     p = {
         "k": 4,
-        **_solver_params(n_r, n_phi, eps_start, eps_ratio, eps_min, newton_tol),
+        **_solver_params(n_r, n_phi, eps_start, eps_min, newton_tol),
         **_radii_params(n_r, phi_radii, blowup_radii),
         "invariance_radii": [0.9, 0.8, 0.7, 0.6, 0.5],
         "trace_samples": TRACE_SAMPLES,
@@ -521,6 +523,7 @@ def _scan_body(p: dict, out: Path):
     C1, n_r, n_phi = p["C1"], p["n_r"], p["n_phi"]
     Ms, values = threshold_scan(p["M_values"], C1, n_r=n_r, n_phi=n_phi)
     rows = np.column_stack([Ms, values])
+    out.mkdir(parents=True, exist_ok=True)
     np.savetxt(out / "threshold_scan.csv", rows, delimiter=",",
                header="M,energy_bound", comments="", fmt="%.17g")
 
@@ -560,11 +563,10 @@ def _scan_body(p: dict, out: Path):
 
 def run_solve(k: int, M: float = 40.0, n_r: int = 256, n_phi: int = 256,
               eps_min: float = 0.0125, out_dir="runs/solve", *,
-              eps_start: float = 0.2, eps_ratio: float = 0.5,
-              newton_tol: float = 1e-10) -> RunManifest:
+              eps_start: float = 0.2, newton_tol: float = 1e-10) -> RunManifest:
     """Generic single solve with arc data M cos(k phi), artifacts only."""
     p = {"k": _number("k", k, int), "M": _number("M", M),
-         **_solver_params(n_r, n_phi, eps_start, eps_ratio, eps_min, newton_tol)}
+         **_solver_params(n_r, n_phi, eps_start, eps_min, newton_tol)}
     return _run("solve", p, out_dir, lambda p, out: _solve(p, out)[1:])
 
 
@@ -625,7 +627,6 @@ def _add_solver_flags(sp, with_m: bool):
     _add_grid_flags(sp)
     sp.add_argument("--eps-min", type=float, help="final smoothing width")
     sp.add_argument("--eps-start", type=float, help="initial smoothing width")
-    sp.add_argument("--eps-ratio", type=float, help="width shrink factor per stage")
     sp.add_argument("--tol", dest="newton_tol", type=float, help="Newton residual tolerance")
 
 
@@ -715,19 +716,16 @@ def _cmd_blowup(args) -> int:
 def _cmd_fb(args) -> int:
     field = read_field_csv(args.field)
     radii = args.radii or DEFAULT_ARC_RADII
-    levelset = extract_zero_set(field, circle_radii=radii)
+    levelset = extract_zero_set(field)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_levelset_csv(levelset, out_dir / "fb.csv")
-    wrote = [str(out_dir / "fb.csv")]
-    try:
-        arcs = fit_arcs_at_origin(levelset, radii)
-        write_arcs_json(arcs, out_dir / "arcs.json")
-        wrote.append(str(out_dir / "arcs.json"))
-        angles = ", ".join(f"{a:.2f}" for a in np.degrees(arcs.limit_angles))
-        print(f"wrote {', '.join(wrote)}; limit angles [deg]: {angles}")
-    except ValueError as exc:
-        print(f"wrote {wrote[0]}; arc fit skipped ({exc})")
+    angles, note = _write_arcs(field, radii, out_dir / "arcs.json")
+    wrote = f"wrote {out_dir / 'fb.csv'}, {out_dir / 'arcs.json'}"
+    if angles is None:
+        print(f"{wrote}; arc fit failed ({note})")
+    else:
+        print(f"{wrote}; limit angles [deg]: {', '.join(f'{a:.2f}' for a in angles)}")
     return EXIT_OK
 
 

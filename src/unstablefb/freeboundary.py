@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +24,10 @@ from .mesh import TWO_PI
 
 @dataclass
 class LevelSet:
-    """Polylines of {u = 0} plus crossing angles on requested circles."""
+    """Polylines of {u = 0} on the disk and their lengths."""
 
     polylines: list[np.ndarray]
     lengths: list[float]
-    circle_angles: dict[float, np.ndarray]
-    field: ScalarField = dc_field(repr=False)
 
 
 def crossing_angles(u: ScalarField, r: float, m: int = 2048) -> np.ndarray:
@@ -130,11 +128,10 @@ def _chain(seg: np.ndarray, first_seen: np.ndarray) -> list[list[int]]:
     return [walk(e, sid) for e, sid in starts if not used[sid]]
 
 
-def extract_zero_set(u: ScalarField, circle_radii=()) -> LevelSet:
+def extract_zero_set(u: ScalarField) -> LevelSet:
     """March the zero set of the symmetric disk extension of u."""
     polylines, lengths = _march(mesh.reflect_to_disk(u))
-    angles = {float(r): crossing_angles(u, float(r)) for r in circle_radii}
-    return LevelSet(polylines=polylines, lengths=lengths, circle_angles=angles, field=u)
+    return LevelSet(polylines=polylines, lengths=lengths)
 
 
 @dataclass
@@ -165,8 +162,8 @@ def _circular_match(prev: np.ndarray, new: np.ndarray, cap: float) -> np.ndarray
     return out
 
 
-def fit_arcs_at_origin(ls: LevelSet, radii) -> ArcFit:
-    """Track crossing angles over decreasing radii and extrapolate to r = 0.
+def fit_arcs_at_origin(u: ScalarField, radii) -> ArcFit:
+    """Track the crossing angles of u inward over radii and extrapolate to r = 0.
 
     Arcs are matched by angle continuity with a cap of half the minimal
     angular gap; a count change or failed match sets topology_change and
@@ -175,7 +172,7 @@ def fit_arcs_at_origin(ls: LevelSet, radii) -> ArcFit:
     radii = np.asarray(sorted(radii, reverse=True), dtype=float)
     if len(radii) < 2:
         raise ValueError("need at least two radii to extrapolate arcs")
-    base = crossing_angles(ls.field, float(radii[0]))
+    base = crossing_angles(u, float(radii[0]))
     if len(base) == 0:
         raise ValueError(f"no zero crossings on the circle r={radii[0]:g}")
     gaps = np.diff(np.append(base, base[0] + TWO_PI))
@@ -186,7 +183,7 @@ def fit_arcs_at_origin(ls: LevelSet, radii) -> ArcFit:
     topology_change = False
     prev = base
     for r in radii[1:]:
-        new = crossing_angles(ls.field, float(r))
+        new = crossing_angles(u, float(r))
         matched = _circular_match(prev, new, cap)
         if matched is None:
             topology_change = True

@@ -41,9 +41,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import ScalarField, eval_origin, origin_weight_vector, write_field_csv, write_field_vtk
+from .field import ScalarField, origin_weight_vector, write_field_csv, write_field_vtk
 from .mesh import PolarGrid
-from .poisson import DiscreteLaplacian, _arc_values, assemble, solve as poisson_solve
+from .poisson import DiscreteLaplacian, _arc_values, assemble
 
 
 # --- smoothed indicator --------------------------------------------------
@@ -88,27 +88,25 @@ def f_eps_prime(z, eps: float):
 
 @dataclass
 class ContinuationConfig:
-    """Schedule and Newton parameters for the eps continuation."""
+    """Width ladder and Newton tolerance of the eps continuation.
+
+    The ladder runs from eps_start down to eps_min by the factor EPS_RATIO;
+    each stage stops at newton_tol or after MAX_NEWTON iterations.
+    """
 
     eps_start: float = 0.2
     eps_min: float = 0.0125
-    eps_ratio: float = 0.5
     newton_tol: float = 1e-10
-    # the finest widths on fine grids spend ~36 damped steps before the
-    # quadratic phase (asterisk, 65536 x 16 cells, eps = 3.125e-5)
-    max_newton: int = 60
 
     def __post_init__(self):
         if not (0.0 < self.eps_min <= self.eps_start):
             raise ValueError("need 0 < eps_min <= eps_start")
-        if not (0.0 < self.eps_ratio < 1.0):
-            raise ValueError("eps_ratio must lie in (0, 1)")
 
     def schedule(self) -> list[float]:
         """Geometric ladder from eps_start down to exactly eps_min."""
         eps = [self.eps_start]
         while eps[-1] > self.eps_min * (1.0 + 1e-12):
-            eps.append(max(eps[-1] * self.eps_ratio, self.eps_min))
+            eps.append(max(eps[-1] * EPS_RATIO, self.eps_min))
         return eps
 
 
@@ -136,7 +134,13 @@ class Solution:
 
 
 class StageFailed(RuntimeError):
-    """Newton failed to converge at one continuation stage."""
+    """Newton failed to converge at one continuation stage.
+
+    solve_fixed_point sets partial to the last converged stage, or None if
+    the first stage failed.  The stages before the last run on coarser
+    levels of the grid, so partial may live on a coarser grid than the one
+    that was asked for.
+    """
 
     def __init__(self, eps: float, grid: PolarGrid, iterations: int, residual: float,
                  reason: str, linear_residual: float | None = None):
@@ -151,19 +155,7 @@ class StageFailed(RuntimeError):
         self.reason = reason
         # relative residual |K x - b| / |b| of a Krylov solve that stopped short
         self.linear_residual = linear_residual
-
-
-class FixedPointError(RuntimeError):
-    """Continuation aborted; carries the last converged stage if any.
-
-    The stages run on coarser levels of the grid before the last one, so
-    partial may live on a coarser grid than the one that was asked for.
-    """
-
-    def __init__(self, stage: StageFailed, partial: Solution | None):
-        super().__init__(str(stage))
-        self.stage = stage
-        self.partial = partial
+        self.partial: Solution | None = None
 
 
 # --- residual and Newton machinery ----------------------------------------
@@ -192,12 +184,19 @@ KRYLOV_RTOL = 1e-6
 # KRYLOV_MAXITER iterations (a multiple of the restart) has not converged.
 KRYLOV_RESTART = 40
 KRYLOV_MAXITER = 400
+# Newton iterations per stage: the finest widths on fine grids spend ~36
+# damped steps before the quadratic phase (asterisk, 65536 x 16 cells,
+# eps = 3.125e-5).
+MAX_NEWTON = 60
 # Armijo line search: sufficient-decrease constant, step shrink, backtrack cap.
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 30
 # eps may not drop below this many radial cells: the smoothing band must be resolved.
 EPS_FLOOR_CELLS = 2.0
+# Shrink factor of the eps ladder.  Each coarser grid level doubles dr, so
+# halving eps moves the floor EPS_FLOOR_CELLS * dr up one level per stage.
+EPS_RATIO = 0.5
 
 
 def _residual(lap: DiscreteLaplacian, e: np.ndarray, u: np.ndarray, kappa: float,
@@ -220,19 +219,15 @@ def initial_guess(grid: PolarGrid, g_arc, lap: DiscreteLaplacian | None = None
                   ) -> tuple[ScalarField, float]:
     """Linear predictor: solve Delta u = -1 with u = g - kappa, u(0) = 0.
 
-    Linear in (u, kappa), so two Poisson solves suffice: one with the raw
-    arc data and one propagating a unit arc shift.
+    The pair solves P [u; kappa] = [B g + area; 0] with the bordered
+    Laplacian P = [[A, b1], [e, 0]], so one bordered inverse (one Laplacian
+    inverse, the one the GMRES preconditioner applies) gives both.
     """
     if lap is None:
         lap = assemble(grid)
-    g = _arc_values(grid, g_arc)
-    u_g = poisson_solve(lap, F=-1.0, g_arc=g)
-    u_shift = poisson_solve(lap, F=0.0, g_arc=-np.ones(grid.n_phi))
-    # u = u_g + kappa * u_shift; pick kappa so the origin value vanishes
-    denom = eval_origin(u_shift)
-    kappa = -eval_origin(u_g) / denom
-    u0 = ScalarField(grid, u_g.values + kappa * u_shift.values)
-    return u0, float(kappa)
+    rhs = lap.lift(_arc_values(grid, g_arc)) + lap.areas
+    x = _bordered_inverse(lap, origin_weight_vector(grid), np.append(rhs, 0.0))
+    return ScalarField(grid, x[:-1].reshape(grid.shape)), float(x[-1])
 
 
 def _bordered_inverse(lap: DiscreteLaplacian, e: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -368,11 +363,11 @@ def newton_stage(
                 and res1 <= _rounding_level(lap, u, kappa, g, eps))
 
     r1, r2 = _residual(lap, e, u, kappa, g, eps)
-    for it in range(config.max_newton + 1):
+    for it in range(MAX_NEWTON + 1):
         res1 = float(np.max(np.abs(r1)))
         if converged(res1, r2, u, kappa):
             return u, kappa, it, res1, abs(r2)
-        if it == config.max_newton:
+        if it == MAX_NEWTON:
             break
         shift = lap.areas * f_eps_prime(u, eps)
         du, dkappa, missed = _newton_direction(lap, e, b1, shift, r1, r2)
@@ -395,7 +390,7 @@ def newton_stage(
             lam *= ARMIJO_SHRINK
         if not accepted:
             raise StageFailed(eps, grid, it, float(np.max(np.abs(r1))), "line search stalled")
-    raise StageFailed(eps, grid, config.max_newton, float(np.max(np.abs(r1))),
+    raise StageFailed(eps, grid, MAX_NEWTON, float(np.max(np.abs(r1))),
                       "iteration cap reached")
 
 
@@ -507,7 +502,8 @@ def solve_fixed_point(grid: PolarGrid, g_arc, config: ContinuationConfig | None 
         try:
             u, kappa, n_it, pde_res, origin_res = newton_stage(lap, u, kappa, eps, g, config)
         except StageFailed as exc:
-            raise FixedPointError(exc, last_good) from exc
+            exc.partial = last_good
+            raise
         iters.append(n_it)
         trans.append(transition_measure(ScalarField(here, u.reshape(here.shape)), eps))
         last_good = Solution(

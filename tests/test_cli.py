@@ -17,6 +17,8 @@ import unstablefb.semilinear as semilinear
 from unstablefb import (
     RunManifest,
     build_disk_grid,
+    build_sector_grid,
+    field_from_function,
     main,
     read_field_csv,
     rerun_manifest,
@@ -24,6 +26,7 @@ from unstablefb import (
     run_cross,
     run_solve,
     run_threshold_scan,
+    write_field_csv,
 )
 from unstablefb.cli import _build_parser, _default_phi_radii
 
@@ -86,6 +89,9 @@ class TestFailurePath:
         assert m.failure  # reason recorded
         stored = json.loads((tmp_path / "manifest.json").read_text())
         assert stored["status"] == "solver_failure"
+        assert stored["failure"]["kind"] == "continuation_stage"
+        assert set(stored["failure"]) == {"kind", "eps", "n_r", "n_phi", "iterations",
+                                          "residual", "linear_residual", "reason"}
         # the grid of the failed stage, which may be a coarser level
         assert (stored["failure"]["n_r"], stored["failure"]["n_phi"]) == (32, 32)
 
@@ -151,10 +157,11 @@ class TestRerun:
         assert fresh.content_hash == m.content_hash
 
     def test_unknown_parameter_keys_are_ignored(self, solve_run, tmp_path):
-        # manifests written while the solver had a backend option carry it
+        # manifests written while the solver had a backend option or an
+        # eps_ratio parameter carry them
         out, m = solve_run
         raw = json.loads((out / "manifest.json").read_text())
-        raw["parameters"]["backend"] = "direct"
+        raw["parameters"].update(backend="direct", eps_ratio=0.5)
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(raw))
         fresh, same = rerun_manifest(path, tmp_path / "replay")
@@ -316,6 +323,58 @@ class TestNonFiniteParameters:
         assert not replay.exists()
 
 
+class TestRejectedBeforeWriting:
+    """Parameters that the grid, the width ladder or the analysis window
+    reject, and an output path that is a file, exit 2 before anything is
+    written."""
+
+    CASES = {
+        "eps_min_above_eps_start": ("solve", {"eps_min": 0.5}),
+        "grid_below_8_cells": ("solve", {"n_r": 4}),
+        "eps_min_below_floor": ("solve", {"eps_min": 0.001}),  # floor 2/64
+        "radius_outside_window": ("cross", {"phi_radii": [0.001, 0.5]}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_driver(self, tmp_path, case):
+        experiment, bad = self.CASES[case]
+        args = {**COARSE, **({"k": 2} if experiment == "solve" else {}), **bad}
+        with pytest.raises(ValueError):
+            cli.EXPERIMENTS[experiment](out_dir=tmp_path / "out", **args)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rerun(self, solve_run, tmp_path, capsys, case):
+        experiment, bad = self.CASES[case]
+        out, _ = solve_run
+        raw = json.loads((out / "manifest.json").read_text())
+        raw["experiment"] = experiment
+        raw["parameters"].update(bad)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw))
+        replay = tmp_path / "replay"
+        assert main(["rerun", str(path), "--out", str(replay)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not replay.exists()
+
+    def test_cli(self, tmp_path, capsys):
+        out = tmp_path / "X"
+        assert main(["solve", "--k", "2", "--eps-min", "0.5", "--out", str(out)]) == 2
+        assert "eps_min <= eps_start" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_path_that_is_a_file(self, tmp_path, capsys, monkeypatch):
+        def unexpected_solve(*args, **kwargs):
+            raise AssertionError("solve_fixed_point called with an unusable output path")
+
+        monkeypatch.setattr(cli, "solve_fixed_point", unexpected_solve)
+        out = tmp_path / "X"
+        out.write_text("kept")
+        assert main(["solve", "--k", "2", "--out", str(out)]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert out.read_text() == "kept"
+
+
 class TestThreadSettings:
     def test_recorded_outside_parameters_and_headline(self, solve_run):
         out, m = solve_run
@@ -436,6 +495,17 @@ class TestConsoleEntry:
         assert (tmp_path / "blow.csv").exists()
         assert (tmp_path / "fb.csv").exists()
 
+    def test_fb_records_a_failed_arc_fit_in_arcs_json(self, tmp_path, capsys):
+        # positive everywhere, so the zero set misses every arc radius
+        csv = tmp_path / "positive.csv"
+        write_field_csv(field_from_function(build_sector_grid(2, 64, 64),
+                                            lambda r, p: 1.0 + r**2), csv)
+        assert main(["fb", str(csv), "--out", str(tmp_path / "fb")]) == 0
+        arcs = json.loads((tmp_path / "fb" / "arcs.json").read_text())
+        assert arcs["limit_angles_deg"] == []
+        assert "no zero crossings" in arcs["note"]
+        assert "arc fit failed" in capsys.readouterr().out
+
     def test_solve_without_M_records_the_driver_default(self, tmp_path, capsys):
         code = main(["solve", "--k", "2", "--nr", "32", "--nphi", "32",
                      "--eps-min", "0.1", "--eps-start", "0.1", "--out", str(tmp_path)])
@@ -501,6 +571,10 @@ class TestConsoleEntry:
         assert info.value.code == 2
         with pytest.raises(SystemExit) as info:
             main([])
+        assert info.value.code == 2
+        # the eps ladder's ratio is a constant, not an option
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--k", "2", "--eps-ratio", "0.5"])
         assert info.value.code == 2
 
     @pytest.mark.parametrize("argv, option", [

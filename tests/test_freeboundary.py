@@ -60,11 +60,11 @@ class TestMarching:
 
     def test_cross_pattern(self, disk256):
         u = degree2_field(disk256)
-        ls = extract_zero_set(u, circle_radii=[0.5])
+        ls = extract_zero_set(u)
         assert len(ls.polylines) == 4
         for length in ls.lengths:
             assert 0.9 < length < 1.05
-        assert np.max(np.abs(ls.circle_angles[0.5] - DIAGONALS)) < 1e-4
+        assert np.max(np.abs(crossing_angles(u, 0.5) - DIAGONALS)) < 1e-4
         # each chain hugs one diagonal: x^2 - y^2 = r^2 cos(2 phi) vanishes
         for line in ls.polylines:
             assert np.max(np.abs(np.abs(line[:, 0]) - np.abs(line[:, 1]))) < 1e-2
@@ -235,9 +235,7 @@ class TestMarchingOracle:
 
 class TestArcFit:
     def test_cross_limits_on_diagonals(self, disk256):
-        u = degree2_field(disk256)
-        ls = extract_zero_set(u)
-        fit = fit_arcs_at_origin(ls, [0.3, 0.25, 0.2, 0.15, 0.1, 0.05])
+        fit = fit_arcs_at_origin(degree2_field(disk256), [0.3, 0.25, 0.2, 0.15, 0.1, 0.05])
         assert len(fit.limit_angles) == 4
         assert not fit.topology_change
         assert np.max(np.abs(fit.limit_angles - DIAGONALS)) < 1e-3
@@ -245,30 +243,26 @@ class TestArcFit:
         assert fit.angle_table.shape == (4, 6)
 
     def test_radii_sorted_descending(self, disk256):
-        ls = extract_zero_set(degree2_field(disk256))
-        fit = fit_arcs_at_origin(ls, [0.05, 0.3, 0.2])  # any order accepted
+        fit = fit_arcs_at_origin(degree2_field(disk256), [0.05, 0.3, 0.2])  # any order accepted
         assert np.all(np.diff(fit.radii) < 0.0)
 
     def test_lifted_saddle_truncates_at_topology_change(self, disk256):
         """r^2 cos(2 phi) + c has four crossings only while r^2 >= c."""
         u = field_from_function(disk256,
                                 lambda r, p: r**2 * np.cos(2.0 * p) + 0.01)
-        ls = extract_zero_set(u)
-        fit = fit_arcs_at_origin(ls, [0.3, 0.2, 0.15, 0.05])
+        fit = fit_arcs_at_origin(u, [0.3, 0.2, 0.15, 0.05])
         assert fit.topology_change
         assert np.array_equal(fit.radii, [0.3, 0.2, 0.15])
         assert len(fit.limit_angles) == 4
 
     def test_no_crossings_is_an_error(self, disk64):
         u = field_from_function(disk64, lambda r, p: 1.0 + r**2)
-        ls = extract_zero_set(u)
         with pytest.raises(ValueError):
-            fit_arcs_at_origin(ls, [0.3, 0.2])
+            fit_arcs_at_origin(u, [0.3, 0.2])
 
     def test_needs_two_radii(self, disk256):
-        ls = extract_zero_set(degree2_field(disk256))
         with pytest.raises(ValueError):
-            fit_arcs_at_origin(ls, [0.3])
+            fit_arcs_at_origin(degree2_field(disk256), [0.3])
 
 
 class TestExport:
@@ -281,8 +275,7 @@ class TestExport:
         assert len(lines) == 1 + sum(len(p) for p in ls.polylines)
 
     def test_arcs_json(self, tmp_path, disk256):
-        ls = extract_zero_set(degree2_field(disk256))
-        fit = fit_arcs_at_origin(ls, [0.3, 0.2, 0.1])
+        fit = fit_arcs_at_origin(degree2_field(disk256), [0.3, 0.2, 0.1])
         path = tmp_path / "arcs.json"
         write_arcs_json(fit, path)
         data = json.loads(path.read_text())

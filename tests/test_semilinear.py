@@ -11,7 +11,6 @@ import scipy.sparse.linalg as spla
 import unstablefb.semilinear as semilinear
 from unstablefb import (
     ContinuationConfig,
-    FixedPointError,
     ScalarField,
     StageFailed,
     assemble,
@@ -25,6 +24,7 @@ from unstablefb import (
     initial_guess,
     newton_stage,
     residual_check,
+    solve,
     solve_fixed_point,
     transition_measure,
 )
@@ -45,7 +45,7 @@ def lu_continuation(grid, g, cfg):
     b1 = lap.lift(np.ones(grid.n_phi))
     iters = []
     for eps in cfg.schedule():
-        for it in range(cfg.max_newton + 1):
+        for it in range(semilinear.MAX_NEWTON + 1):
             r1 = A @ u - lap.areas * f_eps(u, eps) - lap.lift(g - kappa)
             r2 = float(e @ u)
             if np.max(np.abs(r1)) <= cfg.newton_tol and abs(r2) <= cfg.newton_tol:
@@ -168,18 +168,16 @@ class TestSmoothedIndicator:
 
 class TestContinuationConfig:
     def test_schedule_halves_down_to_floor(self):
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.0125, eps_ratio=0.5)
+        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.0125)
         assert cfg.schedule() == [0.2, 0.1, 0.05, 0.025, 0.0125]
 
     def test_schedule_clamps_last_step(self):
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.06, eps_ratio=0.5)
+        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.06)
         assert cfg.schedule() == [0.2, 0.1, 0.06]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ContinuationConfig(eps_start=0.1, eps_min=0.2)
-        with pytest.raises(ValueError):
-            ContinuationConfig(eps_ratio=1.5)
 
 
 class TestInitialGuess:
@@ -196,6 +194,31 @@ class TestInitialGuess:
         # shift still balances only the unit sink
         assert kappa == pytest.approx(0.25, abs=1e-3)
         assert abs(eval_origin(u0)) <= 1e-10
+
+    @pytest.mark.parametrize("k, M", [(2, 40.0), (4, 1.0)])
+    def test_one_bordered_inverse_matches_two_poisson_solves(self, monkeypatch, k, M):
+        grid = build_sector_grid(k, 64, 64)
+        lap = assemble(grid)
+        g = M * np.cos(k * grid.phi)
+        # reference: u = u_g + kappa u_shift, u_shift solving A x = -b1 (x = -1
+        # up to rounding), kappa chosen so that u(0) = 0
+        u_g = solve(lap, F=-1.0, g_arc=g)
+        u_shift = solve(lap, F=0.0, g_arc=-np.ones(grid.n_phi))
+        kappa_ref = -eval_origin(u_g) / eval_origin(u_shift)
+        u_ref = u_g.values + kappa_ref * u_shift.values
+        inverses = []
+        apply_inverse = lap.apply_inverse
+
+        def counted_inverse(rhs):
+            inverses.append(rhs.size)
+            return apply_inverse(rhs)
+
+        monkeypatch.setattr(lap, "apply_inverse", counted_inverse)
+        u0, kappa = initial_guess(grid, g, lap)
+        assert inverses == [grid.size]
+        assert kappa == pytest.approx(kappa_ref, rel=1e-12)
+        assert np.max(np.abs(u0.values - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+        assert abs(eval_origin(u0)) <= 1e-14
 
 
 class TestNewtonStage:
@@ -356,12 +379,12 @@ class TestNewtonStage:
         assert iters == iters_ref
         assert abs(kappa - kappa_ref) <= 1e-10 * abs(kappa_ref)
 
-    def test_unreachable_tolerance_fails_cleanly(self):
+    def test_unreachable_tolerance_fails_cleanly(self, monkeypatch):
+        monkeypatch.setattr(semilinear, "MAX_NEWTON", 3)
         grid = build_sector_grid(2, 32, 32)
         lap = assemble(grid)
         g = np.zeros(32)
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.2,
-                                 newton_tol=1e-30, max_newton=3)
+        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.2, newton_tol=1e-30)
         u0, kappa = initial_guess(grid, g, lap)
         with pytest.raises(StageFailed):
             newton_stage(lap, u0.values.ravel(), kappa, 0.2, g, cfg)
@@ -405,16 +428,18 @@ class TestContinuation:
         with pytest.raises(ValueError):
             solve_fixed_point(grid, lambda p: np.cos(2 * p), cfg)
 
-    def test_failure_carries_last_converged_stage(self):
+    def test_failure_carries_last_converged_stage(self, monkeypatch):
+        monkeypatch.setattr(semilinear, "MAX_NEWTON", 2)
         grid = build_sector_grid(2, 32, 32)
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.2,
-                                 newton_tol=1e-30, max_newton=2)
-        with pytest.raises(FixedPointError) as info:
+        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.2, newton_tol=1e-30)
+        with pytest.raises(StageFailed) as info:
             solve_fixed_point(grid, lambda p: np.cos(2 * p), cfg)
         assert info.value.partial is None  # first stage already failed
-        assert info.value.stage.eps == 0.2
+        assert info.value.eps == 0.2
+        assert info.value.iterations == 2
+        assert info.value.reason == "iteration cap reached"
         # a one-stage schedule runs its only stage on the grid itself
-        assert (info.value.stage.n_r, info.value.stage.n_phi) == (32, 32)
+        assert (info.value.n_r, info.value.n_phi) == (32, 32)
         assert "on 32x32 cells" in str(info.value)
 
     def test_partial_solution_may_live_on_a_coarser_level(self, monkeypatch):
@@ -428,9 +453,9 @@ class TestContinuation:
             return stage(lap, u, kappa, eps, g, config)
 
         monkeypatch.setattr(semilinear, "newton_stage", fails_on_the_finest_grid)
-        with pytest.raises(FixedPointError) as info:
+        with pytest.raises(StageFailed) as info:
             solve_fixed_point(grid, lambda p: 40.0 * np.cos(2.0 * p), cfg)
-        assert (info.value.stage.n_r, info.value.stage.n_phi) == (64, 64)
+        assert (info.value.n_r, info.value.n_phi) == (64, 64)
         partial = info.value.partial
         assert partial.eps == 0.1
         assert partial.stage_grids == [[16, 16], [32, 32]]
