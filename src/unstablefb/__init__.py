@@ -25,6 +25,7 @@ from .field import (
     integrate_ball,
     integrate_circle,
     radial_derivative,
+    read_field,
     read_field_csv,
     sample_circle,
     trace_on_circle,
@@ -91,7 +92,7 @@ __all__ = [
     "PolarGrid", "build_disk_grid", "build_sector_grid",
     "CircleTrace", "ScalarField", "eval_origin", "field_from_function",
     "gradient_sq", "integrate_ball", "integrate_circle", "radial_derivative",
-    "read_field_csv", "sample_circle", "trace_on_circle",
+    "read_field", "read_field_csv", "sample_circle", "trace_on_circle",
     "write_field_csv", "write_field_vtk",
     "DiscreteLaplacian", "SolverError", "assemble", "solve",
     "ContinuationConfig", "Solution", "StageFailed",

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .blowup import CASE1, CASE3, TRACE_SAMPLES, blowup_report, write_blowup_csv
-from .field import eval_origin, read_field_csv
+from .field import eval_origin, read_field
 from .freeboundary import (
     crossing_angles,
     extract_zero_set,
@@ -669,7 +669,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("fb", "zero set and origin arcs of an exported field"),
     ):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("field", help="field CSV produced by a solve")
+        sp.add_argument("field", help="solution.vtk of a solve, or an r,phi,value CSV")
         sp.add_argument("--radii", type=_number_list, default=None)
         sp.add_argument("--out", default=None, help="output file or directory")
 
@@ -693,7 +693,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    field = read_field_csv(args.field)
+    field = read_field(args.field)
     radii = args.radii or _default_phi_radii(field.grid.n_r)
     prof = phi_profile(field, radii)
     out = Path(args.out or "phi_profile.csv")
@@ -704,7 +704,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
-    field = read_field_csv(args.field)
+    field = read_field(args.field)
     radii = args.radii or DEFAULT_BLOWUP_RADII
     report = blowup_report(field, radii)
     out = Path(args.out or "blowup.csv")
@@ -714,7 +714,7 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_fb(args) -> int:
-    field = read_field_csv(args.field)
+    field = read_field(args.field)
     radii = args.radii or DEFAULT_ARC_RADII
     levelset = extract_zero_set(field)
     out_dir = Path(args.out or ".")

@@ -35,9 +35,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
     def apply(self, fn) -> "ScalarField":
         """Pointwise map of the values (fn must be numpy-vectorizable)."""
         return ScalarField(self.grid, np.asarray(fn(self.values), dtype=float))
@@ -318,31 +315,61 @@ def write_field_csv(field: ScalarField, path) -> None:
             fh.write(r_txt + r_txt.join(pieces) % tuple(row.tolist()))
 
 
-def read_field_csv(path) -> ScalarField:
-    """Rebuild a ScalarField from a CSV produced by write_field_csv.
-
-    Every r and phi node must be a cell center of the grid it implies, to 1e-9.
-    """
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise ValueError(f"{path}: expected 3 columns r,phi,value")
-    r_vals = np.unique(data[:, 0])
-    phi_vals = np.unique(data[:, 1])
+def _grid_from_nodes(path, r_vals, phi_vals) -> PolarGrid:
+    """The grid whose cell centers are the sorted nodes, to 1e-9; copies follow the phi step."""
     n_r, n_phi = len(r_vals), len(phi_vals)
-    if n_r * n_phi != data.shape[0]:
-        raise ValueError(f"{path}: rows do not form a tensor grid")
     if min(n_r, n_phi) < 2:
         raise ValueError(f"{path}: need at least two r and two phi nodes, got {n_r}x{n_phi}")
     phi_total = (phi_vals[1] - phi_vals[0]) * n_phi
-    copies = max(round(TWO_PI / phi_total), 1)
-    if (copies > 1 and copies % 2) or abs(phi_total - TWO_PI / copies) > 1e-9:
+    copies = max(round(TWO_PI / phi_total), 1) if phi_total > 0 else 0
+    if not copies or (copies > 1 and copies % 2) or abs(phi_total - TWO_PI / copies) > 1e-9:
         raise ValueError(f"{path}: angular extent {phi_total} is not pi/k or 2*pi")
     grid = PolarGrid(n_r, n_phi, copies)
-    if max(np.max(np.abs(r_vals - grid.r)), np.max(np.abs(phi_vals - grid.phi))) > 1e-9:
+    if not max(np.max(np.abs(r_vals - grid.r)), np.max(np.abs(phi_vals - grid.phi))) <= 1e-9:
         raise ValueError(f"{path}: nodes are not the cell centers of a {n_r}x{n_phi} grid")
-    order = np.lexsort((data[:, 1], data[:, 0]))
-    vals = data[order, 2].reshape(n_r, n_phi)
-    return ScalarField(grid, vals)
+    return grid
+
+
+def read_field_csv(path) -> ScalarField:
+    """Rebuild a ScalarField from a CSV produced by write_field_csv."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    if data.ndim != 2 or data.shape[1] != 3:
+        raise ValueError(f"{path}: expected 3 columns r,phi,value")
+    r_vals, phi_vals = np.unique(data[:, 0]), np.unique(data[:, 1])
+    if len(r_vals) * len(phi_vals) != data.shape[0]:
+        raise ValueError(f"{path}: rows do not form a tensor grid")
+    grid = _grid_from_nodes(path, r_vals, phi_vals)
+    return ScalarField(grid, data[np.lexsort((data[:, 1], data[:, 0])), 2].reshape(grid.shape))
+
+
+def _read_field_vtk(path) -> ScalarField:
+    """Rebuild a ScalarField, values bit for bit, from a file written by write_field_vtk."""
+    import re
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = re.match(rb"# vtk DataFile.*\n.*\nBINARY\nDATASET STRUCTURED_GRID\n"
+                    rb"DIMENSIONS ([1-9]\d*) ([1-9]\d*) 1\nPOINTS (\d+) double\n", data)
+    if head is None:
+        raise ValueError(f"{path}: not a BINARY legacy-VTK structured grid")
+    n_r, n_phi, n = map(int, head.groups())
+    if n != n_r * n_phi:
+        raise ValueError(f"{path}: DIMENSIONS {n_r}x{n_phi} disagree with POINTS {n}")
+    meta = re.compile(rb"\nPOINT_DATA (\d+)\nSCALARS \S+ double 1\nLOOKUP_TABLE default\n"
+                      ).match(data, head.end() + 24 * n)
+    if meta is None or int(meta[1]) != n or len(data) < meta.end() + 8 * n:
+        raise ValueError(f"{path}: truncated or malformed VTK point data")
+    xy = np.frombuffer(data, ">f8", 3 * n, head.end()).reshape(n_phi, n_r, 3)
+    grid = _grid_from_nodes(path, np.hypot(xy[0, :, 0], xy[0, :, 1]),  # first ring and ray
+                            np.arctan2(xy[:, 0, 1], xy[:, 0, 0]) % TWO_PI)
+    values = np.frombuffer(data, ">f8", n, meta.end()).reshape(n_phi, n_r).T
+    return ScalarField(grid, values.astype(float, order="C"))
+
+
+def read_field(path) -> ScalarField:
+    """A field from a write_field_vtk file (first line "# vtk DataFile...") or a CSV."""
+    with open(path, "rb") as fh:
+        vtk = fh.readline().startswith(b"# vtk DataFile")
+    return _read_field_vtk(path) if vtk else read_field_csv(path)
 
 
 def write_field_vtk(field: ScalarField, path, name: str = "u") -> None:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import ScalarField, origin_weight_vector, write_field_csv, write_field_vtk
+from .field import ScalarField, origin_weight_vector, write_field_vtk
 from .mesh import PolarGrid
 from .poisson import DiscreteLaplacian, _arc_values, assemble
 
@@ -541,16 +541,14 @@ def residual_check(sol: Solution, lap: DiscreteLaplacian | None = None) -> tuple
 
 
 def export_solution(sol: Solution, out_dir, basename: str = "solution") -> list[str]:
-    """Write the field and a JSON sidecar; returns the paths.
+    """Write the field once, as legacy-VTK BINARY, and a JSON sidecar; returns the paths.
 
-    The CSV is the text field that `phi`, `blowup` and `fb` read back; the
-    VTK file is legacy-VTK BINARY (big-endian float64) for viewers.
+    The VTK file holds the values bit for bit (big-endian float64): `phi`,
+    `blowup` and `fb` read it back through read_field, and viewers open it.
     """
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{basename}.csv")
     vtk_path = os.path.join(out_dir, f"{basename}.vtk")
     json_path = os.path.join(out_dir, f"{basename}.json")
-    write_field_csv(sol.u, csv_path)
     write_field_vtk(sol.u, vtk_path)
     sidecar = {
         "k": sol.k,
@@ -568,4 +566,4 @@ def export_solution(sol: Solution, out_dir, basename: str = "solution") -> list[
     }
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
-    return [csv_path, vtk_path, json_path]
+    return [vtk_path, json_path]

@@ -8,7 +8,13 @@ import pytest
 import scipy.sparse as sp
 
 import unstablefb.semilinear as semilinear
-from unstablefb import PolarGrid, ScalarField, build_disk_grid, field_from_function
+from unstablefb import (
+    PolarGrid,
+    ScalarField,
+    build_disk_grid,
+    field_from_function,
+    write_field_vtk,
+)
 from unstablefb.poisson import _transmissibilities
 
 
@@ -58,6 +64,26 @@ def disk512() -> PolarGrid:
 def degree2_field(grid: PolarGrid, M: float = 1.0) -> ScalarField:
     """The homogeneous harmonic M r^2 cos(2 phi) sampled at cell centers."""
     return field_from_function(grid, lambda r, p: M * r**2 * np.cos(2.0 * p))
+
+
+# byte edits that break a write_field_vtk file of a 64 x 48 disk field
+VTK_DEFECTS = {
+    "truncated-points": lambda data: data[: len(data) // 2],
+    "truncated-values": lambda data: data[:-9],
+    "ascii-header": lambda data: data.replace(b"\nBINARY\n", b"\nASCII\n", 1),
+    "dims-vs-points": lambda data: data.replace(b"DIMENSIONS 64 48 1", b"DIMENSIONS 64 47 1", 1),
+}
+
+
+def malformed_vtk(tmp_path, defect: str):
+    """Path of a write_field_vtk file of a 64 x 48 disk field, broken by VTK_DEFECTS[defect]."""
+    path = tmp_path / f"{defect}.vtk"
+    write_field_vtk(degree2_field(build_disk_grid(64, 48)), path)
+    data = path.read_bytes()
+    broken = VTK_DEFECTS[defect](data)
+    assert broken != data
+    path.write_bytes(broken)
+    return path
 
 
 def saddle_field(grid: PolarGrid) -> ScalarField:

@@ -7,10 +7,14 @@ test stays around a second.
 import inspect
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import VTK_DEFECTS, malformed_vtk
 
 import unstablefb.cli as cli
 import unstablefb.semilinear as semilinear
@@ -20,7 +24,7 @@ from unstablefb import (
     build_sector_grid,
     field_from_function,
     main,
-    read_field_csv,
+    read_field,
     rerun_manifest,
     run_asterisk,
     run_cross,
@@ -57,11 +61,11 @@ class TestSolveDriver:
 
     def test_outputs_exist(self, solve_run):
         out, m = solve_run
-        assert set(m.outputs) == {"solution.csv", "solution.vtk", "solution.json"}
+        assert set(m.outputs) == {"solution.vtk", "solution.json"}
         for name in m.outputs:
             assert (out / name).exists()
-        field = read_field_csv(out / "solution.csv")
-        assert field.grid.shape == (64, 64)
+        field = read_field(out / "solution.vtk")
+        assert field.grid == build_sector_grid(2, 64, 64)
 
     def test_headline_content(self, solve_run):
         _, m = solve_run
@@ -486,14 +490,44 @@ class TestConsoleEntry:
 
     def test_field_analysis_commands(self, tmp_path, capsys, solve_run):
         run_dir, _ = solve_run
-        csv = str(run_dir / "solution.csv")
-        assert main(["phi", csv, "--out", str(tmp_path / "prof.csv")]) == 0
-        assert main(["blowup", csv, "--radii", "0.1,0.2,0.3",
+        vtk = str(run_dir / "solution.vtk")
+        assert main(["phi", vtk, "--out", str(tmp_path / "prof.csv")]) == 0
+        assert main(["blowup", vtk, "--radii", "0.1,0.2,0.3",
                      "--out", str(tmp_path / "blow.csv")]) == 0
-        assert main(["fb", csv, "--out", str(tmp_path)]) == 0
+        assert main(["fb", vtk, "--out", str(tmp_path)]) == 0
         assert (tmp_path / "prof.csv").exists()
         assert (tmp_path / "blow.csv").exists()
         assert (tmp_path / "fb.csv").exists()
+
+    def test_vtk_and_csv_of_one_field_give_identical_analyses(self, tmp_path, capsys,
+                                                              solve_run):
+        run_dir, _ = solve_run
+        vtk = run_dir / "solution.vtk"
+        csv = tmp_path / "solution.csv"
+        write_field_csv(read_field(vtk), csv)
+        for source in (vtk, csv):
+            out = tmp_path / source.suffix[1:]
+            out.mkdir()
+            assert main(["phi", str(source), "--out", str(out / "phi_profile.csv")]) == 0
+            assert main(["blowup", str(source), "--out", str(out / "blowup.csv")]) == 0
+            assert main(["fb", str(source), "--out", str(out)]) == 0
+        for name in ("phi_profile.csv", "blowup.csv", "fb.csv", "arcs.json"):
+            assert (tmp_path / "vtk" / name).read_bytes() == (tmp_path / "csv" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["phi", "blowup", "fb"])
+    @pytest.mark.parametrize("defect", VTK_DEFECTS)
+    def test_malformed_vtk_is_usage_error(self, tmp_path, capsys, command, defect):
+        path = malformed_vtk(tmp_path, defect)
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_command_line(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "unstablefb", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: unstablefb")
 
     def test_fb_records_a_failed_arc_fit_in_arcs_json(self, tmp_path, capsys):
         # positive everywhere, so the zero set misses every arc radius

@@ -5,11 +5,12 @@ harmonics, and Fourier coefficients of single-mode traces.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import degree2_field
+from conftest import VTK_DEFECTS, degree2_field, malformed_vtk
 
 from unstablefb import (
     ScalarField,
@@ -21,6 +22,7 @@ from unstablefb import (
     integrate_ball,
     integrate_circle,
     radial_derivative,
+    read_field,
     read_field_csv,
     sample_circle,
     trace_on_circle,
@@ -337,3 +339,33 @@ class TestSerialization:
         with pytest.raises(ValueError, match="VTK array name"):
             write_field_vtk(degree2_field(disk64), path, name=name)
         assert not path.exists()
+
+    @pytest.mark.parametrize("grid", [
+        build_sector_grid(2, 256, 256),
+        build_sector_grid(4, 96, 96),
+        build_disk_grid(33, 64),
+        build_sector_grid(4, 4096, 8),
+    ], ids=["k2-256", "k4-96", "disk-odd-nr", "k4-thin"])
+    def test_read_field_rebuilds_a_vtk_file_bitwise(self, tmp_path, grid):
+        u = ScalarField(grid, np.random.default_rng(9).standard_normal(grid.shape))
+        path = tmp_path / "field.vtk"
+        write_field_vtk(u, path)
+        back = read_field(path)
+        assert back.grid == grid
+        assert np.array_equal(back.values, u.values)
+        # native C order, as read_field_csv gives, so analyses sum in the same order
+        assert back.values.flags.c_contiguous and back.values.dtype == np.float64
+
+    def test_read_field_reads_a_csv_like_read_field_csv(self, tmp_path):
+        g = build_sector_grid(2, 40, 24)
+        path = tmp_path / "field.csv"
+        write_field_csv(degree2_field(g), path)
+        back, ref = read_field(path), read_field_csv(path)
+        assert back.grid == ref.grid == g
+        assert np.array_equal(back.values, ref.values)
+
+    @pytest.mark.parametrize("defect", VTK_DEFECTS)
+    def test_malformed_vtk_raises_naming_the_path(self, tmp_path, defect):
+        path = malformed_vtk(tmp_path, defect)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_field(path)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import unstablefb.semilinear as semilinear
 from unstablefb import (
     ContinuationConfig,
     ScalarField,
+    Solution,
     StageFailed,
     assemble,
     build_disk_grid,
@@ -23,6 +25,7 @@ from unstablefb import (
     field_from_function,
     initial_guess,
     newton_stage,
+    read_field,
     residual_check,
     solve,
     solve_fixed_point,
@@ -551,6 +554,19 @@ class TestGridSequencing:
         assert len(sidecar["stage_grids"]) == len(sidecar["newton_iters"])
         # each transition measure is taken on its own stage's grid
         assert sol.transition_measures[-1] == transition_measure(sol.u, sol.eps)
+
+
+class TestExport:
+    def test_field_is_written_once_as_vtk(self, tmp_path):
+        u = field_from_function(build_sector_grid(2, 32, 16), lambda r, p: r**2 * np.cos(2 * p))
+        sol = Solution(u=u, kappa=0.125, eps=0.05, pde_residual=0.0, origin_residual=0.0,
+                       newton_iters=[2], stage_grids=[[32, 16]], eps_schedule=[0.05],
+                       g_values=np.zeros(16))
+        paths = export_solution(sol, tmp_path)
+        assert [os.path.basename(p) for p in paths] == ["solution.vtk", "solution.json"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["solution.json", "solution.vtk"]
+        assert not list(tmp_path.glob("*.csv"))
+        assert np.array_equal(read_field(paths[0]).values, u.values)
 
 
 class TestTransitionMeasure:
