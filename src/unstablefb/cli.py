@@ -534,11 +534,11 @@ def _scan_body(p: dict, out: Path):
         m_star = find_threshold(C1, float(Ms[sign_change]), float(Ms[sign_change + 1]),
                                 tol=p["bisect_tol"], n_r=n_r, n_phi=n_phi)
 
-    mc_rows = []
-    for m_chk in {Ms[0], Ms[-1]}:
-        quad = float(values[list(Ms).index(m_chk)])
-        mc = mc_energy_bound(float(m_chk), C1, samples=p["mc_samples"], seed=p["mc_seed"])
-        mc_rows.append({"M": float(m_chk), "quadrature": quad, "monte_carlo": mc})
+    # both endpoints share one seeded draw; the set's order fixes the row order
+    ends = [float(m) for m in {Ms[0], Ms[-1]}]
+    mcs = mc_energy_bound(ends, C1, samples=p["mc_samples"], seed=p["mc_seed"])
+    mc_rows = [{"M": m, "quadrature": float(values[list(Ms).index(m)]), "monte_carlo": float(mc)}
+               for m, mc in zip(ends, mcs)]
 
     scale = math.pi * C1 * C1
     checks = _Checks()
@@ -756,7 +756,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a missing or unreadable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

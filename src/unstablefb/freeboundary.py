@@ -216,13 +216,18 @@ def fit_arcs_at_origin(u: ScalarField, radii) -> ArcFit:
 
 
 def write_levelset_csv(ls: LevelSet, path) -> None:
-    """Columns polyline, vertex, x, y."""
-    lens = [len(pts) for pts in ls.polylines]
-    pid = np.repeat(np.arange(len(lens)), lens)
-    vid = np.arange(sum(lens)) - np.repeat(np.cumsum(lens) - lens, lens)
-    xy = np.concatenate([np.empty((0, 2)), *ls.polylines])
-    np.savetxt(path, np.column_stack([pid, vid, xy]), delimiter=",",
-               header="polyline,vertex,x,y", comments="", fmt="%.17g")
+    """Columns polyline, vertex, x, y; one row per vertex.
+
+    The bytes are those of np.savetxt(fmt="%.17g", delimiter=",").  Each
+    polyline fills one row template with a single % and is written on its
+    own, so the text of only one polyline is held at a time.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("polyline,vertex,x,y\n")
+        for p, pts in enumerate(ls.polylines):
+            n = len(pts)
+            rows = np.column_stack([np.arange(n), pts]).ravel().tolist()
+            fh.write((f"{p},%d,%.17g,%.17g\n" * n) % tuple(rows))
 
 
 def write_arcs_json(fit: ArcFit, path) -> None:

@@ -142,18 +142,41 @@ def energy_bound_integral(M: float, C1: float = 0.5, n_r: int = 1024, n_phi: int
     return float(np.pi * C1 * C1 - _integrate_rings(grid, row_sums, 1.0))
 
 
-def mc_energy_bound(M: float, C1: float = 0.5, samples: int = 1_000_000, seed: int = 0) -> float:
-    """Monte-Carlo estimate of energy_bound_integral (seeded, for cross-checks)."""
+def mc_energy_bound(M, C1: float = 0.5, samples: int = 1_000_000, seed: int = 0):
+    """Monte-Carlo estimate of energy_bound_integral (seeded, for cross-checks).
+
+    M is one amplitude (a float comes back) or an array of them (an array
+    of the same shape comes back).  The points r = sqrt(U1), phi = 2*pi*U2
+    and cos(2 phi) are drawn once from the seed and shared by every
+    amplitude, so each estimate equals that of a call with M alone, bit for
+    bit.  Memory is three float64 arrays of length samples (r, cos 2 phi
+    and one buffer reused for each amplitude): 24 bytes per sample.
+    """
     if samples < 1:
         raise ValueError(f"need at least one Monte Carlo sample, got {samples}")
     if C1 <= 0.0:
         raise ValueError(f"torsion bound C1 must be positive, got {C1}")
+    Ms = np.asarray(M, dtype=float)
     rng = np.random.default_rng(seed)
-    r = np.sqrt(rng.random(samples))
-    t = 2.0 * np.pi * rng.random(samples)
-    h = M * r * r * np.cos(2.0 * t)
-    vals = C1 * C1 - 2.0 * np.maximum(h - C1, 0.0)
-    return float(np.pi * vals.mean())
+    r = rng.random(samples)
+    np.sqrt(r, out=r)
+    c = rng.random(samples)
+    c *= 2.0 * np.pi  # phi, then 2 phi: two roundings, as cos(2.0 * phi) takes them
+    c *= 2.0
+    np.cos(c, out=c)
+    vals = np.empty(samples)
+    out = np.empty(Ms.shape)
+    for idx, m in np.ndenumerate(Ms):
+        # C1^2 - 2*max(M*r*r*cos(2 phi) - C1, 0), term by term in place
+        np.multiply(m, r, out=vals)
+        vals *= r
+        vals *= c
+        vals -= C1
+        np.maximum(vals, 0.0, out=vals)
+        vals *= 2.0
+        np.subtract(C1 * C1, vals, out=vals)
+        out[idx] = np.pi * vals.mean()
+    return out if out.ndim else float(out)
 
 
 def threshold_scan(M_values, C1: float = 0.5, n_r: int = 1024, n_phi: int = 1024

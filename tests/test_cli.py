@@ -477,6 +477,26 @@ class TestScanDriver:
         # machinery must not demand one below the 4*C1 landmark
         assert m.status == "ok"
 
+    def test_both_endpoints_come_from_one_monte_carlo_call(self, tmp_path, monkeypatch):
+        calls, estimate = [], cli.mc_energy_bound
+
+        def counting(M, *args, **kwargs):
+            calls.append(np.asarray(M).tolist())
+            return estimate(M, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "mc_energy_bound", counting)
+        m = run_threshold_scan([0.0, 2.0, 4.0], 0.5, tmp_path, n_r=64, n_phi=64,
+                               mc_samples=1000)
+        assert len(calls) == 1
+        assert sorted(calls[0]) == [0.0, 4.0]
+        assert [row["M"] for row in m.headline["monte_carlo"]] == calls[0]
+
+    def test_one_amplitude_gives_one_monte_carlo_row(self, tmp_path):
+        m = run_threshold_scan([2.5], 0.5, tmp_path, n_r=64, n_phi=64, mc_samples=1000)
+        rows = m.headline["monte_carlo"]
+        assert len(rows) == 1 and rows[0]["M"] == 2.5
+        assert type(rows[0]["monte_carlo"]) is float
+
 
 class TestConsoleEntry:
     def test_solve_command(self, tmp_path, capsys):
@@ -598,6 +618,17 @@ class TestConsoleEntry:
 
     def test_missing_field_file_is_usage_error(self, tmp_path):
         assert main(["phi", str(tmp_path / "absent.csv")]) == 2
+
+    @pytest.mark.parametrize("command", ["phi", "blowup", "fb"])
+    def test_directory_as_field_is_usage_error(self, tmp_path, capsys, command):
+        field_dir = tmp_path / "a_run"
+        field_dir.mkdir()
+        out = tmp_path / "out"
+        assert main([command, str(field_dir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(field_dir) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_arguments_exit_2(self):
         with pytest.raises(SystemExit) as info:

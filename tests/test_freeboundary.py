@@ -22,6 +22,7 @@ from unstablefb import (
     write_arcs_json,
     write_levelset_csv,
 )
+from unstablefb.freeboundary import LevelSet
 from unstablefb.mesh import reflect_to_disk
 
 DIAGONALS = np.array([1.0, 3.0, 5.0, 7.0]) * math.pi / 4.0
@@ -265,7 +266,48 @@ class TestArcFit:
             fit_arcs_at_origin(degree2_field(disk256), [0.3])
 
 
+def reference_write_levelset_csv(ls, path):
+    """write_levelset_csv as it was when it called np.savetxt, kept as the
+    byte-level reference for the polyline-at-a-time writer."""
+    lens = [len(pts) for pts in ls.polylines]
+    pid = np.repeat(np.arange(len(lens)), lens)
+    vid = np.arange(sum(lens)) - np.repeat(np.cumsum(lens) - lens, lens)
+    xy = np.concatenate([np.empty((0, 2)), *ls.polylines])
+    np.savetxt(path, np.column_stack([pid, vid, xy]), delimiter=",",
+               header="polyline,vertex,x,y", comments="", fmt="%.17g")
+
+
+def random_levelset(sizes, seed):
+    rng = np.random.default_rng(seed)
+    return LevelSet(polylines=[rng.standard_normal((n, 2)) for n in sizes],
+                    lengths=[0.0] * len(sizes))
+
+
 class TestExport:
+    @pytest.mark.parametrize("sizes", [[], [1], [37], [5, 1, 12, 0, 3]],
+                             ids=["empty", "one-vertex", "one-polyline", "several"])
+    def test_levelset_csv_bytes_equal_savetxt(self, tmp_path, sizes):
+        ls = random_levelset(sizes, seed=len(sizes))
+        write_levelset_csv(ls, tmp_path / "new.csv")
+        reference_write_levelset_csv(ls, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_levelset_csv_bytes_equal_savetxt_on_special_values(self, tmp_path):
+        pts = np.array([[-0.0, 0.0], [5e-324, -2.5e-310], [1e300, -1e300], [3.0, -7.0],
+                        [2.0**53, 0.1], [math.nan, math.inf], [-math.inf, 1.0]])
+        ls = LevelSet(polylines=[pts, pts[::-1].copy()], lengths=[0.0, 0.0])
+        write_levelset_csv(ls, tmp_path / "new.csv")
+        reference_write_levelset_csv(ls, tmp_path / "ref.csv")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        assert new.startswith(b"polyline,vertex,x,y\n0,0,-0,0\n")
+
+    def test_levelset_csv_of_a_marched_field(self, tmp_path, disk256):
+        ls = extract_zero_set(degree2_field(disk256))
+        write_levelset_csv(ls, tmp_path / "new.csv")
+        reference_write_levelset_csv(ls, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_levelset_csv(self, tmp_path, disk256):
         ls = extract_zero_set(degree2_field(disk256))
         path = tmp_path / "fb.csv"

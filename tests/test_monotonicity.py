@@ -161,6 +161,17 @@ def reference_energy_bound(M, C1, n_r, n_phi):
     return float(np.pi * C1 * C1 - excess)
 
 
+def reference_mc_energy_bound(M, C1, samples, seed):
+    """mc_energy_bound as it was before it took arrays: one amplitude, a
+    fresh draw per call, kept as the bit-level reference."""
+    rng = np.random.default_rng(seed)
+    r = np.sqrt(rng.random(samples))
+    t = 2.0 * np.pi * rng.random(samples)
+    h = M * r * r * np.cos(2.0 * t)
+    vals = C1 * C1 - 2.0 * np.maximum(h - C1, 0.0)
+    return float(np.pi * vals.mean())
+
+
 class TestEnergyBound:
     @pytest.mark.parametrize("n_r, n_phi", [(1024, 1024), (256, 256), (128, 128),
                                             (32, 8), (8, 200)])
@@ -194,10 +205,38 @@ class TestEnergyBound:
         with pytest.raises(ValueError):
             mc_energy_bound(2.0, C1, samples=samples)
 
+    @pytest.mark.parametrize("samples, C1", [(0, 0.5), (100, 0.0)])
+    def test_monte_carlo_on_an_array_rejects_bad_arguments(self, samples, C1):
+        with pytest.raises(ValueError):
+            mc_energy_bound(np.array([0.0, 2.0]), C1, samples=samples)
+
     def test_monte_carlo_is_seed_stable(self):
         a = mc_energy_bound(3.0, 0.5, samples=200_000, seed=42)
         b = mc_energy_bound(3.0, 0.5, samples=200_000, seed=42)
         assert a == b
+
+    @pytest.mark.parametrize("C1", [0.5, 0.3])
+    @pytest.mark.parametrize("samples", [1, 7, 1_000_003])
+    @pytest.mark.parametrize("seed", [0, 123456])
+    def test_monte_carlo_on_an_array_is_bitwise_the_scalar_estimates(self, C1, samples, seed):
+        Ms = [0.0, 1.89, 4.0, -3.0, 40.0]
+        got = mc_energy_bound(np.array(Ms), C1, samples=samples, seed=seed)
+        assert isinstance(got, np.ndarray) and got.shape == (len(Ms),)
+        for M, value in zip(Ms, got):
+            assert value == mc_energy_bound(M, C1, samples=samples, seed=seed)
+            assert value == reference_mc_energy_bound(M, C1, samples, seed)
+
+    def test_monte_carlo_keeps_the_shape_of_M(self):
+        Ms = np.array([[0.0, 2.0], [4.0, -3.0]])
+        got = mc_energy_bound(Ms, 0.5, samples=1000, seed=3)
+        assert got.shape == (2, 2)
+        assert got[1, 0] == mc_energy_bound(4.0, 0.5, samples=1000, seed=3)
+
+    @pytest.mark.parametrize("M", [2.0, 3, np.float64(1.5), np.array(4.0)])
+    def test_monte_carlo_of_one_amplitude_is_a_float(self, M):
+        got = mc_energy_bound(M, 0.5, samples=1000, seed=1)
+        assert type(got) is float
+        assert got == reference_mc_energy_bound(float(M), 0.5, 1000, 1)
 
     def test_scan_nonincreasing_and_crosses_zero(self):
         Ms, vals = threshold_scan([0.0, 1.0, 2.0, 3.0, 4.0], 0.5)
