@@ -31,8 +31,8 @@ TRACE_SAMPLES = 256
 REPORTED_MODES = (2, 4)
 
 
-class DegenerateTrace(RuntimeError):
-    """Trace amplitude too small to normalize."""
+class DegenerateTrace(ValueError):
+    """Trace amplitude too small to normalize (a ValueError: the CLI exits 2)."""
 
 
 @dataclass

@@ -22,15 +22,8 @@ inexact-Newton forcing term (Dembo, Eisenstat and Steihaug 1982) is tested
 on it, and one product with K at the end of each GMRES cycle confirms the
 true residual.
 
-The eps continuation is grid-sequenced (nested iteration; Briggs, Henson
-and McCormick, A Multigrid Tutorial, 2000, ch. 3): the ladder halves eps
-while each coarser level of the grid doubles dr, so every stage runs on
-the coarsest level whose resolution floor admits its eps, and only the
-last stage runs on the given grid.  A 256^2 cross run climbs 16^2, 32^2,
-..., 256^2, one level per stage: its eleven Newton steps make 26 Laplacian
-inverses, 5 of them on 256^2 (25 inverses, all on 256^2, with every stage
-on the given grid).  A 256^2 asterisk run makes 70, 18 of them on 256^2
-(66).
+The eps continuation runs these Newton steps in stages on a ladder of
+grids (`_stages`), and solve_fixed_point collects its result.
 """
 from __future__ import annotations
 
@@ -450,46 +443,32 @@ def _prolong(u: np.ndarray, coarse: PolarGrid, fine: PolarGrid) -> np.ndarray:
     return ((1.0 - s) * u[:, j] + s * u[:, j + 1]).ravel()
 
 
-def solve_fixed_point(grid: PolarGrid, g_arc, config: ContinuationConfig | None = None,
-                      g_label: str = "") -> Solution:
+def _stages(grid: PolarGrid, g_arc, config: ContinuationConfig):
     """Grid-sequenced continuation in eps with warm-started bordered Newton stages.
 
-    Each stage runs on the coarsest level of the grid (`_grid_levels`)
-    whose floor EPS_FLOOR_CELLS * dr admits its eps, and the last stage on
-    the grid itself.  The ladder halves eps while each level halves dr, so
-    it climbs one level per stage.  The linear predictor runs on the first
-    level; where the level changes, u is prolonged linearly (`_prolong`)
-    and kappa carried over.  Coarse levels see the fine arc data averaged
-    over the fine cells of each coarse cell.
+    Nested iteration (Briggs, Henson and McCormick, A Multigrid Tutorial,
+    2000, ch. 3): each stage runs on the coarsest level of the grid
+    (`_grid_levels`) whose floor EPS_FLOOR_CELLS * dr admits its eps, and
+    the last stage on the grid itself.  The ladder halves eps while each
+    level halves dr, so it climbs one level per stage.  The linear predictor
+    runs on the first level; where the level changes, u is prolonged
+    linearly (`_prolong`) and kappa carried over.  Coarse levels see the
+    fine arc data averaged over the fine cells of each coarse cell.
 
-    Each Newton step is one right-preconditioned GMRES solve: one Laplacian
-    inverse per Krylov iteration and one product with A per GMRES cycle, to
-    confirm the true residual (2-3 iterations per step on the 256^2 cross).
-    The last stage takes 2 Newton iterations on the 256^2 cross.
+    A 256^2 cross run climbs 16^2, ..., 256^2: its eleven Newton steps make
+    26 Laplacian inverses, 5 in the last stage's 2 steps on 256^2 (25 with
+    every stage on 256^2); a 256^2 asterisk run makes 70, 18 on 256^2 (66).
 
-    Deterministic: identical inputs produce bit-identical solutions under
-    the same BLAS thread count (the Krylov solves and the DCTs of the
-    preconditioner run in a fixed order, the DCTs on one worker).
+    Yields each converged stage as (eps, lap, g, u, kappa, iterations,
+    pde_residual, origin_residual): lap is the Laplacian of the stage's
+    level, g its arc data and u flat.  A failed stage raises StageFailed.
     """
-    if config is None:
-        config = ContinuationConfig()
-    if grid.periodic:
-        raise ValueError("solve_fixed_point needs a sector grid")
     schedule = config.schedule()
-    if schedule[-1] < EPS_FLOOR_CELLS * grid.dr:
-        raise ValueError(
-            f"eps_min={schedule[-1]:g} below the resolution floor "
-            f"{EPS_FLOOR_CELLS * grid.dr:g} of a {grid.n_r}x{grid.n_phi} grid"
-        )
     g_fine = _arc_values(grid, g_arc)
     levels = _grid_levels(grid)
-    placed = [levels[i] for i in _stage_levels(levels, schedule)]
-
-    iters: list[int] = []
-    trans: list[float] = []
-    lap: DiscreteLaplacian | None = None
-    last_good: Solution | None = None
-    for eps, here in zip(schedule, placed):
+    lap = None
+    for eps, level in zip(schedule, _stage_levels(levels, schedule)):
+        here = levels[level]
         if lap is None or lap.grid is not here:
             # cell averages of the fine arc data over each coarse arc cell
             g = g_fine.reshape(here.n_phi, -1).mean(axis=1)
@@ -499,28 +478,47 @@ def solve_fixed_point(grid: PolarGrid, g_arc, config: ContinuationConfig | None 
                 u = u_field.values.ravel()
             else:
                 u = _prolong(u, coarse.grid, here)
-        try:
-            u, kappa, n_it, pde_res, origin_res = newton_stage(lap, u, kappa, eps, g, config)
-        except StageFailed as exc:
-            exc.partial = last_good
-            raise
-        iters.append(n_it)
-        trans.append(transition_measure(ScalarField(here, u.reshape(here.shape)), eps))
-        last_good = Solution(
-            u=ScalarField(here, u.reshape(here.shape).copy()),
-            kappa=float(kappa),
-            eps=eps,
-            pde_residual=pde_res,
-            origin_residual=origin_res,
-            newton_iters=list(iters),
-            stage_grids=[[level.n_r, level.n_phi] for level in placed[: len(iters)]],
-            eps_schedule=schedule[: len(iters)],
-            g_values=g,
-            g_label=g_label,
-            transition_measures=list(trans),
+        u, kappa, *stats = newton_stage(lap, u, kappa, eps, g, config)
+        yield (eps, lap, g, u, kappa, *stats)
+
+
+def solve_fixed_point(grid: PolarGrid, g_arc, config: ContinuationConfig | None = None,
+                      g_label: str = "") -> Solution:
+    """Run the eps continuation (`_stages`) on a sector grid; a StageFailed
+    carries the last converged stage as partial.  Deterministic under a
+    fixed BLAS thread count: the Krylov solves and the DCTs of the
+    preconditioner run in a fixed order, the DCTs on one worker.
+    """
+    if config is None:
+        config = ContinuationConfig()
+    if grid.periodic:
+        raise ValueError("solve_fixed_point needs a sector grid")
+    eps_min = config.schedule()[-1]
+    if eps_min < EPS_FLOOR_CELLS * grid.dr:
+        raise ValueError(
+            f"eps_min={eps_min:g} below the resolution floor "
+            f"{EPS_FLOOR_CELLS * grid.dr:g} of a {grid.n_r}x{grid.n_phi} grid"
         )
-    assert last_good is not None
-    return last_good
+    failure, schedule, iters, grids, trans = None, [], [], [], []
+    try:
+        for eps, lap, g, u, kappa, n_it, pde_res, origin_res in _stages(grid, g_arc, config):
+            field = ScalarField(lap.grid, u.reshape(lap.grid.shape))
+            schedule.append(eps)
+            iters.append(n_it)
+            grids.append([lap.grid.n_r, lap.grid.n_phi])
+            trans.append(transition_measure(field, eps))
+    except StageFailed as exc:
+        if not iters:
+            raise
+        failure = exc
+    # the loop variables hold the last converged stage
+    sol = Solution(u=field, kappa=float(kappa), eps=eps, pde_residual=pde_res, g_values=g,
+                   origin_residual=origin_res, newton_iters=iters, stage_grids=grids,
+                   eps_schedule=schedule, g_label=g_label, transition_measures=trans)
+    if failure is None:
+        return sol
+    failure.partial = sol
+    raise failure
 
 
 def transition_measure(u: ScalarField, eps: float) -> float:

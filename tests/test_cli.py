@@ -31,6 +31,7 @@ from unstablefb import (
     run_solve,
     run_threshold_scan,
     write_field_csv,
+    write_field_vtk,
 )
 from unstablefb.cli import _build_parser, _default_phi_radii
 
@@ -629,6 +630,18 @@ class TestConsoleEntry:
         assert err.startswith("error: ") and str(field_dir) in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_vanishing_trace_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # an all-zero field has S(r) = 0, so the trace at r = 0.05 cannot be normalized
+        grid = build_sector_grid(2, 64, 64)
+        field = tmp_path / "solution.vtk"
+        write_field_vtk(field_from_function(grid, lambda r, p: 0.0 * r), field)
+        monkeypatch.chdir(tmp_path)
+        assert main(["blowup", str(field)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "S(0.05)" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "blowup.csv").exists()
 
     def test_bad_arguments_exit_2(self):
         with pytest.raises(SystemExit) as info:

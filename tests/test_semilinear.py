@@ -393,6 +393,37 @@ class TestNewtonStage:
             newton_stage(lap, u0.values.ravel(), kappa, 0.2, g, cfg)
 
 
+def fail_stages_on(monkeypatch, n_r):
+    """Make newton_stage raise StageFailed on every level with n_r radial cells."""
+    stage = semilinear.newton_stage
+
+    def fails_on_that_level(lap, u, kappa, eps, g, config):
+        if lap.grid.n_r == n_r:
+            raise StageFailed(eps, lap.grid, 0, 1.0, "forced")
+        return stage(lap, u, kappa, eps, g, config)
+
+    monkeypatch.setattr(semilinear, "newton_stage", fails_on_that_level)
+
+
+def cross_64():
+    """(grid, arc data, config) of the 64^2 cross solved down to eps = 0.05."""
+    return (build_sector_grid(2, 64, 64), lambda p: 40.0 * np.cos(2.0 * p),
+            ContinuationConfig(eps_start=0.2, eps_min=0.05))
+
+
+@pytest.fixture
+def solutions_built(monkeypatch):
+    """The Solution objects semilinear constructs, in order."""
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(Solution(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(semilinear, "Solution", counted)
+    return built
+
+
 class TestContinuation:
     def test_coarse_cross_solution(self):
         grid = build_sector_grid(2, 64, 64)
@@ -448,14 +479,7 @@ class TestContinuation:
     def test_partial_solution_may_live_on_a_coarser_level(self, monkeypatch):
         grid = build_sector_grid(2, 64, 64)
         cfg = ContinuationConfig(eps_start=0.2, eps_min=0.05)
-        stage = semilinear.newton_stage
-
-        def fails_on_the_finest_grid(lap, u, kappa, eps, g, config):
-            if lap.grid.n_r == grid.n_r:
-                raise StageFailed(eps, lap.grid, 0, 1.0, "forced")
-            return stage(lap, u, kappa, eps, g, config)
-
-        monkeypatch.setattr(semilinear, "newton_stage", fails_on_the_finest_grid)
+        fail_stages_on(monkeypatch, grid.n_r)
         with pytest.raises(StageFailed) as info:
             solve_fixed_point(grid, lambda p: 40.0 * np.cos(2.0 * p), cfg)
         assert (info.value.n_r, info.value.n_phi) == (64, 64)
@@ -466,6 +490,29 @@ class TestContinuation:
         assert partial.g_values.shape == (32,)
         max_res, _ = residual_check(partial)
         assert max_res <= 1e-8
+
+    def test_solution_is_built_once(self, solutions_built):
+        sol = solve_fixed_point(*cross_64())
+        assert solutions_built == [sol]
+
+    def test_partial_is_built_once_from_the_last_converged_stage(self, monkeypatch,
+                                                                 solutions_built):
+        grid, g, cfg = cross_64()
+        fail_stages_on(monkeypatch, grid.n_r)
+        with pytest.raises(StageFailed) as info:
+            solve_fixed_point(grid, g, cfg)
+        partial = info.value.partial
+        assert len(solutions_built) == 1 and solutions_built[0] is partial
+        assert partial.eps_schedule == [0.2, 0.1] and len(partial.newton_iters) == 2
+
+    def test_no_solution_is_built_when_the_first_stage_fails(self, monkeypatch,
+                                                            solutions_built):
+        fail_stages_on(monkeypatch, 16)  # the first stage of the 64^2 cross runs on 16^2
+        with pytest.raises(StageFailed) as info:
+            solve_fixed_point(*cross_64())
+        assert info.value.partial is None
+        assert (info.value.n_r, info.value.eps) == (16, 0.2)
+        assert solutions_built == []
 
 
 class TestGridSequencing:
@@ -542,6 +589,33 @@ class TestGridSequencing:
         assert sol.newton_iters[-1] <= 3
         assert np.max(np.abs(sol.u.values.ravel() - u_ref)) <= 1e-9
         assert abs(sol.kappa - kappa_ref) <= 1e-9 * abs(kappa_ref)
+
+    def test_stages_yield_one_converged_stage_per_eps(self, monkeypatch):
+        grid, g, cfg = cross_64()
+        stage, levels = semilinear.newton_stage, []
+
+        def counted(lap, *args):
+            levels.append(lap.grid.shape)
+            return stage(lap, *args)
+
+        monkeypatch.setattr(semilinear, "newton_stage", counted)
+        stages = list(semilinear._stages(grid, g, cfg))
+        assert [s[0] for s in stages] == [0.2, 0.1, 0.05]
+        assert [s[1].grid.shape for s in stages] == [(16, 16), (32, 32), (64, 64)]
+        assert levels == [(16, 16), (32, 32), (64, 64)]
+        assert stages[-1][1].grid is grid
+        assert [s[2].shape for s in stages] == [(16,), (32,), (64,)]
+
+    def test_last_stage_is_the_solution_bit_for_bit(self):
+        grid, g, cfg = cross_64()
+        *_, (eps, lap, g_last, u, kappa, n_it, pde_res, origin_res) = \
+            semilinear._stages(grid, g, cfg)
+        sol = solve_fixed_point(grid, g, cfg)
+        assert np.array_equal(u, sol.u.values.ravel())
+        assert kappa == sol.kappa
+        assert np.array_equal(g_last, sol.g_values)
+        assert (eps, n_it, pde_res, origin_res) == (
+            sol.eps, sol.newton_iters[-1], sol.pde_residual, sol.origin_residual)
 
     def test_sidecar_records_the_grid_of_each_stage(self, tmp_path):
         grid = build_sector_grid(2, 64, 64)
