@@ -161,6 +161,20 @@ class TestRerun:
         assert fresh.parameters == m.parameters
         assert fresh.content_hash == m.content_hash
 
+    def test_identical_replay_of_failing_run_exits_0(self, tmp_path, capsys):
+        # one Monte-Carlo sample cannot agree with the quadrature, so the run
+        # fails a check; the replay reproduces it, which is all rerun reports
+        recorded = tmp_path / "recorded"
+        m = run_threshold_scan([0.0, 4.0], 0.5, recorded, n_r=64, n_phi=64, mc_samples=1)
+        assert m.exit_code == 4
+        assert [c["name"] for c in m.checks if not c["passed"]] == ["monte_carlo_agreement"]
+        code = main(["rerun", str(recorded / "manifest.json"),
+                     "--out", str(tmp_path / "replay")])
+        printed = capsys.readouterr().out
+        assert code == 0
+        assert "headline comparison: identical" in printed
+        assert "[FAIL] monte_carlo_agreement" in printed
+
     def test_unknown_parameter_keys_are_ignored(self, solve_run, tmp_path):
         # manifests written while the solver had a backend option or an
         # eps_ratio parameter carry them

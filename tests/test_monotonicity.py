@@ -13,6 +13,7 @@ Oracles used here:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from unstablefb import (
     threshold_scan,
 )
 from unstablefb.field import gradient_sq, integrate_circle, radial_derivative
+from unstablefb.monotonicity import MC_BLOCK
 
 BISECTED_THRESHOLD = 1.890723705291748  # frozen bisection output at C1 = 1/2
 
@@ -162,14 +164,20 @@ def reference_energy_bound(M, C1, n_r, n_phi):
 
 
 def reference_mc_energy_bound(M, C1, samples, seed):
-    """mc_energy_bound as it was before it took arrays: one amplitude, a
-    fresh draw per call, kept as the bit-level reference."""
+    """mc_energy_bound as it was before it took arrays: one amplitude and
+    two whole-array draws per call, so the blocked stream is checked bit
+    for bit.  The values are summed block by block with MC_BLOCK, the
+    order mc_energy_bound adds them in; for samples <= MC_BLOCK that is
+    vals.mean()."""
     rng = np.random.default_rng(seed)
     r = np.sqrt(rng.random(samples))
     t = 2.0 * np.pi * rng.random(samples)
     h = M * r * r * np.cos(2.0 * t)
     vals = C1 * C1 - 2.0 * np.maximum(h - C1, 0.0)
-    return float(np.pi * vals.mean())
+    total = 0.0
+    for start in range(0, samples, MC_BLOCK):
+        total += vals[start:start + MC_BLOCK].sum()
+    return float(np.pi * (total / samples))
 
 
 class TestEnergyBound:
@@ -210,13 +218,30 @@ class TestEnergyBound:
         with pytest.raises(ValueError):
             mc_energy_bound(np.array([0.0, 2.0]), C1, samples=samples)
 
+    @pytest.mark.parametrize("M", [math.nan, math.inf, -math.inf])
+    def test_monte_carlo_rejects_non_finite_amplitude(self, M):
+        for amplitudes in (M, np.array([0.0, 2.0, M])):
+            with pytest.raises(ValueError, match=f"finite, got {M}"):
+                mc_energy_bound(amplitudes, 0.5, samples=100)
+
+    def test_monte_carlo_memory_does_not_grow_with_samples(self):
+        # three sample arrays of full length would take 48 MB here
+        tracemalloc.start()
+        try:
+            mc_energy_bound([0.0, 4.0], 0.5, 2_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_monte_carlo_is_seed_stable(self):
         a = mc_energy_bound(3.0, 0.5, samples=200_000, seed=42)
         b = mc_energy_bound(3.0, 0.5, samples=200_000, seed=42)
         assert a == b
 
     @pytest.mark.parametrize("C1", [0.5, 0.3])
-    @pytest.mark.parametrize("samples", [1, 7, 1_000_003])
+    @pytest.mark.parametrize("samples", [1, 7, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1,
+                                         1_000_003])
     @pytest.mark.parametrize("seed", [0, 123456])
     def test_monte_carlo_on_an_array_is_bitwise_the_scalar_estimates(self, C1, samples, seed):
         Ms = [0.0, 1.89, 4.0, -3.0, 40.0]
