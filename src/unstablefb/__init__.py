@@ -42,9 +42,7 @@ from .semilinear import (
     f_eps_prime,
     initial_guess,
     newton_stage,
-    residual_check,
     solve_fixed_point,
-    transition_measure,
 )
 from .monotonicity import (
     MonotonicityProfile,
@@ -97,7 +95,7 @@ __all__ = [
     "DiscreteLaplacian", "SolverError", "assemble", "solve",
     "ContinuationConfig", "Solution", "StageFailed",
     "export_solution", "f_eps", "f_eps_prime", "initial_guess",
-    "newton_stage", "residual_check", "solve_fixed_point", "transition_measure",
+    "newton_stage", "solve_fixed_point",
     "MonotonicityProfile", "energy_bound_integral", "find_threshold",
     "mc_energy_bound", "phi", "phi_profile", "threshold_scan", "write_profile_csv",
     "CASE1", "CASE3", "INCONCLUSIVE", "BlowupReport",

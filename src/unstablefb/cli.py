@@ -209,6 +209,17 @@ def _radii_params(n_r, phi_radii, blowup_radii) -> dict:
     }
 
 
+def _check_radii(grid, name: str, radii, default=None) -> list:
+    """radii, or default when radii is None; ValueError unless that holds at
+    least two radii, each inside the grid's window (`check_window`)."""
+    radii = default if radii is None else radii
+    if len(radii) < 2:
+        raise ValueError(f"{name} needs at least two radii, got {radii}")
+    for r in radii:
+        check_window(grid, r)
+    return radii
+
+
 def _failure(stage: StageFailed) -> dict:
     return {
         "kind": "continuation_stage",
@@ -269,10 +280,7 @@ def _solve(p: dict, out: Path, g_label: str | None = None):
     grid = build_sector_grid(k, p["n_r"], p["n_phi"])
     for key in ("phi_radii", "blowup_radii", "arc_radii"):
         if key in p:
-            if len(p[key]) < 2:
-                raise ValueError(f"{key} needs at least two radii, got {p[key]}")
-            for r in p[key]:
-                check_window(grid, r)
+            _check_radii(grid, key, p[key])
     config = ContinuationConfig(
         eps_start=p["eps_start"],
         eps_min=p["eps_min"],
@@ -420,10 +428,8 @@ def run_asterisk(n_r: int = 256, n_phi: int = 256, eps_min: float = 0.0125,
     when the smoothing core, of radius about 2 sqrt(eps_min) around the
     pinned origin, lies well inside the smallest blow-up radius; inside the
     core S/r^2 sits on the plateau sqrt(2 pi)/4 of the regularization.  At
-    the default 256^2 grid and eps_min = 0.0125 the core reaches 0.22 and
-    both checks fail; 65536 x 8 cells with eps_min = 3.125e-5 (core 0.011)
-    pass them.  Pass explicit phi_radii on such grids: the default ladder
-    steps 4 radial cells.
+    the default eps_min = 0.0125 the core reaches 0.22 and both checks fail;
+    eps_min = 3.125e-5 (core 0.011) passes them on the default 256^2 grid.
     """
     p = {
         "k": 4,
@@ -696,7 +702,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_phi(args) -> int:
     field = read_field(args.field)
-    radii = args.radii or _default_phi_radii(field.grid.n_r)
+    radii = _check_radii(field.grid, "--radii", args.radii, _default_phi_radii(field.grid.n_r))
     prof = phi_profile(field, radii)
     out = Path(args.out or "phi_profile.csv")
     write_profile_csv(prof, out)
@@ -707,7 +713,7 @@ def _cmd_phi(args) -> int:
 
 def _cmd_blowup(args) -> int:
     field = read_field(args.field)
-    radii = args.radii or DEFAULT_BLOWUP_RADII
+    radii = _check_radii(field.grid, "--radii", args.radii, DEFAULT_BLOWUP_RADII)
     report = blowup_report(field, radii)
     out = Path(args.out or "blowup.csv")
     write_blowup_csv(report, out)
@@ -717,7 +723,7 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_fb(args) -> int:
     field = read_field(args.field)
-    radii = args.radii or DEFAULT_ARC_RADII
+    radii = _check_radii(field.grid, "--radii", args.radii, DEFAULT_ARC_RADII)
     levelset = extract_zero_set(field)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

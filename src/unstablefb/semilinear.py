@@ -118,7 +118,8 @@ class Solution:
     eps_schedule: list[float]
     g_values: np.ndarray
     g_label: str = ""
-    transition_measures: list[float] = dc_field(default_factory=list)
+    # per stage, the cells of its grid where f_eps'(u) != 0: -eps < u < 0
+    band_cells: list[int] = dc_field(default_factory=list)
 
     @property
     def k(self) -> int:
@@ -185,10 +186,11 @@ MAX_NEWTON = 60
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 30
-# eps may not drop below this many radial cells: the smoothing band must be resolved.
+# A stage runs on the coarsest grid level whose radial step dr has eps >=
+# EPS_FLOOR_CELLS * dr, and on the requested grid when no level has.
 EPS_FLOOR_CELLS = 2.0
 # Shrink factor of the eps ladder.  Each coarser grid level doubles dr, so
-# halving eps moves the floor EPS_FLOOR_CELLS * dr up one level per stage.
+# halving eps moves the placement up one level per stage.
 EPS_RATIO = 0.5
 
 
@@ -334,11 +336,6 @@ def newton_stage(
     exceeds newton_tol).
     """
     grid = lap.grid
-    if eps < EPS_FLOOR_CELLS * grid.dr:
-        raise ValueError(
-            f"eps={eps:g} below the resolution floor "
-            f"{EPS_FLOOR_CELLS:g}*dr={EPS_FLOOR_CELLS * grid.dr:g}"
-        )
     e = origin_weight_vector(grid)
     b1 = lap.lift(np.ones(grid.n_phi))
     tol = config.newton_tol
@@ -409,13 +406,12 @@ def _grid_levels(grid: PolarGrid) -> list[PolarGrid]:
 def _stage_levels(levels: list[PolarGrid], schedule: list[float]) -> list[int]:
     """Index into levels (coarsest first) of the grid each eps stage runs on.
 
-    A stage runs on the coarsest level whose floor EPS_FLOOR_CELLS * dr it
-    meets, never on a coarser level than the stage before, and the last
-    stage on the finest level, which the caller has checked admits eps_min.
+    A stage runs on the coarsest level with eps >= EPS_FLOOR_CELLS * dr,
+    or on the finest when no level has; the last stage runs on the finest.
     """
     placed, level = [], 0
     for eps in schedule[:-1]:
-        while eps < EPS_FLOOR_CELLS * levels[level].dr:
+        while level < len(levels) - 1 and eps < EPS_FLOOR_CELLS * levels[level].dr:
             level += 1
         placed.append(level)
     return placed + [len(levels) - 1]
@@ -448,12 +444,13 @@ def _stages(grid: PolarGrid, g_arc, config: ContinuationConfig):
 
     Nested iteration (Briggs, Henson and McCormick, A Multigrid Tutorial,
     2000, ch. 3): each stage runs on the coarsest level of the grid
-    (`_grid_levels`) whose floor EPS_FLOOR_CELLS * dr admits its eps, and
-    the last stage on the grid itself.  The ladder halves eps while each
-    level halves dr, so it climbs one level per stage.  The linear predictor
-    runs on the first level; where the level changes, u is prolonged
-    linearly (`_prolong`) and kappa carried over.  Coarse levels see the
-    fine arc data averaged over the fine cells of each coarse cell.
+    (`_grid_levels`) with eps >= EPS_FLOOR_CELLS * dr (`_stage_levels`);
+    the last stage, and any stage too narrow for every level, runs on the
+    grid itself.  The ladder halves eps while each level halves dr, so it
+    climbs one level per stage.  The linear predictor runs on the first
+    level; where the level changes, u is prolonged linearly (`_prolong`)
+    and kappa carried over.  Coarse levels see the fine arc data averaged
+    over the fine cells of each coarse cell.
 
     A 256^2 cross run climbs 16^2, ..., 256^2: its eleven Newton steps make
     26 Laplacian inverses, 5 in the last stage's 2 steps on 256^2 (25 with
@@ -493,49 +490,26 @@ def solve_fixed_point(grid: PolarGrid, g_arc, config: ContinuationConfig | None 
         config = ContinuationConfig()
     if grid.periodic:
         raise ValueError("solve_fixed_point needs a sector grid")
-    eps_min = config.schedule()[-1]
-    if eps_min < EPS_FLOOR_CELLS * grid.dr:
-        raise ValueError(
-            f"eps_min={eps_min:g} below the resolution floor "
-            f"{EPS_FLOOR_CELLS * grid.dr:g} of a {grid.n_r}x{grid.n_phi} grid"
-        )
-    failure, schedule, iters, grids, trans = None, [], [], [], []
+    failure, schedule, iters, grids, band = None, [], [], [], []
     try:
         for eps, lap, g, u, kappa, n_it, pde_res, origin_res in _stages(grid, g_arc, config):
-            field = ScalarField(lap.grid, u.reshape(lap.grid.shape))
             schedule.append(eps)
             iters.append(n_it)
             grids.append([lap.grid.n_r, lap.grid.n_phi])
-            trans.append(transition_measure(field, eps))
+            band.append(int(np.count_nonzero((u > -eps) & (u < 0.0))))
     except StageFailed as exc:
         if not iters:
             raise
         failure = exc
     # the loop variables hold the last converged stage
-    sol = Solution(u=field, kappa=float(kappa), eps=eps, pde_residual=pde_res, g_values=g,
-                   origin_residual=origin_res, newton_iters=iters, stage_grids=grids,
-                   eps_schedule=schedule, g_label=g_label, transition_measures=trans)
+    sol = Solution(u=ScalarField(lap.grid, u.reshape(lap.grid.shape)), kappa=float(kappa),
+                   eps=eps, pde_residual=pde_res, g_values=g, origin_residual=origin_res,
+                   newton_iters=iters, stage_grids=grids, eps_schedule=schedule,
+                   g_label=g_label, band_cells=band)
     if failure is None:
         return sol
     failure.partial = sol
     raise failure
-
-
-def transition_measure(u: ScalarField, eps: float) -> float:
-    """Full-disk area of the smoothing zone {|u| <= eps}."""
-    g = u.grid
-    inside = (np.abs(u.values) <= eps).astype(float)
-    return float((inside.sum(axis=1) * g.cell_areas).sum() * g.multiplicity)
-
-
-def residual_check(sol: Solution, lap: DiscreteLaplacian | None = None) -> tuple[float, float]:
-    """(max-norm finite-volume residual, area of the transition zone)."""
-    grid = sol.u.grid
-    if lap is None:
-        lap = assemble(grid)
-    e = origin_weight_vector(grid)
-    r1, _ = _residual(lap, e, sol.u.values.ravel(), sol.kappa, sol.g_values, sol.eps)
-    return float(np.max(np.abs(r1))), transition_measure(sol.u, sol.eps)
 
 
 def export_solution(sol: Solution, out_dir, basename: str = "solution") -> list[str]:
@@ -560,7 +534,7 @@ def export_solution(sol: Solution, out_dir, basename: str = "solution") -> list[
         "stage_grids": sol.stage_grids,
         "pde_residual": sol.pde_residual,
         "origin_residual": sol.origin_residual,
-        "transition_measures": sol.transition_measures,
+        "band_cells": sol.band_cells,
     }
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)

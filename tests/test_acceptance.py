@@ -58,17 +58,21 @@ def asterisk_run(tmp_path_factory):
     return out, manifest, time.perf_counter() - t0
 
 
+def ratios_at(manifest, radii=(0.05, 0.2)) -> list:
+    """S/r^2 of a run's headline at the given blow-up radii."""
+    ratios = dict(zip(manifest.parameters["blowup_radii"], manifest.headline["s_over_r2"]))
+    return [ratios[r] for r in radii]
+
+
 @pytest.fixture(scope="module")
 def asterisk_fine_run(tmp_path_factory):
-    """Criterion 7's run.  With u(0) = 0 pinned and f_eps(0) = 1 the
-    regularized solution carries a paraboloid core of radius about
-    2 sqrt(eps); eps here is just above the solver floor of 2 dr, so the
-    core (0.011) lies well inside the smallest blow-up radius 0.05.  The
-    profile gets its own coarser radii, twelve instead of the default 36."""
+    """Criterion 7's run, on the default 256^2 grid.  With u(0) = 0 pinned
+    and f_eps(0) = 1 the regularized solution carries a paraboloid core of
+    radius about 2 sqrt(eps); at eps = 3.125e-5 the core (0.011) lies well
+    inside the smallest blow-up radius 0.05."""
     out = tmp_path_factory.mktemp("asterisk_fine")
-    phi_radii = [round(0.25 + 0.05 * n, 2) for n in range(12)]  # 0.25 .. 0.80
     t0 = time.perf_counter()
-    manifest = run_asterisk(65536, 8, 3.125e-5, out, phi_radii=phi_radii)
+    manifest = run_asterisk(256, 256, 3.125e-5, out)
     return out, manifest, time.perf_counter() - t0
 
 
@@ -210,12 +214,11 @@ def test_criterion_7_asterisk_experiment(asterisk_fine_run):
     from r = 0.2 to r = 0.05 and classify as second-order degenerate.
 
     The last two demands are about the limit trend, so they need the
-    smoothing core (radius about 2 sqrt(eps)) well inside r = 0.05.  At the
-    default 256^2 grid and eps = 0.0125 the core reaches 0.22 and both radii
-    read its plateau sqrt(2 pi)/4; the run here (65536 x 8 sector cells,
-    eps = 3.125e-5, core 0.011) resolves it.  Coarser grids, up to
-    32768 radial cells with eps = 6.25e-5, classify case1 or inconclusive
-    (README, Acceptance status)."""
+    smoothing core (radius about 2 sqrt(eps)) well inside r = 0.05.  With
+    the default eps = 0.0125 the core reaches 0.22 and both radii read its
+    plateau sqrt(2 pi)/4; the run here (256^2 sector cells, eps = 3.125e-5,
+    core 0.011) resolves it.  Wider widths classify case1 or inconclusive,
+    whatever the grid (README, Acceptance status)."""
     out, m, elapsed = asterisk_fine_run
     h = m.headline
     ratios = dict(zip(m.parameters["blowup_radii"], h["s_over_r2"]))
@@ -238,6 +241,25 @@ def test_criterion_7_asterisk_experiment(asterisk_fine_run):
         f"eps {h['eps_final']:g}; the smoothing core 2 sqrt(eps) = {core:.3f} "
         f"must lie well inside r = 0.05 for the trend to show "
         f"(the sqrt(2 pi)/4 = 0.6267 core plateau is the regularization's)")
+
+
+def test_criterion_7_verdict_does_not_depend_on_the_grid(asterisk_fine_run, tmp_path):
+    """Criterion 7's run at 128^2 and 256 x 64 sector cells, same eps:
+    each classifies case3, with S/r^2 at 0.05 and 0.2 within 2% of the
+    256^2 values (measured 0.1022, 0.1013 vs 0.1012 and 0.1931, 0.1934 vs
+    0.1933)."""
+    _, ref, _ = asterisk_fine_run
+    expected = ratios_at(ref)
+    runs = {(n_r, n_phi): run_asterisk(n_r, n_phi, 3.125e-5, tmp_path / f"{n_r}x{n_phi}")
+            for n_r, n_phi in ((128, 128), (256, 64))}
+    found = {grid: (m.headline["classification"], ratios_at(m)) for grid, m in runs.items()}
+    ok = all(cls == "case3" and all(abs(a / b - 1.0) <= 0.02 for a, b in zip(r, expected))
+             for cls, r in found.values())
+    verdict(ok, "criterion 7 across grids",
+            ", ".join(f"{n_r}x{n_phi} {cls}, S/r^2 {r[0]:.4f} vs {r[1]:.4f}"
+                      for (n_r, n_phi), (cls, r) in found.items())
+            + f"; 256x256 {expected[0]:.4f} vs {expected[1]:.4f}")
+    assert ok, found
 
 
 def test_criterion_8_manifest_determinism(cross_run, asterisk_run, tmp_path):

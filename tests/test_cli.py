@@ -350,7 +350,7 @@ class TestRejectedBeforeWriting:
     CASES = {
         "eps_min_above_eps_start": ("solve", {"eps_min": 0.5}),
         "grid_below_8_cells": ("solve", {"n_r": 4}),
-        "eps_min_below_floor": ("solve", {"eps_min": 0.001}),  # floor 2/64
+        "eps_min_not_positive": ("solve", {"eps_min": 0.0}),
         "radius_outside_window": ("cross", {"phi_radii": [0.001, 0.5]}),
     }
 
@@ -596,6 +596,18 @@ class TestConsoleEntry:
                      "--radii", "0.001,0.5", "--out", str(tmp_path)])
         assert code == 2
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["phi", "blowup", "fb"])
+    @pytest.mark.parametrize("radii", ["5,6", "0.3", ""],
+                             ids=["outside_window", "one_radius", "empty"])
+    def test_bad_field_radii_exit_2_without_output(self, tmp_path, capsys, solve_run,
+                                                   command, radii):
+        run_dir, _ = solve_run
+        out = tmp_path / "out"
+        assert main([command, str(run_dir / "solution.vtk"), "--radii", radii,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @staticmethod
     def _malformed_csv(tmp_path, edit) -> str:

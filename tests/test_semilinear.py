@@ -1,7 +1,6 @@
 """Regularized indicator properties and constrained Newton continuation."""
 
 import json
-import math
 import os
 
 import numpy as np
@@ -26,16 +25,22 @@ from unstablefb import (
     initial_guess,
     newton_stage,
     read_field,
-    residual_check,
     solve,
     solve_fixed_point,
-    transition_measure,
 )
 from unstablefb.field import origin_weight_vector
 
 from conftest import coo_assembly
 
 EPS_VALUES = [0.2, 0.1, 0.05, 0.0125]
+
+
+def max_residual(sol):
+    """max |R1| of a solution, evaluated afresh on its own grid."""
+    grid = sol.u.grid
+    r1, _ = semilinear._residual(assemble(grid), origin_weight_vector(grid),
+                                 sol.u.values.ravel(), sol.kappa, sol.g_values, sol.eps)
+    return float(np.max(np.abs(r1)))
 
 
 def lu_continuation(grid, g, cfg):
@@ -248,13 +253,6 @@ class TestNewtonStage:
         assert iters == 0
         assert np.array_equal(u, u2) and kappa == kappa2
 
-    def test_width_below_grid_floor_rejected(self):
-        grid = build_sector_grid(2, 64, 64)
-        lap = assemble(grid)
-        cfg = ContinuationConfig()
-        with pytest.raises(ValueError):
-            newton_stage(lap, np.zeros(grid.size), 0.0, 0.001, np.zeros(64), cfg)
-
     def test_stops_at_rounding_level_above_tolerance(self):
         # rim data 1e4 cos(2 phi) lift the rounding level of the residual,
         # a few eps_mach * max_i sum |terms|, above newton_tol = 1e-10;
@@ -435,10 +433,9 @@ class TestContinuation:
         assert all(n <= 25 for n in sol.newton_iters)
         assert abs(eval_origin(sol.u)) <= 1e-8
         assert 0.0 < sol.kappa < 0.26
-        max_res, zone = residual_check(sol)
-        assert max_res <= 1e-8
-        assert zone > 0.0
-        assert len(sol.transition_measures) == 3
+        assert max_residual(sol) <= 1e-8
+        assert len(sol.band_cells) == 3
+        assert all(n > 0 for n in sol.band_cells)
 
     def test_matches_lu_newton_oracle(self):
         grid = build_sector_grid(2, 96, 96)
@@ -456,11 +453,15 @@ class TestContinuation:
         with pytest.raises(ValueError):
             solve_fixed_point(build_disk_grid(32, 32), lambda p: np.cos(2 * p))
 
-    def test_width_floor_enforced_by_schedule(self):
+    def test_widths_below_every_level_run_on_the_grid(self):
+        # 2 dr is 0.0625 on 32^2: 0.05, 0.025 and 0.0125 fit no level
         grid = build_sector_grid(2, 32, 32)
-        cfg = ContinuationConfig(eps_min=0.0125)  # floor is 2/32 = 0.0625
-        with pytest.raises(ValueError):
-            solve_fixed_point(grid, lambda p: np.cos(2 * p), cfg)
+        cfg = ContinuationConfig(eps_min=0.0125)
+        sol = solve_fixed_point(grid, lambda p: np.cos(2 * p), cfg)
+        assert sol.eps_schedule == [0.2, 0.1, 0.05, 0.025, 0.0125]
+        assert sol.stage_grids == [[16, 16], [32, 32], [32, 32], [32, 32], [32, 32]]
+        assert abs(eval_origin(sol.u)) <= 1e-8
+        assert max_residual(sol) <= 1e-8
 
     def test_failure_carries_last_converged_stage(self, monkeypatch):
         monkeypatch.setattr(semilinear, "MAX_NEWTON", 2)
@@ -488,8 +489,7 @@ class TestContinuation:
         assert partial.stage_grids == [[16, 16], [32, 32]]
         assert partial.u.grid.shape == (32, 32)
         assert partial.g_values.shape == (32,)
-        max_res, _ = residual_check(partial)
-        assert max_res <= 1e-8
+        assert max_residual(partial) <= 1e-8
 
     def test_solution_is_built_once(self, solutions_built):
         sol = solve_fixed_point(*cross_64())
@@ -626,8 +626,11 @@ class TestGridSequencing:
         sidecar = json.loads(open(paths[-1], encoding="utf-8").read())
         assert sidecar["stage_grids"] == sol.stage_grids
         assert len(sidecar["stage_grids"]) == len(sidecar["newton_iters"])
-        # each transition measure is taken on its own stage's grid
-        assert sol.transition_measures[-1] == transition_measure(sol.u, sol.eps)
+        assert sidecar["band_cells"] == sol.band_cells
+        assert len(sidecar["band_cells"]) == len(sidecar["newton_iters"])
+        # each band is counted on its own stage's grid
+        u = sol.u.values
+        assert sidecar["band_cells"][-1] == np.count_nonzero((u > -sol.eps) & (u < 0.0))
 
 
 class TestExport:
@@ -641,14 +644,3 @@ class TestExport:
         assert sorted(f.name for f in tmp_path.iterdir()) == ["solution.json", "solution.vtk"]
         assert not list(tmp_path.glob("*.csv"))
         assert np.array_equal(read_field(paths[0]).values, u.values)
-
-
-class TestTransitionMeasure:
-    def test_annulus_band_area(self):
-        g = build_disk_grid(128, 128)
-        u = field_from_function(g, lambda r, p: r - 0.5)
-        eps = 0.05
-        # {|r - 1/2| <= eps} is an annulus of area 2 pi eps; whole cells are
-        # counted, so allow a one-cell rind on each side
-        rind = 2.0 * (2.0 * math.pi * 0.5 * g.dr)
-        assert abs(transition_measure(u, eps) - 2.0 * math.pi * eps) <= rind
