@@ -116,8 +116,8 @@ def phi_profile(u: ScalarField, radii) -> MonotonicityProfile:
 
 # --- comparison energy bound ----------------------------------------------
 
-# samples per block of mc_energy_bound: its three float64 buffers (384 KiB)
-# stay in a core's L2 cache whatever the sample count
+# samples per block of mc_energy_bound: its three float64 buffers and one
+# bool buffer (400 KiB) stay in a core's L2 cache whatever the sample count
 MC_BLOCK = 1 << 14
 
 
@@ -150,16 +150,20 @@ def mc_energy_bound(M, C1: float = 0.5, samples: int = 1_000_000, seed: int = 0)
     """Monte-Carlo estimate of energy_bound_integral (seeded, for cross-checks).
 
     M is one amplitude (a float comes back) or an array of them (an array
-    of the same shape comes back).  The points r = sqrt(U1), phi = 2*pi*U2
-    are those of two whole-array draws from default_rng(seed): U1 is its
-    first `samples` doubles and U2 the next `samples`, read from a PCG64
-    advanced past U1.  Both streams are walked in blocks of MC_BLOCK, and
-    every amplitude shares each block of r and cos(2 phi), so each estimate
-    equals that of a call with M alone, bit for bit.  The estimate is
-    pi * (sum of the block sums) / samples; with samples <= MC_BLOCK that
-    is the plain mean.  Memory is three float64 buffers of MC_BLOCK (r,
-    cos 2 phi and one reused for each amplitude's values): 384 KiB,
-    whatever the sample count.
+    of the same shape comes back).  The estimate is hit-or-miss on the
+    unit square: x is the first `samples` doubles of default_rng(seed), y
+    the next `samples`, read from a PCG64 advanced past x, and
+    q = |x^2 - y^2| inside the quarter disk x^2 + y^2 < 1, 0 outside.
+    The integrand is even in x1 and x2, and swapping them negates
+    M*(x1^2 - x2^2), so the disk integral is pi*C1^2 minus 4 times the
+    quarter-disk integral of (|M|*q - C1)^+.  The estimate is
+    pi*C1^2 - 4 * (sum of the block sums) / samples: no square root or
+    cosine per sample, even in M, and exactly pi*C1^2 when |M| <= C1.
+    Both streams are walked in blocks of MC_BLOCK, and every amplitude
+    shares each block of q, so each estimate equals that of a call with M
+    alone, bit for bit.  Memory is three float64 buffers of MC_BLOCK (x
+    then q, y, and one reused for each amplitude's excess) and one bool
+    buffer: 400 KiB, whatever the sample count.
     """
     if samples < 1:
         raise ValueError(f"need at least one Monte Carlo sample, got {samples}")
@@ -168,31 +172,31 @@ def mc_energy_bound(M, C1: float = 0.5, samples: int = 1_000_000, seed: int = 0)
     Ms = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(Ms)):
         raise ValueError(f"amplitude M must be finite, got {Ms[~np.isfinite(Ms)][0]}")
-    rng_r = np.random.default_rng(seed)
-    rng_phi = np.random.Generator(np.random.PCG64(seed).advance(samples))
+    rng_x = np.random.default_rng(seed)
+    rng_y = np.random.Generator(np.random.PCG64(seed).advance(samples))
     size = min(samples, MC_BLOCK)
-    r_buf, c_buf, v_buf = np.empty(size), np.empty(size), np.empty(size)
+    x_buf, y_buf, v_buf = np.empty(size), np.empty(size), np.empty(size)
+    outside_buf = np.empty(size, dtype=bool)
     totals = np.zeros(Ms.shape)
     for start in range(0, samples, MC_BLOCK):
         n = min(MC_BLOCK, samples - start)
-        r, c, vals = r_buf[:n], c_buf[:n], v_buf[:n]
-        rng_r.random(out=r)
-        np.sqrt(r, out=r)
-        rng_phi.random(out=c)
-        c *= 2.0 * np.pi  # phi, then 2 phi: two roundings, as cos(2.0 * phi) takes them
-        c *= 2.0
-        np.cos(c, out=c)
+        q, y, vals, outside = x_buf[:n], y_buf[:n], v_buf[:n], outside_buf[:n]
+        rng_x.random(out=q)  # x, then x^2, then q
+        rng_y.random(out=y)
+        q *= q
+        y *= y
+        np.add(q, y, out=vals)
+        np.greater_equal(vals, 1.0, out=outside)
+        q -= y
+        np.abs(q, out=q)
+        np.copyto(q, 0.0, where=outside)
         for idx, m in np.ndenumerate(Ms):
-            # C1^2 - 2*max(M*r*r*cos(2 phi) - C1, 0), term by term in place
-            np.multiply(m, r, out=vals)
-            vals *= r
-            vals *= c
+            # (|M|*q - C1)^+, term by term in place
+            np.multiply(abs(m), q, out=vals)
             vals -= C1
             np.maximum(vals, 0.0, out=vals)
-            vals *= 2.0
-            np.subtract(C1 * C1, vals, out=vals)
             totals[idx] += vals.sum()
-    out = np.pi * (totals / samples)
+    out = np.pi * C1 * C1 - 4.0 * (totals / samples)
     return out if out.ndim else float(out)
 
 

@@ -488,6 +488,9 @@ class TestScanDriver:
         m = run_threshold_scan([0.0, 0.5], 0.5, tmp_path,
                                n_r=256, n_phi=256, mc_samples=100_000)
         assert m.headline["m_star"] is None
+        # |M| <= C1 leaves no excess, so both estimates are pi*C1^2 exactly
+        for row in m.headline["monte_carlo"]:
+            assert row["monte_carlo"] == row["quadrature"]
         # a short positive scan cannot show the negative tail; the check
         # machinery must not demand one below the 4*C1 landmark
         assert m.status == "ok"

@@ -164,20 +164,21 @@ def reference_energy_bound(M, C1, n_r, n_phi):
 
 
 def reference_mc_energy_bound(M, C1, samples, seed):
-    """mc_energy_bound as it was before it took arrays: one amplitude and
-    two whole-array draws per call, so the blocked stream is checked bit
-    for bit.  The values are summed block by block with MC_BLOCK, the
-    order mc_energy_bound adds them in; for samples <= MC_BLOCK that is
-    vals.mean()."""
+    """mc_energy_bound as one amplitude on two whole-array draws, so the
+    blocked stream is checked bit for bit: hit-or-miss on the unit square,
+    with the excess folded into (|M| q - C1)^+ by the x <-> y symmetry.
+    The values are summed block by block with MC_BLOCK, the order
+    mc_energy_bound adds them in; for samples <= MC_BLOCK that is
+    vals.sum()."""
     rng = np.random.default_rng(seed)
-    r = np.sqrt(rng.random(samples))
-    t = 2.0 * np.pi * rng.random(samples)
-    h = M * r * r * np.cos(2.0 * t)
-    vals = C1 * C1 - 2.0 * np.maximum(h - C1, 0.0)
+    x = rng.random(samples)
+    y = rng.random(samples)
+    q = np.where(x * x + y * y >= 1.0, 0.0, np.abs(x * x - y * y))
+    vals = np.maximum(abs(M) * q - C1, 0.0)
     total = 0.0
     for start in range(0, samples, MC_BLOCK):
         total += vals[start:start + MC_BLOCK].sum()
-    return float(np.pi * (total / samples))
+    return float(np.pi * C1 * C1 - 4.0 * (total / samples))
 
 
 class TestEnergyBound:
@@ -241,7 +242,7 @@ class TestEnergyBound:
 
     @pytest.mark.parametrize("C1", [0.5, 0.3])
     @pytest.mark.parametrize("samples", [1, 7, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1,
-                                         1_000_003])
+                                         3 * MC_BLOCK + 5])
     @pytest.mark.parametrize("seed", [0, 123456])
     def test_monte_carlo_on_an_array_is_bitwise_the_scalar_estimates(self, C1, samples, seed):
         Ms = [0.0, 1.89, 4.0, -3.0, 40.0]
@@ -250,6 +251,20 @@ class TestEnergyBound:
         for M, value in zip(Ms, got):
             assert value == mc_energy_bound(M, C1, samples=samples, seed=seed)
             assert value == reference_mc_energy_bound(M, C1, samples, seed)
+
+    @pytest.mark.parametrize("samples", [1, MC_BLOCK + 1])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_monte_carlo_is_exact_while_the_excess_vanishes(self, samples, seed):
+        # |M| q < C1 on the quarter disk, where q = |x^2 - y^2| < 1
+        C1 = 0.5
+        for M in (0.0, 0.25, -0.5, C1):
+            assert mc_energy_bound(M, C1, samples=samples, seed=seed) == np.pi * C1 * C1
+
+    def test_monte_carlo_is_even_in_M(self):
+        Ms = np.array([0.7, 1.89, 4.0, 40.0])
+        assert np.array_equal(mc_energy_bound(-Ms, 0.5, samples=50_000, seed=5),
+                              mc_energy_bound(Ms, 0.5, samples=50_000, seed=5))
+        assert mc_energy_bound(-4.0, 0.3, samples=1000) == mc_energy_bound(4.0, 0.3, samples=1000)
 
     def test_monte_carlo_keeps_the_shape_of_M(self):
         Ms = np.array([[0.0, 2.0], [4.0, -3.0]])
