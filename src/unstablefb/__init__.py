@@ -60,9 +60,7 @@ from .blowup import (
     CASE3,
     INCONCLUSIVE,
     BlowupReport,
-    blowup_profile,
     blowup_report,
-    classify,
     s_norm,
     write_blowup_csv,
 )
@@ -100,7 +98,7 @@ __all__ = [
     "mc_energy_bound", "phi", "phi_profile", "threshold_scan", "write_profile_csv",
     "CASE1", "CASE3", "INCONCLUSIVE", "BlowupReport",
     "DegenerateTrace",
-    "blowup_profile", "blowup_report", "classify", "s_norm", "write_blowup_csv",
+    "blowup_report", "s_norm", "write_blowup_csv",
     "ArcFit", "LevelSet", "crossing_angles", "extract_zero_set",
     "fit_arcs_at_origin", "write_arcs_json", "write_levelset_csv",
     "RunManifest", "main", "rerun_manifest", "run_asterisk", "run_cross",

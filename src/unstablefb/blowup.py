@@ -47,7 +47,6 @@ class BlowupReport:
     classification: str
     phi_min_r: float
     phi_max_r: float
-    delta_phi: float
 
 
 def s_norm(u: ScalarField, r: float) -> float:
@@ -60,17 +59,11 @@ def _s_from_square(u_sq: ScalarField, r: float) -> float:
     return math.sqrt(max(integrate_circle(u_sq, r) / r, 0.0))
 
 
-def blowup_profile(u: ScalarField, r: float, m: int = TRACE_SAMPLES) -> CircleTrace:
-    """Trace of u on dB_r divided by S(r); unit L2(dB_1) norm by construction."""
-    return _normalized_trace(u, r, m, s_norm(u, r), float(np.max(np.abs(u.values))))
-
-
-def _normalized_trace(u: ScalarField, r: float, m: int, s: float, scale: float
-                      ) -> CircleTrace:
-    """Trace of u on dB_r divided by s = S(r); scale is max |u|."""
+def _normalized_trace(u: ScalarField, r: float, s: float, scale: float) -> CircleTrace:
+    """Trace of u on dB_r over s = S(r), of unit L2(dB_1) norm; scale is max |u|."""
     if s <= S_FLOOR * max(scale, 1.0):
         raise DegenerateTrace(f"S({r:g}) = {s:.3e} is too small to normalize the trace")
-    tr = trace_on_circle(u, r, m)
+    tr = trace_on_circle(u, r, TRACE_SAMPLES)
     return CircleTrace(
         radius=tr.radius,
         angles=tr.angles,
@@ -80,16 +73,15 @@ def _normalized_trace(u: ScalarField, r: float, m: int, s: float, scale: float
     )
 
 
-def _sorted_radii(radii) -> np.ndarray:
-    radii = np.asarray(sorted(radii), dtype=float)
-    if len(radii) < 2:
-        raise ValueError("classification needs at least two radii")
-    return radii
+def _classify(u: ScalarField, radii: np.ndarray, s_small: float, s_large: float
+              ) -> tuple[str, float, float]:
+    """Trend classification and phi at both end radii, given S at the ends.
 
-
-def _decide(u: ScalarField, radii: np.ndarray, s_small: float, s_large: float
-            ) -> tuple[str, float, float, float]:
-    """Classification, phi at both end radii and delta, given S at the ends."""
+    case1: phi(r_min) clearly negative and S(r)/r^2 does not decay toward
+    the origin (quadratic growth surrogate; a flat ratio counts).
+    case3: phi(r_min) within delta of zero and S(r)/r^2 decaying toward the
+    origin (degeneracy surrogate).  Anything else is inconclusive.
+    """
     phi_min, phi_max = (float(v) for v in _phi_values(u, radii[[0, -1]]))
     delta = max(DELTA_PHI_REL * abs(phi_max), DELTA_PHI_ABS)
     ratio_small = s_small / radii[0] ** 2
@@ -100,35 +92,24 @@ def _decide(u: ScalarField, radii: np.ndarray, s_small: float, s_large: float
         classification = CASE1
     elif abs(phi_min) <= delta and decaying_inward:
         classification = CASE3
-    return classification, phi_min, phi_max, delta
-
-
-def classify(u: ScalarField, radii) -> str:
-    """Trend classification over the sampled radii.
-
-    case1: phi(r_min) clearly negative and S(r)/r^2 does not decay toward
-    the origin (quadratic growth surrogate; a flat ratio counts).
-    case3: phi(r_min) within delta of zero and S(r)/r^2 decaying toward the
-    origin (degeneracy surrogate).  Anything else is inconclusive.
-    """
-    radii = _sorted_radii(radii)
-    s_small, s_large = (s_norm(u, float(r)) for r in (radii[0], radii[-1]))
-    return _decide(u, radii, s_small, s_large)[0]
+    return classification, phi_min, phi_max
 
 
 def blowup_report(u: ScalarField, radii) -> BlowupReport:
-    """Assemble S, normalized traces, mode energies, and the classification."""
-    radii = _sorted_radii(radii)
+    """Assemble S, normalized traces, mode energies, and the trend
+    classification over at least two radii (`_classify`)."""
+    radii = np.asarray(sorted(radii), dtype=float)
+    if len(radii) < 2:
+        raise ValueError("classification needs at least two radii")
     u_sq = u.apply(np.square)
     s_values = np.array([_s_from_square(u_sq, float(r)) for r in radii])
     scale = float(np.max(np.abs(u.values)))
-    traces = [_normalized_trace(u, float(r), TRACE_SAMPLES, s, scale)
-              for r, s in zip(radii, s_values)]
+    traces = [_normalized_trace(u, float(r), s, scale) for r, s in zip(radii, s_values)]
     fractions = {
         ell: np.array([tr.mode_energy_fraction(ell) for tr in traces])
         for ell in REPORTED_MODES
     }
-    classification, phi_min, phi_max, delta = _decide(u, radii, s_values[0], s_values[-1])
+    classification, phi_min, phi_max = _classify(u, radii, s_values[0], s_values[-1])
     return BlowupReport(
         radii=radii,
         s_values=s_values,
@@ -138,7 +119,6 @@ def blowup_report(u: ScalarField, radii) -> BlowupReport:
         classification=classification,
         phi_min_r=phi_min,
         phi_max_r=phi_max,
-        delta_phi=delta,
     )
 
 

@@ -161,8 +161,11 @@ def _default_phi_radii(n_r: int, lo: float = 0.25, hi: float = 0.8) -> list:
     return [lo + n * step for n in range(int((hi - lo) / step + 1e-9) + 1)]
 
 
+# constants that each manifest records and a replay does not read; other blow-up
+# and arc radii go through `blowup --radii` and `fb --radii` on solution.vtk
 DEFAULT_BLOWUP_RADII = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
 DEFAULT_ARC_RADII = [0.05 + 0.025 * n for n in range(11)]  # 0.05 .. 0.30
+BISECT_TOL = 1e-6
 
 
 def _number(name: str, value, kind=float):
@@ -200,12 +203,11 @@ def _solver_params(n_r, n_phi, eps_start, eps_min, newton_tol) -> dict:
             "newton_tol": _number("newton_tol", newton_tol)}
 
 
-def _radii_params(n_r, phi_radii, blowup_radii) -> dict:
+def _radii_params(n_r, phi_radii) -> dict:
     return {
         "phi_radii": (_numbers("phi_radii", phi_radii) if phi_radii is not None
                       else _default_phi_radii(n_r)),
-        "blowup_radii": (_numbers("blowup_radii", blowup_radii) if blowup_radii is not None
-                         else list(DEFAULT_BLOWUP_RADII)),
+        "blowup_radii": list(DEFAULT_BLOWUP_RADII),
     }
 
 
@@ -327,12 +329,11 @@ def _analyze(sol, p: dict, out: Path, outputs: list):
     """
     prof = phi_profile(sol.u, p["phi_radii"])
     write_profile_csv(prof, out / "phi_profile.csv")
-    report = blowup_report(sol.u, p["blowup_radii"])
+    report = blowup_report(sol.u, DEFAULT_BLOWUP_RADII)
     write_blowup_csv(report, out / "blowup.csv")
     levelset = extract_zero_set(sol.u)
     write_levelset_csv(levelset, out / "fb.csv")
-    arc_angles_deg, _ = _write_arcs(sol.u, p.get("arc_radii", DEFAULT_ARC_RADII),
-                                    out / "arcs.json")
+    arc_angles_deg, _ = _write_arcs(sol.u, DEFAULT_ARC_RADII, out / "arcs.json")
     outputs += ["phi_profile.csv", "blowup.csv", "fb.csv", "arcs.json"]
     return prof, report, levelset, arc_angles_deg
 
@@ -348,7 +349,7 @@ def _circular_gap_to(targets_deg, angle_deg: float) -> float:
 def run_cross(M: float = 40.0, n_r: int = 256, n_phi: int = 256,
               eps_min: float = 0.0125, out_dir="runs/cross", *,
               eps_start: float = 0.2, newton_tol: float = 1e-10,
-              phi_radii=None, blowup_radii=None, arc_radii=None) -> RunManifest:
+              phi_radii=None) -> RunManifest:
     """Quarter-plane data M cos(2 phi), expected to produce a cross pattern.
 
     Solves on the k = 2 sector, analyses its even extension to the disk,
@@ -362,9 +363,8 @@ def run_cross(M: float = 40.0, n_r: int = 256, n_phi: int = 256,
     p = {
         "k": 2, "M": M,
         **_solver_params(n_r, n_phi, eps_start, eps_min, newton_tol),
-        **_radii_params(n_r, phi_radii, blowup_radii),
-        "arc_radii": (_numbers("arc_radii", arc_radii) if arc_radii is not None
-                      else list(DEFAULT_ARC_RADII)),
+        **_radii_params(n_r, phi_radii),
+        "arc_radii": list(DEFAULT_ARC_RADII),
         "trace_samples": TRACE_SAMPLES,
     }
     return _run("cross", p, out_dir, _cross_body)
@@ -416,8 +416,7 @@ def _cross_body(p: dict, out: Path):
 
 def run_asterisk(n_r: int = 256, n_phi: int = 256, eps_min: float = 0.0125,
                  out_dir="runs/asterisk", *, eps_start: float = 0.2,
-                 newton_tol: float = 1e-10, phi_radii=None,
-                 blowup_radii=None) -> RunManifest:
+                 newton_tol: float = 1e-10, phi_radii=None) -> RunManifest:
     """Eighth-sector data cos(4 phi), the second-order degenerate candidate.
 
     Solves on the k = 4 sector with its 8-fold extension and checks for
@@ -434,7 +433,7 @@ def run_asterisk(n_r: int = 256, n_phi: int = 256, eps_min: float = 0.0125,
     p = {
         "k": 4,
         **_solver_params(n_r, n_phi, eps_start, eps_min, newton_tol),
-        **_radii_params(n_r, phi_radii, blowup_radii),
+        **_radii_params(n_r, phi_radii),
         "invariance_radii": [0.9, 0.8, 0.7, 0.6, 0.5],
         "trace_samples": TRACE_SAMPLES,
     }
@@ -500,8 +499,7 @@ def _asterisk_body(p: dict, out: Path):
 
 def run_threshold_scan(M_values, C1: float = 0.5, out_dir="runs/scan", *,
                        n_r: int = 1024, n_phi: int = 1024,
-                       mc_samples: int = 1_000_000, mc_seed: int = 0,
-                       bisect_tol: float = 1e-6) -> RunManifest:
+                       mc_samples: int = 1_000_000, mc_seed: int = 0) -> RunManifest:
     """Scan the boundary amplitude M in the sign test for the energy bound.
 
     Writes one row per M with the quadrature value, refines the first sign
@@ -514,7 +512,7 @@ def run_threshold_scan(M_values, C1: float = 0.5, out_dir="runs/scan", *,
         "n_phi": _number("n_phi", n_phi, int),
         "mc_samples": _number("mc_samples", mc_samples, int),
         "mc_seed": _number("mc_seed", mc_seed, int),
-        "bisect_tol": _number("bisect_tol", bisect_tol),
+        "bisect_tol": BISECT_TOL,
     }
     if not p["M_values"]:
         raise ValueError("M_values must be nonempty")
@@ -522,8 +520,6 @@ def run_threshold_scan(M_values, C1: float = 0.5, out_dir="runs/scan", *,
         raise ValueError(f"C1 must be positive, got {C1}")
     if p["mc_samples"] < 1:
         raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
-    if not p["bisect_tol"] > 0:
-        raise ValueError(f"bisect_tol must be positive, got {bisect_tol}")
     return _run("scan", p, out_dir, _scan_body)
 
 
@@ -540,7 +536,7 @@ def _scan_body(p: dict, out: Path):
         (n for n in range(len(values) - 1) if values[n] > 0 >= values[n + 1]), None)
     if sign_change is not None:
         m_star = find_threshold(C1, float(Ms[sign_change]), float(Ms[sign_change + 1]),
-                                tol=p["bisect_tol"], n_r=n_r, n_phi=n_phi)
+                                tol=BISECT_TOL, n_r=n_r, n_phi=n_phi)
 
     # both endpoints share one seeded draw; the set's order fixes the row order
     ends = [float(m) for m in {Ms[0], Ms[-1]}]
@@ -593,11 +589,12 @@ def rerun_manifest(manifest_path, out_dir=None) -> tuple[RunManifest, bool]:
     """Replay a recorded run and compare headline numbers for equality.
 
     The driver gets every stored parameter it accepts; recorded constants
-    such as k and trace_samples, and a stored out_dir, are ignored.  The
-    comparison is exact, down to the last bit of every float, because
-    the replay consumes only manifest parameters and the solver is
-    deterministic on a given machine under the same BLAS thread count.  A
-    stored parameter of the wrong type raises ValueError naming it.
+    (k, trace_samples, invariance_radii, blowup_radii, arc_radii and
+    bisect_tol) and a stored out_dir are ignored.  The comparison is
+    exact, down to the last bit of every float, because the replay
+    consumes only manifest parameters and the solver is deterministic on
+    a given machine under the same BLAS thread count.  A stored parameter
+    of the wrong type raises ValueError naming it.
     """
     stored = RunManifest.load(manifest_path)
     out = Path(out_dir) if out_dir else Path(manifest_path).parent / "rerun"

@@ -372,17 +372,12 @@ def read_field(path) -> ScalarField:
     return _read_field_vtk(path) if vtk else read_field_csv(path)
 
 
-def write_field_vtk(field: ScalarField, path, name: str = "u") -> None:
-    """Legacy-VTK BINARY structured grid of cell centers with point data.
+def write_field_vtk(field: ScalarField, path) -> None:
+    """Legacy-VTK BINARY structured grid of cell centers with point data u.
 
     Points (r cos phi, r sin phi, 0) and the values are big-endian float64,
-    as the legacy format requires, in Fortran order (r fastest).  The name
-    titles the file and names the scalar array, so it must be a single
-    token: empty names and names with whitespace raise ValueError.
+    as the legacy format requires, in Fortran order (r fastest).
     """
-    if not name or any(ch.isspace() for ch in name):
-        raise ValueError(f"VTK array name must be a non-empty token without whitespace, "
-                         f"got {name!r}")
     g = field.grid
     # Fortran order of (n_r, n_phi) is C order of (n_phi, n_r); the arrays
     # are written from their own buffers, so nothing else of size n is made
@@ -392,13 +387,13 @@ def write_field_vtk(field: ScalarField, path, name: str = "u") -> None:
     values = np.ascontiguousarray(field.values.T, dtype=">f8")
     header = (
         "# vtk DataFile Version 3.0\n"
-        f"{name} on polar grid\n"
+        "u on polar grid\n"
         "BINARY\n"
         "DATASET STRUCTURED_GRID\n"
         f"DIMENSIONS {g.n_r} {g.n_phi} 1\n"
         f"POINTS {g.size} double\n"
     )
-    point_data = f"\nPOINT_DATA {g.size}\nSCALARS {name} double 1\nLOOKUP_TABLE default\n"
+    point_data = f"\nPOINT_DATA {g.size}\nSCALARS u double 1\nLOOKUP_TABLE default\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         fh.write(points)

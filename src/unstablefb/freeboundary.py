@@ -30,11 +30,13 @@ class LevelSet:
     lengths: list[float]
 
 
-def crossing_angles(u: ScalarField, r: float, m: int = 2048) -> np.ndarray:
-    """Angles where the circle trace changes sign, by linear interpolation.
+def crossing_angles(u: ScalarField, r: float) -> np.ndarray:
+    """Angles where the circle trace, at 2048 samples, changes sign, by
+    linear interpolation.
 
     The count is even for any sign-changing periodic trace.
     """
+    m = 2048
     angles, vals = sample_circle(u, r, m)
     inside = vals > 0.0
     s = np.nonzero(inside != np.roll(inside, -1))[0]

@@ -75,7 +75,6 @@ class MonotonicityProfile:
     phi_values: np.ndarray
     boundary_integrand: np.ndarray
     defects: np.ndarray
-    valid_window: tuple[float, float]
 
     def defect_between(self, rho: float, sigma: float) -> float:
         """Defect over [rho, sigma]; ValueError unless both are sampled radii."""
@@ -104,13 +103,11 @@ def phi_profile(u: ScalarField, radii) -> MonotonicityProfile:
     integrand = np.array([2.0 * integrate_circle(w, r) / r**4 for r in radii])
     rhs = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(radii)
     defects = np.diff(phis) - rhs
-    h = u.grid.dr
     return MonotonicityProfile(
         radii=radii,
         phi_values=phis,
         boundary_integrand=integrand,
         defects=defects,
-        valid_window=(h, 1.0 - h),
     )
 
 

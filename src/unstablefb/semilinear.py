@@ -186,9 +186,9 @@ MAX_NEWTON = 60
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 30
-# A stage runs on the coarsest grid level whose radial step dr has eps >=
-# EPS_FLOOR_CELLS * dr, and on the requested grid when no level has.
-EPS_FLOOR_CELLS = 2.0
+# A stage runs on the coarsest grid level that resolves its eps in
+# LEVEL_EPS_CELLS radial cells, eps >= LEVEL_EPS_CELLS * dr (`_stage_levels`).
+LEVEL_EPS_CELLS = 2.0
 # Shrink factor of the eps ladder.  Each coarser grid level doubles dr, so
 # halving eps moves the placement up one level per stage.
 EPS_RATIO = 0.5
@@ -406,12 +406,12 @@ def _grid_levels(grid: PolarGrid) -> list[PolarGrid]:
 def _stage_levels(levels: list[PolarGrid], schedule: list[float]) -> list[int]:
     """Index into levels (coarsest first) of the grid each eps stage runs on.
 
-    A stage runs on the coarsest level with eps >= EPS_FLOOR_CELLS * dr,
+    A stage runs on the coarsest level with eps >= LEVEL_EPS_CELLS * dr,
     or on the finest when no level has; the last stage runs on the finest.
     """
     placed, level = [], 0
     for eps in schedule[:-1]:
-        while level < len(levels) - 1 and eps < EPS_FLOOR_CELLS * levels[level].dr:
+        while level < len(levels) - 1 and eps < LEVEL_EPS_CELLS * levels[level].dr:
             level += 1
         placed.append(level)
     return placed + [len(levels) - 1]
@@ -444,13 +444,13 @@ def _stages(grid: PolarGrid, g_arc, config: ContinuationConfig):
 
     Nested iteration (Briggs, Henson and McCormick, A Multigrid Tutorial,
     2000, ch. 3): each stage runs on the coarsest level of the grid
-    (`_grid_levels`) with eps >= EPS_FLOOR_CELLS * dr (`_stage_levels`);
-    the last stage, and any stage too narrow for every level, runs on the
-    grid itself.  The ladder halves eps while each level halves dr, so it
-    climbs one level per stage.  The linear predictor runs on the first
-    level; where the level changes, u is prolonged linearly (`_prolong`)
-    and kappa carried over.  Coarse levels see the fine arc data averaged
-    over the fine cells of each coarse cell.
+    (`_grid_levels`) that resolves eps in LEVEL_EPS_CELLS radial cells
+    (`_stage_levels`); the last stage, and any stage too narrow for every
+    level, runs on the grid itself.  The ladder halves eps while each level
+    halves dr, so it climbs one level per stage.  The linear predictor runs
+    on the first level; where the level changes, u is prolonged linearly
+    (`_prolong`) and kappa carried over.  Coarse levels see the fine arc
+    data averaged over the fine cells of each coarse cell.
 
     A 256^2 cross run climbs 16^2, ..., 256^2: its eleven Newton steps make
     26 Laplacian inverses, 5 in the last stage's 2 steps on 256^2 (25 with
@@ -512,15 +512,15 @@ def solve_fixed_point(grid: PolarGrid, g_arc, config: ContinuationConfig | None 
     raise failure
 
 
-def export_solution(sol: Solution, out_dir, basename: str = "solution") -> list[str]:
+def export_solution(sol: Solution, out_dir) -> list[str]:
     """Write the field once, as legacy-VTK BINARY, and a JSON sidecar; returns the paths.
 
     The VTK file holds the values bit for bit (big-endian float64): `phi`,
     `blowup` and `fb` read it back through read_field, and viewers open it.
     """
     os.makedirs(out_dir, exist_ok=True)
-    vtk_path = os.path.join(out_dir, f"{basename}.vtk")
-    json_path = os.path.join(out_dir, f"{basename}.json")
+    vtk_path = os.path.join(out_dir, "solution.vtk")
+    json_path = os.path.join(out_dir, "solution.json")
     write_field_vtk(sol.u, vtk_path)
     sidecar = {
         "k": sol.k,

@@ -1,4 +1,5 @@
-"""Rescaled circle traces and the trend classifier on synthetic fields.
+"""Blow-up reports on synthetic fields: rescaled circle traces and the
+trend classification.
 
 The classifier sees three regimes here, all with closed-form energies:
  * r^2 cos(2 phi): scaled energy -1, flat S(r)/r^2 = sqrt(pi), so the
@@ -22,17 +23,15 @@ from unstablefb import (
     INCONCLUSIVE,
     DegenerateTrace,
     ScalarField,
-    blowup_profile,
     blowup_report,
     build_disk_grid,
     build_sector_grid,
-    classify,
     field_from_function,
     phi,
     s_norm,
     write_blowup_csv,
 )
-from unstablefb.blowup import TRACE_SAMPLES
+from unstablefb.blowup import DELTA_PHI_ABS, DELTA_PHI_REL, TRACE_SAMPLES, TREND_SLACK
 from unstablefb.field import integrate_circle, trace_on_circle
 
 RADII = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
@@ -57,35 +56,36 @@ class TestSNorm:
 class TestRescaledTrace:
     def test_normalized_amplitude(self, disk256):
         u = degree2_field(disk256, M=40.0)
-        tr = blowup_profile(u, 0.3)
+        tr = blowup_report(u, [0.2, 0.3]).traces[1]
         # normalization strips the amplitude: a2 = 1/sqrt(pi) regardless of M
         assert tr.a[2] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-4)
         assert tr.mode_energy_fraction(2) == pytest.approx(1.0, abs=1e-8)
 
     def test_scale_invariance_across_radii(self, disk256):
         u = degree2_field(disk256)
-        a2 = [blowup_profile(u, r).a[2] for r in (0.2, 0.4, 0.6)]
+        a2 = [tr.a[2] for tr in blowup_report(u, (0.2, 0.4, 0.6)).traces]
         assert np.ptp(a2) < 1e-4
 
     def test_zero_field_is_degenerate(self, disk64):
         u = ScalarField(disk64, np.zeros(disk64.shape))
         with pytest.raises(DegenerateTrace):
-            blowup_profile(u, 0.3)
+            blowup_report(u, [0.2, 0.3])
 
 
 class TestClassifier:
     def test_quadratic_growth(self, disk256):
-        assert classify(degree2_field(disk256), RADII) == CASE1
+        assert blowup_report(degree2_field(disk256), RADII).classification == CASE1
 
     def test_second_order_degeneracy(self, disk256):
-        assert classify(degree4_field(disk256, c=0.1), RADII) == CASE3
+        assert blowup_report(degree4_field(disk256, c=0.1), RADII).classification == CASE3
 
     def test_mixed_signals_stay_unlabeled(self, disk256):
-        assert classify(degree4_field(disk256, c=1.0), RADII) == INCONCLUSIVE
+        rep = blowup_report(degree4_field(disk256, c=1.0), RADII)
+        assert rep.classification == INCONCLUSIVE
 
     def test_needs_two_radii(self, disk256):
         with pytest.raises(ValueError):
-            classify(degree2_field(disk256), [0.1])
+            blowup_report(degree2_field(disk256), [0.1])
 
 
 class TestReport:
@@ -120,6 +120,18 @@ def reference_trace(u, r, m):
     return s, (tr.radius, tr.angles, tr.samples / s, tr.a / s, tr.b / s)
 
 
+def reference_classification(u, radii):
+    """The trend classification from S and Phi taken one radius at a time."""
+    r0, r1 = min(radii), max(radii)
+    phi_min, delta = phi(u, r0), max(DELTA_PHI_REL * abs(phi(u, r1)), DELTA_PHI_ABS)
+    decaying = s_norm(u, r0) / r0**2 < s_norm(u, r1) / r1**2 * (1.0 - TREND_SLACK)
+    if phi_min < -delta and not decaying:
+        return CASE1
+    if abs(phi_min) <= delta and decaying:
+        return CASE3
+    return INCONCLUSIVE
+
+
 class TestSharedWork:
     """blowup_report squares the field once, reuses each S(r) for its trace
     and takes Phi at the end radii from one gradient; every number must be
@@ -137,9 +149,9 @@ class TestSharedWork:
         for n, r in enumerate(RADII):
             s_ref, trace_ref = reference_trace(u, r, TRACE_SAMPLES)
             assert rep.s_values[n] == s_norm(u, r) == s_ref
-            for tr in (rep.traces[n], blowup_profile(u, r)):
-                got = (tr.radius, tr.angles, tr.samples, tr.a, tr.b)
-                assert all(np.array_equal(x, y) for x, y in zip(got, trace_ref))
+            tr = rep.traces[n]
+            got = (tr.radius, tr.angles, tr.samples, tr.a, tr.b)
+            assert all(np.array_equal(x, y) for x, y in zip(got, trace_ref))
         assert rep.phi_min_r == phi(u, RADII[0])
         assert rep.phi_max_r == phi(u, RADII[-1])
-        assert rep.classification == classify(u, RADII)
+        assert rep.classification == reference_classification(u, RADII)

@@ -4,6 +4,7 @@ Solver-backed cases run on coarse grids with a mild final width so each
 test stays around a second.
 """
 
+import argparse
 import inspect
 import json
 import os
@@ -123,19 +124,29 @@ class TestDefaultPhiRadii:
 
 
 class TestRadiiValidation:
-    @pytest.mark.parametrize("radii", [
-        {"phi_radii": [0.001, 0.5]},
-        {"blowup_radii": [0.1, 0.995]},
-        {"arc_radii": [0.2]},
-    ], ids=["phi", "blowup", "arc"])
-    def test_bad_radii_rejected_before_the_solve(self, radii, tmp_path, monkeypatch):
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
         def unexpected_solve(*args, **kwargs):
             raise AssertionError("solve_fixed_point called with bad radii")
 
         monkeypatch.setattr(cli, "solve_fixed_point", unexpected_solve)
+
+    def test_bad_radii_rejected_before_the_solve(self, tmp_path, no_solve):
         with pytest.raises(ValueError):
-            run_cross(40.0, out_dir=tmp_path, **COARSE, **radii)
+            run_cross(40.0, out_dir=tmp_path, **COARSE, phi_radii=[0.001, 0.5])
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("driver", [
+        lambda out: run_cross(40.0, 16, 16, out_dir=out),
+        lambda out: run_asterisk(16, 16, out_dir=out),
+    ], ids=["cross", "asterisk"])
+    def test_constant_radii_outside_a_coarse_window_rejected_before_the_solve(
+            self, tmp_path, no_solve, driver):
+        # dr = 1/16 puts the smallest blow-up and arc radius, 0.05, below the window
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="radius 0.05 outside the valid window"):
+            driver(out)
+        assert not out.exists()
 
 
 RECORDED_RUNS = {
@@ -309,7 +320,7 @@ class TestNonFiniteParameters:
     INF, NAN = float("inf"), float("nan")
 
     @pytest.mark.parametrize("driver, key, value", [
-        (run_threshold_scan, "bisect_tol", INF), (run_threshold_scan, "C1", INF),
+        (run_threshold_scan, "C1", INF),
         (run_threshold_scan, "M_values", [0.0, NAN]), (run_solve, "M", NAN),
         (run_solve, "eps_min", -INF), (run_cross, "newton_tol", NAN),
         pytest.param(run_solve, "M", 10**400, id="run_solve-M-int_beyond_float"),
@@ -445,8 +456,7 @@ class TestScanDriver:
         assert m.headline["m_star"] is not None
         assert 1.5 < m.headline["m_star"] < 2.5
 
-    @pytest.mark.parametrize("bad", [{"mc_samples": 0}, {"mc_samples": -1},
-                                     {"bisect_tol": 0.0}, {"bisect_tol": -1e-6}])
+    @pytest.mark.parametrize("bad", [{"mc_samples": 0}, {"mc_samples": -1}])
     def test_bad_settings_rejected_before_writing(self, tmp_path, bad):
         with pytest.raises(ValueError):
             run_threshold_scan([0.0, 4.0], 0.5, tmp_path, n_r=64, n_phi=64, **bad)
@@ -459,11 +469,11 @@ class TestScanDriver:
         assert code == 2
         assert not out.exists()
 
-    def test_rerun_with_zero_bisect_tol_exits_2(self, tmp_path):
+    def test_rerun_with_zero_mc_samples_exits_2(self, tmp_path):
         recorded = tmp_path / "recorded"
         run_threshold_scan([0.0, 4.0], 0.5, recorded, n_r=64, n_phi=64, mc_samples=1000)
         raw = json.loads((recorded / "manifest.json").read_text())
-        raw["parameters"]["bisect_tol"] = 0.0
+        raw["parameters"]["mc_samples"] = 0
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(raw))
         replay = tmp_path / "replay"
@@ -593,6 +603,16 @@ class TestConsoleEntry:
     ], ids=["cross", "asterisk", "scan", "solve"])
     def test_unset_flags_fall_through_to_the_driver(self, argv, given):
         assert vars(_build_parser().parse_args(argv)) == {"command": argv[0], **given}
+
+    @pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+    def test_every_driver_keyword_is_a_flag(self, experiment):
+        # an option that only Python can set has no caller outside the tests:
+        # a recorded value of its own belongs in p as a constant
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {action.dest for action in sub.choices[experiment]._actions}
+        keywords = inspect.signature(cli.EXPERIMENTS[experiment]).parameters
+        assert sorted(set(keywords) - dests) == []
 
     def test_bad_radii_exit_2_without_artifacts(self, tmp_path):
         code = main(["cross", "--nr", "64", "--nphi", "64", "--eps-min", "0.05",
