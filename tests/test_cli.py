@@ -320,12 +320,13 @@ class TestNonFiniteParameters:
     INF, NAN = float("inf"), float("nan")
 
     @pytest.mark.parametrize("driver, key, value", [
-        (run_threshold_scan, "C1", INF),
+        (run_threshold_scan, "C1", INF), (run_asterisk, "eps_start", INF),
         (run_threshold_scan, "M_values", [0.0, NAN]), (run_solve, "M", NAN),
         (run_solve, "eps_min", -INF), (run_cross, "newton_tol", NAN),
         pytest.param(run_solve, "M", 10**400, id="run_solve-M-int_beyond_float"),
         pytest.param(run_threshold_scan, "mc_samples", 10**400,
                      id="run_threshold_scan-mc_samples-int_beyond_float"),
+        pytest.param(run_asterisk, "phi_radii", [0.1, NAN], id="run_asterisk-phi_radii-nan"),
     ])
     def test_rejected_before_writing(self, tmp_path, driver, key, value):
         required = {run_threshold_scan: {"M_values": [0.0, 4.0]}, run_solve: {"k": 2}}
@@ -456,10 +457,12 @@ class TestScanDriver:
         assert m.headline["m_star"] is not None
         assert 1.5 < m.headline["m_star"] < 2.5
 
-    @pytest.mark.parametrize("bad", [{"mc_samples": 0}, {"mc_samples": -1}])
+    @pytest.mark.parametrize("bad", [{"mc_samples": 0}, {"mc_samples": -1},
+                                     {"C1": 0.0}, {"M_values": []}])
     def test_bad_settings_rejected_before_writing(self, tmp_path, bad):
+        args = {"M_values": [0.0, 4.0], "C1": 0.5, **bad}
         with pytest.raises(ValueError):
-            run_threshold_scan([0.0, 4.0], 0.5, tmp_path, n_r=64, n_phi=64, **bad)
+            run_threshold_scan(out_dir=tmp_path, n_r=64, n_phi=64, **args)
         assert not any(tmp_path.iterdir())
 
     def test_zero_mc_samples_exit_2_without_artifacts(self, tmp_path):
