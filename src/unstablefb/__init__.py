@@ -34,7 +34,6 @@ from .field import (
 )
 from .poisson import DiscreteLaplacian, SolverError, assemble, solve
 from .semilinear import (
-    ContinuationConfig,
     Solution,
     StageFailed,
     export_solution,
@@ -91,7 +90,7 @@ __all__ = [
     "read_field", "read_field_csv", "sample_circle", "trace_on_circle",
     "write_field_csv", "write_field_vtk",
     "DiscreteLaplacian", "SolverError", "assemble", "solve",
-    "ContinuationConfig", "Solution", "StageFailed",
+    "Solution", "StageFailed",
     "export_solution", "f_eps", "f_eps_prime", "initial_guess",
     "newton_stage", "solve_fixed_point",
     "MonotonicityProfile", "energy_bound_integral", "find_threshold",

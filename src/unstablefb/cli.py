@@ -46,7 +46,7 @@ from .monotonicity import (
     threshold_scan,
     write_profile_csv,
 )
-from .semilinear import ContinuationConfig, StageFailed, export_solution, solve_fixed_point
+from .semilinear import EPS_START, NEWTON_TOL, StageFailed, export_solution, solve_fixed_point
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -161,11 +161,13 @@ def _default_phi_radii(n_r: int, lo: float = 0.25, hi: float = 0.8) -> list:
     return [lo + n * step for n in range(int((hi - lo) / step + 1e-9) + 1)]
 
 
-# constants that each manifest records and a replay does not read; other blow-up
-# and arc radii go through `blowup --radii` and `fb --radii` on solution.vtk
+# constants that each manifest records and a replay does not read, as it does
+# semilinear.EPS_START, NEWTON_TOL and the phi radii _default_phi_radii(n_r);
+# other radii go through the --radii of `phi`, `blowup` and `fb` on solution.vtk
 DEFAULT_BLOWUP_RADII = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
 DEFAULT_ARC_RADII = [0.05 + 0.025 * n for n in range(11)]  # 0.05 .. 0.30
 BISECT_TOL = 1e-6
+MC_SAMPLES = 1_000_000
 
 
 def _number(name: str, value, kind=float):
@@ -196,19 +198,14 @@ def _numbers(name: str, values) -> list:
     return values
 
 
-def _solver_params(n_r, n_phi, eps_start, eps_min, newton_tol) -> dict:
+def _solver_params(n_r, n_phi, eps_min) -> dict:
     return {"n_r": _number("n_r", n_r, int), "n_phi": _number("n_phi", n_phi, int),
-            "eps_start": _number("eps_start", eps_start),
-            "eps_min": _number("eps_min", eps_min),
-            "newton_tol": _number("newton_tol", newton_tol)}
+            "eps_start": EPS_START, "eps_min": _number("eps_min", eps_min),
+            "newton_tol": NEWTON_TOL}
 
 
-def _radii_params(n_r, phi_radii) -> dict:
-    return {
-        "phi_radii": (_numbers("phi_radii", phi_radii) if phi_radii is not None
-                      else _default_phi_radii(n_r)),
-        "blowup_radii": list(DEFAULT_BLOWUP_RADII),
-    }
+def _radii_params(n_r) -> dict:
+    return {"phi_radii": _default_phi_radii(n_r), "blowup_radii": list(DEFAULT_BLOWUP_RADII)}
 
 
 def _check_radii(grid, name: str, radii, default=None) -> list:
@@ -283,12 +280,7 @@ def _solve(p: dict, out: Path, g_label: str | None = None):
     for key in ("phi_radii", "blowup_radii", "arc_radii"):
         if key in p:
             _check_radii(grid, key, p[key])
-    config = ContinuationConfig(
-        eps_start=p["eps_start"],
-        eps_min=p["eps_min"],
-        newton_tol=p["newton_tol"],
-    )
-    sol = solve_fixed_point(grid, lambda phi: M * np.cos(k * phi), config,
+    sol = solve_fixed_point(grid, lambda phi: M * np.cos(k * phi), p["eps_min"],
                             g_label=g_label or f"{M:g}*cos({k}*phi)")
     outputs = [Path(f).name for f in export_solution(sol, out)]
     origin_value = eval_origin(sol.u)
@@ -347,9 +339,7 @@ def _circular_gap_to(targets_deg, angle_deg: float) -> float:
 
 
 def run_cross(M: float = 40.0, n_r: int = 256, n_phi: int = 256,
-              eps_min: float = 0.0125, out_dir="runs/cross", *,
-              eps_start: float = 0.2, newton_tol: float = 1e-10,
-              phi_radii=None) -> RunManifest:
+              eps_min: float = 0.0125, out_dir="runs/cross") -> RunManifest:
     """Quarter-plane data M cos(2 phi), expected to produce a cross pattern.
 
     Solves on the k = 2 sector, analyses its even extension to the disk,
@@ -362,8 +352,8 @@ def run_cross(M: float = 40.0, n_r: int = 256, n_phi: int = 256,
         raise ValueError(f"M must be positive, got {M}")
     p = {
         "k": 2, "M": M,
-        **_solver_params(n_r, n_phi, eps_start, eps_min, newton_tol),
-        **_radii_params(n_r, phi_radii),
+        **_solver_params(n_r, n_phi, eps_min),
+        **_radii_params(n_r),
         "arc_radii": list(DEFAULT_ARC_RADII),
         "trace_samples": TRACE_SAMPLES,
     }
@@ -415,8 +405,7 @@ def _cross_body(p: dict, out: Path):
 
 
 def run_asterisk(n_r: int = 256, n_phi: int = 256, eps_min: float = 0.0125,
-                 out_dir="runs/asterisk", *, eps_start: float = 0.2,
-                 newton_tol: float = 1e-10, phi_radii=None) -> RunManifest:
+                 out_dir="runs/asterisk") -> RunManifest:
     """Eighth-sector data cos(4 phi), the second-order degenerate candidate.
 
     Solves on the k = 4 sector with its 8-fold extension and checks for
@@ -432,8 +421,8 @@ def run_asterisk(n_r: int = 256, n_phi: int = 256, eps_min: float = 0.0125,
     """
     p = {
         "k": 4,
-        **_solver_params(n_r, n_phi, eps_start, eps_min, newton_tol),
-        **_radii_params(n_r, phi_radii),
+        **_solver_params(n_r, n_phi, eps_min),
+        **_radii_params(n_r),
         "invariance_radii": [0.9, 0.8, 0.7, 0.6, 0.5],
         "trace_samples": TRACE_SAMPLES,
     }
@@ -498,19 +487,18 @@ def _asterisk_body(p: dict, out: Path):
 
 
 def run_threshold_scan(M_values, C1: float = 0.5, out_dir="runs/scan", *,
-                       n_r: int = 1024, n_phi: int = 1024,
-                       mc_samples: int = 1_000_000, mc_seed: int = 0) -> RunManifest:
+                       n_r: int = 1024, n_phi: int = 1024, mc_seed: int = 0) -> RunManifest:
     """Scan the boundary amplitude M in the sign test for the energy bound.
 
     Writes one row per M with the quadrature value, refines the first sign
     change by bisection, and cross-checks the endpoints of the scan by
-    Monte Carlo.
+    Monte Carlo with MC_SAMPLES samples drawn from mc_seed.
     """
     p = {
         "M_values": [float(m) for m in _numbers("M_values", M_values)],
         "C1": _number("C1", C1), "n_r": _number("n_r", n_r, int),
         "n_phi": _number("n_phi", n_phi, int),
-        "mc_samples": _number("mc_samples", mc_samples, int),
+        "mc_samples": MC_SAMPLES,
         "mc_seed": _number("mc_seed", mc_seed, int),
         "bisect_tol": BISECT_TOL,
     }
@@ -518,8 +506,8 @@ def run_threshold_scan(M_values, C1: float = 0.5, out_dir="runs/scan", *,
         raise ValueError("M_values must be nonempty")
     if p["C1"] <= 0:
         raise ValueError(f"C1 must be positive, got {C1}")
-    if p["mc_samples"] < 1:
-        raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
+    if p["mc_seed"] < 0:
+        raise ValueError(f"mc_seed must be nonnegative, got {mc_seed}")
     return _run("scan", p, out_dir, _scan_body)
 
 
@@ -566,11 +554,10 @@ def _scan_body(p: dict, out: Path):
 
 
 def run_solve(k: int, M: float = 40.0, n_r: int = 256, n_phi: int = 256,
-              eps_min: float = 0.0125, out_dir="runs/solve", *,
-              eps_start: float = 0.2, newton_tol: float = 1e-10) -> RunManifest:
+              eps_min: float = 0.0125, out_dir="runs/solve") -> RunManifest:
     """Generic single solve with arc data M cos(k phi), artifacts only."""
     p = {"k": _number("k", k, int), "M": _number("M", M),
-         **_solver_params(n_r, n_phi, eps_start, eps_min, newton_tol)}
+         **_solver_params(n_r, n_phi, eps_min)}
     return _run("solve", p, out_dir, lambda p, out: _solve(p, out)[1:])
 
 
@@ -589,8 +576,10 @@ def rerun_manifest(manifest_path, out_dir=None) -> tuple[RunManifest, bool]:
     """Replay a recorded run and compare headline numbers for equality.
 
     The driver gets every stored parameter it accepts; recorded constants
-    (k, trace_samples, invariance_radii, blowup_radii, arc_radii and
-    bisect_tol) and a stored out_dir are ignored.  The comparison is
+    (k, eps_start, newton_tol, phi_radii, blowup_radii, arc_radii,
+    invariance_radii, trace_samples, mc_samples and bisect_tol) and a
+    stored out_dir are ignored, so a manifest that recorded another value
+    of a constant replays with the constant.  The comparison is
     exact, down to the last bit of every float, because the replay
     consumes only manifest parameters and the solver is deterministic on
     a given machine under the same BLAS thread count.  A stored parameter
@@ -631,8 +620,6 @@ def _add_solver_flags(sp, with_m: bool):
         sp.add_argument("--M", type=float, help="arc data amplitude")
     _add_grid_flags(sp)
     sp.add_argument("--eps-min", type=float, help="final smoothing width")
-    sp.add_argument("--eps-start", type=float, help="initial smoothing width")
-    sp.add_argument("--tol", dest="newton_tol", type=float, help="Newton residual tolerance")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -651,16 +638,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ("cross", "boundary data M cos(2 phi) on the quarter sector", True),
         ("asterisk", "boundary data cos(4 phi) on the eighth sector", False),
     ):
-        sp = experiment(name, help_text)
-        _add_solver_flags(sp, with_m)
-        sp.add_argument("--radii", dest="phi_radii", type=_number_list,
-                        help="comma list of radii for the scaled-energy profile")
+        _add_solver_flags(experiment(name, help_text), with_m)
 
     sp = experiment("scan", "energy bound sign scan over M")
     sp.add_argument("--M-list", dest="M_values", type=_number_list, required=True,
                     help="comma list of M values")
     sp.add_argument("--C1", type=float)
-    sp.add_argument("--mc-samples", type=int)
     sp.add_argument("--mc-seed", type=int)
     _add_grid_flags(sp)
 

@@ -48,9 +48,8 @@ def _smoothstep(s: np.ndarray) -> np.ndarray:
 
 
 def _smoothstep_prime(s: np.ndarray) -> np.ndarray:
-    inside = (s > 0.0) & (s < 1.0)
-    sc = np.where(inside, s, 0.0)
-    return np.where(inside, 30.0 * sc * sc * (1.0 - sc) ** 2, 0.0)
+    s = np.clip(s, 0.0, 1.0)
+    return 30.0 * s * s * (1.0 - s) ** 2
 
 
 def f_eps(z, eps: float):
@@ -76,31 +75,7 @@ def f_eps_prime(z, eps: float):
     return out if out.ndim else float(out)
 
 
-# --- configuration and results -------------------------------------------
-
-
-@dataclass
-class ContinuationConfig:
-    """Width ladder and Newton tolerance of the eps continuation.
-
-    The ladder runs from eps_start down to eps_min by the factor EPS_RATIO;
-    each stage stops at newton_tol or after MAX_NEWTON iterations.
-    """
-
-    eps_start: float = 0.2
-    eps_min: float = 0.0125
-    newton_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (0.0 < self.eps_min <= self.eps_start):
-            raise ValueError("need 0 < eps_min <= eps_start")
-
-    def schedule(self) -> list[float]:
-        """Geometric ladder from eps_start down to exactly eps_min."""
-        eps = [self.eps_start]
-        while eps[-1] > self.eps_min * (1.0 + 1e-12):
-            eps.append(max(eps[-1] * EPS_RATIO, self.eps_min))
-        return eps
+# --- results ------------------------------------------------------------
 
 
 @dataclass
@@ -178,6 +153,8 @@ KRYLOV_RTOL = 1e-6
 # KRYLOV_MAXITER iterations (a multiple of the restart) has not converged.
 KRYLOV_RESTART = 40
 KRYLOV_MAXITER = 400
+# Absolute tolerance of a Newton stage on max |R1| and |R2| (`newton_stage`).
+NEWTON_TOL = 1e-10
 # Newton iterations per stage: the finest widths on fine grids spend ~36
 # damped steps before the quadratic phase (asterisk, 65536 x 16 cells,
 # eps = 3.125e-5).
@@ -189,8 +166,10 @@ MAX_BACKTRACKS = 30
 # A stage runs on the coarsest grid level that resolves its eps in
 # LEVEL_EPS_CELLS radial cells, eps >= LEVEL_EPS_CELLS * dr (`_stage_levels`).
 LEVEL_EPS_CELLS = 2.0
-# Shrink factor of the eps ladder.  Each coarser grid level doubles dr, so
-# halving eps moves the placement up one level per stage.
+# First width and shrink factor of the eps ladder (`_schedule`).  Each
+# coarser grid level doubles dr, so halving eps moves the placement up one
+# level per stage.
+EPS_START = 0.2
 EPS_RATIO = 0.5
 
 
@@ -317,28 +296,22 @@ def _newton_direction(lap: DiscreteLaplacian, e: np.ndarray, b1: np.ndarray,
     return x[:-1], float(x[-1]), None if relres <= KRYLOV_RTOL else relres
 
 
-def newton_stage(
-    lap: DiscreteLaplacian,
-    u: np.ndarray,
-    kappa: float,
-    eps: float,
-    g: np.ndarray,
-    config: ContinuationConfig,
-) -> tuple[np.ndarray, float, int, float, float]:
+def newton_stage(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, eps: float,
+                 g: np.ndarray) -> tuple[np.ndarray, float, int, float, float]:
     """Damped bordered Newton at fixed eps from the given iterate.
 
     Returns (u, kappa, iterations, pde_residual, origin_residual).
     Idempotent: an already-converged iterate returns with 0 iterations.
 
-    Converged when |R2| <= newton_tol and max |R1| <= newton_tol, or when
+    Converged when |R2| <= NEWTON_TOL and max |R1| <= NEWTON_TOL, or when
     max |R1| is at the rounding level of its own evaluation and within
-    MAX_TOL_RELAXATION * newton_tol (fine radial grids, where the level
-    exceeds newton_tol).
+    MAX_TOL_RELAXATION * NEWTON_TOL (fine radial grids, where the level
+    exceeds NEWTON_TOL).
     """
     grid = lap.grid
     e = origin_weight_vector(grid)
     b1 = lap.lift(np.ones(grid.n_phi))
-    tol = config.newton_tol
+    tol = NEWTON_TOL
 
     def merit(r1, r2):
         # area-normalized so PDE and origin parts carry comparable units
@@ -382,6 +355,16 @@ def newton_stage(
             raise StageFailed(eps, grid, it, float(np.max(np.abs(r1))), "line search stalled")
     raise StageFailed(eps, grid, MAX_NEWTON, float(np.max(np.abs(r1))),
                       "iteration cap reached")
+
+
+def _schedule(eps_min: float) -> list[float]:
+    """Geometric ladder from EPS_START down to exactly eps_min by EPS_RATIO."""
+    if not 0.0 < eps_min <= EPS_START:
+        raise ValueError(f"need 0 < eps_min <= eps_start = {EPS_START:g}, got {eps_min:g}")
+    eps = [EPS_START]
+    while eps[-1] > eps_min * (1.0 + 1e-12):
+        eps.append(max(eps[-1] * EPS_RATIO, eps_min))
+    return eps
 
 
 def _grid_levels(grid: PolarGrid) -> list[PolarGrid]:
@@ -439,7 +422,7 @@ def _prolong(u: np.ndarray, coarse: PolarGrid, fine: PolarGrid) -> np.ndarray:
     return ((1.0 - s) * u[:, j] + s * u[:, j + 1]).ravel()
 
 
-def _stages(grid: PolarGrid, g_arc, config: ContinuationConfig):
+def _stages(grid: PolarGrid, g_arc, eps_min: float):
     """Grid-sequenced continuation in eps with warm-started bordered Newton stages.
 
     Nested iteration (Briggs, Henson and McCormick, A Multigrid Tutorial,
@@ -460,7 +443,7 @@ def _stages(grid: PolarGrid, g_arc, config: ContinuationConfig):
     pde_residual, origin_residual): lap is the Laplacian of the stage's
     level, g its arc data and u flat.  A failed stage raises StageFailed.
     """
-    schedule = config.schedule()
+    schedule = _schedule(eps_min)
     g_fine = _arc_values(grid, g_arc)
     levels = _grid_levels(grid)
     lap = None
@@ -475,24 +458,23 @@ def _stages(grid: PolarGrid, g_arc, config: ContinuationConfig):
                 u = u_field.values.ravel()
             else:
                 u = _prolong(u, coarse.grid, here)
-        u, kappa, *stats = newton_stage(lap, u, kappa, eps, g, config)
+        u, kappa, *stats = newton_stage(lap, u, kappa, eps, g)
         yield (eps, lap, g, u, kappa, *stats)
 
 
-def solve_fixed_point(grid: PolarGrid, g_arc, config: ContinuationConfig | None = None,
+def solve_fixed_point(grid: PolarGrid, g_arc, eps_min: float = 0.0125,
                       g_label: str = "") -> Solution:
-    """Run the eps continuation (`_stages`) on a sector grid; a StageFailed
-    carries the last converged stage as partial.  Deterministic under a
-    fixed BLAS thread count: the Krylov solves and the DCTs of the
-    preconditioner run in a fixed order, the DCTs on one worker.
+    """Run the eps continuation (`_stages`) from EPS_START down to eps_min on
+    a sector grid; a StageFailed carries the last converged stage as
+    partial.  Deterministic under a fixed BLAS thread count: the Krylov
+    solves and the DCTs of the preconditioner run in a fixed order, the DCTs
+    on one worker.
     """
-    if config is None:
-        config = ContinuationConfig()
     if grid.periodic:
         raise ValueError("solve_fixed_point needs a sector grid")
     failure, schedule, iters, grids, band = None, [], [], [], []
     try:
-        for eps, lap, g, u, kappa, n_it, pde_res, origin_res in _stages(grid, g_arc, config):
+        for eps, lap, g, u, kappa, n_it, pde_res, origin_res in _stages(grid, g_arc, eps_min):
             schedule.append(eps)
             iters.append(n_it)
             grids.append([lap.grid.n_r, lap.grid.n_phi])

@@ -87,9 +87,9 @@ class TestSolveDriver:
 
 
 class TestFailurePath:
-    def test_unreachable_tolerance_writes_failure_manifest(self, tmp_path):
-        m = run_solve(2, M=40.0, n_r=32, n_phi=32, eps_min=0.1,
-                      out_dir=tmp_path, eps_start=0.1, newton_tol=1e-30)
+    def test_unreachable_tolerance_writes_failure_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(semilinear, "NEWTON_TOL", 1e-30)
+        m = run_solve(2, M=40.0, n_r=32, n_phi=32, eps_min=0.2, out_dir=tmp_path)
         assert m.status == "solver_failure"
         assert m.exit_code == 3
         assert m.failure  # reason recorded
@@ -102,8 +102,7 @@ class TestFailurePath:
         assert (stored["failure"]["n_r"], stored["failure"]["n_phi"]) == (32, 32)
 
     def test_unconverged_krylov_solve_reports_its_residual(self, tmp_path, gmres_capped):
-        m = run_solve(2, M=40.0, n_r=32, n_phi=32, eps_min=0.1,
-                      out_dir=tmp_path, eps_start=0.1)
+        m = run_solve(2, M=40.0, n_r=32, n_phi=32, eps_min=0.1, out_dir=tmp_path)
         assert m.status == "solver_failure"
         stored = json.loads((tmp_path / "manifest.json").read_text())
         assert stored["failure"]["linear_residual"] > semilinear.KRYLOV_RTOL
@@ -131,11 +130,6 @@ class TestRadiiValidation:
 
         monkeypatch.setattr(cli, "solve_fixed_point", unexpected_solve)
 
-    def test_bad_radii_rejected_before_the_solve(self, tmp_path, no_solve):
-        with pytest.raises(ValueError):
-            run_cross(40.0, out_dir=tmp_path, **COARSE, phi_radii=[0.001, 0.5])
-        assert not any(tmp_path.iterdir())
-
     @pytest.mark.parametrize("driver", [
         lambda out: run_cross(40.0, 16, 16, out_dir=out),
         lambda out: run_asterisk(16, 16, out_dir=out),
@@ -152,9 +146,37 @@ class TestRadiiValidation:
 RECORDED_RUNS = {
     "cross": lambda out: run_cross(40.0, out_dir=out, **COARSE),
     "asterisk": lambda out: run_asterisk(out_dir=out, **COARSE),
-    "scan": lambda out: run_threshold_scan([0.0, 2.0, 4.0], 0.5, out, n_r=128,
-                                           n_phi=128, mc_samples=100_000),
+    "scan": lambda out: run_threshold_scan([0.0, 2.0, 4.0], 0.5, out, n_r=128, n_phi=128),
 }
+
+
+# parameter keys, in order, and content hashes of runs that the drivers wrote
+# while eps_start, newton_tol, phi_radii and mc_samples were still options; a
+# recorded constant keeps its key, its place and its value, so the hash holds
+PINNED = {
+    "solve": (lambda out: run_solve(2, M=40.0, out_dir=out, **COARSE),
+              ["k", "M", "n_r", "n_phi", "eps_start", "eps_min", "newton_tol"],
+              "7319962df53737b58a32d43fd4af7032530fc63d2bfa92f1682ac12c69c91631"),
+    "cross": (RECORDED_RUNS["cross"],
+              ["k", "M", "n_r", "n_phi", "eps_start", "eps_min", "newton_tol", "phi_radii",
+               "blowup_radii", "arc_radii", "trace_samples"],
+              "7e51afc11cca11583b3116143d05e98ff1d7312064b394b5a73afdbfdc24b42d"),
+    "asterisk": (RECORDED_RUNS["asterisk"],
+                 ["k", "n_r", "n_phi", "eps_start", "eps_min", "newton_tol", "phi_radii",
+                  "blowup_radii", "invariance_radii", "trace_samples"],
+                 "d7a971d1d89b85b9ecaa7ada9210e7af5c24806d539cd1c1f37efcf72cf79b91"),
+    "scan": (lambda out: run_threshold_scan([0.0, 2.0, 4.0], 0.5, out, n_r=64, n_phi=64),
+             ["M_values", "C1", "n_r", "n_phi", "mc_samples", "mc_seed", "bisect_tol"],
+             "dad1cead7a7b6c630e1c518ec9666cb13bb67870a0e442dfcca7cef9934dda9d"),
+}
+
+
+@pytest.mark.parametrize("experiment", PINNED)
+def test_recorded_parameters_and_hash_are_pinned(experiment, tmp_path):
+    run, keys, content_hash = PINNED[experiment]
+    m = run(tmp_path)
+    assert list(m.parameters) == keys
+    assert m.content_hash == content_hash
 
 
 class TestRerun:
@@ -172,11 +194,12 @@ class TestRerun:
         assert fresh.parameters == m.parameters
         assert fresh.content_hash == m.content_hash
 
-    def test_identical_replay_of_failing_run_exits_0(self, tmp_path, capsys):
+    def test_identical_replay_of_failing_run_exits_0(self, tmp_path, capsys, monkeypatch):
         # one Monte-Carlo sample cannot agree with the quadrature, so the run
         # fails a check; the replay reproduces it, which is all rerun reports
+        monkeypatch.setattr(cli, "MC_SAMPLES", 1)
         recorded = tmp_path / "recorded"
-        m = run_threshold_scan([0.0, 4.0], 0.5, recorded, n_r=64, n_phi=64, mc_samples=1)
+        m = run_threshold_scan([0.0, 4.0], 0.5, recorded, n_r=64, n_phi=64)
         assert m.exit_code == 4
         assert [c["name"] for c in m.checks if not c["passed"]] == ["monte_carlo_agreement"]
         code = main(["rerun", str(recorded / "manifest.json"),
@@ -237,7 +260,7 @@ class TestRerun:
 
 
     @pytest.mark.parametrize("key, value", [
-        ("n_r", [64]), ("M", "40"), ("eps_min", None), ("k", True), ("newton_tol", {}),
+        ("n_r", [64]), ("M", "40"), ("eps_min", None), ("k", True), ("n_phi", {}),
     ])
     def test_parameter_of_wrong_type_exits_2_naming_it(self, solve_run, tmp_path, capsys,
                                                        key, value):
@@ -297,20 +320,19 @@ class TestIntegerParameters:
     def test_solve_rejects_a_fractional_grid_size(self, tmp_path, key):
         grid = {"n_r": 32, "n_phi": 32, key: 32.7}
         with pytest.raises(ValueError, match=f"parameter {key} must be an integer, got 32.7"):
-            run_solve(2, 40.0, eps_min=0.1, eps_start=0.1, out_dir=tmp_path, **grid)
+            run_solve(2, 40.0, eps_min=0.1, out_dir=tmp_path, **grid)
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("key, value", [("mc_samples", 1000.5), ("mc_seed", 0.25),
-                                            ("n_r", 64.1), ("n_phi", float("nan"))])
+    @pytest.mark.parametrize("key, value", [("mc_seed", 0.25), ("n_r", 64.1),
+                                            ("n_phi", float("nan"))])
     def test_scan_rejects_a_fractional_integer(self, tmp_path, key, value):
-        settings = {"n_r": 64, "n_phi": 64, "mc_samples": 1000, key: value}
+        settings = {"n_r": 64, "n_phi": 64, key: value}
         with pytest.raises(ValueError, match=f"parameter {key} must be an integer"):
             run_threshold_scan([0.0, 4.0], 0.5, tmp_path, **settings)
         assert not any(tmp_path.iterdir())
 
     def test_integral_floats_are_accepted_as_integers(self, tmp_path):
-        m = run_solve(2.0, 40.0, n_r=32.0, n_phi=32.0, eps_min=0.1, eps_start=0.1,
-                      out_dir=tmp_path)
+        m = run_solve(2.0, 40.0, n_r=32.0, n_phi=32.0, eps_min=0.1, out_dir=tmp_path)
         assert m.status == "ok"
         assert (m.parameters["k"], m.parameters["n_r"], m.parameters["n_phi"]) == (2, 32, 32)
         assert all(type(m.parameters[key]) is int for key in ("k", "n_r", "n_phi"))
@@ -320,13 +342,12 @@ class TestNonFiniteParameters:
     INF, NAN = float("inf"), float("nan")
 
     @pytest.mark.parametrize("driver, key, value", [
-        (run_threshold_scan, "C1", INF), (run_asterisk, "eps_start", INF),
+        (run_threshold_scan, "C1", INF), (run_asterisk, "eps_min", INF),
         (run_threshold_scan, "M_values", [0.0, NAN]), (run_solve, "M", NAN),
-        (run_solve, "eps_min", -INF), (run_cross, "newton_tol", NAN),
+        (run_solve, "eps_min", -INF), (run_cross, "M", NAN),
         pytest.param(run_solve, "M", 10**400, id="run_solve-M-int_beyond_float"),
-        pytest.param(run_threshold_scan, "mc_samples", 10**400,
-                     id="run_threshold_scan-mc_samples-int_beyond_float"),
-        pytest.param(run_asterisk, "phi_radii", [0.1, NAN], id="run_asterisk-phi_radii-nan"),
+        pytest.param(run_threshold_scan, "mc_seed", 10**400,
+                     id="run_threshold_scan-mc_seed-int_beyond_float"),
     ])
     def test_rejected_before_writing(self, tmp_path, driver, key, value):
         required = {run_threshold_scan: {"M_values": [0.0, 4.0]}, run_solve: {"k": 2}}
@@ -363,7 +384,8 @@ class TestRejectedBeforeWriting:
         "eps_min_above_eps_start": ("solve", {"eps_min": 0.5}),
         "grid_below_8_cells": ("solve", {"n_r": 4}),
         "eps_min_not_positive": ("solve", {"eps_min": 0.0}),
-        "radius_outside_window": ("cross", {"phi_radii": [0.001, 0.5]}),
+        # dr = 1/16 puts the constant blow-up and arc radius 0.05 below the window
+        "radius_outside_window": ("cross", {"n_r": 16, "n_phi": 16}),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -448,8 +470,7 @@ class TestThreadSettings:
 
 class TestScanDriver:
     def test_small_scan(self, tmp_path):
-        m = run_threshold_scan([0.0, 2.0, 4.0], 0.5, tmp_path,
-                               n_r=256, n_phi=256, mc_samples=200_000)
+        m = run_threshold_scan([0.0, 2.0, 4.0], 0.5, tmp_path, n_r=256, n_phi=256)
         assert m.status == "ok"
         assert (tmp_path / "threshold_scan.csv").exists()
         header = (tmp_path / "threshold_scan.csv").read_text().splitlines()[0]
@@ -457,26 +478,26 @@ class TestScanDriver:
         assert m.headline["m_star"] is not None
         assert 1.5 < m.headline["m_star"] < 2.5
 
-    @pytest.mark.parametrize("bad", [{"mc_samples": 0}, {"mc_samples": -1},
-                                     {"C1": 0.0}, {"M_values": []}])
+    @pytest.mark.parametrize("bad", [{"mc_seed": -1}, {"C1": 0.0}, {"M_values": []}])
     def test_bad_settings_rejected_before_writing(self, tmp_path, bad):
         args = {"M_values": [0.0, 4.0], "C1": 0.5, **bad}
         with pytest.raises(ValueError):
             run_threshold_scan(out_dir=tmp_path, n_r=64, n_phi=64, **args)
         assert not any(tmp_path.iterdir())
 
-    def test_zero_mc_samples_exit_2_without_artifacts(self, tmp_path):
+    def test_negative_mc_seed_exits_2_without_artifacts(self, tmp_path, capsys):
         out = tmp_path / "scan"
-        code = main(["scan", "--M-list", "0,4", "--mc-samples", "0", "--nr", "64",
+        code = main(["scan", "--M-list", "0,4", "--mc-seed", "-1", "--nr", "64",
                      "--nphi", "64", "--out", str(out)])
         assert code == 2
+        assert "error: mc_seed must be nonnegative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_rerun_with_zero_mc_samples_exits_2(self, tmp_path):
+    def test_rerun_with_negative_mc_seed_exits_2(self, tmp_path):
         recorded = tmp_path / "recorded"
-        run_threshold_scan([0.0, 4.0], 0.5, recorded, n_r=64, n_phi=64, mc_samples=1000)
+        run_threshold_scan([0.0, 4.0], 0.5, recorded, n_r=64, n_phi=64)
         raw = json.loads((recorded / "manifest.json").read_text())
-        raw["parameters"]["mc_samples"] = 0
+        raw["parameters"]["mc_seed"] = -1
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(raw))
         replay = tmp_path / "replay"
@@ -484,10 +505,10 @@ class TestScanDriver:
         assert not replay.exists()
 
     @pytest.mark.parametrize("key, value", [("M_values", 3), ("M_values", [0, "4"]),
-                                            ("mc_samples", "many"), ("C1", [0.5])])
+                                            ("mc_seed", "many"), ("C1", [0.5])])
     def test_rerun_with_parameter_of_wrong_type_exits_2(self, tmp_path, capsys, key, value):
         recorded = tmp_path / "recorded"
-        run_threshold_scan([0.0, 4.0], 0.5, recorded, n_r=64, n_phi=64, mc_samples=1000)
+        run_threshold_scan([0.0, 4.0], 0.5, recorded, n_r=64, n_phi=64)
         raw = json.loads((recorded / "manifest.json").read_text())
         raw["parameters"][key] = value
         path = tmp_path / "manifest.json"
@@ -498,8 +519,7 @@ class TestScanDriver:
         assert not replay.exists()
 
     def test_all_positive_scan_has_no_threshold(self, tmp_path):
-        m = run_threshold_scan([0.0, 0.5], 0.5, tmp_path,
-                               n_r=256, n_phi=256, mc_samples=100_000)
+        m = run_threshold_scan([0.0, 0.5], 0.5, tmp_path, n_r=256, n_phi=256)
         assert m.headline["m_star"] is None
         # |M| <= C1 leaves no excess, so both estimates are pi*C1^2 exactly
         for row in m.headline["monte_carlo"]:
@@ -516,14 +536,13 @@ class TestScanDriver:
             return estimate(M, *args, **kwargs)
 
         monkeypatch.setattr(cli, "mc_energy_bound", counting)
-        m = run_threshold_scan([0.0, 2.0, 4.0], 0.5, tmp_path, n_r=64, n_phi=64,
-                               mc_samples=1000)
+        m = run_threshold_scan([0.0, 2.0, 4.0], 0.5, tmp_path, n_r=64, n_phi=64)
         assert len(calls) == 1
         assert sorted(calls[0]) == [0.0, 4.0]
         assert [row["M"] for row in m.headline["monte_carlo"]] == calls[0]
 
     def test_one_amplitude_gives_one_monte_carlo_row(self, tmp_path):
-        m = run_threshold_scan([2.5], 0.5, tmp_path, n_r=64, n_phi=64, mc_samples=1000)
+        m = run_threshold_scan([2.5], 0.5, tmp_path, n_r=64, n_phi=64)
         rows = m.headline["monte_carlo"]
         assert len(rows) == 1 and rows[0]["M"] == 2.5
         assert type(rows[0]["monte_carlo"]) is float
@@ -593,7 +612,7 @@ class TestConsoleEntry:
 
     def test_solve_without_M_records_the_driver_default(self, tmp_path, capsys):
         code = main(["solve", "--k", "2", "--nr", "32", "--nphi", "32",
-                     "--eps-min", "0.1", "--eps-start", "0.1", "--out", str(tmp_path)])
+                     "--eps-min", "0.1", "--out", str(tmp_path)])
         assert code == 0
         stored = RunManifest.load(tmp_path / "manifest.json")
         assert stored.parameters["M"] == inspect.signature(run_solve).parameters["M"].default
@@ -618,14 +637,15 @@ class TestConsoleEntry:
         assert sorted(set(keywords) - dests) == []
 
     def test_bad_radii_exit_2_without_artifacts(self, tmp_path):
-        code = main(["cross", "--nr", "64", "--nphi", "64", "--eps-min", "0.05",
-                     "--radii", "0.001,0.5", "--out", str(tmp_path)])
+        # dr = 1/16 puts the constant blow-up and arc radius 0.05 below the window
+        code = main(["cross", "--nr", "16", "--nphi", "16", "--eps-min", "0.05",
+                     "--out", str(tmp_path)])
         assert code == 2
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["phi", "blowup", "fb"])
-    @pytest.mark.parametrize("radii", ["5,6", "0.3", ""],
-                             ids=["outside_window", "one_radius", "empty"])
+    @pytest.mark.parametrize("radii", ["5,6", "0.3", "", "0.1,nan"],
+                             ids=["outside_window", "one_radius", "empty", "nan"])
     def test_bad_field_radii_exit_2_without_output(self, tmp_path, capsys, solve_run,
                                                    command, radii):
         run_dir, _ = solve_run
@@ -709,7 +729,7 @@ class TestConsoleEntry:
 
     @pytest.mark.parametrize("argv, option", [
         (["scan", "--M-list", "1,x"], "--M-list"),
-        (["cross", "--radii", "0.3,,y"], "--radii"),
+        (["phi", "solution.vtk", "--radii", "0.3,,y"], "--radii"),
     ])
     def test_bad_number_list_names_option(self, capsys, argv, option):
         with pytest.raises(SystemExit) as info:

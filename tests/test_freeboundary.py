@@ -10,7 +10,6 @@ from conftest import degree2_field
 
 import unstablefb.freeboundary as freeboundary
 from unstablefb import (
-    ContinuationConfig,
     ScalarField,
     build_disk_grid,
     build_sector_grid,
@@ -230,7 +229,7 @@ class TestMarchingOracle:
 
     def test_reflected_cross_solution(self):
         sol = solve_fixed_point(build_sector_grid(2, 96, 96), lambda p: 40.0 * np.cos(2.0 * p),
-                                ContinuationConfig(eps_min=0.05))
+                                0.05)
         assert_marches_like_reference(reflect_to_disk(sol.u))
 
 

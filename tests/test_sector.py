@@ -15,7 +15,6 @@ import pytest
 from conftest import saddle_field
 
 from unstablefb import (
-    ContinuationConfig,
     blowup_report,
     build_disk_grid,
     build_sector_grid,
@@ -35,8 +34,7 @@ CIRCLE_RADII = [0.1, 0.3, 0.55, 0.8]
 def field(request):
     if request.param == "cross96":
         sol = solve_fixed_point(build_sector_grid(2, 96, 96),
-                                lambda p: 40.0 * np.cos(2.0 * p),
-                                ContinuationConfig(eps_min=0.05))
+                                lambda p: 40.0 * np.cos(2.0 * p), 0.05)
         return sol.u
     grid = {
         "disk": build_disk_grid(96, 64),

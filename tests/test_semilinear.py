@@ -10,7 +10,6 @@ import scipy.sparse.linalg as spla
 
 import unstablefb.semilinear as semilinear
 from unstablefb import (
-    ContinuationConfig,
     ScalarField,
     Solution,
     StageFailed,
@@ -43,7 +42,7 @@ def max_residual(sol):
     return float(np.max(np.abs(r1)))
 
 
-def lu_continuation(grid, g, cfg):
+def lu_continuation(grid, g, eps_min):
     """Reference: the bordered Newton continuation with full steps and
     sparse LU solves of the Jacobian, stopped by the absolute tolerance."""
     lap, A = assemble(grid), coo_assembly(grid)
@@ -52,11 +51,12 @@ def lu_continuation(grid, g, cfg):
     e = origin_weight_vector(grid)
     b1 = lap.lift(np.ones(grid.n_phi))
     iters = []
-    for eps in cfg.schedule():
+    tol = semilinear.NEWTON_TOL
+    for eps in semilinear._schedule(eps_min):
         for it in range(semilinear.MAX_NEWTON + 1):
             r1 = A @ u - lap.areas * f_eps(u, eps) - lap.lift(g - kappa)
             r2 = float(e @ u)
-            if np.max(np.abs(r1)) <= cfg.newton_tol and abs(r2) <= cfg.newton_tol:
+            if np.max(np.abs(r1)) <= tol and abs(r2) <= tol:
                 break
             jac = A - sp.diags(lap.areas * f_eps_prime(u, eps), format="csc")
             lu = spla.splu(jac.tocsc())
@@ -67,13 +67,13 @@ def lu_continuation(grid, g, cfg):
     return u, kappa, iters
 
 
-def single_level_continuation(grid, g, cfg):
+def single_level_continuation(grid, g, eps_min):
     """Reference: the eps continuation with every stage on the given grid."""
     lap = assemble(grid)
     u0, kappa = initial_guess(grid, g, lap)
     u, iters = u0.values.ravel(), []
-    for eps in cfg.schedule():
-        u, kappa, n_it, _, _ = newton_stage(lap, u, kappa, eps, g, cfg)
+    for eps in semilinear._schedule(eps_min):
+        u, kappa, n_it, _, _ = newton_stage(lap, u, kappa, eps, g)
         iters.append(n_it)
     return u, kappa, iters
 
@@ -174,18 +174,17 @@ class TestSmoothedIndicator:
             f_eps_prime(0.0, -0.1)
 
 
-class TestContinuationConfig:
+class TestSchedule:
     def test_schedule_halves_down_to_floor(self):
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.0125)
-        assert cfg.schedule() == [0.2, 0.1, 0.05, 0.025, 0.0125]
+        assert semilinear._schedule(0.0125) == [0.2, 0.1, 0.05, 0.025, 0.0125]
 
     def test_schedule_clamps_last_step(self):
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.06)
-        assert cfg.schedule() == [0.2, 0.1, 0.06]
+        assert semilinear._schedule(0.06) == [0.2, 0.1, 0.06]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ContinuationConfig(eps_start=0.1, eps_min=0.2)
+        for eps_min in (0.3, 0.0, -0.1):
+            with pytest.raises(ValueError, match="need 0 < eps_min <= eps_start = 0.2"):
+                semilinear._schedule(eps_min)
 
 
 class TestInitialGuess:
@@ -235,49 +234,45 @@ class TestNewtonStage:
         lap = assemble(grid)
         g = 40.0 * np.cos(2.0 * grid.phi)
         u0, kappa = initial_guess(grid, g, lap)
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.2)
         u, kappa, iters, pde_res, origin_res = newton_stage(
-            lap, u0.values.ravel(), kappa, 0.2, g, cfg)
+            lap, u0.values.ravel(), kappa, 0.2, g)
         assert iters <= 25
-        assert pde_res <= cfg.newton_tol
-        assert origin_res <= cfg.newton_tol
+        assert pde_res <= semilinear.NEWTON_TOL
+        assert origin_res <= semilinear.NEWTON_TOL
 
     def test_idempotent_on_converged_iterate(self):
         grid = build_sector_grid(2, 64, 64)
         lap = assemble(grid)
         g = np.zeros(64)
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.2)
         u0, kappa = initial_guess(grid, g, lap)
-        u, kappa, _, _, _ = newton_stage(lap, u0.values.ravel(), kappa, 0.2, g, cfg)
-        u2, kappa2, iters, _, _ = newton_stage(lap, u, kappa, 0.2, g, cfg)
+        u, kappa, _, _, _ = newton_stage(lap, u0.values.ravel(), kappa, 0.2, g)
+        u2, kappa2, iters, _, _ = newton_stage(lap, u, kappa, 0.2, g)
         assert iters == 0
         assert np.array_equal(u, u2) and kappa == kappa2
 
     def test_stops_at_rounding_level_above_tolerance(self):
         # rim data 1e4 cos(2 phi) lift the rounding level of the residual,
-        # a few eps_mach * max_i sum |terms|, above newton_tol = 1e-10;
+        # a few eps_mach * max_i sum |terms|, above NEWTON_TOL = 1e-10;
         # the stage must accept that level instead of stalling on it
         grid = build_sector_grid(2, 256, 8)
         lap = assemble(grid)
         g = 1e4 * np.cos(2.0 * grid.phi)
         u0, kappa = initial_guess(grid, g, lap)
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.2)
         u, kappa, _, pde_res, origin_res = newton_stage(
-            lap, u0.values.ravel(), kappa, 0.2, g, cfg)
+            lap, u0.values.ravel(), kappa, 0.2, g)
         terms = (abs(coo_assembly(grid)) @ np.abs(u) + lap.areas
                  + np.abs(lap.lift(g - kappa)))
         level = 4.0 * np.finfo(float).eps * float(np.max(terms))
-        assert cfg.newton_tol < pde_res <= level
-        assert origin_res <= cfg.newton_tol
+        assert semilinear.NEWTON_TOL < pde_res <= level
+        assert origin_res <= semilinear.NEWTON_TOL
 
     def test_unconverged_krylov_solve_fails_with_its_residual(self, gmres_capped):
         grid = build_sector_grid(2, 32, 32)
         lap = assemble(grid)
         g = 40.0 * np.cos(2.0 * grid.phi)
         u0, kappa = initial_guess(grid, g, lap)
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.2)
         with pytest.raises(StageFailed) as info:
-            newton_stage(lap, u0.values.ravel(), kappa, 0.2, g, cfg)
+            newton_stage(lap, u0.values.ravel(), kappa, 0.2, g)
         assert info.value.iterations == 0
         assert info.value.linear_residual > semilinear.KRYLOV_RTOL
         assert "GMRES" in info.value.reason
@@ -332,8 +327,7 @@ class TestNewtonStage:
         monkeypatch.setattr(semilinear, "_gmres", counted_gmres)
         u = u0.values.ravel()
         for eps in (0.2, 0.1):
-            cfg = ContinuationConfig(eps_start=eps, eps_min=eps)
-            u, kappa, _, _, _ = newton_stage(lap, u, kappa, eps, g, cfg)
+            u, kappa, _, _, _ = newton_stage(lap, u, kappa, eps, g)
         assert len(iterations) >= 2 and all(its >= 1 for its in iterations)
         assert len(inverses) == sum(iterations)
 
@@ -373,40 +367,38 @@ class TestNewtonStage:
         u0, kappa0 = initial_guess(grid, g, lap)
         # a nonzero offset starts off the pin u(0) = 0
         start = u0.values.ravel() + offset
-        cfg = ContinuationConfig(eps_start=eps, eps_min=eps)
-        _, kappa, iters, _, _ = newton_stage(lap, start, kappa0, eps, g, cfg)
+        _, kappa, iters, _, _ = newton_stage(lap, start, kappa0, eps, g)
         monkeypatch.setattr(semilinear, "_newton_direction", minres_elimination_direction)
-        _, kappa_ref, iters_ref, _, _ = newton_stage(lap, start, kappa0, eps, g, cfg)
+        _, kappa_ref, iters_ref, _, _ = newton_stage(lap, start, kappa0, eps, g)
         assert iters == iters_ref
         assert abs(kappa - kappa_ref) <= 1e-10 * abs(kappa_ref)
 
     def test_unreachable_tolerance_fails_cleanly(self, monkeypatch):
         monkeypatch.setattr(semilinear, "MAX_NEWTON", 3)
+        monkeypatch.setattr(semilinear, "NEWTON_TOL", 1e-30)
         grid = build_sector_grid(2, 32, 32)
         lap = assemble(grid)
         g = np.zeros(32)
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.2, newton_tol=1e-30)
         u0, kappa = initial_guess(grid, g, lap)
         with pytest.raises(StageFailed):
-            newton_stage(lap, u0.values.ravel(), kappa, 0.2, g, cfg)
+            newton_stage(lap, u0.values.ravel(), kappa, 0.2, g)
 
 
 def fail_stages_on(monkeypatch, n_r):
     """Make newton_stage raise StageFailed on every level with n_r radial cells."""
     stage = semilinear.newton_stage
 
-    def fails_on_that_level(lap, u, kappa, eps, g, config):
+    def fails_on_that_level(lap, u, kappa, eps, g):
         if lap.grid.n_r == n_r:
             raise StageFailed(eps, lap.grid, 0, 1.0, "forced")
-        return stage(lap, u, kappa, eps, g, config)
+        return stage(lap, u, kappa, eps, g)
 
     monkeypatch.setattr(semilinear, "newton_stage", fails_on_that_level)
 
 
 def cross_64():
-    """(grid, arc data, config) of the 64^2 cross solved down to eps = 0.05."""
-    return (build_sector_grid(2, 64, 64), lambda p: 40.0 * np.cos(2.0 * p),
-            ContinuationConfig(eps_start=0.2, eps_min=0.05))
+    """(grid, arc data, eps_min) of the 64^2 cross solved down to eps = 0.05."""
+    return build_sector_grid(2, 64, 64), lambda p: 40.0 * np.cos(2.0 * p), 0.05
 
 
 @pytest.fixture
@@ -425,8 +417,7 @@ def solutions_built(monkeypatch):
 class TestContinuation:
     def test_coarse_cross_solution(self):
         grid = build_sector_grid(2, 64, 64)
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.05)
-        sol = solve_fixed_point(grid, lambda p: 40.0 * np.cos(2.0 * p), cfg)
+        sol = solve_fixed_point(grid, lambda p: 40.0 * np.cos(2.0 * p), 0.05)
         assert sol.eps == 0.05
         assert sol.eps_schedule == [0.2, 0.1, 0.05]
         assert len(sol.newton_iters) == 3
@@ -440,9 +431,8 @@ class TestContinuation:
     def test_matches_lu_newton_oracle(self):
         grid = build_sector_grid(2, 96, 96)
         g = 40.0 * np.cos(2.0 * grid.phi)
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.05)
-        sol = solve_fixed_point(grid, g, cfg)
-        u_ref, kappa_ref, iters_ref = lu_continuation(grid, g, cfg)
+        sol = solve_fixed_point(grid, g, 0.05)
+        u_ref, kappa_ref, iters_ref = lu_continuation(grid, g, 0.05)
         # the stages before the last run on coarser levels, so only the
         # number of stages is comparable, not the iterations of each
         assert len(sol.newton_iters) == len(iters_ref)
@@ -456,8 +446,7 @@ class TestContinuation:
     def test_widths_below_every_level_run_on_the_grid(self):
         # 2 dr is 0.0625 on 32^2: 0.05, 0.025 and 0.0125 fit no level
         grid = build_sector_grid(2, 32, 32)
-        cfg = ContinuationConfig(eps_min=0.0125)
-        sol = solve_fixed_point(grid, lambda p: np.cos(2 * p), cfg)
+        sol = solve_fixed_point(grid, lambda p: np.cos(2 * p), 0.0125)
         assert sol.eps_schedule == [0.2, 0.1, 0.05, 0.025, 0.0125]
         assert sol.stage_grids == [[16, 16], [32, 32], [32, 32], [32, 32], [32, 32]]
         assert abs(eval_origin(sol.u)) <= 1e-8
@@ -465,10 +454,10 @@ class TestContinuation:
 
     def test_failure_carries_last_converged_stage(self, monkeypatch):
         monkeypatch.setattr(semilinear, "MAX_NEWTON", 2)
+        monkeypatch.setattr(semilinear, "NEWTON_TOL", 1e-30)
         grid = build_sector_grid(2, 32, 32)
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.2, newton_tol=1e-30)
         with pytest.raises(StageFailed) as info:
-            solve_fixed_point(grid, lambda p: np.cos(2 * p), cfg)
+            solve_fixed_point(grid, lambda p: np.cos(2 * p), 0.2)
         assert info.value.partial is None  # first stage already failed
         assert info.value.eps == 0.2
         assert info.value.iterations == 2
@@ -479,10 +468,9 @@ class TestContinuation:
 
     def test_partial_solution_may_live_on_a_coarser_level(self, monkeypatch):
         grid = build_sector_grid(2, 64, 64)
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.05)
         fail_stages_on(monkeypatch, grid.n_r)
         with pytest.raises(StageFailed) as info:
-            solve_fixed_point(grid, lambda p: 40.0 * np.cos(2.0 * p), cfg)
+            solve_fixed_point(grid, lambda p: 40.0 * np.cos(2.0 * p), 0.05)
         assert (info.value.n_r, info.value.n_phi) == (64, 64)
         partial = info.value.partial
         assert partial.eps == 0.1
@@ -497,10 +485,10 @@ class TestContinuation:
 
     def test_partial_is_built_once_from_the_last_converged_stage(self, monkeypatch,
                                                                  solutions_built):
-        grid, g, cfg = cross_64()
+        grid, g, eps_min = cross_64()
         fail_stages_on(monkeypatch, grid.n_r)
         with pytest.raises(StageFailed) as info:
-            solve_fixed_point(grid, g, cfg)
+            solve_fixed_point(grid, g, eps_min)
         partial = info.value.partial
         assert len(solutions_built) == 1 and solutions_built[0] is partial
         assert partial.eps_schedule == [0.2, 0.1] and len(partial.newton_iters) == 2
@@ -547,7 +535,7 @@ class TestGridSequencing:
         levels = semilinear._grid_levels(grid)
         assert [g.shape for g in levels] == [(n, n) for n in (8, 16, 32, 64, 128, 256)]
         assert levels[-1] is grid and all(g.copies == 4 for g in levels)
-        schedule = ContinuationConfig(eps_min=0.0125).schedule()
+        schedule = semilinear._schedule(0.0125)
         placed = semilinear._stage_levels(levels, schedule)
         assert [levels[i].shape for i in placed] == [(n, n) for n in (16, 32, 64, 128, 256)]
 
@@ -555,7 +543,7 @@ class TestGridSequencing:
         grid = build_sector_grid(4, 65536, 8)
         levels = semilinear._grid_levels(grid)
         assert [g.shape for g in levels] == [(2**p, 8) for p in range(3, 17)]
-        schedule = ContinuationConfig(eps_min=3.125e-5).schedule()
+        schedule = semilinear._schedule(3.125e-5)
         placed = semilinear._stage_levels(levels, schedule)
         assert len(schedule) == 14
         assert [levels[i].n_r for i in placed] == [2**p for p in range(4, 16)] + [65536] * 2
@@ -568,7 +556,7 @@ class TestGridSequencing:
     def test_odd_radial_count_gives_one_level(self, shape):
         grid = build_sector_grid(2, *shape)
         assert semilinear._grid_levels(grid) == [grid]
-        schedule = ContinuationConfig(eps_min=0.05).schedule()
+        schedule = semilinear._schedule(0.05)
         assert semilinear._stage_levels([grid], schedule) == [0] * len(schedule)
 
     def test_last_stage_runs_on_the_grid_even_when_a_coarser_level_admits_it(self):
@@ -580,9 +568,8 @@ class TestGridSequencing:
     def test_matches_single_level_continuation(self, k, M, n, eps_min):
         grid = build_sector_grid(k, n, n)
         g = M * np.cos(k * grid.phi)
-        cfg = ContinuationConfig(eps_min=eps_min)
-        sol = solve_fixed_point(grid, g, cfg)
-        u_ref, kappa_ref, iters_ref = single_level_continuation(grid, g, cfg)
+        sol = solve_fixed_point(grid, g, eps_min)
+        u_ref, kappa_ref, iters_ref = single_level_continuation(grid, g, eps_min)
         assert sol.u.grid is grid
         assert len(sol.newton_iters) == len(iters_ref) == len(sol.stage_grids)
         assert sol.stage_grids[-1] == [n, n] and sol.stage_grids[0][0] < n
@@ -591,7 +578,7 @@ class TestGridSequencing:
         assert abs(sol.kappa - kappa_ref) <= 1e-9 * abs(kappa_ref)
 
     def test_stages_yield_one_converged_stage_per_eps(self, monkeypatch):
-        grid, g, cfg = cross_64()
+        grid, g, eps_min = cross_64()
         stage, levels = semilinear.newton_stage, []
 
         def counted(lap, *args):
@@ -599,7 +586,7 @@ class TestGridSequencing:
             return stage(lap, *args)
 
         monkeypatch.setattr(semilinear, "newton_stage", counted)
-        stages = list(semilinear._stages(grid, g, cfg))
+        stages = list(semilinear._stages(grid, g, eps_min))
         assert [s[0] for s in stages] == [0.2, 0.1, 0.05]
         assert [s[1].grid.shape for s in stages] == [(16, 16), (32, 32), (64, 64)]
         assert levels == [(16, 16), (32, 32), (64, 64)]
@@ -607,10 +594,10 @@ class TestGridSequencing:
         assert [s[2].shape for s in stages] == [(16,), (32,), (64,)]
 
     def test_last_stage_is_the_solution_bit_for_bit(self):
-        grid, g, cfg = cross_64()
+        grid, g, eps_min = cross_64()
         *_, (eps, lap, g_last, u, kappa, n_it, pde_res, origin_res) = \
-            semilinear._stages(grid, g, cfg)
-        sol = solve_fixed_point(grid, g, cfg)
+            semilinear._stages(grid, g, eps_min)
+        sol = solve_fixed_point(grid, g, eps_min)
         assert np.array_equal(u, sol.u.values.ravel())
         assert kappa == sol.kappa
         assert np.array_equal(g_last, sol.g_values)
@@ -619,8 +606,7 @@ class TestGridSequencing:
 
     def test_sidecar_records_the_grid_of_each_stage(self, tmp_path):
         grid = build_sector_grid(2, 64, 64)
-        cfg = ContinuationConfig(eps_start=0.2, eps_min=0.05)
-        sol = solve_fixed_point(grid, lambda p: 40.0 * np.cos(2.0 * p), cfg)
+        sol = solve_fixed_point(grid, lambda p: 40.0 * np.cos(2.0 * p), 0.05)
         assert sol.stage_grids == [[16, 16], [32, 32], [64, 64]]
         paths = export_solution(sol, tmp_path)
         sidecar = json.loads(open(paths[-1], encoding="utf-8").read())
