@@ -13,11 +13,9 @@ __version__ = "0.1.0"
 
 from .mesh import (
     PolarGrid,
-    build_disk_grid,
     build_sector_grid,
 )
 from .field import (
-    CircleTrace,
     ScalarField,
     eval_origin,
     field_from_function,
@@ -32,7 +30,7 @@ from .field import (
     write_field_csv,
     write_field_vtk,
 )
-from .poisson import DiscreteLaplacian, SolverError, assemble, solve
+from .poisson import SolverError, assemble, solve
 from .semilinear import (
     Solution,
     StageFailed,
@@ -44,27 +42,23 @@ from .semilinear import (
     solve_fixed_point,
 )
 from .monotonicity import (
-    MonotonicityProfile,
     energy_bound_integral,
     find_threshold,
     mc_energy_bound,
     phi,
     phi_profile,
     threshold_scan,
-    write_profile_csv,
 )
 from .blowup import (
     CASE1,
     DegenerateTrace,
     CASE3,
     INCONCLUSIVE,
-    BlowupReport,
     blowup_report,
     s_norm,
     write_blowup_csv,
 )
 from .freeboundary import (
-    ArcFit,
     LevelSet,
     crossing_angles,
     extract_zero_set,
@@ -84,21 +78,20 @@ from .cli import (
 
 __all__ = [
     "__version__",
-    "PolarGrid", "build_disk_grid", "build_sector_grid",
-    "CircleTrace", "ScalarField", "eval_origin", "field_from_function",
+    "PolarGrid", "build_sector_grid",
+    "ScalarField", "eval_origin", "field_from_function",
     "gradient_sq", "integrate_ball", "integrate_circle", "radial_derivative",
     "read_field", "read_field_csv", "sample_circle", "trace_on_circle",
     "write_field_csv", "write_field_vtk",
-    "DiscreteLaplacian", "SolverError", "assemble", "solve",
+    "SolverError", "assemble", "solve",
     "Solution", "StageFailed",
     "export_solution", "f_eps", "f_eps_prime", "initial_guess",
     "newton_stage", "solve_fixed_point",
-    "MonotonicityProfile", "energy_bound_integral", "find_threshold",
-    "mc_energy_bound", "phi", "phi_profile", "threshold_scan", "write_profile_csv",
-    "CASE1", "CASE3", "INCONCLUSIVE", "BlowupReport",
-    "DegenerateTrace",
+    "energy_bound_integral", "find_threshold",
+    "mc_energy_bound", "phi", "phi_profile", "threshold_scan",
+    "CASE1", "CASE3", "INCONCLUSIVE", "DegenerateTrace",
     "blowup_report", "s_norm", "write_blowup_csv",
-    "ArcFit", "LevelSet", "crossing_angles", "extract_zero_set",
+    "LevelSet", "crossing_angles", "extract_zero_set",
     "fit_arcs_at_origin", "write_arcs_json", "write_levelset_csv",
     "RunManifest", "main", "rerun_manifest", "run_asterisk", "run_cross",
     "run_solve", "run_threshold_scan",

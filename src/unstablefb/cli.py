@@ -151,14 +151,14 @@ def _print_checks(manifest: RunManifest) -> None:
 # --- shared experiment scaffolding ---------------------------------------
 
 
-def _default_phi_radii(n_r: int, lo: float = 0.25, hi: float = 0.8) -> list:
-    """Sampling ladder for the monotonicity profile, tied to the grid step.
+def _default_phi_radii(n_r: int) -> list:
+    """Sampling ladder 0.25 .. 0.8 for the monotonicity profile, tied to the grid step.
 
     Four radial cells apart, but no closer than 1/64: finer radial grids
     keep the 36-radius ladder of n_r = 256.
     """
     step = max(4.0 / n_r, 1.0 / 64.0)
-    return [lo + n * step for n in range(int((hi - lo) / step + 1e-9) + 1)]
+    return [0.25 + n * step for n in range(int((0.8 - 0.25) / step + 1e-9) + 1)]
 
 
 # constants that each manifest records and a replay does not read, as it does
@@ -583,14 +583,20 @@ def rerun_manifest(manifest_path, out_dir=None) -> tuple[RunManifest, bool]:
     exact, down to the last bit of every float, because the replay
     consumes only manifest parameters and the solver is deterministic on
     a given machine under the same BLAS thread count.  A stored parameter
-    of the wrong type raises ValueError naming it.
+    of the wrong type, or a missing one that the driver requires (M_values
+    of a scan, k of a solve), raises ValueError naming it before any write.
     """
     stored = RunManifest.load(manifest_path)
     out = Path(out_dir) if out_dir else Path(manifest_path).parent / "rerun"
     driver = EXPERIMENTS.get(stored.experiment)
     if driver is None:
         raise ValueError(f"unknown experiment in manifest: {stored.experiment!r}")
-    accepted = inspect.signature(driver).parameters.keys() - {"out_dir"}
+    params = inspect.signature(driver).parameters
+    missing = [name for name, param in params.items()
+               if param.default is param.empty and name not in stored.parameters]
+    if missing:
+        raise ValueError(f"{manifest_path} lacks the required parameter(s) {', '.join(missing)}")
+    accepted = params.keys() - {"out_dir"}
     fresh = driver(**{key: value for key, value in stored.parameters.items()
                       if key in accepted}, out_dir=out)
     same = json.dumps(stored.headline, sort_keys=True) == json.dumps(

@@ -87,13 +87,13 @@ def _integrate_rings(g: PolarGrid, row_sums: np.ndarray, r: float) -> float:
 
     The composite midpoint rule over full rings with the Euler-Maclaurin
     endpoint correction, plus an interpolated contribution of the partial
-    ring at the cut.  Symmetry multiplicity is applied for sector grids.
+    ring at the cut.  A sector grid's integral is multiplied by its copies.
     """
     if not (0.0 < r <= 1.0 + 1e-12):
         raise ValueError(f"ball radius must lie in (0, 1], got {r}")
     r = min(r, 1.0)
     dr = g.dr
-    ring_line = row_sums * g.dphi * g.multiplicity  # angular integral per ring
+    ring_line = row_sums * g.dphi * g.copies  # angular integral per ring
     gvals = g.r * ring_line
     n_full = int(math.floor(r / dr + 1e-12))
     delta = r - n_full * dr
@@ -103,7 +103,7 @@ def _integrate_rings(g: PolarGrid, row_sums: np.ndarray, r: float) -> float:
     if n_full < 4:
         # tiny balls: fall back to exact-area ring weighting, no correction
         w = _ring_weights(g, r)
-        return float(np.dot(w, row_sums * g.cell_areas) * g.multiplicity)
+        return float(np.dot(w, row_sums * g.cell_areas) * g.copies)
 
     total = dr * float(gvals[:n_full].sum())
     # endpoint derivatives for the midpoint correction (dr^2 / 24) * [g' (b) - g'(a)];
@@ -137,15 +137,14 @@ def integrate_circle(field: ScalarField, r: float) -> float:
     g = field.grid
     if not (0.0 < r <= 1.0 - g.dr + 1e-12):
         raise ValueError(f"circle radius must lie in (0, 1 - dr], got {r}")
-    base = int(np.clip(math.floor(r / g.dr - 0.5), 0, g.n_r - 2))
-    lo = int(np.clip(base - 1, 0, g.n_r - 4))
+    lo = int(np.clip(_radial_interp_rows(g, r)[0] - 1, 0, g.n_r - 4))
     x = g.r[lo:lo + 4]
     w = np.array([
         np.prod([(r - x[l]) / (x[m] - x[l]) for l in range(4) if l != m])
         for m in range(4)
     ])
     ring = w @ field.values[lo:lo + 4, :]
-    return float(ring.sum() * g.dphi * r * g.multiplicity)
+    return float(ring.sum() * g.dphi * r * g.copies)
 
 
 def radial_derivative(field: ScalarField) -> ScalarField:

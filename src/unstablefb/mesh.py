@@ -65,11 +65,6 @@ class PolarGrid:
         return self.copies // 2
 
     @property
-    def multiplicity(self) -> float:
-        """Copies of this domain tiling the full disk."""
-        return float(self.copies)
-
-    @property
     def dr(self) -> float:
         return 1.0 / self.n_r
 
@@ -97,11 +92,6 @@ def build_sector_grid(k: int, n_r: int, n_phi: int) -> PolarGrid:
     return PolarGrid(n_r, n_phi, 2 * int(k))
 
 
-def build_disk_grid(n_r: int, n_phi: int) -> PolarGrid:
-    """Cell-centered grid on the full disk, periodic in phi."""
-    return PolarGrid(n_r, n_phi)
-
-
 def reflection_index_map(grid: PolarGrid) -> np.ndarray:
     """Column of grid for each of the copies * n_phi columns of the disk.
 
@@ -127,5 +117,5 @@ def reflect_to_disk(field):
     grid = field.grid
     if grid.periodic:
         return field
-    disk = build_disk_grid(grid.n_r, grid.copies * grid.n_phi)
+    disk = PolarGrid(grid.n_r, grid.copies * grid.n_phi)
     return ScalarField(disk, field.values[:, reflection_index_map(grid)])

@@ -15,7 +15,7 @@ tridiagonal solve per angular mode in r, and the inverse DCT
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct, idct
@@ -39,7 +39,7 @@ class SolverError(RuntimeError):
 
 @dataclass
 class DiscreteLaplacian:
-    """Operator A = -L as its face coefficients, plus the Dirichlet lift.
+    """Operator A = -L: face coefficients, factors of A^-1 and the Dirichlet lift.
 
     For cell c the finite-volume balance reads
         (L u)_c + (B g)_c = area_c * (Delta u)_c + O(h^2),
@@ -53,7 +53,7 @@ class DiscreteLaplacian:
     diag: np.ndarray  # diagonal of A, size
     arc_coeff: float  # per-column Dirichlet transmissibility 2*dphi/dr
     areas: np.ndarray  # flat cell areas, grid.size
-    _modes: tuple | None = field(default=None, repr=False, compare=False)
+    modes: tuple[np.ndarray, np.ndarray]  # L D L^T factors of A's modes (`_factor_modes`)
 
     def apply(self, x: np.ndarray, magnitude: bool = False) -> np.ndarray:
         """A x for a flat vector x as the 5-point stencil, or |A| x.
@@ -88,9 +88,7 @@ class DiscreteLaplacian:
         The DCTs run on one worker so that repeated solves are bit-identical.
         """
         n_r, n_phi = self.grid.shape
-        if self._modes is None:
-            self._modes = _factor_modes(self.grid)
-        d, e = self._modes
+        d, e = self.modes
         coef = dct(rhs.reshape(n_r, n_phi), type=2, axis=1, norm="ortho", workers=1)
         # mode-major order: every mode is a contiguous block of the tridiagonal
         x, _ = dpttrs(d, e, coef.T.reshape(-1, 1))
@@ -131,7 +129,7 @@ def _factor_modes(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble(grid: PolarGrid) -> DiscreteLaplacian:
-    """Face coefficients and diagonal of the SPD finite-volume operator.
+    """Face coefficients, diagonal and inverse factors of the SPD finite-volume operator.
 
     The diagonal of cell c sums its inner radial, outer radial and two
     angular face coefficients and then the arc coefficient, in that order.
@@ -149,7 +147,8 @@ def assemble(grid: PolarGrid) -> DiscreteLaplacian:
     diag[1:] += angular
     diag[-n_phi:] += arc_coeff
     return DiscreteLaplacian(grid=grid, radial=radial, angular=angular, diag=diag,
-                             arc_coeff=arc_coeff, areas=np.repeat(grid.cell_areas, n_phi))
+                             arc_coeff=arc_coeff, areas=np.repeat(grid.cell_areas, n_phi),
+                             modes=_factor_modes(grid))
 
 
 def _arc_values(grid: PolarGrid, g_arc) -> np.ndarray:

@@ -96,11 +96,6 @@ class Solution:
     # per stage, the cells of its grid where f_eps'(u) != 0: -eps < u < 0
     band_cells: list[int] = dc_field(default_factory=list)
 
-    @property
-    def k(self) -> int:
-        """Sector order of the grid the solution lives on."""
-        return self.u.grid.k
-
 
 class StageFailed(RuntimeError):
     """Newton failed to converge at one continuation stage.
@@ -189,16 +184,13 @@ def _rounding_level(lap: DiscreteLaplacian, u: np.ndarray, kappa: float,
     return ROUNDING_FACTOR * np.finfo(float).eps * float(np.max(terms))
 
 
-def initial_guess(grid: PolarGrid, g_arc, lap: DiscreteLaplacian | None = None
-                  ) -> tuple[ScalarField, float]:
+def initial_guess(grid: PolarGrid, g_arc, lap: DiscreteLaplacian) -> tuple[ScalarField, float]:
     """Linear predictor: solve Delta u = -1 with u = g - kappa, u(0) = 0.
 
     The pair solves P [u; kappa] = [B g + area; 0] with the bordered
     Laplacian P = [[A, b1], [e, 0]], so one bordered inverse (one Laplacian
     inverse, the one the GMRES preconditioner applies) gives both.
     """
-    if lap is None:
-        lap = assemble(grid)
     rhs = lap.lift(_arc_values(grid, g_arc)) + lap.areas
     x = _bordered_inverse(lap, origin_weight_vector(grid), np.append(rhs, 0.0))
     return ScalarField(grid, x[:-1].reshape(grid.shape)), float(x[-1])
@@ -505,7 +497,7 @@ def export_solution(sol: Solution, out_dir) -> list[str]:
     json_path = os.path.join(out_dir, "solution.json")
     write_field_vtk(sol.u, vtk_path)
     sidecar = {
-        "k": sol.k,
+        "k": sol.u.grid.k,
         "n_r": sol.u.grid.n_r,
         "n_phi": sol.u.grid.n_phi,
         "g_label": sol.g_label,

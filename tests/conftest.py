@@ -11,7 +11,6 @@ import unstablefb.semilinear as semilinear
 from unstablefb import (
     PolarGrid,
     ScalarField,
-    build_disk_grid,
     field_from_function,
     write_field_vtk,
 )
@@ -48,17 +47,17 @@ def coo_assembly(grid):
 
 @pytest.fixture(scope="session")
 def disk64() -> PolarGrid:
-    return build_disk_grid(64, 64)
+    return PolarGrid(64, 64)
 
 
 @pytest.fixture(scope="session")
 def disk256() -> PolarGrid:
-    return build_disk_grid(256, 256)
+    return PolarGrid(256, 256)
 
 
 @pytest.fixture(scope="session")
 def disk512() -> PolarGrid:
-    return build_disk_grid(512, 512)
+    return PolarGrid(512, 512)
 
 
 def degree2_field(grid: PolarGrid, M: float = 1.0) -> ScalarField:
@@ -78,7 +77,7 @@ VTK_DEFECTS = {
 def malformed_vtk(tmp_path, defect: str):
     """Path of a write_field_vtk file of a 64 x 48 disk field, broken by VTK_DEFECTS[defect]."""
     path = tmp_path / f"{defect}.vtk"
-    write_field_vtk(degree2_field(build_disk_grid(64, 48)), path)
+    write_field_vtk(degree2_field(PolarGrid(64, 48)), path)
     data = path.read_bytes()
     broken = VTK_DEFECTS[defect](data)
     assert broken != data

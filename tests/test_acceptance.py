@@ -22,7 +22,6 @@ from conftest import (
 
 from unstablefb import (
     assemble,
-    build_disk_grid,
     build_sector_grid,
     eval_origin,
     energy_bound_integral,

@@ -22,9 +22,9 @@ from unstablefb import (
     CASE3,
     INCONCLUSIVE,
     DegenerateTrace,
+    PolarGrid,
     ScalarField,
     blowup_report,
-    build_disk_grid,
     build_sector_grid,
     field_from_function,
     phi,
@@ -138,7 +138,7 @@ class TestSharedWork:
     that of the per-radius evaluation, bit for bit."""
 
     @pytest.mark.parametrize("grid", [
-        build_disk_grid(96, 64),
+        PolarGrid(96, 64),
         build_sector_grid(2, 64, 48),
         build_sector_grid(4, 80, 16),
     ], ids=["disk", "sector_k2", "sector_k4"])

@@ -17,11 +17,12 @@ import pytest
 
 from conftest import VTK_DEFECTS, malformed_vtk
 
+import unstablefb
 import unstablefb.cli as cli
 import unstablefb.semilinear as semilinear
 from unstablefb import (
+    PolarGrid,
     RunManifest,
-    build_disk_grid,
     build_sector_grid,
     field_from_function,
     main,
@@ -179,6 +180,27 @@ def test_recorded_parameters_and_hash_are_pinned(experiment, tmp_path):
     assert m.content_hash == content_hash
 
 
+# the package's public names; widening the API takes an edit here
+PUBLIC_API = [
+    "CASE1", "CASE3", "DegenerateTrace", "INCONCLUSIVE", "LevelSet", "PolarGrid",
+    "RunManifest", "ScalarField", "Solution", "SolverError", "StageFailed", "__version__",
+    "assemble", "blowup_report", "build_sector_grid", "crossing_angles",
+    "energy_bound_integral", "eval_origin", "export_solution", "extract_zero_set", "f_eps",
+    "f_eps_prime", "field_from_function", "find_threshold", "fit_arcs_at_origin",
+    "gradient_sq", "initial_guess", "integrate_ball", "integrate_circle", "main",
+    "mc_energy_bound", "newton_stage", "phi", "phi_profile", "radial_derivative",
+    "read_field", "read_field_csv", "rerun_manifest", "run_asterisk", "run_cross",
+    "run_solve", "run_threshold_scan", "s_norm", "sample_circle", "solve",
+    "solve_fixed_point", "threshold_scan", "trace_on_circle", "write_arcs_json",
+    "write_blowup_csv", "write_field_csv", "write_field_vtk", "write_levelset_csv",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(unstablefb.__all__) == PUBLIC_API
+    assert all(hasattr(unstablefb, name) for name in PUBLIC_API)
+
+
 class TestRerun:
     @pytest.mark.parametrize("experiment", ["cross", "asterisk", "scan", "solve"])
     def test_headline_is_bit_stable(self, experiment, solve_run, tmp_path):
@@ -289,6 +311,25 @@ class TestRerun:
         replay = tmp_path / "replay"
         assert main(["rerun", str(path), "--out", str(replay)]) == 2
         assert f"error: parameter {key} must be an integer" in capsys.readouterr().err
+        assert not replay.exists()
+
+    @pytest.mark.parametrize("experiment, key", [("scan", "M_values"), ("solve", "k")])
+    def test_missing_required_parameter_exits_2_naming_it(self, solve_run, tmp_path, capsys,
+                                                          experiment, key):
+        if experiment == "solve":
+            out, _ = solve_run
+        else:
+            out = tmp_path / "recorded"
+            run_threshold_scan([0.0, 4.0], 0.5, out, n_r=64, n_phi=64)
+        raw = json.loads((out / "manifest.json").read_text())
+        del raw["parameters"][key]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw))
+        replay = tmp_path / "replay"
+        assert main(["rerun", str(path), "--out", str(replay)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"required parameter(s) {key}" in err
         assert not replay.exists()
 
     def test_stored_out_dir_is_ignored(self, solve_run, tmp_path):
@@ -658,7 +699,7 @@ class TestConsoleEntry:
     @staticmethod
     def _malformed_csv(tmp_path, edit) -> str:
         """A 64 x 64 disk field CSV with its rows passed through edit."""
-        rr, pp = build_disk_grid(64, 64).mesh_coords()
+        rr, pp = PolarGrid(64, 64).mesh_coords()
         rows = np.column_stack([rr.ravel(), pp.ravel(), (rr**2 * np.cos(2 * pp)).ravel()])
         path = tmp_path / "outside.csv"
         np.savetxt(path, edit(rows), delimiter=",", header="r,phi,value", comments="",

@@ -13,8 +13,8 @@ import pytest
 from conftest import VTK_DEFECTS, degree2_field, malformed_vtk
 
 from unstablefb import (
+    PolarGrid,
     ScalarField,
-    build_disk_grid,
     build_sector_grid,
     eval_origin,
     field_from_function,
@@ -39,7 +39,7 @@ def reference_integrate_ball(field, integrand, r):
     vals = field.values if integrand is None else np.asarray(integrand(field.values), dtype=float)
     r = min(r, 1.0)
     dr = g.dr
-    ring_line = vals.sum(axis=1) * g.dphi * g.multiplicity
+    ring_line = vals.sum(axis=1) * g.dphi * float(g.copies)
     gvals = g.r * ring_line
     n_full = int(math.floor(r / dr + 1e-12))
     delta = r - n_full * dr
@@ -48,7 +48,7 @@ def reference_integrate_ball(field, integrand, r):
     if n_full < 4:
         rf2 = g.r_faces**2
         w = np.clip((min(r, 1.0) ** 2 - rf2[:-1]) / (rf2[1:] - rf2[:-1]), 0.0, 1.0)
-        return float(np.dot(w, vals.sum(axis=1) * g.cell_areas) * g.multiplicity)
+        return float(np.dot(w, vals.sum(axis=1) * g.cell_areas) * float(g.copies))
     total = dr * float(gvals[:n_full].sum())
     gp_zero = 1.5 * float(ring_line[0]) - 0.5 * float(ring_line[1])
     gp_face = float(gvals[n_full - 3] - 3.0 * gvals[n_full - 2] + 2.0 * gvals[n_full - 1]) / dr
@@ -98,7 +98,7 @@ def read_legacy_vtk(path):
 
 
 class TestBallIntegrals:
-    @pytest.mark.parametrize("grid", [build_disk_grid(64, 48), build_sector_grid(2, 50, 30)],
+    @pytest.mark.parametrize("grid", [PolarGrid(64, 48), build_sector_grid(2, 50, 30)],
                              ids=["disk", "sector"])
     @pytest.mark.parametrize("r", [0.02, 0.5, 0.73, 1.0])
     def test_bit_equal_to_inline_ring_sums(self, grid, r):
@@ -272,7 +272,7 @@ class TestSerialization:
         assert b"SCALARS" in data
 
     @pytest.mark.parametrize("grid", [
-        build_disk_grid(64, 64),
+        PolarGrid(64, 64),
         build_sector_grid(2, 64, 64),
         build_sector_grid(4, 24, 8),
         build_sector_grid(2, 40, 24),
@@ -298,7 +298,7 @@ class TestSerialization:
         assert b",-0\n" in new and b",nan\n" in new and b",-inf\n" in new
 
     @pytest.mark.parametrize("grid", [
-        build_disk_grid(64, 64),
+        PolarGrid(64, 64),
         build_sector_grid(2, 40, 24),
     ], ids=["disk64", "k2-nr-ne-nphi"])
     def test_vtk_binary_roundtrip_is_bitwise(self, tmp_path, grid):
@@ -343,7 +343,7 @@ class TestSerialization:
     @pytest.mark.parametrize("grid", [
         build_sector_grid(2, 256, 256),
         build_sector_grid(4, 96, 96),
-        build_disk_grid(33, 64),
+        PolarGrid(33, 64),
         build_sector_grid(4, 4096, 8),
     ], ids=["k2-256", "k4-96", "disk-odd-nr", "k4-thin"])
     def test_read_field_rebuilds_a_vtk_file_bitwise(self, tmp_path, grid):

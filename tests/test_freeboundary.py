@@ -10,8 +10,8 @@ from conftest import degree2_field
 
 import unstablefb.freeboundary as freeboundary
 from unstablefb import (
+    PolarGrid,
     ScalarField,
-    build_disk_grid,
     build_sector_grid,
     crossing_angles,
     extract_zero_set,
@@ -215,14 +215,14 @@ class TestMarchingOracle:
     def test_standard_normal_fields(self, shape, seed):
         """About 100 to 500 saddles per field, open chains and closed loops."""
         values = np.random.default_rng(seed).standard_normal(shape)
-        assert_marches_like_reference(ScalarField(build_disk_grid(*shape), values))
+        assert_marches_like_reference(ScalarField(PolarGrid(*shape), values))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_integer_fields_with_exact_zeros(self, seed):
         """Zero counts as outside, and a corner sum of exactly zero too."""
         values = np.random.default_rng(seed).integers(-1, 2, (40, 24)).astype(float)
         assert np.any(values == 0.0)
-        assert_marches_like_reference(ScalarField(build_disk_grid(40, 24), values))
+        assert_marches_like_reference(ScalarField(PolarGrid(40, 24), values))
 
     def test_sign_definite_field(self, disk64):
         assert_marches_like_reference(field_from_function(disk64, lambda r, p: 1.0 + r))

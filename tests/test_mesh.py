@@ -8,7 +8,6 @@ import pytest
 from unstablefb import (
     PolarGrid,
     ScalarField,
-    build_disk_grid,
     build_sector_grid,
     field_from_function,
 )
@@ -31,7 +30,6 @@ class TestSectorSpec:
             assert g.copies == 2 * k and g.k == k
             # the extent is the float pi/k itself, which the solver's grids rely on
             assert g.phi_total == math.pi / k
-            assert g.multiplicity == 2.0 * k
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5, "2"])
     def test_rejects_nonpositive_or_noninteger(self, bad):
@@ -61,17 +59,15 @@ class TestGridGeometry:
         # ring areas telescope, so the quadrature weight total is exact
         g = build_sector_grid(2, 32, 16)
         assert g.cell_areas.sum() * g.n_phi == pytest.approx(math.pi / 4, abs=1e-14)
-        assert g.multiplicity == pytest.approx(4.0)
 
     def test_disk_area_exact(self):
-        g = build_disk_grid(16, 48)
+        g = PolarGrid(16, 48)
         assert g.cell_areas.sum() * g.n_phi == pytest.approx(math.pi, abs=1e-13)
         assert g.periodic and g.copies == 1
-        assert g.multiplicity == 1.0
         assert g.phi_total == 2.0 * math.pi
 
     def test_radial_faces_include_origin_and_rim(self):
-        g = build_disk_grid(16, 16)
+        g = PolarGrid(16, 16)
         assert g.r_faces[0] == 0.0
         assert g.r_faces[-1] == pytest.approx(1.0)
 
@@ -99,7 +95,7 @@ class TestReflection:
         assert np.all(counts == 2 * k)
 
     def test_index_map_of_disk_is_identity(self):
-        assert np.array_equal(reflection_index_map(build_disk_grid(16, 12)), np.arange(12))
+        assert np.array_equal(reflection_index_map(PolarGrid(16, 12)), np.arange(12))
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_reflection_is_node_exact(self, k):

@@ -22,8 +22,8 @@ from scipy.integrate import trapezoid
 from conftest import degree2_field, radial_composite, radial_composite_phi, saddle_field
 
 from unstablefb import (
+    PolarGrid,
     ScalarField,
-    build_disk_grid,
     build_sector_grid,
     energy_bound_integral,
     field_from_function,
@@ -142,7 +142,7 @@ class TestSharedRingSums:
     for bit."""
 
     @pytest.mark.parametrize("grid", [
-        build_disk_grid(96, 64),
+        PolarGrid(96, 64),
         build_sector_grid(2, 64, 48),
         build_sector_grid(4, 80, 16),
     ], ids=["disk", "sector_k2", "sector_k4"])

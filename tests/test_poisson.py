@@ -20,8 +20,8 @@ from unstablefb import SolverError
 from conftest import coo_assembly, degree2_field
 
 from unstablefb import (
+    PolarGrid,
     assemble,
-    build_disk_grid,
     build_sector_grid,
     eval_origin,
     field_from_function,
@@ -93,7 +93,7 @@ class TestAssembly:
 
     def test_periodic_grids_are_rejected(self):
         with pytest.raises(ValueError):
-            assemble(build_disk_grid(16, 16))
+            assemble(PolarGrid(16, 16))
 
 
 class TestTorsion:

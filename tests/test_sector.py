@@ -15,8 +15,8 @@ import pytest
 from conftest import saddle_field
 
 from unstablefb import (
+    PolarGrid,
     blowup_report,
-    build_disk_grid,
     build_sector_grid,
     crossing_angles,
     phi_profile,
@@ -37,7 +37,7 @@ def field(request):
                                 lambda p: 40.0 * np.cos(2.0 * p), 0.05)
         return sol.u
     grid = {
-        "disk": build_disk_grid(96, 64),
+        "disk": PolarGrid(96, 64),
         "k2": build_sector_grid(2, 64, 48),
         "k3": build_sector_grid(3, 72, 24),
         "k4": build_sector_grid(4, 80, 16),

@@ -10,11 +10,11 @@ import scipy.sparse.linalg as spla
 
 import unstablefb.semilinear as semilinear
 from unstablefb import (
+    PolarGrid,
     ScalarField,
     Solution,
     StageFailed,
     assemble,
-    build_disk_grid,
     build_sector_grid,
     eval_origin,
     export_solution,
@@ -190,13 +190,13 @@ class TestSchedule:
 class TestInitialGuess:
     def test_zero_data_reproduces_quarter_shift(self):
         grid = build_sector_grid(2, 64, 64)
-        u0, kappa = initial_guess(grid, np.zeros(64))
+        u0, kappa = initial_guess(grid, np.zeros(64), assemble(grid))
         assert kappa == pytest.approx(0.25, abs=1e-3)
         assert abs(eval_origin(u0)) <= 1e-10
 
     def test_pure_mode_data_keeps_small_shift(self):
         grid = build_sector_grid(2, 64, 64)
-        u0, kappa = initial_guess(grid, lambda p: np.cos(2.0 * p))
+        u0, kappa = initial_guess(grid, lambda p: np.cos(2.0 * p), assemble(grid))
         # harmonic extension of cos(2 phi) vanishes at the origin, so the
         # shift still balances only the unit sink
         assert kappa == pytest.approx(0.25, abs=1e-3)
@@ -441,7 +441,7 @@ class TestContinuation:
 
     def test_disk_grids_are_rejected(self):
         with pytest.raises(ValueError):
-            solve_fixed_point(build_disk_grid(32, 32), lambda p: np.cos(2 * p))
+            solve_fixed_point(PolarGrid(32, 32), lambda p: np.cos(2 * p))
 
     def test_widths_below_every_level_run_on_the_grid(self):
         # 2 dr is 0.0625 on 32^2: 0.05, 0.025 and 0.0125 fit no level
