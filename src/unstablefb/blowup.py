@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import CircleTrace, ScalarField, integrate_circle, trace_on_circle
+from .field import (
+    CircleTrace,
+    ScalarField,
+    check_radii,
+    integrate_circle,
+    trace_on_circle,
+    write_table,
+)
 from .monotonicity import _phi_values
 
 CASE1 = "case1"
@@ -64,13 +71,10 @@ def _normalized_trace(u: ScalarField, r: float, s: float, scale: float) -> Circl
     if s <= S_FLOOR * max(scale, 1.0):
         raise DegenerateTrace(f"S({r:g}) = {s:.3e} is too small to normalize the trace")
     tr = trace_on_circle(u, r, TRACE_SAMPLES)
-    return CircleTrace(
-        radius=tr.radius,
-        angles=tr.angles,
-        samples=tr.samples / s,
-        a=tr.a / s,
-        b=tr.b / s,
-    )
+    tr.samples /= s
+    tr.a /= s
+    tr.b /= s
+    return tr
 
 
 def _classify(u: ScalarField, radii: np.ndarray, s_small: float, s_large: float
@@ -97,10 +101,8 @@ def _classify(u: ScalarField, radii: np.ndarray, s_small: float, s_large: float
 
 def blowup_report(u: ScalarField, radii) -> BlowupReport:
     """Assemble S, normalized traces, mode energies, and the trend
-    classification over at least two radii (`_classify`)."""
-    radii = np.asarray(sorted(radii), dtype=float)
-    if len(radii) < 2:
-        raise ValueError("classification needs at least two radii")
+    classification (`_classify`) over at least two radii (`field.check_radii`)."""
+    radii = check_radii(u.grid, radii)
     u_sq = u.apply(np.square)
     s_values = np.array([_s_from_square(u_sq, float(r)) for r in radii])
     scale = float(np.max(np.abs(u.values)))
@@ -125,17 +127,13 @@ def blowup_report(u: ScalarField, radii) -> BlowupReport:
 def write_blowup_csv(report: BlowupReport, path) -> None:
     """One row per radius: r, S, S/r^2, normalized a0..a8, b1..b8, fractions."""
     n_modes = len(report.traces[0].a) - 1
+    modes = sorted(report.mode_fractions)
     cols = ["r", "s", "s_over_r2"]
     cols += [f"a{l}" for l in range(n_modes + 1)]
     cols += [f"b{l}" for l in range(1, n_modes + 1)]
-    cols += [f"mode{ell}_energy_fraction" for ell in sorted(report.mode_fractions)]
-    rows = []
-    for n, r in enumerate(report.radii):
-        tr = report.traces[n]
-        row = [r, report.s_values[n], report.ratios[n]]
-        row += list(tr.a)
-        row += list(tr.b[1:])
-        row += [report.mode_fractions[ell][n] for ell in sorted(report.mode_fractions)]
-        rows.append(row)
-    np.savetxt(path, np.asarray(rows), delimiter=",", header=",".join(cols),
-               comments="", fmt="%.17g")
+    cols += [f"mode{ell}_energy_fraction" for ell in modes]
+    write_table(path, ",".join(cols),
+                [report.radii, report.s_values, report.ratios,
+                 np.array([tr.a for tr in report.traces]),
+                 np.array([tr.b[1:] for tr in report.traces]),
+                 *(report.mode_fractions[ell] for ell in modes)])

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .blowup import CASE1, CASE3, TRACE_SAMPLES, blowup_report, write_blowup_csv
-from .field import eval_origin, read_field
+from .field import check_radii, eval_origin, read_field, write_table
 from .freeboundary import (
     crossing_angles,
     extract_zero_set,
@@ -39,7 +39,6 @@ from .freeboundary import (
 )
 from .mesh import build_sector_grid
 from .monotonicity import (
-    check_window,
     find_threshold,
     mc_energy_bound,
     phi_profile,
@@ -208,17 +207,6 @@ def _radii_params(n_r) -> dict:
     return {"phi_radii": _default_phi_radii(n_r), "blowup_radii": list(DEFAULT_BLOWUP_RADII)}
 
 
-def _check_radii(grid, name: str, radii, default=None) -> list:
-    """radii, or default when radii is None; ValueError unless that holds at
-    least two radii, each inside the grid's window (`check_window`)."""
-    radii = default if radii is None else radii
-    if len(radii) < 2:
-        raise ValueError(f"{name} needs at least two radii, got {radii}")
-    for r in radii:
-        check_window(grid, r)
-    return radii
-
-
 def _failure(stage: StageFailed) -> dict:
     return {
         "kind": "continuation_stage",
@@ -279,7 +267,7 @@ def _solve(p: dict, out: Path, g_label: str | None = None):
     grid = build_sector_grid(k, p["n_r"], p["n_phi"])
     for key in ("phi_radii", "blowup_radii", "arc_radii"):
         if key in p:
-            _check_radii(grid, key, p[key])
+            check_radii(grid, p[key])
     sol = solve_fixed_point(grid, lambda phi: M * np.cos(k * phi), p["eps_min"],
                             g_label=g_label or f"{M:g}*cos({k}*phi)")
     outputs = [Path(f).name for f in export_solution(sol, out)]
@@ -514,10 +502,8 @@ def run_threshold_scan(M_values, C1: float = 0.5, out_dir="runs/scan", *,
 def _scan_body(p: dict, out: Path):
     C1, n_r, n_phi = p["C1"], p["n_r"], p["n_phi"]
     Ms, values = threshold_scan(p["M_values"], C1, n_r=n_r, n_phi=n_phi)
-    rows = np.column_stack([Ms, values])
     out.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out / "threshold_scan.csv", rows, delimiter=",",
-               header="M,energy_bound", comments="", fmt="%.17g")
+    write_table(out / "threshold_scan.csv", "M,energy_bound", [Ms, values])
 
     m_star = None
     sign_change = next(
@@ -688,19 +674,18 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_phi(args) -> int:
     field = read_field(args.field)
-    radii = _check_radii(field.grid, "--radii", args.radii, _default_phi_radii(field.grid.n_r))
+    radii = _default_phi_radii(field.grid.n_r) if args.radii is None else args.radii
     prof = phi_profile(field, radii)
     out = Path(args.out or "phi_profile.csv")
     write_profile_csv(prof, out)
-    print(f"wrote {out} ({len(radii)} radii, min increment "
+    print(f"wrote {out} ({len(prof.radii)} radii, min increment "
           f"{prof.min_increment():.3e})")
     return EXIT_OK
 
 
 def _cmd_blowup(args) -> int:
     field = read_field(args.field)
-    radii = _check_radii(field.grid, "--radii", args.radii, DEFAULT_BLOWUP_RADII)
-    report = blowup_report(field, radii)
+    report = blowup_report(field, DEFAULT_BLOWUP_RADII if args.radii is None else args.radii)
     out = Path(args.out or "blowup.csv")
     write_blowup_csv(report, out)
     print(f"wrote {out}; classification {report.classification}")
@@ -709,7 +694,9 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_fb(args) -> int:
     field = read_field(args.field)
-    radii = _check_radii(field.grid, "--radii", args.radii, DEFAULT_ARC_RADII)
+    # phi_profile and blowup_report check their radii before any write; the
+    # arc radii are checked here, as _write_arcs records a failed fit and goes on
+    radii = check_radii(field.grid, DEFAULT_ARC_RADII if args.radii is None else args.radii)
     levelset = extract_zero_set(field)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

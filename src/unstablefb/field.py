@@ -46,19 +46,6 @@ def field_from_function(grid: PolarGrid, fn) -> ScalarField:
     return ScalarField(grid, np.asarray(fn(rr, pp), dtype=float))
 
 
-def _ring_weights(grid: PolarGrid, r: float) -> np.ndarray:
-    """Per-ring coverage fraction of the ball of radius r.
-
-    The ring containing r enters with the fraction of its area inside,
-    linear in r^2, which keeps ball integrals continuous in r.
-    """
-    if not (0.0 < r <= 1.0 + 1e-12):
-        raise ValueError(f"ball radius must lie in (0, 1], got {r}")
-    rf2 = grid.r_faces**2
-    w = (min(r, 1.0) ** 2 - rf2[:-1]) / (rf2[1:] - rf2[:-1])
-    return np.clip(w, 0.0, 1.0)
-
-
 def _quadratic_at(x_nodes: np.ndarray, y_nodes: np.ndarray, s: float) -> float:
     """Value at s of the parabola through three (x, y) pairs."""
     x0, x1, x2 = x_nodes
@@ -101,8 +88,10 @@ def _integrate_rings(g: PolarGrid, row_sums: np.ndarray, r: float) -> float:
         delta = 0.0
 
     if n_full < 4:
-        # tiny balls: fall back to exact-area ring weighting, no correction
-        w = _ring_weights(g, r)
+        # tiny balls: each ring enters with the fraction of its area inside,
+        # linear in r^2, which keeps the integral continuous in r; no correction
+        rf2 = g.r_faces**2
+        w = np.clip((r**2 - rf2[:-1]) / (rf2[1:] - rf2[:-1]), 0.0, 1.0)
         return float(np.dot(w, row_sums * g.cell_areas) * g.copies)
 
     total = dr * float(gvals[:n_full].sum())
@@ -117,6 +106,28 @@ def _integrate_rings(g: PolarGrid, row_sums: np.ndarray, r: float) -> float:
         s_mid = n_full * dr + 0.5 * delta
         total += delta * _quadratic_at(g.r[lo:lo + 3], gvals[lo:lo + 3], s_mid)
     return total
+
+
+def check_window(grid: PolarGrid, r: float) -> None:
+    """Reject circle radii outside (dr, 1 - dr], the one window of every
+    circle integral, trace and diagnostic built on them."""
+    h = grid.dr
+    if not (h < r <= 1.0 - h + 1e-12):
+        raise ValueError(
+            f"radius {r} outside the valid window ({h:g}, {1 - h:g}]; "
+            "derivative stencils and trace interpolation degrade at the ends"
+        )
+
+
+def check_radii(grid: PolarGrid, radii) -> np.ndarray:
+    """radii sorted ascending; ValueError unless there are at least two,
+    each inside the window (`check_window`)."""
+    radii = np.sort(np.asarray(radii, dtype=float))
+    if len(radii) < 2:
+        raise ValueError(f"need at least two radii, got {radii.tolist()}")
+    for r in radii:
+        check_window(grid, r)
+    return radii
 
 
 def _radial_interp_rows(grid: PolarGrid, r: float) -> tuple[int, float]:
@@ -135,8 +146,7 @@ def integrate_circle(field: ScalarField, r: float) -> float:
     periodic) symmetric extension.
     """
     g = field.grid
-    if not (0.0 < r <= 1.0 - g.dr + 1e-12):
-        raise ValueError(f"circle radius must lie in (0, 1 - dr], got {r}")
+    check_window(g, r)
     lo = int(np.clip(_radial_interp_rows(g, r)[0] - 1, 0, g.n_r - 4))
     x = g.r[lo:lo + 4]
     w = np.array([
@@ -264,8 +274,7 @@ def sample_circle(field: ScalarField, r: float, m: int) -> tuple[np.ndarray, np.
     columns, read from this grid through the reflection index map.
     """
     g = field.grid
-    if not (g.dr < r <= 1.0 - g.dr + 1e-12):
-        raise ValueError(f"trace radius must lie in (dr, 1 - dr], got {r}")
+    check_window(g, r)
     n_disk = g.copies * g.n_phi
     angles = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
     i, t = _radial_interp_rows(g, r)
@@ -296,13 +305,19 @@ def trace_on_circle(field: ScalarField, r: float, m: int = 256) -> CircleTrace:
 # --- export -------------------------------------------------------------
 
 
+def write_table(path, header: str, columns) -> None:
+    """CSV of the columns under one header line, every number as "%.17g",
+    which round-trips float64."""
+    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
+               comments="", fmt="%.17g")
+
+
 def write_field_csv(field: ScalarField, path) -> None:
     """Columns r, phi, value; one row per cell, row-major in (r, phi).
 
-    Every number is written as "%.17g", which round-trips float64, so the
-    bytes are those of np.savetxt(fmt="%.17g", delimiter=",").  Each r and
-    phi node is formatted once; a ring's values fill one template with a
-    single %, and the file is written one ring at a time.
+    The bytes are those of write_table on the three columns, written
+    faster: each r and phi node is formatted once, a ring's values fill
+    one template with a single %, and the file is written one ring at a time.
     """
     g = field.grid
     # ",phi_j,%.17g\n" per node; joining with a ring's r gives its rows

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh
-from .field import ScalarField, sample_circle
+from .field import ScalarField, check_radii, sample_circle
 from .mesh import TWO_PI
 
 
@@ -167,13 +167,12 @@ def _circular_match(prev: np.ndarray, new: np.ndarray, cap: float) -> np.ndarray
 def fit_arcs_at_origin(u: ScalarField, radii) -> ArcFit:
     """Track the crossing angles of u inward over radii and extrapolate to r = 0.
 
-    Arcs are matched by angle continuity with a cap of half the minimal
-    angular gap; a count change or failed match sets topology_change and
-    truncates the tracked window at the largest consistent radii.
+    Takes at least two radii (`field.check_radii`).  Arcs are matched by
+    angle continuity with a cap of half the minimal angular gap; a count
+    change or failed match sets topology_change and truncates the tracked
+    window at the largest consistent radii.
     """
-    radii = np.asarray(sorted(radii, reverse=True), dtype=float)
-    if len(radii) < 2:
-        raise ValueError("need at least two radii to extrapolate arcs")
+    radii = check_radii(u.grid, radii)[::-1]
     base = crossing_angles(u, float(radii[0]))
     if len(base) == 0:
         raise ValueError(f"no zero crossings on the circle r={radii[0]:g}")
@@ -220,7 +219,7 @@ def fit_arcs_at_origin(u: ScalarField, radii) -> ArcFit:
 def write_levelset_csv(ls: LevelSet, path) -> None:
     """Columns polyline, vertex, x, y; one row per vertex.
 
-    The bytes are those of np.savetxt(fmt="%.17g", delimiter=",").  Each
+    The bytes are those of `field.write_table` on the four columns.  Each
     polyline fills one row template with a single % and is written on its
     own, so the text of only one polyline is held at a time.
     """

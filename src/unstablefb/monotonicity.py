@@ -22,28 +22,19 @@ import numpy as np
 from .field import (
     ScalarField,
     _integrate_rings,
+    check_radii,
     gradient_sq,
     integrate_circle,
     radial_derivative,
+    write_table,
 )
 from .mesh import build_sector_grid
 
 
-def check_window(grid, r: float) -> None:
-    """Reject radii where derivative stencils and traces are not valid."""
-    h = grid.dr
-    if not (h < r < 1.0 - h + 1e-12):
-        raise ValueError(
-            f"radius {r} outside the valid window ({h:g}, {1 - h:g}); "
-            "derivative stencils and trace interpolation degrade at the ends"
-        )
-
-
 def _phi_values(u: ScalarField, radii) -> np.ndarray:
     """Phi at each radius from one gradient, one square of u and one set of
-    per-ring sums of the bulk integrands."""
-    for r in radii:
-        check_window(u.grid, r)
+    per-ring sums of the bulk integrands; integrate_circle rejects a radius
+    outside the window (`field.check_window`)."""
     grad_rows = gradient_sq(u).values.sum(axis=1)
     pos_rows = (2.0 * np.maximum(u.values, 0.0)).sum(axis=1)
     u_sq = u.apply(np.square)
@@ -92,10 +83,9 @@ class MonotonicityProfile:
 
 
 def phi_profile(u: ScalarField, radii) -> MonotonicityProfile:
-    """Evaluate Phi and the identity defect over increasing radii."""
-    radii = np.asarray(sorted(radii), dtype=float)
-    if len(radii) < 2:
-        raise ValueError("need at least two radii for a profile")
+    """Evaluate Phi and the identity defect over at least two radii
+    (`field.check_radii`), in increasing order."""
+    radii = check_radii(u.grid, radii)
     phis = _phi_values(u, radii)
     # r^-4 int_{dB_r} 2 (du/dr - 2u/r)^2 dH, the rate in the identity
     w = ScalarField(u.grid, (radial_derivative(u).values
@@ -234,15 +224,6 @@ def find_threshold(C1: float, m_lo: float, m_hi: float, tol: float = 1e-6,
 
 def write_profile_csv(profile: MonotonicityProfile, path) -> None:
     """Columns r, phi, boundary_integrand, defect_to_next (nan on last row)."""
-    defect_col = np.append(profile.defects, np.nan)
-    data = np.column_stack(
-        [profile.radii, profile.phi_values, profile.boundary_integrand, defect_col]
-    )
-    np.savetxt(
-        path,
-        data,
-        delimiter=",",
-        header="r,phi,boundary_integrand,defect_to_next",
-        comments="",
-        fmt="%.17g",
-    )
+    write_table(path, "r,phi,boundary_integrand,defect_to_next",
+                [profile.radii, profile.phi_values, profile.boundary_integrand,
+                 np.append(profile.defects, np.nan)])

@@ -123,6 +123,18 @@ class TestDefaultPhiRadii:
             assert _default_phi_radii(n_r) == _default_phi_radii(256)
 
 
+class TestCrossTrendWindow:
+    def test_ladder_missing_0_75_falls_back_to_the_whole_profile(self, tmp_path):
+        # at n_r = 100 the phi ladder steps by 0.04 from 0.25: 0.73, 0.77, no 0.75
+        m = run_cross(40.0, 100, 64, 0.025, out_dir=tmp_path)
+        radii, values = m.headline["phi_radii"], m.headline["phi_values"]
+        assert min(abs(r - 0.75) for r in radii) > 0.01
+        assert m.status == "ok" and len(m.checks) == 7
+        tol = max(0.02 * abs(values[-1] - values[0]), 1e-3)
+        detail = next(c["detail"] for c in m.checks if c["name"] == "phi_nondecreasing")
+        assert detail.endswith(f"tolerance {tol:.3e}")
+
+
 class TestRadiiValidation:
     @pytest.fixture
     def no_solve(self, monkeypatch):
@@ -427,6 +439,7 @@ class TestRejectedBeforeWriting:
         "eps_min_not_positive": ("solve", {"eps_min": 0.0}),
         # dr = 1/16 puts the constant blow-up and arc radius 0.05 below the window
         "radius_outside_window": ("cross", {"n_r": 16, "n_phi": 16}),
+        "M_not_positive": ("cross", {"M": 0.0}),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -452,10 +465,14 @@ class TestRejectedBeforeWriting:
         assert not replay.exists()
 
     def test_cli(self, tmp_path, capsys):
-        out = tmp_path / "X"
-        assert main(["solve", "--k", "2", "--eps-min", "0.5", "--out", str(out)]) == 2
-        assert "eps_min <= eps_start" in capsys.readouterr().err
-        assert not out.exists()
+        for argv, message in [
+            (["solve", "--k", "2", "--eps-min", "0.5"], "eps_min <= eps_start"),
+            (["cross", "--M", "-1"], "M must be positive, got -1.0"),
+        ]:
+            out = tmp_path / argv[0]
+            assert main([*argv, "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_output_path_that_is_a_file(self, tmp_path, capsys, monkeypatch):
         def unexpected_solve(*args, **kwargs):
@@ -685,8 +702,9 @@ class TestConsoleEntry:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["phi", "blowup", "fb"])
-    @pytest.mark.parametrize("radii", ["5,6", "0.3", "", "0.1,nan"],
-                             ids=["outside_window", "one_radius", "empty", "nan"])
+    # the solve is 64^2, so 0.015625 is dr, the open inner end of the window
+    @pytest.mark.parametrize("radii", ["5,6", "0.015625,0.3", "0.3", "", "0.1,nan"],
+                             ids=["outside_window", "r_is_dr", "one_radius", "empty", "nan"])
     def test_bad_field_radii_exit_2_without_output(self, tmp_path, capsys, solve_run,
                                                    command, radii):
         run_dir, _ = solve_run

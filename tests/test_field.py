@@ -15,12 +15,15 @@ from conftest import VTK_DEFECTS, degree2_field, malformed_vtk
 from unstablefb import (
     PolarGrid,
     ScalarField,
+    blowup_report,
     build_sector_grid,
     eval_origin,
     field_from_function,
+    fit_arcs_at_origin,
     gradient_sq,
     integrate_ball,
     integrate_circle,
+    phi_profile,
     radial_derivative,
     read_field,
     read_field_csv,
@@ -29,6 +32,7 @@ from unstablefb import (
     write_field_csv,
     write_field_vtk,
 )
+from unstablefb.field import check_window
 from unstablefb.mesh import reflect_to_disk
 
 
@@ -143,6 +147,54 @@ class TestBallIntegrals:
         one = field_from_function(g, lambda r, p: np.ones_like(r))
         assert integrate_ball(one, None, 0.5) == pytest.approx(
             math.pi * 0.25, abs=1e-12)
+
+
+DR64 = 1.0 / 64  # dr of disk64, the open inner end of its window
+
+
+class TestScalarField:
+    def test_shape_mismatch_rejected(self, disk64):
+        with pytest.raises(ValueError, match=r"values shape \(64, 63\) does not match grid"):
+            ScalarField(disk64, np.zeros((64, 63)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, disk64, bad):
+        values = np.zeros(disk64.shape)
+        values[3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ScalarField(disk64, values)
+
+
+class TestRadiusRule:
+    """Every circle diagnostic takes its radii from one window, (dr, 1 - dr],
+    and every radius list from one rule: at least two, each in the window."""
+
+    AT_DR = "radius 0.015625 outside the valid window"
+    ONE = r"need at least two radii, got \[0.3\]"
+    CASES = {
+        "integrate_circle-r_is_dr": (lambda u: integrate_circle(u, DR64), AT_DR),
+        "sample_circle-r_is_dr": (lambda u: sample_circle(u, DR64, 64), AT_DR),
+        "phi_profile-r_is_dr": (lambda u: phi_profile(u, [DR64, 0.3]), AT_DR),
+        "phi_profile-one_radius": (lambda u: phi_profile(u, [0.3]), ONE),
+        "blowup_report-r_is_dr": (lambda u: blowup_report(u, [DR64, 0.3]), AT_DR),
+        "blowup_report-one_radius": (lambda u: blowup_report(u, [0.3]), ONE),
+        "fit_arcs_at_origin-r_is_dr": (lambda u: fit_arcs_at_origin(u, [DR64, 0.3]), AT_DR),
+        "fit_arcs_at_origin-one_radius": (lambda u: fit_arcs_at_origin(u, [0.3]), ONE),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_entry_point_rejects(self, disk64, case):
+        call, message = self.CASES[case]
+        with pytest.raises(ValueError, match=message):
+            call(degree2_field(disk64))
+
+    def test_window_ends(self, disk64):
+        dr = disk64.dr
+        for r in (dr * (1 + 1e-9), 0.5, 1.0 - dr):
+            check_window(disk64, r)
+        for r in (0.0, dr, 1.0 - dr + 1e-9, math.nan):
+            with pytest.raises(ValueError, match="outside the valid window"):
+                check_window(disk64, r)
 
 
 class TestCircleIntegrals:
@@ -363,6 +415,22 @@ class TestSerialization:
         back, ref = read_field(path), read_field_csv(path)
         assert back.grid == ref.grid == g
         assert np.array_equal(back.values, ref.values)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[:, :2], "expected 3 columns"),
+        (lambda rows: rows[1:], "rows do not form a tensor grid"),
+        # phi scaled to 2 pi / 3 (an odd copy count) and to 4 pi / 3 (no copy count)
+        (lambda rows: rows * [1.0, 1.0 / 3.0, 1.0], "angular extent .* is not pi/k or 2.pi"),
+        (lambda rows: rows * [1.0, 2.0 / 3.0, 1.0], "angular extent .* is not pi/k or 2.pi"),
+    ], ids=["two_columns", "not_a_tensor_grid", "extent_2pi_over_3", "extent_4pi_over_3"])
+    def test_malformed_csv_raises_naming_the_path(self, tmp_path, edit, message):
+        rr, pp = PolarGrid(8, 8).mesh_coords()
+        rows = np.column_stack([rr.ravel(), pp.ravel(), (rr**2 * np.cos(2 * pp)).ravel()])
+        path = tmp_path / "bad.csv"
+        np.savetxt(path, edit(rows), delimiter=",", header="r,phi,value", comments="",
+                   fmt="%.17g")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": " + message):
+            read_field_csv(path)
 
     @pytest.mark.parametrize("defect", VTK_DEFECTS)
     def test_malformed_vtk_raises_naming_the_path(self, tmp_path, defect):

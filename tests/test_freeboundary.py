@@ -255,6 +255,21 @@ class TestArcFit:
         assert np.array_equal(fit.radii, [0.3, 0.2, 0.15])
         assert len(fit.limit_angles) == 4
 
+    @pytest.mark.parametrize("fn", [
+        # four crossings at r = 0.3 and none at 0.2, where r^2 < 0.06
+        lambda r, p: r**2 * np.cos(2.0 * p) - 0.06,
+        # two crossings on both circles, at +-0.45 and then +-1.16, further
+        # than the cap (half the smaller gap, 0.45) from their predecessors
+        lambda r, p: np.cos(p) - 10.0 * r**2,
+    ], ids=["count_change", "angle_jump"])
+    def test_topology_change_at_the_second_radius_keeps_the_first(self, disk64, fn):
+        u = field_from_function(disk64, fn)
+        fit = fit_arcs_at_origin(u, [0.3, 0.2, 0.1])
+        assert fit.topology_change
+        assert np.array_equal(fit.radii, [0.3])
+        assert np.allclose(fit.limit_angles, crossing_angles(u, 0.3), rtol=0.0, atol=1e-12)
+        assert fit.angle_table.shape == (len(fit.limit_angles), 1)
+
     def test_no_crossings_is_an_error(self, disk64):
         u = field_from_function(disk64, lambda r, p: 1.0 + r**2)
         with pytest.raises(ValueError):

@@ -198,6 +198,11 @@ class TestEnergyBound:
             with pytest.raises(ValueError):
                 energy_bound_integral(M, 0.5, 64, 64)
 
+    @pytest.mark.parametrize("C1", [0.0, -0.5])
+    def test_non_positive_torsion_bound_rejected(self, C1):
+        with pytest.raises(ValueError, match=f"C1 must be positive, got {C1}"):
+            energy_bound_integral(1.0, C1, 64, 64)
+
     def test_zero_amplitude_gives_disk_area(self):
         assert energy_bound_integral(0.0, 0.5) == pytest.approx(
             math.pi * 0.25, abs=1e-9)
@@ -296,6 +301,13 @@ class TestEnergyBound:
         # would never end the loop
         with pytest.raises(ValueError, match="tolerance"):
             find_threshold(0.5, 1.5, 2.0, tol=tol, n_r=64, n_phi=64)
+
+    @pytest.mark.parametrize("m_lo, m_hi", [(0.0, 1.0), (3.0, 4.0)],
+                             ids=["both_positive", "both_negative"])
+    def test_bisection_rejects_bracket_without_sign_change(self, m_lo, m_hi):
+        # the threshold lies near 1.89, outside both brackets
+        with pytest.raises(ValueError, match="does not bracket a sign change"):
+            find_threshold(0.5, m_lo, m_hi, n_r=64, n_phi=64)
 
     @pytest.mark.parametrize("m_lo, m_hi", [(1.0, -3.0), (1.5, 1.5), (math.nan, 2.0)])
     def test_bisection_rejects_reversed_bracket(self, m_lo, m_hi):
