@@ -7,7 +7,6 @@ sampled radii, never as a limit claim.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +14,9 @@ import numpy as np
 from .field import (
     CircleTrace,
     ScalarField,
+    _circle_integrals,
+    _circle_traces,
     check_radii,
-    integrate_circle,
-    trace_on_circle,
     write_table,
 )
 from .monotonicity import _phi_values
@@ -58,23 +57,12 @@ class BlowupReport:
 
 def s_norm(u: ScalarField, r: float) -> float:
     """Boundary L2 amplitude (r^-1 int_{dB_r} u^2)^(1/2)."""
-    return _s_from_square(u.apply(np.square), r)
+    return float(_s_values(u.apply(np.square), [r])[0])
 
 
-def _s_from_square(u_sq: ScalarField, r: float) -> float:
-    """S(r) from the squared field u^2."""
-    return math.sqrt(max(integrate_circle(u_sq, r) / r, 0.0))
-
-
-def _normalized_trace(u: ScalarField, r: float, s: float, scale: float) -> CircleTrace:
-    """Trace of u on dB_r over s = S(r), of unit L2(dB_1) norm; scale is max |u|."""
-    if s <= S_FLOOR * max(scale, 1.0):
-        raise DegenerateTrace(f"S({r:g}) = {s:.3e} is too small to normalize the trace")
-    tr = trace_on_circle(u, r, TRACE_SAMPLES)
-    tr.samples /= s
-    tr.a /= s
-    tr.b /= s
-    return tr
+def _s_values(u_sq: ScalarField, radii) -> np.ndarray:
+    """S at each radius from the squared field u^2."""
+    return np.sqrt(np.maximum(_circle_integrals(u_sq, radii) / radii, 0.0))
 
 
 def _classify(u: ScalarField, radii: np.ndarray, s_small: float, s_large: float
@@ -103,10 +91,16 @@ def blowup_report(u: ScalarField, radii) -> BlowupReport:
     """Assemble S, normalized traces, mode energies, and the trend
     classification (`_classify`) over at least two radii (`field.check_radii`)."""
     radii = check_radii(u.grid, radii)
-    u_sq = u.apply(np.square)
-    s_values = np.array([_s_from_square(u_sq, float(r)) for r in radii])
-    scale = float(np.max(np.abs(u.values)))
-    traces = [_normalized_trace(u, float(r), s, scale) for r, s in zip(radii, s_values)]
+    s_values = _s_values(u.apply(np.square), radii)
+    # each trace over its S(r), of unit L2(dB_1) norm, unless S is too small
+    floor = S_FLOOR * max(float(np.max(np.abs(u.values))), 1.0)
+    traces = _circle_traces(u, radii, TRACE_SAMPLES)
+    for r, tr, s in zip(radii, traces, s_values):
+        if s <= floor:
+            raise DegenerateTrace(f"S({r:g}) = {s:.3e} is too small to normalize the trace")
+        tr.samples /= s
+        tr.a /= s
+        tr.b /= s
     fractions = {
         ell: np.array([tr.mode_energy_fraction(ell) for tr in traces])
         for ell in REPORTED_MODES

@@ -4,7 +4,8 @@ A sector field stands for its even extension to the disk, and every helper
 evaluates that extension without building it: integrals are multiplied by
 the number of symmetric copies (2k), the angular derivative is a cosine
 series, and circle samples read the disk columns through the reflection
-index map.
+index map.  Every circle diagnostic takes its radii as one batch, in one
+array pass; the public one-radius functions are the batch's one-element case.
 """
 from __future__ import annotations
 
@@ -46,17 +47,6 @@ def field_from_function(grid: PolarGrid, fn) -> ScalarField:
     return ScalarField(grid, np.asarray(fn(rr, pp), dtype=float))
 
 
-def _quadratic_at(x_nodes: np.ndarray, y_nodes: np.ndarray, s: float) -> float:
-    """Value at s of the parabola through three (x, y) pairs."""
-    x0, x1, x2 = x_nodes
-    y0, y1, y2 = y_nodes
-    return float(
-        y0 * (s - x1) * (s - x2) / ((x0 - x1) * (x0 - x2))
-        + y1 * (s - x0) * (s - x2) / ((x1 - x0) * (x1 - x2))
-        + y2 * (s - x0) * (s - x1) / ((x2 - x0) * (x2 - x1))
-    )
-
-
 def integrate_ball(field: ScalarField, integrand, r: float) -> float:
     """Integral of integrand(u) over the disk of radius r about the origin.
 
@@ -66,57 +56,67 @@ def integrate_ball(field: ScalarField, integrand, r: float) -> float:
     The radial rule is _integrate_rings.
     """
     vals = field.values if integrand is None else np.asarray(integrand(field.values), dtype=float)
-    return _integrate_rings(field.grid, vals.sum(axis=1), r)
+    return float(_integrate_rings(field.grid, vals.sum(axis=1), [r])[0])
 
 
-def _integrate_rings(g: PolarGrid, row_sums: np.ndarray, r: float) -> float:
-    """Ball integral of radius r from the per-ring sums of the cell values.
+def _integrate_rings(g: PolarGrid, row_sums: np.ndarray, radii) -> np.ndarray:
+    """Ball integrals over each radius from the per-ring sums of the cell values.
 
     The composite midpoint rule over full rings with the Euler-Maclaurin
     endpoint correction, plus an interpolated contribution of the partial
     ring at the cut.  A sector grid's integral is multiplied by its copies.
+    Each radius keeps its own sum of full rings (a cumsum rounds differently).
     """
-    if not (0.0 < r <= 1.0 + 1e-12):
-        raise ValueError(f"ball radius must lie in (0, 1], got {r}")
-    r = min(r, 1.0)
+    radii = np.asarray(radii, dtype=float)
+    bad = ~((0.0 < radii) & (radii <= 1.0 + 1e-12))
+    if bad.any():
+        raise ValueError(f"ball radius must lie in (0, 1], got {radii[bad][0]}")
+    radii = np.minimum(radii, 1.0)
     dr = g.dr
     ring_line = row_sums * g.dphi * g.copies  # angular integral per ring
     gvals = g.r * ring_line
-    n_full = int(math.floor(r / dr + 1e-12))
-    delta = r - n_full * dr
-    if delta < 1e-12 * dr:
-        delta = 0.0
+    n_full = np.floor(radii / dr + 1e-12).astype(int)
+    delta = radii - n_full * dr
+    delta[delta < 1e-12 * dr] = 0.0
 
-    if n_full < 4:
-        # tiny balls: each ring enters with the fraction of its area inside,
-        # linear in r^2, which keeps the integral continuous in r; no correction
-        rf2 = g.r_faces**2
-        w = np.clip((r**2 - rf2[:-1]) / (rf2[1:] - rf2[:-1]), 0.0, 1.0)
-        return float(np.dot(w, row_sums * g.cell_areas) * g.copies)
-
-    total = dr * float(gvals[:n_full].sum())
+    total = dr * np.array([gvals[:n].sum() for n in n_full.tolist()])
     # endpoint derivatives for the midpoint correction (dr^2 / 24) * [g' (b) - g'(a)];
     # g(s) = s * G(s) gives g'(0) = G(0), extrapolated from the first two rings
-    gp_zero = 1.5 * float(ring_line[0]) - 0.5 * float(ring_line[1])
-    gp_face = float(gvals[n_full - 3] - 3.0 * gvals[n_full - 2] + 2.0 * gvals[n_full - 1]) / dr
+    gp_zero = 1.5 * ring_line[0] - 0.5 * ring_line[1]
+    gp_face = (gvals[n_full - 3] - 3.0 * gvals[n_full - 2] + 2.0 * gvals[n_full - 1]) / dr
     total += dr * dr / 24.0 * (gp_face - gp_zero)
 
-    if delta > 0.0:
-        lo = min(max(n_full - 1, 0), g.n_r - 3)
-        s_mid = n_full * dr + 0.5 * delta
-        total += delta * _quadratic_at(g.r[lo:lo + 3], gvals[lo:lo + 3], s_mid)
+    # a cut ring enters with the parabola through three rings at its midpoint s
+    cut = delta > 0.0
+    rows = np.clip(n_full[cut] - 1, 0, g.n_r - 3)[:, None] + np.arange(3)
+    (x0, x1, x2), (y0, y1, y2) = g.r[rows].T, gvals[rows].T
+    s = n_full[cut] * dr + 0.5 * delta[cut]
+    total[cut] += delta[cut] * (
+        y0 * (s - x1) * (s - x2) / ((x0 - x1) * (x0 - x2))
+        + y1 * (s - x0) * (s - x2) / ((x1 - x0) * (x1 - x2))
+        + y2 * (s - x0) * (s - x1) / ((x2 - x0) * (x2 - x1))
+    )
+
+    # tiny balls: each ring enters with the fraction of its area inside,
+    # linear in r^2, which keeps the integral continuous in r; no correction
+    rf2 = g.r_faces**2
+    for n in np.flatnonzero(n_full < 4).tolist():
+        w = np.clip((radii[n].item() ** 2 - rf2[:-1]) / (rf2[1:] - rf2[:-1]), 0.0, 1.0)
+        total[n] = np.dot(w, row_sums * g.cell_areas) * g.copies
     return total
 
 
-def check_window(grid: PolarGrid, r: float) -> None:
-    """Reject circle radii outside (dr, 1 - dr], the one window of every
-    circle integral, trace and diagnostic built on them."""
-    h = grid.dr
-    if not (h < r <= 1.0 - h + 1e-12):
+def check_window(grid: PolarGrid, radii) -> np.ndarray:
+    """The radii as a float array; ValueError unless each lies in (dr, 1 - dr],
+    the one window of every circle integral, trace and diagnostic built on them."""
+    r, h = np.asarray(radii, dtype=float), grid.dr
+    bad = ~((h < r) & (r <= 1.0 - h + 1e-12))
+    if bad.any():
         raise ValueError(
-            f"radius {r} outside the valid window ({h:g}, {1 - h:g}]; "
+            f"radius {r[bad][0]} outside the valid window ({h:g}, {1 - h:g}]; "
             "derivative stencils and trace interpolation degrade at the ends"
         )
+    return r
 
 
 def check_radii(grid: PolarGrid, radii) -> np.ndarray:
@@ -125,36 +125,39 @@ def check_radii(grid: PolarGrid, radii) -> np.ndarray:
     radii = np.sort(np.asarray(radii, dtype=float))
     if len(radii) < 2:
         raise ValueError(f"need at least two radii, got {radii.tolist()}")
-    for r in radii:
-        check_window(grid, r)
-    return radii
+    return check_window(grid, radii)
 
 
-def _radial_interp_rows(grid: PolarGrid, r: float) -> tuple[int, float]:
-    """Bracketing ring index and interpolation weight for radius r."""
-    i = int(np.clip(math.floor(r / grid.dr - 0.5), 0, grid.n_r - 2))
-    t = (r - grid.r[i]) / grid.dr
-    return i, t
+def _radial_interp_rows(grid: PolarGrid, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bracketing ring index and interpolation weight for each radius."""
+    i = np.clip(np.floor(radii / grid.dr - 0.5).astype(int), 0, grid.n_r - 2)
+    return i, (radii - grid.r[i]) / grid.dr
 
 
 def integrate_circle(field: ScalarField, r: float) -> float:
-    """Line integral of u over the full circle of radius r.
+    """Line integral of u over the full circle of radius r (`_circle_integrals`)."""
+    return float(_circle_integrals(field, [r])[0])
 
-    Values on the circle come from 4-point polynomial interpolation in the
+
+def _circle_integrals(field: ScalarField, radii) -> np.ndarray:
+    """Line integrals of u over the full circles of the given radii.
+
+    Values on a circle come from 4-point polynomial interpolation in the
     radial direction at the native angular cell centers; the angular sum is
     the midpoint rule, which is spectrally accurate for the (smooth,
     periodic) symmetric extension.
     """
     g = field.grid
-    check_window(g, r)
-    lo = int(np.clip(_radial_interp_rows(g, r)[0] - 1, 0, g.n_r - 4))
-    x = g.r[lo:lo + 4]
-    w = np.array([
-        np.prod([(r - x[l]) / (x[m] - x[l]) for l in range(4) if l != m])
+    radii = check_window(g, radii)
+    lo = np.clip(_radial_interp_rows(g, radii)[0] - 1, 0, g.n_r - 4)
+    x = g.r[lo[:, None] + np.arange(4)]
+    w = np.stack([
+        np.prod([(radii - x[:, l]) / (x[:, m] - x[:, l]) for l in range(4) if l != m], axis=0)
         for m in range(4)
-    ])
-    ring = w @ field.values[lo:lo + 4, :]
-    return float(ring.sum() * g.dphi * r * g.copies)
+    ], axis=1)
+    # one product and one sum per radius: a stacked product rounds differently
+    rings = np.array([(wi @ field.values[i:i + 4, :]).sum() for wi, i in zip(w, lo.tolist())])
+    return rings * g.dphi * radii * g.copies
 
 
 def radial_derivative(field: ScalarField) -> ScalarField:
@@ -168,9 +171,9 @@ def radial_derivative(field: ScalarField) -> ScalarField:
     return ScalarField(field.grid, out)
 
 
-def _angular_derivative(field: ScalarField) -> np.ndarray:
-    """du/dphi of the disk field or of the sector's even extension, spectrally."""
-    u = field.values
+def _angular_derivative(field: ScalarField, n: int) -> np.ndarray:
+    """du/dphi on the first n rings, of the disk field or the sector's even extension."""
+    u = field.values[:n]
     g = field.grid
     if g.periodic:
         # samples live at phi_j = (j + 1/2) dphi; the half-cell offset is a
@@ -191,10 +194,13 @@ def _angular_derivative(field: ScalarField) -> np.ndarray:
 
 def gradient_sq(field: ScalarField) -> ScalarField:
     """|grad u|^2 = (du/dr)^2 + (du/dphi / r)^2 at cell centers."""
-    ur = radial_derivative(field).values
-    uphi = _angular_derivative(field)
-    r = field.grid.r[:, None]
-    return ScalarField(field.grid, ur**2 + (uphi / r) ** 2)
+    return ScalarField(field.grid, _gradient_sq_rings(field, field.grid.n_r))
+
+
+def _gradient_sq_rings(field: ScalarField, n: int) -> np.ndarray:
+    """gradient_sq's values on the first n rings alone."""
+    ur = radial_derivative(field).values[:n]
+    return ur**2 + (_angular_derivative(field, n) / field.grid.r[:n, None]) ** 2
 
 
 # --- origin evaluation -------------------------------------------------
@@ -268,16 +274,23 @@ class CircleTrace:
 
 
 def sample_circle(field: ScalarField, r: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear samples of the symmetric disk extension at m equispaced angles.
+    """m equispaced angles and u's samples there on the circle of radius r (`_circle_samples`)."""
+    angles, samples = _circle_samples(field, [r], m)
+    return angles, samples[0]
+
+
+def _circle_samples(field: ScalarField, radii, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear samples of the symmetric disk extension at m equispaced angles,
+    one row per radius.
 
     The bracketing columns are those of the disk grid with copies * n_phi
     columns, read from this grid through the reflection index map.
     """
     g = field.grid
-    check_window(g, r)
+    radii = check_window(g, radii)
     n_disk = g.copies * g.n_phi
     angles = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
-    i, t = _radial_interp_rows(g, r)
+    i, t = (v[:, None] for v in _radial_interp_rows(g, radii))
     jf = angles / (TWO_PI / n_disk) - 0.5
     j0 = np.floor(jf).astype(int) % n_disk
     s = jf - np.floor(jf)
@@ -289,17 +302,26 @@ def sample_circle(field: ScalarField, r: float, m: int) -> tuple[np.ndarray, np.
 
 
 def trace_on_circle(field: ScalarField, r: float, m: int = 256) -> CircleTrace:
-    """Trace with Fourier coefficients 0..8 by periodic rectangle sums."""
+    """Trace with Fourier coefficients 0..8 by periodic rectangle sums (`_circle_traces`)."""
+    return _circle_traces(field, [r], m)[0]
+
+
+def _circle_traces(field: ScalarField, radii, m: int) -> list[CircleTrace]:
+    """Traces on the circles of the given radii; cos(l phi) and sin(l phi)
+    are taken once per mode, and each coefficient is one dot product."""
     if m < 64:
         raise ValueError(f"need at least 64 trace samples, got {m}")
-    angles, samples = sample_circle(field, r, m)
-    a = np.zeros(FOURIER_MODES + 1)
-    b = np.zeros(FOURIER_MODES + 1)
-    a[0] = samples.mean()
-    for ell in range(1, FOURIER_MODES + 1):
-        a[ell] = 2.0 / m * float(np.dot(samples, np.cos(ell * angles)))
-        b[ell] = 2.0 / m * float(np.dot(samples, np.sin(ell * angles)))
-    return CircleTrace(radius=r, angles=angles, samples=samples, a=a, b=b)
+    angles, samples = _circle_samples(field, radii, m)
+    waves = [(np.cos(ell * angles), np.sin(ell * angles)) for ell in range(1, FOURIER_MODES + 1)]
+    traces = []
+    for r, row in zip(np.asarray(radii, dtype=float).tolist(), samples):
+        a, b = np.zeros(FOURIER_MODES + 1), np.zeros(FOURIER_MODES + 1)
+        a[0] = row.mean()
+        for ell, (cos_l, sin_l) in enumerate(waves, 1):
+            a[ell] = 2.0 / m * float(np.dot(row, cos_l))
+            b[ell] = 2.0 / m * float(np.dot(row, sin_l))
+        traces.append(CircleTrace(radius=r, angles=angles, samples=row, a=a, b=b))
+    return traces
 
 
 # --- export -------------------------------------------------------------

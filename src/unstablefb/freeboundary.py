@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh
-from .field import ScalarField, check_radii, sample_circle
+from .field import ScalarField, _circle_samples, check_radii
 from .mesh import TWO_PI
 
 
@@ -31,17 +31,21 @@ class LevelSet:
 
 
 def crossing_angles(u: ScalarField, r: float) -> np.ndarray:
-    """Angles where the circle trace, at 2048 samples, changes sign, by
-    linear interpolation.
+    """Angles where the circle trace changes sign (`_crossing_angles`)."""
+    return _crossing_angles(u, [r])[0]
 
-    The count is even for any sign-changing periodic trace.
-    """
+
+def _crossing_angles(u: ScalarField, radii) -> list[np.ndarray]:
+    """Per radius, the sorted angles where the circle trace, at 2048 samples,
+    changes sign, by linear interpolation; an even count on any periodic trace."""
     m = 2048
-    angles, vals = sample_circle(u, r, m)
+    angles, vals = _circle_samples(u, radii, m)
     inside = vals > 0.0
-    s = np.nonzero(inside != np.roll(inside, -1))[0]
-    v0, v1 = vals[s], vals[(s + 1) % m]
-    return np.sort((angles[s] + v0 / (v0 - v1) * (TWO_PI / m)) % TWO_PI)
+    row, s = np.nonzero(inside != np.roll(inside, -1, axis=1))
+    v0, v1 = vals[row, s], vals[row, (s + 1) % m]
+    theta = (angles[s] + v0 / (v0 - v1) * (TWO_PI / m)) % TWO_PI
+    ends = np.cumsum(np.bincount(row, minlength=len(vals)))[:-1]
+    return [np.sort(t) for t in np.split(theta, ends)]
 
 
 def _case_segments(case: int, center_in: int) -> list[tuple[int, int]]:
@@ -173,7 +177,7 @@ def fit_arcs_at_origin(u: ScalarField, radii) -> ArcFit:
     window at the largest consistent radii.
     """
     radii = check_radii(u.grid, radii)[::-1]
-    base = crossing_angles(u, float(radii[0]))
+    base, *inner = _crossing_angles(u, radii)
     if len(base) == 0:
         raise ValueError(f"no zero crossings on the circle r={radii[0]:g}")
     gaps = np.diff(np.append(base, base[0] + TWO_PI))
@@ -183,8 +187,7 @@ def fit_arcs_at_origin(u: ScalarField, radii) -> ArcFit:
     used = [radii[0]]
     topology_change = False
     prev = base
-    for r in radii[1:]:
-        new = crossing_angles(u, float(r))
+    for r, new in zip(radii[1:], inner):
         matched = _circular_match(prev, new, cap)
         if matched is None:
             topology_change = True

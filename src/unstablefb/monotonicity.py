@@ -21,28 +21,34 @@ import numpy as np
 
 from .field import (
     ScalarField,
+    _circle_integrals,
+    _gradient_sq_rings,
     _integrate_rings,
     check_radii,
-    gradient_sq,
-    integrate_circle,
     radial_derivative,
     write_table,
 )
 from .mesh import build_sector_grid
 
 
+def _powers(radii: np.ndarray, p: int) -> np.ndarray:
+    """r**p per radius in Python floats (libm's pow; numpy's array power differs)."""
+    return np.array([r**p for r in radii.tolist()])
+
+
 def _phi_values(u: ScalarField, radii) -> np.ndarray:
     """Phi at each radius from one gradient, one square of u and one set of
-    per-ring sums of the bulk integrands; integrate_circle rejects a radius
-    outside the window (`field.check_window`)."""
-    grad_rows = gradient_sq(u).values.sum(axis=1)
+    per-ring sums of the bulk integrands; _circle_integrals rejects a radius
+    outside the window (`field.check_window`).  The gradient is taken on the
+    rings the ring rule reads, none past the one after the cut."""
+    radii = np.asarray(radii, dtype=float)
+    n = min(u.grid.n_r, int(radii.max() / u.grid.dr) + 3)
+    grad_rows = np.zeros(u.grid.n_r)
+    grad_rows[:n] = _gradient_sq_rings(u, n).sum(axis=1)
     pos_rows = (2.0 * np.maximum(u.values, 0.0)).sum(axis=1)
-    u_sq = u.apply(np.square)
-    out = np.empty(len(radii))
-    for n, r in enumerate(radii):
-        bulk = _integrate_rings(u.grid, grad_rows, r) - _integrate_rings(u.grid, pos_rows, r)
-        out[n] = bulk / r**4 - 2.0 * integrate_circle(u_sq, r) / r**5
-    return out
+    bulk = _integrate_rings(u.grid, grad_rows, radii) - _integrate_rings(u.grid, pos_rows, radii)
+    surface = _circle_integrals(u.apply(np.square), radii)
+    return bulk / _powers(radii, 4) - 2.0 * surface / _powers(radii, 5)
 
 
 def phi(u: ScalarField, r: float) -> float:
@@ -68,8 +74,11 @@ class MonotonicityProfile:
     defects: np.ndarray
 
     def defect_between(self, rho: float, sigma: float) -> float:
-        """Defect over [rho, sigma]; ValueError unless both are sampled radii."""
-        i, j = np.minimum(np.searchsorted(self.radii, [rho, sigma]), len(self.radii) - 1)
+        """Defect over [rho, sigma]; ValueError unless rho <= sigma and each
+        is a sampled radius (to np.isclose of the nearest one)."""
+        if rho > sigma:
+            raise ValueError(f"reversed bounds: rho = {rho} > sigma = {sigma}")
+        i, j = (int(np.argmin(np.abs(self.radii - x))) for x in (rho, sigma))
         if not (np.isclose(self.radii[i], rho) and np.isclose(self.radii[j], sigma)):
             raise ValueError(f"({rho}, {sigma}) are not sampled radii")
         return float(np.sum(self.defects[i:j]))
@@ -90,7 +99,7 @@ def phi_profile(u: ScalarField, radii) -> MonotonicityProfile:
     # r^-4 int_{dB_r} 2 (du/dr - 2u/r)^2 dH, the rate in the identity
     w = ScalarField(u.grid, (radial_derivative(u).values
                              - 2.0 * u.values / u.grid.r[:, None]) ** 2)
-    integrand = np.array([2.0 * integrate_circle(w, r) / r**4 for r in radii])
+    integrand = 2.0 * _circle_integrals(w, radii) / _powers(radii, 4)
     rhs = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(radii)
     defects = np.diff(phis) - rhs
     return MonotonicityProfile(
@@ -130,7 +139,7 @@ def energy_bound_integral(M: float, C1: float = 0.5, n_r: int = 1024, n_phi: int
     prefix = np.concatenate(([0.0], np.cumsum(a)))
     k = np.searchsorted(-a, -C1 / grid.r**2, side="left")
     row_sums = 2.0 * (grid.r**2 * prefix[k] - C1 * k)
-    return float(np.pi * C1 * C1 - _integrate_rings(grid, row_sums, 1.0))
+    return float(np.pi * C1 * C1 - _integrate_rings(grid, row_sums, [1.0])[0])
 
 
 def mc_energy_bound(M, C1: float = 0.5, samples: int = 1_000_000, seed: int = 0):
@@ -145,7 +154,8 @@ def mc_energy_bound(M, C1: float = 0.5, samples: int = 1_000_000, seed: int = 0)
     M*(x1^2 - x2^2), so the disk integral is pi*C1^2 minus 4 times the
     quarter-disk integral of (|M|*q - C1)^+.  The estimate is
     pi*C1^2 - 4 * (sum of the block sums) / samples: no square root or
-    cosine per sample, even in M, and exactly pi*C1^2 when |M| <= C1.
+    cosine per sample, even in M, and exactly pi*C1^2 when |M| <= C1
+    (q < 1, so such an amplitude skips the per-block work).
     Both streams are walked in blocks of MC_BLOCK, and every amplitude
     shares each block of q, so each estimate equals that of a call with M
     alone, bit for bit.  Memory is three float64 buffers of MC_BLOCK (x
@@ -165,6 +175,7 @@ def mc_energy_bound(M, C1: float = 0.5, samples: int = 1_000_000, seed: int = 0)
     x_buf, y_buf, v_buf = np.empty(size), np.empty(size), np.empty(size)
     outside_buf = np.empty(size, dtype=bool)
     totals = np.zeros(Ms.shape)
+    active = [(idx, abs(m)) for idx, m in np.ndenumerate(Ms) if abs(m) > C1]
     for start in range(0, samples, MC_BLOCK):
         n = min(MC_BLOCK, samples - start)
         q, y, vals, outside = x_buf[:n], y_buf[:n], v_buf[:n], outside_buf[:n]
@@ -177,9 +188,9 @@ def mc_energy_bound(M, C1: float = 0.5, samples: int = 1_000_000, seed: int = 0)
         q -= y
         np.abs(q, out=q)
         np.copyto(q, 0.0, where=outside)
-        for idx, m in np.ndenumerate(Ms):
+        for idx, m in active:
             # (|M|*q - C1)^+, term by term in place
-            np.multiply(abs(m), q, out=vals)
+            np.multiply(m, q, out=vals)
             vals -= C1
             np.maximum(vals, 0.0, out=vals)
             totals[idx] += vals.sum()

@@ -11,6 +11,7 @@ import unstablefb.semilinear as semilinear
 from unstablefb import (
     PolarGrid,
     ScalarField,
+    build_sector_grid,
     field_from_function,
     write_field_vtk,
 )
@@ -90,6 +91,18 @@ def saddle_field(grid: PolarGrid) -> ScalarField:
     (du/dr - 2u/r)^2 in the monotonicity identity."""
     return field_from_function(
         grid, lambda r, p: r**2 * np.cos(2.0 * p) + 0.05 * np.cos(3.0 * r))
+
+
+def batch_radii(grid: PolarGrid) -> list:
+    """One radius list for the batch-versus-scalar tests, unsorted: just above
+    dr and 2.5 dr (tiny balls, under four full rings), 8 dr (on a ring face,
+    no cut), 0.7 (where numpy's array power and libm's pow differ in r^4) and
+    1 - dr, the window's upper end."""
+    dr = grid.dr
+    return [0.7, dr * (1 + 1e-9), 8 * dr, 1.0 - dr, 2.5 * dr]
+
+
+BATCH_GRIDS = [PolarGrid(64, 48), build_sector_grid(2, 50, 30)]
 
 
 def radial_composite(grid: PolarGrid, R: float = 0.5) -> ScalarField:

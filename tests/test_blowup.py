@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import degree2_field, saddle_field
+from conftest import BATCH_GRIDS, batch_radii, degree2_field, saddle_field
 
 from unstablefb import (
     CASE1,
@@ -31,7 +31,13 @@ from unstablefb import (
     s_norm,
     write_blowup_csv,
 )
-from unstablefb.blowup import DELTA_PHI_ABS, DELTA_PHI_REL, TRACE_SAMPLES, TREND_SLACK
+from unstablefb.blowup import (
+    DELTA_PHI_ABS,
+    DELTA_PHI_REL,
+    TRACE_SAMPLES,
+    TREND_SLACK,
+    _s_values,
+)
 from unstablefb.field import integrate_circle, trace_on_circle
 
 RADII = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
@@ -155,3 +161,10 @@ class TestSharedWork:
         assert rep.phi_min_r == phi(u, RADII[0])
         assert rep.phi_max_r == phi(u, RADII[-1])
         assert rep.classification == reference_classification(u, RADII)
+
+    @pytest.mark.parametrize("grid", BATCH_GRIDS, ids=["disk", "sector"])
+    def test_s_batch_equals_per_radius_evaluation(self, grid):
+        u, radii = saddle_field(grid), batch_radii(grid)
+        got = _s_values(u.apply(np.square), radii).tolist()
+        assert got == [s_norm(u, r) for r in radii]
+        assert got == [reference_trace(u, r, TRACE_SAMPLES)[0] for r in radii]

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import VTK_DEFECTS, degree2_field, malformed_vtk
+from conftest import BATCH_GRIDS, VTK_DEFECTS, batch_radii, degree2_field, malformed_vtk
 
 from unstablefb import (
     PolarGrid,
@@ -32,7 +32,14 @@ from unstablefb import (
     write_field_csv,
     write_field_vtk,
 )
-from unstablefb.field import check_window
+from unstablefb.field import (
+    _circle_integrals,
+    _circle_samples,
+    _circle_traces,
+    _integrate_rings,
+    check_window,
+)
+from unstablefb.freeboundary import _crossing_angles, crossing_angles
 from unstablefb.mesh import reflect_to_disk
 
 
@@ -67,6 +74,18 @@ def reference_integrate_ball(field, integrand, r):
             + y2 * (s - x0) * (s - x1) / ((x2 - x0) * (x2 - x1))
         )
     return total
+
+
+def reference_integrate_circle(field, r):
+    """integrate_circle as it was when it took one radius per call, kept as
+    the bit-level reference for the batched circle integrals."""
+    g = field.grid
+    i = int(np.clip(math.floor(r / g.dr - 0.5), 0, g.n_r - 2))
+    lo = int(np.clip(i - 1, 0, g.n_r - 4))
+    x = g.r[lo:lo + 4]
+    w = np.array([np.prod([(r - x[l]) / (x[m] - x[l]) for l in range(4) if l != m])
+                  for m in range(4)])
+    return float((w @ field.values[lo:lo + 4, :]).sum() * g.dphi * r * g.copies)
 
 
 def reference_write_field_csv(field: ScalarField, path) -> None:
@@ -195,6 +214,52 @@ class TestRadiusRule:
         for r in (0.0, dr, 1.0 - dr + 1e-9, math.nan):
             with pytest.raises(ValueError, match="outside the valid window"):
                 check_window(disk64, r)
+
+
+@pytest.mark.parametrize("grid", BATCH_GRIDS, ids=["disk", "sector"])
+class TestBatches:
+    """Each batched circle helper evaluates a whole radius list in one pass;
+    every row must be its one-radius function's value, bit for bit."""
+
+    @staticmethod
+    def field(grid):
+        return ScalarField(grid, np.random.default_rng(7).standard_normal(grid.shape))
+
+    def test_ball_integrals(self, grid):
+        u, radii = self.field(grid), batch_radii(grid)
+        for integrand in (None, lambda v: 2.0 * np.maximum(v, 0.0)):
+            vals = u.values if integrand is None else integrand(u.values)
+            got = _integrate_rings(grid, vals.sum(axis=1), radii)
+            assert got.tolist() == [integrate_ball(u, integrand, r) for r in radii]
+            assert got.tolist() == [reference_integrate_ball(u, integrand, r) for r in radii]
+
+    def test_circle_integrals(self, grid):
+        u, radii = self.field(grid), batch_radii(grid)
+        got = _circle_integrals(u, radii)
+        assert got.tolist() == [integrate_circle(u, r) for r in radii]
+        assert got.tolist() == [reference_integrate_circle(u, r) for r in radii]
+
+    def test_circle_samples(self, grid):
+        u, radii = self.field(grid), batch_radii(grid)
+        angles, rows = _circle_samples(u, radii, 100)
+        for r, row in zip(radii, rows):
+            ref_angles, ref = sample_circle(u, r, 100)
+            assert np.array_equal(angles, ref_angles) and np.array_equal(row, ref)
+
+    def test_circle_traces(self, grid):
+        u, radii = self.field(grid), batch_radii(grid)
+        for tr, r in zip(_circle_traces(u, radii, 256), radii):
+            ref = trace_on_circle(u, r, 256)
+            assert tr.radius == ref.radius == r
+            for name in ("angles", "samples", "a", "b"):
+                assert np.array_equal(getattr(tr, name), getattr(ref, name))
+
+    def test_crossing_angles(self, grid):
+        u, radii = self.field(grid), batch_radii(grid)
+        got = _crossing_angles(u, radii)
+        assert len(got) == len(radii) and all(len(a) > 0 for a in got)
+        for angles, r in zip(got, radii):
+            assert np.array_equal(angles, crossing_angles(u, r))
 
 
 class TestCircleIntegrals:

@@ -270,6 +270,25 @@ class TestArcFit:
         assert np.allclose(fit.limit_angles, crossing_angles(u, 0.3), rtol=0.0, atol=1e-12)
         assert fit.angle_table.shape == (len(fit.limit_angles), 1)
 
+    def test_tracks_the_crossing_angles_of_each_radius(self, disk256, monkeypatch):
+        """The fit samples all its radii in one pass; the angles it matches at
+        each radius are crossing_angles', bit for bit.  The table adds the
+        rounding of unwrapping each arc around its first angle."""
+        u = field_from_function(
+            disk256, lambda r, p: r**2 * np.cos(2.0 * p - 0.3) + 0.3 * r**3 * np.sin(p))
+        radii = [0.3, 0.25, 0.2, 0.15, 0.1, 0.05]
+        seen = []  # the first radius's angles, then those matched at each next one
+        match = freeboundary._circular_match
+        monkeypatch.setattr(freeboundary, "_circular_match", lambda prev, new, cap: (
+            seen.append(new) if seen else seen.extend([prev, new])) or match(prev, new, cap))
+        fit = fit_arcs_at_origin(u, radii)
+        assert not fit.topology_change and np.array_equal(fit.radii, radii)
+        assert len(seen) == len(radii)
+        for angles, r in zip(seen, radii):
+            assert np.array_equal(angles, crossing_angles(u, r))
+        for column, r in zip(fit.angle_table.T, radii):
+            assert np.allclose(np.sort(column), crossing_angles(u, r), rtol=0.0, atol=4e-15)
+
     def test_no_crossings_is_an_error(self, disk64):
         u = field_from_function(disk64, lambda r, p: 1.0 + r**2)
         with pytest.raises(ValueError):

@@ -19,7 +19,14 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from conftest import degree2_field, radial_composite, radial_composite_phi, saddle_field
+from conftest import (
+    BATCH_GRIDS,
+    batch_radii,
+    degree2_field,
+    radial_composite,
+    radial_composite_phi,
+    saddle_field,
+)
 
 from unstablefb import (
     PolarGrid,
@@ -35,7 +42,7 @@ from unstablefb import (
     threshold_scan,
 )
 from unstablefb.field import gradient_sq, integrate_circle, radial_derivative
-from unstablefb.monotonicity import MC_BLOCK
+from unstablefb.monotonicity import MC_BLOCK, MonotonicityProfile, _phi_values
 
 BISECTED_THRESHOLD = 1.890723705291748  # frozen bisection output at C1 = 1/2
 
@@ -74,6 +81,22 @@ class TestDegree2Oracle:
         for rho, sigma in [(0.3, 0.9), (0.35, 0.5), (0.3, 0.45)]:
             with pytest.raises(ValueError):
                 prof.defect_between(rho, sigma)
+
+    @staticmethod
+    def synthetic_profile():
+        return MonotonicityProfile(radii=np.array([0.25, 0.3, 0.35, 0.4]), phi_values=np.zeros(4),
+                                   boundary_integrand=np.zeros(4),
+                                   defects=np.array([1.0, 2.0, 4.0]))
+
+    def test_defect_between_takes_the_nearest_sampled_radius(self):
+        # one rounding step above 0.25, the first radius, not below 0.3
+        rho = 0.1 + 0.2 - 0.05
+        assert rho != 0.25 and np.isclose(rho, 0.25)
+        assert self.synthetic_profile().defect_between(rho, 0.4) == 7.0
+
+    def test_defect_between_reversed_bounds_is_value_error(self):
+        with pytest.raises(ValueError, match="reversed bounds"):
+            self.synthetic_profile().defect_between(0.35, 0.25)
 
     def test_window_is_enforced(self, disk64):
         u = degree2_field(disk64)
@@ -153,6 +176,13 @@ class TestSharedRingSums:
         for n, r in enumerate(sorted(radii)):
             assert prof.phi_values[n] == phi(u, r) == reference_phi(u, r)
             assert prof.boundary_integrand[n] == reference_identity_integrand(u, r)
+
+    @pytest.mark.parametrize("grid", BATCH_GRIDS, ids=["disk", "sector"])
+    def test_batch_equals_per_radius_evaluation(self, grid):
+        # tiny balls, a ring face, r = 0.7 and both window ends in one list
+        u, radii = saddle_field(grid), batch_radii(grid)
+        got = _phi_values(u, radii).tolist()
+        assert got == [phi(u, r) for r in radii] == [reference_phi(u, r) for r in radii]
 
 
 def reference_energy_bound(M, C1, n_r, n_phi):
