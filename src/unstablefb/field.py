@@ -194,13 +194,14 @@ def _angular_derivative(field: ScalarField, n: int) -> np.ndarray:
 
 def gradient_sq(field: ScalarField) -> ScalarField:
     """|grad u|^2 = (du/dr)^2 + (du/dphi / r)^2 at cell centers."""
-    return ScalarField(field.grid, _gradient_sq_rings(field, field.grid.n_r))
+    du_dr = radial_derivative(field).values
+    return ScalarField(field.grid, _gradient_sq_rings(field, du_dr, field.grid.n_r))
 
 
-def _gradient_sq_rings(field: ScalarField, n: int) -> np.ndarray:
-    """gradient_sq's values on the first n rings alone."""
-    ur = radial_derivative(field).values[:n]
-    return ur**2 + (_angular_derivative(field, n) / field.grid.r[:n, None]) ** 2
+def _gradient_sq_rings(field: ScalarField, du_dr: np.ndarray, n: int) -> np.ndarray:
+    """gradient_sq's values on the first n rings alone, given du_dr =
+    radial_derivative(field).values (a caller that needs it too takes it once)."""
+    return du_dr[:n] ** 2 + (_angular_derivative(field, n) / field.grid.r[:n, None]) ** 2
 
 
 # --- origin evaluation -------------------------------------------------

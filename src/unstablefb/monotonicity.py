@@ -15,6 +15,7 @@ The profile helper evaluates both sides on sampled radii; their mismatch
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +37,18 @@ def _powers(radii: np.ndarray, p: int) -> np.ndarray:
     return np.array([r**p for r in radii.tolist()])
 
 
-def _phi_values(u: ScalarField, radii) -> np.ndarray:
+def _phi_values(u: ScalarField, radii, du_dr: np.ndarray | None = None) -> np.ndarray:
     """Phi at each radius from one gradient, one square of u and one set of
     per-ring sums of the bulk integrands; _circle_integrals rejects a radius
     outside the window (`field.check_window`).  The gradient is taken on the
-    rings the ring rule reads, none past the one after the cut."""
+    rings the ring rule reads, none past the one after the cut, from du_dr =
+    radial_derivative(u).values when the caller has it already."""
     radii = np.asarray(radii, dtype=float)
     n = min(u.grid.n_r, int(radii.max() / u.grid.dr) + 3)
+    if du_dr is None:
+        du_dr = radial_derivative(u).values
     grad_rows = np.zeros(u.grid.n_r)
-    grad_rows[:n] = _gradient_sq_rings(u, n).sum(axis=1)
+    grad_rows[:n] = _gradient_sq_rings(u, du_dr, n).sum(axis=1)
     pos_rows = (2.0 * np.maximum(u.values, 0.0)).sum(axis=1)
     bulk = _integrate_rings(u.grid, grad_rows, radii) - _integrate_rings(u.grid, pos_rows, radii)
     surface = _circle_integrals(u.apply(np.square), radii)
@@ -95,10 +99,10 @@ def phi_profile(u: ScalarField, radii) -> MonotonicityProfile:
     """Evaluate Phi and the identity defect over at least two radii
     (`field.check_radii`), in increasing order."""
     radii = check_radii(u.grid, radii)
-    phis = _phi_values(u, radii)
+    du_dr = radial_derivative(u).values
+    phis = _phi_values(u, radii, du_dr)
     # r^-4 int_{dB_r} 2 (du/dr - 2u/r)^2 dH, the rate in the identity
-    w = ScalarField(u.grid, (radial_derivative(u).values
-                             - 2.0 * u.values / u.grid.r[:, None]) ** 2)
+    w = ScalarField(u.grid, (du_dr - 2.0 * u.values / u.grid.r[:, None]) ** 2)
     integrand = 2.0 * _circle_integrals(w, radii) / _powers(radii, 4)
     rhs = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(radii)
     defects = np.diff(phis) - rhs
@@ -115,6 +119,10 @@ def phi_profile(u: ScalarField, radii) -> MonotonicityProfile:
 # samples per block of mc_energy_bound: its three float64 buffers and one
 # bool buffer (400 KiB) stay in a core's L2 cache whatever the sample count
 MC_BLOCK = 1 << 14
+# threads of mc_energy_bound: each holds its own 400 KiB of block buffers,
+# so two keep a call under 1 MiB, where four (on a 4-core machine) would
+# take 1.6 MiB
+MC_WORKERS = 2
 
 
 def energy_bound_integral(M: float, C1: float = 0.5, n_r: int = 1024, n_phi: int = 1024) -> float:
@@ -142,6 +150,42 @@ def energy_bound_integral(M: float, C1: float = 0.5, n_r: int = 1024, n_phi: int
     return float(np.pi * C1 * C1 - _integrate_rings(grid, row_sums, [1.0])[0])
 
 
+def _mc_block_sums(seed: int, samples: int, start: int, stop: int, C1: float,
+                   amplitudes: list[float]) -> np.ndarray:
+    """Sum of (m*q - C1)^+ over each block of the samples [start, stop):
+    one row per block of MC_BLOCK, one column per amplitude m >= 0.
+
+    start is a multiple of MC_BLOCK.  x is read from PCG64(seed) advanced
+    by start doubles and y from it advanced by samples + start, so any cut
+    of the blocks draws the same doubles as one pass over all of them.
+    """
+    rng_x = np.random.Generator(np.random.PCG64(seed).advance(start))
+    rng_y = np.random.Generator(np.random.PCG64(seed).advance(samples + start))
+    size = min(stop - start, MC_BLOCK)
+    x_buf, y_buf, v_buf = np.empty(size), np.empty(size), np.empty(size)
+    outside_buf = np.empty(size, dtype=bool)
+    sums = np.empty((-(-(stop - start) // MC_BLOCK), len(amplitudes)))
+    for row, lo in enumerate(range(start, stop, MC_BLOCK)):
+        n = min(MC_BLOCK, stop - lo)
+        q, y, vals, outside = x_buf[:n], y_buf[:n], v_buf[:n], outside_buf[:n]
+        rng_x.random(out=q)  # x, then x^2, then q
+        rng_y.random(out=y)
+        q *= q
+        y *= y
+        np.add(q, y, out=vals)
+        np.greater_equal(vals, 1.0, out=outside)
+        q -= y
+        np.abs(q, out=q)
+        np.copyto(q, 0.0, where=outside)
+        for col, m in enumerate(amplitudes):
+            # (|M|*q - C1)^+, term by term in place
+            np.multiply(m, q, out=vals)
+            vals -= C1
+            np.maximum(vals, 0.0, out=vals)
+            sums[row, col] = vals.sum()
+    return sums
+
+
 def mc_energy_bound(M, C1: float = 0.5, samples: int = 1_000_000, seed: int = 0):
     """Monte-Carlo estimate of energy_bound_integral (seeded, for cross-checks).
 
@@ -155,12 +199,18 @@ def mc_energy_bound(M, C1: float = 0.5, samples: int = 1_000_000, seed: int = 0)
     quarter-disk integral of (|M|*q - C1)^+.  The estimate is
     pi*C1^2 - 4 * (sum of the block sums) / samples: no square root or
     cosine per sample, even in M, and exactly pi*C1^2 when |M| <= C1
-    (q < 1, so such an amplitude skips the per-block work).
+    (q < 1, so such an amplitude skips the per-block work, and a call
+    with no other amplitude draws nothing).
     Both streams are walked in blocks of MC_BLOCK, and every amplitude
     shares each block of q, so each estimate equals that of a call with M
-    alone, bit for bit.  Memory is three float64 buffers of MC_BLOCK (x
-    then q, y, and one reused for each amplitude's excess) and one bool
-    buffer: 400 KiB, whatever the sample count.
+    alone, bit for bit.  The blocks are cut into contiguous ranges, one
+    per thread: at most MC_WORKERS, and no more than the usable cores or
+    the blocks.  Each range starts its two streams with PCG64.advance, and
+    the block sums are added in block order, so the estimates do not
+    depend on the number of threads.  Memory is, per thread, three float64
+    buffers of MC_BLOCK (x then q, y, and one reused for each amplitude's
+    excess) and one bool buffer: 400 KiB, so 800 KiB at most, whatever
+    the sample count.
     """
     if samples < 1:
         raise ValueError(f"need at least one Monte Carlo sample, got {samples}")
@@ -169,31 +219,25 @@ def mc_energy_bound(M, C1: float = 0.5, samples: int = 1_000_000, seed: int = 0)
     Ms = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(Ms)):
         raise ValueError(f"amplitude M must be finite, got {Ms[~np.isfinite(Ms)][0]}")
-    rng_x = np.random.default_rng(seed)
-    rng_y = np.random.Generator(np.random.PCG64(seed).advance(samples))
-    size = min(samples, MC_BLOCK)
-    x_buf, y_buf, v_buf = np.empty(size), np.empty(size), np.empty(size)
-    outside_buf = np.empty(size, dtype=bool)
     totals = np.zeros(Ms.shape)
     active = [(idx, abs(m)) for idx, m in np.ndenumerate(Ms) if abs(m) > C1]
-    for start in range(0, samples, MC_BLOCK):
-        n = min(MC_BLOCK, samples - start)
-        q, y, vals, outside = x_buf[:n], y_buf[:n], v_buf[:n], outside_buf[:n]
-        rng_x.random(out=q)  # x, then x^2, then q
-        rng_y.random(out=y)
-        q *= q
-        y *= y
-        np.add(q, y, out=vals)
-        np.greater_equal(vals, 1.0, out=outside)
-        q -= y
-        np.abs(q, out=q)
-        np.copyto(q, 0.0, where=outside)
-        for idx, m in active:
-            # (|M|*q - C1)^+, term by term in place
-            np.multiply(m, q, out=vals)
-            vals -= C1
-            np.maximum(vals, 0.0, out=vals)
-            totals[idx] += vals.sum()
+    if active:
+        blocks = -(-samples // MC_BLOCK)
+        workers = min(MC_WORKERS, len(os.sched_getaffinity(0)), blocks)
+        cuts = [min(samples, i * blocks // workers * MC_BLOCK) for i in range(workers + 1)]
+        ranges = [(seed, samples, lo, hi, C1, [m for _, m in active])
+                  for lo, hi in zip(cuts, cuts[1:])]
+        # imported on first use, so that `import unstablefb` does not load
+        # concurrent.futures.thread and queue
+        from concurrent.futures import ThreadPoolExecutor
+
+        # the caller's thread takes the first range; no thread starts for one
+        with ThreadPoolExecutor(MC_WORKERS - 1) as pool:
+            rest = [pool.submit(_mc_block_sums, *r) for r in ranges[1:]]
+            parts = [_mc_block_sums(*ranges[0])] + [f.result() for f in rest]
+        for block in np.concatenate(parts):  # in block order, as one pass adds them
+            for (idx, _), block_sum in zip(active, block):
+                totals[idx] += block_sum
     out = np.pi * C1 * C1 - 4.0 * (totals / samples)
     return out if out.ndim else float(out)
 

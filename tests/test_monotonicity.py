@@ -13,6 +13,7 @@ Oracles used here:
 """
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -42,9 +43,18 @@ from unstablefb import (
     threshold_scan,
 )
 from unstablefb.field import gradient_sq, integrate_circle, radial_derivative
-from unstablefb.monotonicity import MC_BLOCK, MonotonicityProfile, _phi_values
+from unstablefb import monotonicity
+from unstablefb.monotonicity import (
+    MC_BLOCK,
+    MC_WORKERS,
+    MonotonicityProfile,
+    _mc_block_sums,
+    _phi_values,
+)
 
 BISECTED_THRESHOLD = 1.890723705291748  # frozen bisection output at C1 = 1/2
+# sample counts of one block and less, a block's edges and a short last block
+MC_SAMPLES = [1, 7, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 5]
 
 
 class TestDegree2Oracle:
@@ -276,8 +286,7 @@ class TestEnergyBound:
         assert a == b
 
     @pytest.mark.parametrize("C1", [0.5, 0.3])
-    @pytest.mark.parametrize("samples", [1, 7, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1,
-                                         3 * MC_BLOCK + 5])
+    @pytest.mark.parametrize("samples", MC_SAMPLES)
     @pytest.mark.parametrize("seed", [0, 123456])
     def test_monte_carlo_on_an_array_is_bitwise_the_scalar_estimates(self, C1, samples, seed):
         Ms = [0.0, 1.89, 4.0, -3.0, 40.0]
@@ -345,3 +354,62 @@ class TestEnergyBound:
         # without the order check the loop ends at once and returns -1.0
         with pytest.raises(ValueError, match="m_lo < m_hi"):
             find_threshold(0.5, m_lo, m_hi, n_r=64, n_phi=64)
+
+
+class TestMonteCarloThreads:
+    """mc_energy_bound cuts its blocks into one contiguous range per
+    thread; the estimates must not depend on the cut or on the cores."""
+
+    @pytest.mark.parametrize("samples", MC_SAMPLES)
+    def test_block_sums_do_not_depend_on_the_cut(self, samples):
+        amplitudes = [0.6, 1.89, 4.0, 40.0]
+        whole = _mc_block_sums(3, samples, 0, samples, 0.5, amplitudes)
+        assert whole.shape == (-(-samples // MC_BLOCK), len(amplitudes))
+        edges = [min(samples, b * MC_BLOCK) for b in range(whole.shape[0] + 1)]
+        for i, lo in enumerate(edges):
+            for hi in edges[i:]:
+                parts = [_mc_block_sums(3, samples, a, b, 0.5, amplitudes)
+                         for a, b in [(0, lo), (lo, hi), (hi, samples)]]
+                assert np.array_equal(np.concatenate(parts), whole)
+
+    # 41 blocks: enough for numpy's pairwise sum to round unlike block order
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    @pytest.mark.parametrize("samples", MC_SAMPLES + [41 * MC_BLOCK + 3])
+    def test_estimates_do_not_depend_on_the_cores(self, monkeypatch, cores, samples):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        ranges, block_sums = [], _mc_block_sums
+
+        def counting(*args):
+            ranges.append(args[2:4])
+            return block_sums(*args)
+
+        monkeypatch.setattr(monotonicity, "_mc_block_sums", counting)
+        Ms = [0.0, 1.89, -3.0, 40.0]
+        got = mc_energy_bound(np.array(Ms), 0.5, samples=samples, seed=11)
+        for M, value in zip(Ms, got):
+            assert value == reference_mc_energy_bound(M, 0.5, samples, 11)
+        # one range per thread, never more than MC_WORKERS, tiling the samples
+        assert len(ranges) == min(cores, MC_WORKERS, -(-samples // MC_BLOCK))
+        bounds = sorted(ranges)
+        assert bounds[0][0] == 0 and bounds[-1][1] == samples
+        assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+
+    def test_no_draw_without_an_amplitude_above_C1(self, monkeypatch):
+        draws, generator = [], np.random.Generator
+
+        class CountingGenerator:
+            def __init__(self, bit_generator):
+                self.inner = generator(bit_generator)
+
+            def random(self, *args, **kwargs):
+                draws.append(kwargs["out"].size)
+                return self.inner.random(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+        assert mc_energy_bound(4.0, 0.5, samples=MC_BLOCK + 1, seed=2) == \
+            reference_mc_energy_bound(4.0, 0.5, MC_BLOCK + 1, 2)
+        assert sum(draws) == 2 * (MC_BLOCK + 1)
+        draws.clear()
+        got = mc_energy_bound(np.array([0.0, 0.25, -0.5]), 0.5, samples=10**6, seed=2)
+        assert draws == []
+        assert np.array_equal(got, np.full(3, np.pi * 0.25))
