@@ -225,8 +225,8 @@ def mc_energy_bound(M, C1: float = 0.5, samples: int = 1_000_000, seed: int = 0)
         blocks = -(-samples // MC_BLOCK)
         workers = min(MC_WORKERS, len(os.sched_getaffinity(0)), blocks)
         cuts = [min(samples, i * blocks // workers * MC_BLOCK) for i in range(workers + 1)]
-        ranges = [(seed, samples, lo, hi, C1, [m for _, m in active])
-                  for lo, hi in zip(cuts, cuts[1:])]
+        amplitudes = [m for _, m in active]
+        ranges = [(seed, samples, lo, hi, C1, amplitudes) for lo, hi in zip(cuts, cuts[1:])]
         # imported on first use, so that `import unstablefb` does not load
         # concurrent.futures.thread and queue
         from concurrent.futures import ThreadPoolExecutor
