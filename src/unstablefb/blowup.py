@@ -65,16 +65,17 @@ def _s_values(u_sq: ScalarField, radii) -> np.ndarray:
     return np.sqrt(np.maximum(_circle_integrals(u_sq, radii) / radii, 0.0))
 
 
-def _classify(u: ScalarField, radii: np.ndarray, s_small: float, s_large: float
-              ) -> tuple[str, float, float]:
-    """Trend classification and phi at both end radii, given S at the ends.
+def _classify(u: ScalarField, radii: np.ndarray, s_small: float, s_large: float,
+              du_dr: np.ndarray | None = None) -> tuple[str, float, float]:
+    """Trend classification and phi at both end radii, given S at the ends
+    (and du_dr = radial_derivative(u).values, when the caller has it).
 
     case1: phi(r_min) clearly negative and S(r)/r^2 does not decay toward
     the origin (quadratic growth surrogate; a flat ratio counts).
     case3: phi(r_min) within delta of zero and S(r)/r^2 decaying toward the
     origin (degeneracy surrogate).  Anything else is inconclusive.
     """
-    phi_min, phi_max = (float(v) for v in _phi_values(u, radii[[0, -1]]))
+    phi_min, phi_max = (float(v) for v in _phi_values(u, radii[[0, -1]], du_dr))
     delta = max(DELTA_PHI_REL * abs(phi_max), DELTA_PHI_ABS)
     ratio_small = s_small / radii[0] ** 2
     ratio_large = s_large / radii[-1] ** 2
@@ -87,9 +88,10 @@ def _classify(u: ScalarField, radii: np.ndarray, s_small: float, s_large: float
     return classification, phi_min, phi_max
 
 
-def blowup_report(u: ScalarField, radii) -> BlowupReport:
+def blowup_report(u: ScalarField, radii, du_dr: np.ndarray | None = None) -> BlowupReport:
     """Assemble S, normalized traces, mode energies, and the trend
-    classification (`_classify`) over at least two radii (`field.check_radii`)."""
+    classification (`_classify`) over at least two radii (`field.check_radii`).
+    du_dr = radial_derivative(u).values spares the classification its own."""
     radii = check_radii(u.grid, radii)
     s_values = _s_values(u.apply(np.square), radii)
     # each trace over its S(r), of unit L2(dB_1) norm, unless S is too small
@@ -105,7 +107,7 @@ def blowup_report(u: ScalarField, radii) -> BlowupReport:
         ell: np.array([tr.mode_energy_fraction(ell) for tr in traces])
         for ell in REPORTED_MODES
     }
-    classification, phi_min, phi_max = _classify(u, radii, s_values[0], s_values[-1])
+    classification, phi_min, phi_max = _classify(u, radii, s_values[0], s_values[-1], du_dr)
     return BlowupReport(
         radii=radii,
         s_values=s_values,

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .blowup import CASE1, CASE3, TRACE_SAMPLES, blowup_report, write_blowup_csv
-from .field import check_radii, eval_origin, read_field, write_table
+from .field import check_radii, eval_origin, radial_derivative, read_field, write_table
 from .freeboundary import (
     crossing_angles,
     extract_zero_set,
@@ -307,9 +307,11 @@ def _analyze(sol, p: dict, out: Path, outputs: list):
     Appends the names of the four files it writes to outputs.  The arc
     angles read None when the arc fit fails (`_write_arcs`).
     """
-    prof = phi_profile(sol.u, p["phi_radii"])
+    # one radial derivative serves both Phi evaluations
+    du_dr = radial_derivative(sol.u).values
+    prof = phi_profile(sol.u, p["phi_radii"], du_dr)
     write_profile_csv(prof, out / "phi_profile.csv")
-    report = blowup_report(sol.u, DEFAULT_BLOWUP_RADII)
+    report = blowup_report(sol.u, DEFAULT_BLOWUP_RADII, du_dr)
     write_blowup_csv(report, out / "blowup.csv")
     levelset = extract_zero_set(sol.u)
     write_levelset_csv(levelset, out / "fb.csv")

@@ -95,11 +95,13 @@ class MonotonicityProfile:
         return float(np.min(np.diff(self.phi_values)))
 
 
-def phi_profile(u: ScalarField, radii) -> MonotonicityProfile:
+def phi_profile(u: ScalarField, radii, du_dr: np.ndarray | None = None) -> MonotonicityProfile:
     """Evaluate Phi and the identity defect over at least two radii
-    (`field.check_radii`), in increasing order."""
+    (`field.check_radii`), in increasing order, from du_dr =
+    radial_derivative(u).values when the caller has it already."""
     radii = check_radii(u.grid, radii)
-    du_dr = radial_derivative(u).values
+    if du_dr is None:
+        du_dr = radial_derivative(u).values
     phis = _phi_values(u, radii, du_dr)
     # r^-4 int_{dB_r} 2 (du/dr - 2u/r)^2 dH, the rate in the identity
     w = ScalarField(u.grid, (du_dr - 2.0 * u.values / u.grid.r[:, None]) ** 2)

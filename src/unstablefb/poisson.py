@@ -15,6 +15,7 @@ tridiagonal solve per angular mode in r, and the inverse DCT
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ from .mesh import PolarGrid
 # stagnation guard, not a precision target: the separable inverse leaves
 # relative residuals of about 2e-13 at 512^2 and 2e-10 at 65536 x 8 cells
 RESIDUAL_TOL = 1e-8
+# grid shapes whose operator arrays `assemble` keeps (`_level_arrays`): one
+# continuation ladder (`semilinear._grid_levels`) has at most 14 levels, from
+# 65536 x 8 cells down to 8 x 8
+LEVEL_CACHE_SIZE = 16
 
 
 class SolverError(RuntimeError):
@@ -61,16 +66,18 @@ class DiscreteLaplacian:
         Row c sums from 0 in column order c - n_phi, c - 1, c, c + 1,
         c + n_phi, as a sorted sparse-matrix product does, so the result is
         bitwise that product's.  The zero face between two rings adds a
-        signed zero, which changes no sum.
+        signed zero, which changes no sum.  The five products take turns in
+        one scratch array.
         """
         n_phi = self.grid.n_phi
         off = np.add if magnitude else np.subtract  # sign of the off-diagonal terms
         y = np.zeros(x.size)
-        off(y[n_phi:], self.radial * x[:-n_phi], out=y[n_phi:])
-        off(y[1:], self.angular * x[:-1], out=y[1:])
-        y += self.diag * x
-        off(y[:-1], self.angular * x[1:], out=y[:-1])
-        off(y[:-n_phi], self.radial * x[n_phi:], out=y[:-n_phi])
+        t = np.empty(x.size)
+        off(y[n_phi:], np.multiply(self.radial, x[:-n_phi], out=t[n_phi:]), out=y[n_phi:])
+        off(y[1:], np.multiply(self.angular, x[:-1], out=t[1:]), out=y[1:])
+        y += np.multiply(self.diag, x, out=t)
+        off(y[:-1], np.multiply(self.angular, x[1:], out=t[:-1]), out=y[:-1])
+        off(y[:-n_phi], np.multiply(self.radial, x[n_phi:], out=t[:-n_phi]), out=y[:-n_phi])
         return y
 
     def lift(self, g_values: np.ndarray) -> np.ndarray:
@@ -83,17 +90,21 @@ class DiscreteLaplacian:
         return out
 
     def apply_inverse(self, rhs: np.ndarray) -> np.ndarray:
-        """A^-1 rhs for a flat vector, exact up to rounding.
+        """A^-1 rhs for a flat vector, exact up to rounding; rhs is left as it is.
 
-        The DCTs run on one worker so that repeated solves are bit-identical.
+        Two arrays per call: the DCT of rhs and its one mode-major copy,
+        which the tridiagonal solve overwrites (`dpttrs(overwrite_b=True)`).
+        The solution is copied back into the DCT's array, and the inverse
+        DCT overwrites that (`overwrite_x=True`).  The DCTs run on one
+        worker so that repeated solves are bit-identical.
         """
         n_r, n_phi = self.grid.shape
         d, e = self.modes
         coef = dct(rhs.reshape(n_r, n_phi), type=2, axis=1, norm="ortho", workers=1)
         # mode-major order: every mode is a contiguous block of the tridiagonal
-        x, _ = dpttrs(d, e, coef.T.reshape(-1, 1))
-        x = x.reshape(n_phi, n_r).T
-        return idct(x, type=2, axis=1, norm="ortho", workers=1).ravel()
+        x, _ = dpttrs(d, e, coef.T.reshape(-1, 1), overwrite_b=True)
+        np.copyto(coef, x.reshape(n_phi, n_r).T)
+        return idct(coef, type=2, axis=1, norm="ortho", workers=1, overwrite_x=True).ravel()
 
 
 def _transmissibilities(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray, float]:
@@ -128,14 +139,16 @@ def _factor_modes(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def assemble(grid: PolarGrid) -> DiscreteLaplacian:
-    """Face coefficients, diagonal and inverse factors of the SPD finite-volume operator.
+@functools.lru_cache(maxsize=LEVEL_CACHE_SIZE)
+def _level_arrays(grid: PolarGrid) -> tuple:
+    """(radial, angular, diag, arc_coeff, areas, modes) of `DiscreteLaplacian`
+    on grid, read-only, cached per (n_r, n_phi, copies).
 
-    The diagonal of cell c sums its inner radial, outer radial and two
-    angular face coefficients and then the arc coefficient, in that order.
+    The arrays depend on the grid's shape alone, and equal grids hash by
+    (n_r, n_phi, copies), so every grid of one shape shares one set.  The
+    diagonal of cell c sums its inner radial, outer radial and two angular
+    face coefficients and then the arc coefficient, in that order.
     """
-    if grid.periodic:
-        raise ValueError("the Dirichlet-arc operator is assembled on sector grids only")
     n_phi = grid.n_phi
     t_radial, t_angular, arc_coeff = _transmissibilities(grid)
     radial = np.repeat(t_radial, n_phi)
@@ -146,9 +159,24 @@ def assemble(grid: PolarGrid) -> DiscreteLaplacian:
     diag[:-1] += angular
     diag[1:] += angular
     diag[-n_phi:] += arc_coeff
-    return DiscreteLaplacian(grid=grid, radial=radial, angular=angular, diag=diag,
-                             arc_coeff=arc_coeff, areas=np.repeat(grid.cell_areas, n_phi),
-                             modes=_factor_modes(grid))
+    areas = np.repeat(grid.cell_areas, n_phi)
+    modes = _factor_modes(grid)
+    for a in (radial, angular, diag, areas, *modes):
+        a.flags.writeable = False
+    return radial, angular, diag, arc_coeff, areas, modes
+
+
+def assemble(grid: PolarGrid) -> DiscreteLaplacian:
+    """Face coefficients, diagonal and inverse factors of the SPD finite-volume operator.
+
+    Returns a new operator on the caller's grid object.  Its arrays come
+    from a cache of the last LEVEL_CACHE_SIZE grid shapes (`_level_arrays`)
+    and are read-only: a continuation that solves on one grid again builds
+    them once per process.
+    """
+    if grid.periodic:
+        raise ValueError("the Dirichlet-arc operator is assembled on sector grids only")
+    return DiscreteLaplacian(grid, *_level_arrays(grid))
 
 
 def _arc_values(grid: PolarGrid, g_arc) -> np.ndarray:

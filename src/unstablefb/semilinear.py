@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -42,14 +43,37 @@ from .poisson import DiscreteLaplacian, _arc_values, assemble
 # --- smoothed indicator --------------------------------------------------
 
 
+# Both polynomials clip s in place and round as s * s * s * (10 + s (-15 + 6 s))
+# and 30 s s (1 - s)^2 do, left to right; s is a float array the caller owns.
+
+
 def _smoothstep(s: np.ndarray) -> np.ndarray:
-    s = np.clip(s, 0.0, 1.0)
-    return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
+    np.clip(s, 0.0, 1.0, out=s)
+    out = s * s
+    out *= s
+    poly = np.multiply(s, 6.0)
+    poly += -15.0
+    poly *= s
+    poly += 10.0
+    out *= poly
+    return out
 
 
 def _smoothstep_prime(s: np.ndarray) -> np.ndarray:
-    s = np.clip(s, 0.0, 1.0)
-    return 30.0 * s * s * (1.0 - s) ** 2
+    np.clip(s, 0.0, 1.0, out=s)
+    out = np.multiply(s, 30.0)
+    out *= s
+    np.subtract(1.0, s, out=s)
+    out *= np.square(s, out=s)
+    return out
+
+
+def _shifted(z, eps: float) -> np.ndarray:
+    """z / eps + 1 in a new array, 0-d for a scalar z."""
+    z = np.asarray(z, dtype=float)
+    s = np.divide(z, eps, out=np.empty(z.shape))
+    s += 1.0
+    return s
 
 
 def f_eps(z, eps: float):
@@ -61,8 +85,7 @@ def f_eps(z, eps: float):
     """
     if eps <= 0.0:
         raise ValueError(f"regularization width must be positive, got {eps}")
-    z = np.asarray(z, dtype=float)
-    out = _smoothstep(z / eps + 1.0)
+    out = _smoothstep(_shifted(z, eps))
     return out if out.ndim else float(out)
 
 
@@ -70,8 +93,8 @@ def f_eps_prime(z, eps: float):
     """Derivative of f_eps; bounded by (15/8)/eps, zero outside (-eps, 0)."""
     if eps <= 0.0:
         raise ValueError(f"regularization width must be positive, got {eps}")
-    z = np.asarray(z, dtype=float)
-    out = _smoothstep_prime(z / eps + 1.0) / eps
+    out = _smoothstep_prime(_shifted(z, eps))
+    out /= eps
     return out if out.ndim else float(out)
 
 
@@ -148,6 +171,13 @@ KRYLOV_RTOL = 1e-6
 # KRYLOV_MAXITER iterations (a multiple of the restart) has not converged.
 KRYLOV_RESTART = 40
 KRYLOV_MAXITER = 400
+# Bytes of Krylov arrays kept between GMRES solves (`_keep_spares`).  A solve
+# that took new arrays instead would get pages that the kernel faults in
+# afresh each time, once the allocator has handed the freed ones back.  Over
+# its grid ladder the 256^2 cross keeps 5.3 MiB, the default 256^2 asterisk
+# 9.0 MiB and the asterisk down to eps = 3.125e-5 15.0 MiB; an array of more
+# than 2^21 cells (2048^2) is never kept.
+KRYLOV_SPARE_BYTES = 16 << 20
 # Absolute tolerance of a Newton stage on max |R1| and |R2| (`newton_stage`).
 NEWTON_TOL = 1e-10
 # Newton iterations per stage: the finest widths on fine grids spend ~36
@@ -170,8 +200,17 @@ EPS_RATIO = 0.5
 
 def _residual(lap: DiscreteLaplacian, e: np.ndarray, u: np.ndarray, kappa: float,
               g: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
-    """Finite-volume residual R1 (area-weighted) and origin residual R2."""
-    r1 = lap.apply(u) - lap.areas * f_eps(u, eps) - lap.lift(g - kappa)
+    """Finite-volume residual R1 (area-weighted) and origin residual R2.
+
+    R1 = A u - area f_eps(u) - B (g - kappa), with the lift B (g - kappa)
+    subtracted on the arc ring alone: off it the lift is +0.0, and
+    x - (+0.0) is x.
+    """
+    r1 = lap.apply(u)
+    source = f_eps(u, eps)
+    source *= lap.areas
+    r1 -= source
+    r1[-lap.grid.n_phi:] -= lap.arc_coeff * (g - kappa)
     r2 = float(e @ u)
     return r1, r2
 
@@ -196,8 +235,9 @@ def initial_guess(grid: PolarGrid, g_arc, lap: DiscreteLaplacian) -> tuple[Scala
     return ScalarField(grid, x[:-1].reshape(grid.shape)), float(x[-1])
 
 
-def _bordered_inverse(lap: DiscreteLaplacian, e: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """[[A, b1], [e, 0]]^-1 v with one Laplacian inverse.
+def _bordered_inverse(lap: DiscreteLaplacian, e: np.ndarray, v: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """[[A, b1], [e, 0]]^-1 v with one Laplacian inverse, into out if given.
 
     A 1 = b1 (constants leave only the arc term), so the solution of
     A x + t b1 = v[:-1], e x = v[-1] is x = z - t 1 with z = A^-1 v[:-1]
@@ -205,37 +245,78 @@ def _bordered_inverse(lap: DiscreteLaplacian, e: np.ndarray, v: np.ndarray) -> n
     """
     z = lap.apply_inverse(v[:-1])
     t = (float(e @ z) - v[-1]) / float(e.sum())
-    return np.append(z - t, t)
+    x = np.empty(v.size) if out is None else out
+    np.subtract(z, t, out=x[:-1])
+    x[-1] = t
+    return x
 
 
-def _gmres(b: np.ndarray, matvec, precond_step) -> tuple[np.ndarray, int, float]:
+# Krylov arrays kept per vector size; a solve takes a size's whole list out,
+# so no two solves ever hold the same array
+_spares: dict[int, list[np.ndarray]] = {}
+_spares_lock = threading.Lock()
+
+
+def _take_spares(size: int) -> list[np.ndarray]:
+    """The kept Krylov arrays of this size, now the caller's alone (`_keep_spares`)."""
+    with _spares_lock:
+        return _spares.pop(size, [])
+
+
+def _keep_spares(size: int, arrays: list[np.ndarray]) -> None:
+    """Keep arrays of this size for the next solve, as many as
+    KRYLOV_SPARE_BYTES allows; the other sizes go if they no longer fit."""
+    arrays = arrays[:KRYLOV_SPARE_BYTES // (8 * size)]
+    with _spares_lock:
+        _spares.pop(size, None)
+        held = sum(8 * n * len(kept) for n, kept in _spares.items())
+        if held + 8 * size * len(arrays) > KRYLOV_SPARE_BYTES:
+            _spares.clear()
+        _spares[size] = arrays
+
+
+def _gmres(b: np.ndarray, matvec, precond_step, spare: list | None = None
+           ) -> tuple[np.ndarray, int, float]:
     """Restarted GMRES for K x = b, right-preconditioned by P.
 
-    precond_step(v) returns (z, K z) with z = P^-1 v.  The basis holds the
-    Arnoldi vectors v_j and their images z_j (the flexible-GMRES storage),
-    so x = sum y_j z_j needs no further inverse.  With right
-    preconditioning the Givens estimate |g_{j+1}| is the residual of K x = b
-    itself, and an iteration stops once it reaches KRYLOV_RTOL |b|.  Each
-    cycle ends with one product K x to confirm the true residual; a miss
-    restarts from x.  Returns (x, iterations, |b - K x| / |b|); the solve
-    has converged iff that ratio is at most KRYLOV_RTOL.
+    precond_step(v, z, kz) writes z = P^-1 v and K z into the arrays z and
+    kz.  The basis holds the Arnoldi vectors v_j and their images z_j (the
+    flexible-GMRES storage), so x = sum y_j z_j needs no further inverse.
+    With right preconditioning the Givens estimate |g_{j+1}| is the residual
+    of K x = b itself, and an iteration stops once it reaches
+    KRYLOV_RTOL |b|.  Each cycle ends with one product K x to confirm the
+    true residual; a miss restarts from x.  Returns (x, iterations,
+    |b - K x| / |b|); the solve has converged iff that ratio is at most
+    KRYLOV_RTOL.
+
+    Modified Gram-Schmidt runs in the array of K z, which becomes the next
+    Arnoldi vector, and x accumulates in place.  The basis and images are
+    taken from the list spare (new arrays while it is empty) and go back
+    to it at the end of each cycle.
     """
+    spare = [] if spare is None else spare
+
+    def take():
+        return spare.pop() if spare else np.empty_like(b)
+
     b_norm = float(np.linalg.norm(b))
     target = KRYLOV_RTOL * b_norm
     x = np.zeros_like(b)
+    scratch = take()  # each product h v and y z in turn
     r, beta = b, b_norm
     iterations = 0
     while beta > target and iterations < KRYLOV_MAXITER:
-        basis, images, columns, rotations = [r / beta], [], [], []
+        basis, images, columns, rotations = [np.divide(r, beta, out=take())], [], [], []
         g = [beta]
         for _ in range(min(KRYLOV_RESTART, KRYLOV_MAXITER - iterations)):
-            z, w = precond_step(basis[-1])
+            z, w = take(), take()
+            precond_step(basis[-1], z, w)
             images.append(z)
             iterations += 1
             h = []
             for v in basis:  # modified Gram-Schmidt
                 h.append(float(w @ v))
-                w = w - h[-1] * v
+                w -= np.multiply(v, h[-1], out=scratch)
             h.append(float(np.linalg.norm(w)))
             for i, (c, s) in enumerate(rotations):
                 h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
@@ -247,17 +328,22 @@ def _gmres(b: np.ndarray, matvec, precond_step) -> tuple[np.ndarray, int, float]
             g[-2] *= c
             columns.append(h[:-1])
             if abs(g[-1]) <= target:
+                spare.append(w)
                 break
-            basis.append(w / h[-1])
+            w /= h[-1]
+            basis.append(w)
         # back substitution on the rotated Hessenberg matrix
         m = len(columns)
         y = [0.0] * m
         for i in reversed(range(m)):
             y[i] = (g[i] - sum(columns[k][i] * y[k] for k in range(i + 1, m))) / columns[i][i]
         for yi, z in zip(y, images):
-            x = x + yi * z
-        r = b - matvec(x)
+            x += np.multiply(z, yi, out=scratch)
+        spare += basis + images
+        r = matvec(x)
+        np.subtract(b, r, out=r)
         beta = float(np.linalg.norm(r))
+    spare.append(scratch)
     return x, iterations, beta / b_norm if b_norm else 0.0
 
 
@@ -272,19 +358,30 @@ def _newton_direction(lap: DiscreteLaplacian, e: np.ndarray, b1: np.ndarray,
     product with A: each Krylov iteration is one Laplacian inverse.  Only
     the true residual at the end of a GMRES cycle multiplies by A.
     Returns (du, dkappa, missed): missed is None when the true relative
-    residual meets KRYLOV_RTOL, and that residual otherwise.
+    residual meets KRYLOV_RTOL, and that residual otherwise.  The Krylov
+    arrays come from, and go back to, the store of spare arrays
+    (`_take_spares`).
     """
     def bordered(x):
         du = x[:-1]
-        return np.append(lap.apply(du) - shift * du + x[-1] * b1, e @ du)
+        kx = np.empty(x.size)
+        y = lap.apply(du)
+        np.subtract(y, np.multiply(shift, du, out=kx[:-1]), out=kx[:-1])
+        kx[:-1] += np.multiply(b1, x[-1], out=y)
+        kx[-1] = e @ du
+        return kx
 
-    def precond_step(v):
-        z = _bordered_inverse(lap, e, v)
-        kz = v.copy()
-        kz[:-1] -= shift * z[:-1]
-        return z, kz
+    def precond_step(v, z, kz):
+        _bordered_inverse(lap, e, v, out=z)
+        np.subtract(v[:-1], np.multiply(shift, z[:-1], out=kz[:-1]), out=kz[:-1])
+        kz[-1] = v[-1]
 
-    x, _, relres = _gmres(-np.append(r1, r2), bordered, precond_step)
+    rhs = np.empty(r1.size + 1)
+    np.negative(r1, out=rhs[:-1])
+    rhs[-1] = -r2
+    spare = _take_spares(rhs.size)
+    x, _, relres = _gmres(rhs, bordered, precond_step, spare)
+    _keep_spares(rhs.size, spare)
     return x[:-1], float(x[-1]), None if relres <= KRYLOV_RTOL else relres
 
 
@@ -301,13 +398,16 @@ def newton_stage(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, eps: float
     exceeds NEWTON_TOL).
     """
     grid = lap.grid
+    if np.shape(g) != (grid.n_phi,):
+        raise ValueError(f"arc data must have shape ({grid.n_phi},)")
     e = origin_weight_vector(grid)
     b1 = lap.lift(np.ones(grid.n_phi))
     tol = NEWTON_TOL
 
     def merit(r1, r2):
         # area-normalized so PDE and origin parts carry comparable units
-        return float(np.dot(r1 / lap.areas, r1 / lap.areas) + r2 * r2)
+        q = r1 / lap.areas
+        return float(np.dot(q, q) + r2 * r2)
 
     def converged(res1, r2, u, kappa):
         if abs(r2) > tol:
@@ -324,7 +424,8 @@ def newton_stage(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, eps: float
             return u, kappa, it, res1, abs(r2)
         if it == MAX_NEWTON:
             break
-        shift = lap.areas * f_eps_prime(u, eps)
+        shift = f_eps_prime(u, eps)
+        shift *= lap.areas
         du, dkappa, missed = _newton_direction(lap, e, b1, shift, r1, r2)
         if missed is not None:
             raise StageFailed(eps, grid, it, res1,
@@ -335,7 +436,8 @@ def newton_stage(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, eps: float
         lam = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            u_try = u + lam * du
+            u_try = np.multiply(du, lam)
+            u_try += u
             k_try = kappa + lam * dkappa
             r1_try, r2_try = _residual(lap, e, u_try, k_try, g, eps)
             if merit(r1_try, r2_try) <= (1.0 - 2.0 * ARMIJO_C * lam) * m0:
@@ -430,6 +532,13 @@ def _stages(grid: PolarGrid, g_arc, eps_min: float):
     A 256^2 cross run climbs 16^2, ..., 256^2: its eleven Newton steps make
     26 Laplacian inverses, 5 in the last stage's 2 steps on 256^2 (25 with
     every stage on 256^2); a 256^2 asterisk run makes 70, 18 on 256^2 (66).
+
+    A solve leaves each level's read-only operator arrays (`assemble`,
+    cached for LEVEL_CACHE_SIZE = 16 shapes; a ladder has at most 14
+    levels) and its Krylov arrays (`_keep_spares`) to the next one in the
+    process; neither changes a bit of a result.  With the in-place Newton
+    step, a repeated solve runs in memory the allocator still holds instead
+    of fresh pages that the kernel faults in (README, "Memory").
 
     Yields each converged stage as (eps, lap, g, u, kappa, iterations,
     pde_residual, origin_residual): lap is the Laplacian of the stage's

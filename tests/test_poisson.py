@@ -13,9 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.fft import dct, idct
+from scipy.linalg.lapack import dpttrs
 
 import unstablefb
-from unstablefb import SolverError
+from unstablefb import SolverError, f_eps, f_eps_prime
 
 from conftest import coo_assembly, degree2_field
 
@@ -167,3 +169,84 @@ class TestBackends:
     def test_zero_data_gives_zero_solution(self):
         u = solve(assemble(build_sector_grid(2, 16, 16)))
         assert np.max(np.abs(u.values)) == 0.0
+
+
+# --- the kernels before they ran in place, kept as bitwise oracles -------
+
+
+def apply_oracle(lap, x, magnitude=False):
+    n_phi = lap.grid.n_phi
+    off = np.add if magnitude else np.subtract
+    y = np.zeros(x.size)
+    off(y[n_phi:], lap.radial * x[:-n_phi], out=y[n_phi:])
+    off(y[1:], lap.angular * x[:-1], out=y[1:])
+    y += lap.diag * x
+    off(y[:-1], lap.angular * x[1:], out=y[:-1])
+    off(y[:-n_phi], lap.radial * x[n_phi:], out=y[:-n_phi])
+    return y
+
+
+def apply_inverse_oracle(lap, rhs):
+    n_r, n_phi = lap.grid.shape
+    d, e = lap.modes
+    coef = dct(rhs.reshape(n_r, n_phi), type=2, axis=1, norm="ortho", workers=1)
+    x, _ = dpttrs(d, e, coef.T.reshape(-1, 1))
+    x = x.reshape(n_phi, n_r).T
+    return idct(x, type=2, axis=1, norm="ortho", workers=1).ravel()
+
+
+def f_eps_oracle(z, eps):
+    s = np.clip(np.asarray(z, dtype=float) / eps + 1.0, 0.0, 1.0)
+    return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
+
+
+def f_eps_prime_oracle(z, eps):
+    s = np.clip(np.asarray(z, dtype=float) / eps + 1.0, 0.0, 1.0)
+    return 30.0 * s * s * (1.0 - s) ** 2 / eps
+
+
+def assert_bitwise(a, b):
+    """Same shape, dtype and bytes: signed zeros and NaN payloads count."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def frozen(x):
+    """A read-only copy of x: a kernel that writes into its input raises."""
+    x = x.copy()
+    x.flags.writeable = False
+    return x
+
+
+class TestInPlaceKernels:
+    @pytest.mark.parametrize("n_r, n_phi", [(256, 256), (97, 96), (4096, 8), (8, 64)])
+    def test_operator_kernels_match_their_oracles(self, n_r, n_phi):
+        lap = assemble(build_sector_grid(2, n_r, n_phi))
+        rng = np.random.default_rng(n_r * n_phi)
+        x = rng.standard_normal(lap.grid.size)
+        x[::3] = 0.0
+        x[1::7] = -0.0
+        x = frozen(x)
+        before = x.copy()
+        assert_bitwise(lap.apply(x), apply_oracle(lap, x))
+        assert_bitwise(lap.apply(np.abs(x), magnitude=True),
+                       apply_oracle(lap, np.abs(x), magnitude=True))
+        assert_bitwise(lap.apply_inverse(x), apply_inverse_oracle(lap, x))
+        assert_bitwise(x, before)
+
+    @pytest.mark.parametrize("n_r, n_phi", [(256, 256), (97, 96), (4096, 8), (8, 64)])
+    @pytest.mark.parametrize("eps", [0.2, 3.125e-5])
+    def test_indicator_kernels_match_their_oracles(self, n_r, n_phi, eps):
+        # both plateaus, the band between and its ends, signed zeros included
+        z = np.random.default_rng(n_r + n_phi).uniform(-2.0 * eps, eps, n_r * n_phi)
+        z[:4] = [-eps, 0.0, -0.0, -0.5 * eps]
+        z = frozen(z.reshape(n_r, n_phi))
+        before = z.copy()
+        assert_bitwise(f_eps(z, eps), f_eps_oracle(z, eps))
+        assert_bitwise(f_eps_prime(z, eps), f_eps_prime_oracle(z, eps))
+        assert_bitwise(z, before)
+        for v in z.ravel()[:4].tolist():  # a scalar gives a float
+            assert isinstance(f_eps(v, eps), float) and isinstance(f_eps_prime(v, eps), float)
+            assert_bitwise(f_eps(v, eps), f_eps_oracle(v, eps))
+            assert_bitwise(f_eps_prime(v, eps), f_eps_prime_oracle(v, eps))

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import unstablefb.poisson as poisson
 import unstablefb.semilinear as semilinear
 from unstablefb import (
     PolarGrid,
@@ -346,7 +347,12 @@ class TestNewtonStage:
             products.append(v)
             return K @ v
 
-        x, its, relres = semilinear._gmres(b, matvec, lambda v: (v, K @ v))
+        def precond_step(v, z, kz):
+            # P = I: z = v and K z, written into the arrays GMRES passes
+            z[:] = v
+            kz[:] = K @ v
+
+        x, its, relres = semilinear._gmres(b, matvec, precond_step)
         assert its > 3
         assert len(products) == -(-its // restart)
         assert relres <= semilinear.KRYLOV_RTOL
@@ -501,6 +507,55 @@ class TestContinuation:
         assert info.value.partial is None
         assert (info.value.n_r, info.value.eps) == (16, 0.2)
         assert solutions_built == []
+
+
+class TestSolverMemory:
+    """The per-shape operator cache (`poisson._level_arrays`) and the kept
+    Krylov arrays (`semilinear._keep_spares`) carry nothing from one solve
+    into the next."""
+
+    def test_repeated_solve_after_another_is_bit_identical(self, monkeypatch):
+        # the first solve fills both stores afresh, the third reads what the
+        # first and second left in them
+        poisson._level_arrays.cache_clear()
+        monkeypatch.setattr(semilinear, "_spares", {})
+        grid = build_sector_grid(2, 96, 96)
+        runs = [solve_fixed_point(grid, lambda p: M * np.cos(2.0 * p), 0.025)
+                for M in (40.0, 0.5, 40.0)]
+        assert poisson._level_arrays.cache_info().hits > 0
+        assert semilinear._spares
+        first, other, again = runs
+        assert again.u.values.tobytes() == first.u.values.tobytes()
+        assert (again.kappa, again.pde_residual, again.newton_iters) == \
+            (first.kappa, first.pde_residual, first.newton_iters)
+        assert other.u.values.tobytes() != first.u.values.tobytes()
+
+    def test_cached_operator_arrays_are_read_only_and_shared(self):
+        grid = build_sector_grid(2, 40, 24)
+        lap = assemble(grid)
+        assert lap.grid is grid
+        twin = assemble(build_sector_grid(2, 40, 24))
+        assert twin is not lap and twin.diag is lap.diag
+        for a in (lap.radial, lap.angular, lap.diag, lap.areas, *lap.modes):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_cache_holds_the_deepest_ladder(self):
+        levels = semilinear._grid_levels(build_sector_grid(2, 65536, 8))
+        assert len(levels) == 14
+        assert poisson._level_arrays.cache_info().maxsize == poisson.LEVEL_CACHE_SIZE >= 14
+
+    def test_kept_krylov_arrays_stay_within_their_bytes(self, monkeypatch):
+        monkeypatch.setattr(semilinear, "_spares", {})
+        monkeypatch.setattr(semilinear, "KRYLOV_SPARE_BYTES", 10 * 8 * 100)
+        for size, count in [(100, 4), (50, 6), (100, 5), (200, 3), (400, 3)]:
+            semilinear._keep_spares(size, [np.empty(size) for _ in range(count)])
+            held = sum(a.nbytes for kept in semilinear._spares.values() for a in kept)
+            assert held <= semilinear.KRYLOV_SPARE_BYTES
+            assert len(semilinear._spares[size]) == min(count, 1000 // size)
+            if size == 200:
+                assert list(semilinear._spares) == [200]  # the others no longer fit
+        assert len(semilinear._take_spares(400)) == 2 and semilinear._spares == {}
 
 
 class TestGridSequencing:
