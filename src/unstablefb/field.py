@@ -88,21 +88,24 @@ def _integrate_rings(g: PolarGrid, row_sums: np.ndarray, radii) -> np.ndarray:
 
     # a cut ring enters with the parabola through three rings at its midpoint s
     cut = delta > 0.0
-    rows = np.clip(n_full[cut] - 1, 0, g.n_r - 3)[:, None] + np.arange(3)
-    (x0, x1, x2), (y0, y1, y2) = g.r[rows].T, gvals[rows].T
-    s = n_full[cut] * dr + 0.5 * delta[cut]
-    total[cut] += delta[cut] * (
-        y0 * (s - x1) * (s - x2) / ((x0 - x1) * (x0 - x2))
-        + y1 * (s - x0) * (s - x2) / ((x1 - x0) * (x1 - x2))
-        + y2 * (s - x0) * (s - x1) / ((x2 - x0) * (x2 - x1))
-    )
+    if cut.any():
+        rows = np.clip(n_full[cut] - 1, 0, g.n_r - 3)[:, None] + np.arange(3)
+        (x0, x1, x2), (y0, y1, y2) = g.r[rows].T, gvals[rows].T
+        s = n_full[cut] * dr + 0.5 * delta[cut]
+        total[cut] += delta[cut] * (
+            y0 * (s - x1) * (s - x2) / ((x0 - x1) * (x0 - x2))
+            + y1 * (s - x0) * (s - x2) / ((x1 - x0) * (x1 - x2))
+            + y2 * (s - x0) * (s - x1) / ((x2 - x0) * (x2 - x1))
+        )
 
     # tiny balls: each ring enters with the fraction of its area inside,
     # linear in r^2, which keeps the integral continuous in r; no correction
-    rf2 = g.r_faces**2
-    for n in np.flatnonzero(n_full < 4).tolist():
-        w = np.clip((radii[n].item() ** 2 - rf2[:-1]) / (rf2[1:] - rf2[:-1]), 0.0, 1.0)
-        total[n] = np.dot(w, row_sums * g.cell_areas) * g.copies
+    tiny = np.flatnonzero(n_full < 4).tolist()
+    if tiny:
+        rf2 = g.r_faces**2
+        for n in tiny:
+            w = np.clip((radii[n].item() ** 2 - rf2[:-1]) / (rf2[1:] - rf2[:-1]), 0.0, 1.0)
+            total[n] = np.dot(w, row_sums * g.cell_areas) * g.copies
     return total
 
 

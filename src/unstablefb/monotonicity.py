@@ -15,6 +15,7 @@ The profile helper evaluates both sides on sampled radii; their mismatch
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -127,6 +128,20 @@ MC_BLOCK = 1 << 14
 MC_WORKERS = 2
 
 
+@functools.lru_cache(maxsize=4)
+def _angle_table(n_r: int, n_phi: int) -> tuple:
+    """(grid, c, r2) of energy_bound_integral on the n_r x n_phi quarter-sector
+    grid, read-only, cached per shape: c is cos(2 phi) over the columns in
+    decreasing order and r2 is r^2 over the rings.  A scan or a bisection
+    evaluates one shape many times; the table depends on the shape alone."""
+    grid = build_sector_grid(2, n_r, n_phi)
+    c = -np.sort(-np.cos(2.0 * grid.phi))
+    r2 = grid.r**2
+    for a in (c, r2, grid.r, grid.phi, grid.r_faces, grid.cell_areas):
+        a.flags.writeable = False
+    return grid, c, r2
+
+
 def energy_bound_integral(M: float, C1: float = 0.5, n_r: int = 1024, n_phi: int = 1024) -> float:
     """int_{B_1} [C1^2 - 2*(M*(x1^2 - x2^2) - C1)^+] dx by grid quadrature.
 
@@ -139,16 +154,21 @@ def energy_bound_integral(M: float, C1: float = 0.5, n_r: int = 1024, n_phi: int
     M*cos(2 phi_j) sorted in decreasing order and P their prefix sums,
     ring i's cell sum of 2*(r_i^2 a_j - C1)^+ is 2*(r_i^2 P[k] - C1*k),
     where k counts the a_j above C1/r_i^2.  Cost O(n_r log n_phi).
+    The grid, cos(2 phi_j) in decreasing order and r_i^2 come from a
+    read-only table cached per (n_r, n_phi) (`_angle_table`), so a call
+    sorts nothing: a = M*c for M >= 0 and M*c reversed for M < 0.  Rounding
+    is monotone, so multiplying by M keeps (or, for M < 0, reverses) the
+    order, and a equals the sorted M*cos(2 phi_j) value for value.
     """
     if C1 <= 0.0:
         raise ValueError(f"torsion bound C1 must be positive, got {C1}")
     if not np.isfinite(M):
         raise ValueError(f"amplitude M must be finite, got {M}")
-    grid = build_sector_grid(2, n_r, n_phi)
-    a = -np.sort(-M * np.cos(2.0 * grid.phi))
+    grid, c, r2 = _angle_table(n_r, n_phi)
+    a = M * (c if M >= 0.0 else c[::-1])
     prefix = np.concatenate(([0.0], np.cumsum(a)))
-    k = np.searchsorted(-a, -C1 / grid.r**2, side="left")
-    row_sums = 2.0 * (grid.r**2 * prefix[k] - C1 * k)
+    k = np.searchsorted(-a, -C1 / r2, side="left")
+    row_sums = 2.0 * (r2 * prefix[k] - C1 * k)
     return float(np.pi * C1 * C1 - _integrate_rings(grid, row_sums, [1.0])[0])
 
 
@@ -165,20 +185,20 @@ def _mc_block_sums(seed: int, samples: int, start: int, stop: int, C1: float,
     rng_y = np.random.Generator(np.random.PCG64(seed).advance(samples + start))
     size = min(stop - start, MC_BLOCK)
     x_buf, y_buf, v_buf = np.empty(size), np.empty(size), np.empty(size)
-    outside_buf = np.empty(size, dtype=bool)
+    inside_buf = np.empty(size, dtype=bool)
     sums = np.empty((-(-(stop - start) // MC_BLOCK), len(amplitudes)))
     for row, lo in enumerate(range(start, stop, MC_BLOCK)):
         n = min(MC_BLOCK, stop - lo)
-        q, y, vals, outside = x_buf[:n], y_buf[:n], v_buf[:n], outside_buf[:n]
+        q, y, vals, inside = x_buf[:n], y_buf[:n], v_buf[:n], inside_buf[:n]
         rng_x.random(out=q)  # x, then x^2, then q
         rng_y.random(out=y)
         q *= q
         y *= y
         np.add(q, y, out=vals)
-        np.greater_equal(vals, 1.0, out=outside)
+        np.less(vals, 1.0, out=inside)
         q -= y
         np.abs(q, out=q)
-        np.copyto(q, 0.0, where=outside)
+        q *= inside  # q >= +0.0, so q*1.0 = q and q*0.0 = +0.0: exact
         for col, m in enumerate(amplitudes):
             # (|M|*q - C1)^+, term by term in place
             np.multiply(m, q, out=vals)
@@ -205,14 +225,17 @@ def mc_energy_bound(M, C1: float = 0.5, samples: int = 1_000_000, seed: int = 0)
     with no other amplitude draws nothing).
     Both streams are walked in blocks of MC_BLOCK, and every amplitude
     shares each block of q, so each estimate equals that of a call with M
-    alone, bit for bit.  The blocks are cut into contiguous ranges, one
-    per thread: at most MC_WORKERS, and no more than the usable cores or
-    the blocks.  Each range starts its two streams with PCG64.advance, and
-    the block sums are added in block order, so the estimates do not
-    depend on the number of threads.  Memory is, per thread, three float64
-    buffers of MC_BLOCK (x then q, y, and one reused for each amplitude's
-    excess) and one bool buffer: 400 KiB, so 800 KiB at most, whatever
-    the sample count.
+    alone, bit for bit.  A block writes the mask x^2 + y^2 < 1 into a bool
+    buffer with less(out=) and zeroes q outside it by multiplying by the
+    mask, which is exact since q >= +0.0.  The blocks are cut into
+    contiguous ranges, one per thread: at most MC_WORKERS, and no more
+    than the usable cores (os.sched_getaffinity where the platform has it,
+    else os.cpu_count()) or the blocks.  Each range starts its two streams
+    with PCG64.advance, and the block sums are added in block order, so
+    the estimates do not depend on the number of threads.  Memory is, per
+    thread, three float64 buffers of MC_BLOCK (x then q, y, and one reused
+    for each amplitude's excess) and one bool buffer: 400 KiB, so 800 KiB
+    at most, whatever the sample count.
     """
     if samples < 1:
         raise ValueError(f"need at least one Monte Carlo sample, got {samples}")
@@ -225,7 +248,10 @@ def mc_energy_bound(M, C1: float = 0.5, samples: int = 1_000_000, seed: int = 0)
     active = [(idx, abs(m)) for idx, m in np.ndenumerate(Ms) if abs(m) > C1]
     if active:
         blocks = -(-samples // MC_BLOCK)
-        workers = min(MC_WORKERS, len(os.sched_getaffinity(0)), blocks)
+        # os.sched_getaffinity exists on Linux alone
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        workers = min(MC_WORKERS, cores, blocks)
         cuts = [min(samples, i * blocks // workers * MC_BLOCK) for i in range(workers + 1)]
         amplitudes = [m for _, m in active]
         ranges = [(seed, samples, lo, hi, C1, amplitudes) for lo, hi in zip(cuts, cuts[1:])]

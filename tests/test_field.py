@@ -76,6 +76,36 @@ def reference_integrate_ball(field, integrand, r):
     return total
 
 
+def former_integrate_rings(g, row_sums, radii):
+    """_integrate_rings as it was when it ran its cut-ring and tiny-ball
+    blocks on every call, kept as the bit-level reference for the skips."""
+    radii = np.minimum(np.asarray(radii, dtype=float), 1.0)
+    dr = g.dr
+    ring_line = row_sums * g.dphi * g.copies
+    gvals = g.r * ring_line
+    n_full = np.floor(radii / dr + 1e-12).astype(int)
+    delta = radii - n_full * dr
+    delta[delta < 1e-12 * dr] = 0.0
+    total = dr * np.array([gvals[:n].sum() for n in n_full.tolist()])
+    gp_zero = 1.5 * ring_line[0] - 0.5 * ring_line[1]
+    gp_face = (gvals[n_full - 3] - 3.0 * gvals[n_full - 2] + 2.0 * gvals[n_full - 1]) / dr
+    total += dr * dr / 24.0 * (gp_face - gp_zero)
+    cut = delta > 0.0
+    rows = np.clip(n_full[cut] - 1, 0, g.n_r - 3)[:, None] + np.arange(3)
+    (x0, x1, x2), (y0, y1, y2) = g.r[rows].T, gvals[rows].T
+    s = n_full[cut] * dr + 0.5 * delta[cut]
+    total[cut] += delta[cut] * (
+        y0 * (s - x1) * (s - x2) / ((x0 - x1) * (x0 - x2))
+        + y1 * (s - x0) * (s - x2) / ((x1 - x0) * (x1 - x2))
+        + y2 * (s - x0) * (s - x1) / ((x2 - x0) * (x2 - x1))
+    )
+    rf2 = g.r_faces**2
+    for n in np.flatnonzero(n_full < 4).tolist():
+        w = np.clip((radii[n].item() ** 2 - rf2[:-1]) / (rf2[1:] - rf2[:-1]), 0.0, 1.0)
+        total[n] = np.dot(w, row_sums * g.cell_areas) * g.copies
+    return total
+
+
 def reference_integrate_circle(field, r):
     """integrate_circle as it was when it took one radius per call, kept as
     the bit-level reference for the batched circle integrals."""
@@ -232,6 +262,18 @@ class TestBatches:
             got = _integrate_rings(grid, vals.sum(axis=1), radii)
             assert got.tolist() == [integrate_ball(u, integrand, r) for r in radii]
             assert got.tolist() == [reference_integrate_ball(u, integrand, r) for r in radii]
+
+    @pytest.mark.parametrize("kind", ["full_only", "cut_only", "tiny_only", "mixed"])
+    def test_ring_rule_skips_its_unused_blocks_bit_for_bit(self, grid, kind):
+        # full-only radii skip both the cut-ring and the tiny-ball block
+        dr = grid.dr
+        radii = {"full_only": [1.0, 4 * dr, 8 * dr, 20 * dr],
+                 "cut_only": [0.7, 1.0 - 0.5 * dr, 5.5 * dr],
+                 "tiny_only": [dr * (1 + 1e-9), 2.5 * dr, 3 * dr],
+                 "mixed": [1.0, *batch_radii(grid)]}[kind]
+        rows = self.field(grid).values.sum(axis=1)
+        got = _integrate_rings(grid, rows, radii)
+        assert got.tobytes() == former_integrate_rings(grid, rows, radii).tobytes()
 
     def test_circle_integrals(self, grid):
         u, radii = self.field(grid), batch_radii(grid)

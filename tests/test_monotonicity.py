@@ -9,7 +9,8 @@ Oracles used here:
  * At M = 0 the comparison bound integrates the indicator of a disk of
    radius C1, giving pi C1^2 exactly.
  * The prefix-sum energy bound equals the full-grid quadrature it replaces
-   (reference_energy_bound) to rounding.
+   (reference_energy_bound) to rounding, and the cached angle table equals
+   the per-call sort it replaces (former_energy_bound_integral) bit for bit.
 """
 
 import math
@@ -42,7 +43,7 @@ from unstablefb import (
     phi_profile,
     threshold_scan,
 )
-from unstablefb.field import gradient_sq, integrate_circle, radial_derivative
+from unstablefb.field import _integrate_rings, gradient_sq, integrate_circle, radial_derivative
 from unstablefb import monotonicity
 from unstablefb.monotonicity import (
     MC_BLOCK,
@@ -203,6 +204,18 @@ def reference_energy_bound(M, C1, n_r, n_phi):
     return float(np.pi * C1 * C1 - excess)
 
 
+def former_energy_bound_integral(M, C1, n_r, n_phi):
+    """energy_bound_integral as it was when each call built its grid and
+    sorted M cos(2 phi), kept as the bit-level reference for the cached
+    angle table."""
+    grid = build_sector_grid(2, n_r, n_phi)
+    a = -np.sort(-M * np.cos(2.0 * grid.phi))
+    prefix = np.concatenate(([0.0], np.cumsum(a)))
+    k = np.searchsorted(-a, -C1 / grid.r**2, side="left")
+    row_sums = 2.0 * (grid.r**2 * prefix[k] - C1 * k)
+    return float(np.pi * C1 * C1 - _integrate_rings(grid, row_sums, [1.0])[0])
+
+
 def reference_mc_energy_bound(M, C1, samples, seed):
     """mc_energy_bound as one amplitude on two whole-array draws, so the
     blocked stream is checked bit for bit: hit-or-miss on the unit square,
@@ -356,6 +369,37 @@ class TestEnergyBound:
             find_threshold(0.5, m_lo, m_hi, n_r=64, n_phi=64)
 
 
+class TestAngleTable:
+    """energy_bound_integral reads its grid, cos(2 phi) in decreasing order
+    and r^2 from a read-only table cached per (n_r, n_phi)."""
+
+    @pytest.mark.parametrize("n_r, n_phi", [(1024, 1024), (64, 64), (64, 200), (33, 17)])
+    @pytest.mark.parametrize("C1", [0.5, 0.3])
+    def test_equals_the_former_expression_bit_for_bit(self, n_r, n_phi, C1):
+        for M in (0.0, -0.0, 0.25, -0.25, 1.89, -1.89, 4.0, -4.0, 40.0, -40.0):
+            got = energy_bound_integral(M, C1, n_r, n_phi)
+            assert np.float64(got).tobytes() == \
+                np.float64(former_energy_bound_integral(M, C1, n_r, n_phi)).tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        grid, c, r2 = monotonicity._angle_table(64, 64)
+        for a in (c, r2, grid.r, grid.phi, grid.r_faces, grid.cell_areas):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("args", [(1.0, 0.0, 64, 64), (1.0, -0.5, 64, 64),
+                                      (math.nan, 0.5, 64, 64), (math.inf, 0.5, 64, 64),
+                                      (1.0, 0.5, 7, 64), (1.0, 0.5, 64, 4)],
+                             ids=["C1_zero", "C1_negative", "M_nan", "M_inf",
+                                  "n_r_below_8", "n_phi_below_8"])
+    def test_rejected_arguments_leave_nothing_in_the_cache(self, args):
+        monotonicity._angle_table.cache_clear()
+        with pytest.raises(ValueError):
+            energy_bound_integral(*args)
+        assert monotonicity._angle_table.cache_info().currsize == 0
+
+
 class TestMonteCarloThreads:
     """mc_energy_bound cuts its blocks into one contiguous range per
     thread; the estimates must not depend on the cut or on the cores."""
@@ -393,6 +437,26 @@ class TestMonteCarloThreads:
         bounds = sorted(ranges)
         assert bounds[0][0] == 0 and bounds[-1][1] == samples
         assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("cpu_count", [None, 1, 2, 4])
+    def test_cores_without_sched_getaffinity(self, monkeypatch, cpu_count):
+        # os.sched_getaffinity exists on Linux alone; elsewhere os.cpu_count()
+        # counts the cores, and may return None
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        ranges, block_sums = [], _mc_block_sums
+
+        def counting(*args):
+            ranges.append(args[2:4])
+            return block_sums(*args)
+
+        monkeypatch.setattr(monotonicity, "_mc_block_sums", counting)
+        samples = 3 * MC_BLOCK + 5
+        Ms = [0.0, 1.89, -3.0, 40.0]
+        got = mc_energy_bound(np.array(Ms), 0.5, samples=samples, seed=11)
+        for M, value in zip(Ms, got):
+            assert value == reference_mc_energy_bound(M, 0.5, samples, 11)
+        assert len(ranges) == min(cpu_count or 1, MC_WORKERS)
 
     def test_no_draw_without_an_amplitude_above_C1(self, monkeypatch):
         draws, generator = [], np.random.Generator

@@ -664,7 +664,8 @@ class TestGridSequencing:
         sol = solve_fixed_point(grid, lambda p: 40.0 * np.cos(2.0 * p), 0.05)
         assert sol.stage_grids == [[16, 16], [32, 32], [64, 64]]
         paths = export_solution(sol, tmp_path)
-        sidecar = json.loads(open(paths[-1], encoding="utf-8").read())
+        with open(paths[-1], encoding="utf-8") as f:
+            sidecar = json.loads(f.read())
         assert sidecar["stage_grids"] == sol.stage_grids
         assert len(sidecar["stage_grids"]) == len(sidecar["newton_iters"])
         assert sidecar["band_cells"] == sol.band_cells
