@@ -65,15 +65,19 @@ class DiscreteLaplacian:
 
         Row c sums from 0 in column order c - n_phi, c - 1, c, c + 1,
         c + n_phi, as a sorted sparse-matrix product does, so the result is
-        bitwise that product's.  The zero face between two rings adds a
-        signed zero, which changes no sum.  The five products take turns in
-        one scratch array.
+        bitwise that product's.  The first term t enters as 0 - t (0 + t
+        for |A|), written straight into the result, which gives the signed
+        zero that a zero start would; the inner ring, which has no such
+        term, starts from +0.0.  The zero face between two rings adds a
+        signed zero, which changes no sum.  The other four products take
+        turns in one scratch array.
         """
         n_phi = self.grid.n_phi
         off = np.add if magnitude else np.subtract  # sign of the off-diagonal terms
-        y = np.zeros(x.size)
+        y = np.empty(x.size)
         t = np.empty(x.size)
-        off(y[n_phi:], np.multiply(self.radial, x[:-n_phi], out=t[n_phi:]), out=y[n_phi:])
+        y[:n_phi] = 0.0
+        off(0.0, np.multiply(self.radial, x[:-n_phi], out=y[n_phi:]), out=y[n_phi:])
         off(y[1:], np.multiply(self.angular, x[:-1], out=t[1:]), out=y[1:])
         y += np.multiply(self.diag, x, out=t)
         off(y[:-1], np.multiply(self.angular, x[1:], out=t[:-1]), out=y[:-1])
@@ -92,19 +96,19 @@ class DiscreteLaplacian:
     def apply_inverse(self, rhs: np.ndarray) -> np.ndarray:
         """A^-1 rhs for a flat vector, exact up to rounding; rhs is left as it is.
 
-        Two arrays per call: the DCT of rhs and its one mode-major copy,
-        which the tridiagonal solve overwrites (`dpttrs(overwrite_b=True)`).
-        The solution is copied back into the DCT's array, and the inverse
-        DCT overwrites that (`overwrite_x=True`).  The DCTs run on one
-        worker so that repeated solves are bit-identical.
+        Two arrays per call.  The DCT runs along the first axis of the
+        transposed view of rhs, which gives the coefficients mode-major:
+        every mode is a contiguous block of the tridiagonal, and the
+        tridiagonal solve overwrites them (`dpttrs(overwrite_b=True)`).  The
+        inverse DCT reads that solution through a transposed view and
+        writes the cell-major result.  The DCTs run on one worker so that
+        repeated solves are bit-identical.
         """
         n_r, n_phi = self.grid.shape
         d, e = self.modes
-        coef = dct(rhs.reshape(n_r, n_phi), type=2, axis=1, norm="ortho", workers=1)
-        # mode-major order: every mode is a contiguous block of the tridiagonal
-        x, _ = dpttrs(d, e, coef.T.reshape(-1, 1), overwrite_b=True)
-        np.copyto(coef, x.reshape(n_phi, n_r).T)
-        return idct(coef, type=2, axis=1, norm="ortho", workers=1, overwrite_x=True).ravel()
+        coef = dct(rhs.reshape(n_r, n_phi).T, type=2, axis=0, norm="ortho", workers=1)
+        x, _ = dpttrs(d, e, coef.reshape(-1, 1), overwrite_b=True)
+        return idct(x.reshape(n_phi, n_r).T, type=2, axis=1, norm="ortho", workers=1).ravel()
 
 
 def _transmissibilities(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray, float]:

@@ -11,16 +11,20 @@ bordered system
 with one GMRES solve (Saad and Schultz 1986).  K is nonsymmetric, since
 the kappa column b1 is not the pin row e, and its (1,1) block may be
 indefinite; that is the expected instability of the problem, not an error.
-GMRES is right-preconditioned by the exact inverse of the bordered
-Laplacian P = [[A, b1], [e, 0]], which costs one Laplacian inverse because
-A 1 = b1.  K differs from P by the diagonal on the smoothing band, so
-K P^-1 v = v - [area f_eps'(u) (P^-1 v)_1; 0] needs no product with A:
-each Krylov iteration is one Laplacian inverse.  With right
-preconditioning the Arnoldi residual estimate is the residual of K itself
-(Saad, Iterative Methods for Sparse Linear Systems, 2003, 9.3), so the
-inexact-Newton forcing term (Dembo, Eisenstat and Steihaug 1982) is tested
-on it, and one product with K at the end of each GMRES cycle confirms the
-true residual.
+K = P - E S E^T differs from the bordered Laplacian P = [[A, b1], [e, 0]],
+whose exact inverse costs one Laplacian inverse because A 1 = b1, by the
+diagonal S = area f_eps'(u) on the smoothing band B = {-eps < u < 0}; E
+holds the columns of the identity at B.  So the step is the
+capacitance-matrix solve (Buzbee, Dorr, George and Golub 1971): with
+x0 = P^-1 b and c = S x0[B], GMRES solves the band's Schur complement
+T q = q - S (P^-1 E q)[B] = c, and x = x0 + P^-1 E q.  The Arnoldi
+vectors have the band's length (about 1 % of the cells of the 256^2
+cross), and a solve of m iterations makes 1 + m Laplacian inverses.
+b - K x = E (c - T q), so the Givens estimate of GMRES on T is the
+residual of K itself; the inexact-Newton forcing term (Dembo, Eisenstat
+and Steihaug 1982) is tested on it, and one product with K at the end of
+each GMRES cycle confirms the true residual.  f_eps and f_eps' are
+evaluated on the band alone, bitwise as on every cell.
 
 The eps continuation runs these Newton steps in stages on a ladder of
 grids (`_stages`), and solve_fixed_point collects its result.
@@ -161,22 +165,26 @@ MAX_TOL_RELAXATION = 100.0
 # bordered system is this fraction of |[R1; R2]|, estimated by the Givens
 # rotations and confirmed by one product with K per cycle.  Every stage
 # then takes the Newton iterations it takes with exact solves.  Not much
-# tighter: the attainable residual grows with n_r (first stage of the
-# asterisk: 1.6e-10 at 4096 x 8 cells, 6.2e-10 at 8192 x 8, 4.0e-8 at
-# 65536 x 8), so 1e-8 already fails on the finest grid in use.
+# tighter: the attainable residual grows with n_r (first Newton step of the
+# asterisk at eps = 0.2: 1.7e-10 at 4096 x 8 cells, 6.4e-10 at 8192 x 8,
+# 4.7e-8 at 65536 x 8), so 1e-8 already fails on the finest grid in use.
 KRYLOV_RTOL = 1e-6
-# A solve takes 2-3 iterations on the 256^2 cross, 4-7 on the 256^2
-# asterisk and at most 13 at 65536 x 8 cells, so one basis of
-# KRYLOV_RESTART vectors holds a whole solve; a solve that reaches
-# KRYLOV_MAXITER iterations (a multiple of the restart) has not converged.
+# A solve takes 1-2 iterations on the band of the 256^2 cross, 3-5 on the
+# default 256^2 asterisk and at most 11 on the asterisk down to
+# eps = 3.125e-5 (9 at 65536 x 8 cells), so one basis of KRYLOV_RESTART
+# vectors holds a whole solve; a solve that reaches KRYLOV_MAXITER
+# iterations (a multiple of the restart) has not converged.
 KRYLOV_RESTART = 40
 KRYLOV_MAXITER = 400
-# Bytes of Krylov arrays kept between GMRES solves (`_keep_spares`).  A solve
-# that took new arrays instead would get pages that the kernel faults in
-# afresh each time, once the allocator has handed the freed ones back.  Over
-# its grid ladder the 256^2 cross keeps 5.3 MiB, the default 256^2 asterisk
-# 9.0 MiB and the asterisk down to eps = 3.125e-5 15.0 MiB; an array of more
-# than 2^21 cells (2048^2) is never kept.
+# Bytes of Krylov arrays kept between GMRES solves (`_keep_spares`): the
+# images P^-1 E v_j, the buffer for E v and the restarts' P^-1 r, all of
+# the bordered size; the Arnoldi vectors have the band's length and are
+# not kept.  A solve that took new arrays instead would get pages that the
+# kernel faults in afresh each time, once the allocator has handed the
+# freed ones back.  Over its grid ladder the 256^2 cross keeps 2.0 MiB,
+# the default 256^2 asterisk 3.8 MiB and the asterisk down to
+# eps = 3.125e-5 6.8 MiB; an array of more than 2^21 cells (2048^2) is
+# never kept.
 KRYLOV_SPARE_BYTES = 16 << 20
 # Absolute tolerance of a Newton stage on max |R1| and |R2| (`newton_stage`).
 NEWTON_TOL = 1e-10
@@ -199,20 +207,38 @@ EPS_RATIO = 0.5
 
 
 def _residual(lap: DiscreteLaplacian, e: np.ndarray, u: np.ndarray, kappa: float,
-              g: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
-    """Finite-volume residual R1 (area-weighted) and origin residual R2.
+              g: np.ndarray, eps: float
+              ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Finite-volume residual R1 (area-weighted), origin residual R2 and the band.
 
-    R1 = A u - area f_eps(u) - B (g - kappa), with the lift B (g - kappa)
-    subtracted on the arc ring alone: off it the lift is +0.0, and
-    x - (+0.0) is x.
+    R1 = A u - area f_eps(u) - B (g - kappa).  The source is area * 1 where
+    u >= 0, and +0.0 where u <= -eps: rounding is monotone, so there
+    u / eps rounds to at most -1 and s = u / eps + 1 clips to 0.  x - (+0.0)
+    is x, so those cells subtract nothing.  Only the band between,
+    -eps < u < 0, evaluates the smoothstep, with the arithmetic of f_eps,
+    so R1 is bitwise that of the dense source.  The lift is subtracted on
+    the arc ring alone, where it is nonzero.  e may be the leading entries
+    of the pin row, R2 = e . u[:e.size].
+
+    Returns (r1, r2, band, shift): shift = area f_eps'(u) on the band,
+    bitwise the dense one there, which is +0.0 off the band.  f_eps and
+    f_eps' share one clipped s = u / eps + 1.
     """
     r1 = lap.apply(u)
-    source = f_eps(u, eps)
-    source *= lap.areas
-    r1 -= source
+    plateau = u >= 0.0
+    np.subtract(r1, lap.areas, out=r1, where=plateau)
+    band = np.flatnonzero((u > -eps) ^ plateau)
+    s = _shifted(u[band], eps)
+    areas = lap.areas[band]
+    source = _smoothstep(s)
+    source *= areas
+    r1[band] -= source
     r1[-lap.grid.n_phi:] -= lap.arc_coeff * (g - kappa)
-    r2 = float(e @ u)
-    return r1, r2
+    r2 = float(e @ u[:e.size])
+    shift = _smoothstep_prime(s)
+    shift /= eps
+    shift *= areas
+    return r1, r2, band, shift
 
 
 def _rounding_level(lap: DiscreteLaplacian, u: np.ndarray, kappa: float,
@@ -223,28 +249,45 @@ def _rounding_level(lap: DiscreteLaplacian, u: np.ndarray, kappa: float,
     return ROUNDING_FACTOR * np.finfo(float).eps * float(np.max(terms))
 
 
+def _rounding_bound(lap: DiscreteLaplacian, u: np.ndarray, kappa: float,
+                    g: np.ndarray) -> float:
+    """An upper bound on `_rounding_level` from four maxima: no row of |A|
+    sums to more than twice its diagonal, f_eps <= 1, and the lift is
+    arc_coeff (g - kappa) on the arc ring."""
+    return ROUNDING_FACTOR * np.finfo(float).eps * (
+        2.0 * float(np.max(lap.diag)) * float(np.max(np.abs(u)))
+        + float(np.max(lap.areas)) + lap.arc_coeff * float(np.max(np.abs(g - kappa))))
+
+
+def _pin_row(grid: PolarGrid) -> tuple[np.ndarray, float]:
+    """The pin row e on its support, the leading cells, and its sum."""
+    e = np.trim_zeros(origin_weight_vector(grid), "b")
+    return e, float(e.sum())
+
+
 def initial_guess(grid: PolarGrid, g_arc, lap: DiscreteLaplacian) -> tuple[ScalarField, float]:
     """Linear predictor: solve Delta u = -1 with u = g - kappa, u(0) = 0.
 
     The pair solves P [u; kappa] = [B g + area; 0] with the bordered
     Laplacian P = [[A, b1], [e, 0]], so one bordered inverse (one Laplacian
-    inverse, the one the GMRES preconditioner applies) gives both.
+    inverse, the one each GMRES iteration applies) gives both.
     """
     rhs = lap.lift(_arc_values(grid, g_arc)) + lap.areas
-    x = _bordered_inverse(lap, origin_weight_vector(grid), np.append(rhs, 0.0))
+    x = _bordered_inverse(lap, *_pin_row(grid), np.append(rhs, 0.0))
     return ScalarField(grid, x[:-1].reshape(grid.shape)), float(x[-1])
 
 
-def _bordered_inverse(lap: DiscreteLaplacian, e: np.ndarray, v: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
+def _bordered_inverse(lap: DiscreteLaplacian, e: np.ndarray, e_sum: float,
+                      v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """[[A, b1], [e, 0]]^-1 v with one Laplacian inverse, into out if given.
 
     A 1 = b1 (constants leave only the arc term), so the solution of
     A x + t b1 = v[:-1], e x = v[-1] is x = z - t 1 with z = A^-1 v[:-1]
-    and t = (e z - v[-1]) / (e 1).
+    and t = (e z - v[-1]) / (e 1).  e may be the leading entries of the
+    pin row (`_pin_row`), e_sum is e 1.
     """
     z = lap.apply_inverse(v[:-1])
-    t = (float(e @ z) - v[-1]) / float(e.sum())
+    t = (float(e @ z[:e.size]) - v[-1]) / e_sum
     x = np.empty(v.size) if out is None else out
     np.subtract(z, t, out=x[:-1])
     x[-1] = t
@@ -275,24 +318,30 @@ def _keep_spares(size: int, arrays: list[np.ndarray]) -> None:
         _spares[size] = arrays
 
 
-def _gmres(b: np.ndarray, matvec, precond_step, spare: list | None = None
-           ) -> tuple[np.ndarray, int, float]:
-    """Restarted GMRES for K x = b, right-preconditioned by P.
+def _gmres(b: np.ndarray, residual, inverse, band: np.ndarray, shift: np.ndarray,
+           spare: list | None = None) -> tuple[np.ndarray, int, float]:
+    """Restarted GMRES for K x = b on the band's Schur complement.
 
-    precond_step(v, z, kz) writes z = P^-1 v and K z into the arrays z and
-    kz.  The basis holds the Arnoldi vectors v_j and their images z_j (the
-    flexible-GMRES storage), so x = sum y_j z_j needs no further inverse.
-    With right preconditioning the Givens estimate |g_{j+1}| is the residual
-    of K x = b itself, and an iteration stops once it reaches
-    KRYLOV_RTOL |b|.  Each cycle ends with one product K x to confirm the
-    true residual; a miss restarts from x.  Returns (x, iterations,
-    |b - K x| / |b|); the solve has converged iff that ratio is at most
-    KRYLOV_RTOL.
+    K = P - E diag(shift) E^T, where P is invertible and E holds the
+    columns of the identity at the cells band: inverse(v, out) writes
+    P^-1 v into out, and residual(x) returns b - K x in a new array.  For
+    x0 = P^-1 r, x = x0 + P^-1 E q solves K x = r iff T q = c with
+    c = shift * x0[band] and T q = q - shift * (P^-1 E q)[band], and then
+    r - K x = E (c - T q).  So GMRES runs on T, whose Arnoldi vectors have
+    the band's length, each iteration is one inverse of a vector that is
+    zero off the band, and the Givens estimate |g_{j+1}| is the residual of
+    K x = b itself; an iteration stops once it reaches KRYLOV_RTOL |b|.
+    x = x0 + sum y_j z_j with the images z_j = P^-1 E v_j, so a cycle of m
+    iterations makes 1 + m inverses, and an empty band gives x = x0.  Each
+    cycle ends with one product K x to confirm the true residual; a miss
+    restarts from x, with the residual in place of b.  Returns (x,
+    iterations, |b - K x| / |b|); the solve has converged iff that ratio
+    is at most KRYLOV_RTOL.
 
-    Modified Gram-Schmidt runs in the array of K z, which becomes the next
-    Arnoldi vector, and x accumulates in place.  The basis and images are
-    taken from the list spare (new arrays while it is empty) and go back
-    to it at the end of each cycle.
+    The images, the buffer for E v and the restarts' P^-1 r are taken from
+    the list spare (new arrays while it is empty) and go back to it; x is
+    a new array.  Modified Gram-Schmidt runs in the array of T v_j, which
+    becomes the next Arnoldi vector.
     """
     spare = [] if spare is None else spare
 
@@ -300,37 +349,44 @@ def _gmres(b: np.ndarray, matvec, precond_step, spare: list | None = None
         return spare.pop() if spare else np.empty_like(b)
 
     b_norm = float(np.linalg.norm(b))
+    if not b_norm:
+        return np.zeros_like(b), 0, 0.0
     target = KRYLOV_RTOL * b_norm
-    x = np.zeros_like(b)
-    scratch = take()  # each product h v and y z in turn
-    r, beta = b, b_norm
+    x = inverse(b, np.empty_like(b))
+    c = np.multiply(shift, x[band])
+    scatter = take()  # E v: zero off the band
+    scatter.fill(0.0)
     iterations = 0
-    while beta > target and iterations < KRYLOV_MAXITER:
-        basis, images, columns, rotations = [np.divide(r, beta, out=take())], [], [], []
-        g = [beta]
-        for _ in range(min(KRYLOV_RESTART, KRYLOV_MAXITER - iterations)):
-            z, w = take(), take()
-            precond_step(basis[-1], z, w)
+    while True:
+        basis, images, columns, rotations = [c], [], [], []
+        g = [float(np.linalg.norm(c))]
+        h_next = g[0]
+        while (abs(g[-1]) > target and len(images) < KRYLOV_RESTART
+               and iterations < KRYLOV_MAXITER):
+            v = basis[-1]
+            v /= h_next
+            scatter[band] = v
+            z = inverse(scatter, take())
             images.append(z)
             iterations += 1
+            w = z[band]
+            w *= shift
+            np.subtract(v, w, out=w)
             h = []
-            for v in basis:  # modified Gram-Schmidt
-                h.append(float(w @ v))
-                w -= np.multiply(v, h[-1], out=scratch)
-            h.append(float(np.linalg.norm(w)))
-            for i, (c, s) in enumerate(rotations):
-                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+            for q in basis:  # modified Gram-Schmidt
+                h.append(float(w @ q))
+                w -= q * h[-1]
+            h_next = float(np.linalg.norm(w))
+            h.append(h_next)
+            for i, (cs, sn) in enumerate(rotations):
+                h[i], h[i + 1] = cs * h[i] + sn * h[i + 1], cs * h[i + 1] - sn * h[i]
             rho = math.hypot(h[-2], h[-1])
-            c, s = h[-2] / rho, h[-1] / rho
-            rotations.append((c, s))
+            cs, sn = h[-2] / rho, h[-1] / rho
+            rotations.append((cs, sn))
             h[-2] = rho
-            g.append(-s * g[-1])
-            g[-2] *= c
+            g.append(-sn * g[-1])
+            g[-2] *= cs
             columns.append(h[:-1])
-            if abs(g[-1]) <= target:
-                spare.append(w)
-                break
-            w /= h[-1]
             basis.append(w)
         # back substitution on the rotated Hessenberg matrix
         m = len(columns)
@@ -338,49 +394,57 @@ def _gmres(b: np.ndarray, matvec, precond_step, spare: list | None = None
         for i in reversed(range(m)):
             y[i] = (g[i] - sum(columns[k][i] * y[k] for k in range(i + 1, m))) / columns[i][i]
         for yi, z in zip(y, images):
-            x += np.multiply(z, yi, out=scratch)
-        spare += basis + images
-        r = matvec(x)
-        np.subtract(b, r, out=r)
+            x += np.multiply(z, yi, out=z)
+        spare += images
+        r = residual(x)
         beta = float(np.linalg.norm(r))
-    spare.append(scratch)
-    return x, iterations, beta / b_norm if b_norm else 0.0
+        if beta <= target or iterations >= KRYLOV_MAXITER or not images:
+            break
+        d = inverse(r, take())
+        x += d
+        c = np.multiply(shift, d[band])
+        spare.append(d)
+    spare.append(scatter)
+    return x, iterations, beta / b_norm
 
 
-def _newton_direction(lap: DiscreteLaplacian, e: np.ndarray, b1: np.ndarray,
-                      shift: np.ndarray, r1: np.ndarray, r2: float
+def _newton_direction(lap: DiscreteLaplacian, e: np.ndarray, e_sum: float,
+                      band: np.ndarray, shift: np.ndarray, r1: np.ndarray, r2: float
                       ) -> tuple[np.ndarray, float, float | None]:
-    """Solve K [du; dkappa] = -[r1; r2] by right-preconditioned GMRES.
+    """Solve K [du; dkappa] = -[r1; r2] by GMRES on the band's Schur complement.
 
-    K has the (1,1) block A - diag(shift), the column b1 and the row e;
-    P = [[A, b1], [e, 0]] differs from it by the diagonal shift alone, so
-    for z = P^-1 v the product K z = v - [shift * z[:-1]; 0] costs no
-    product with A: each Krylov iteration is one Laplacian inverse.  Only
-    the true residual at the end of a GMRES cycle multiplies by A.
-    Returns (du, dkappa, missed): missed is None when the true relative
-    residual meets KRYLOV_RTOL, and that residual otherwise.  The Krylov
-    arrays come from, and go back to, the store of spare arrays
-    (`_take_spares`).
+    K has the (1,1) block A - diag(area f_eps'(u)), the column b1 and the
+    row e; it differs from P = [[A, b1], [e, 0]] by shift = area f_eps'(u)
+    at the cells band, the diagonal's support, so `_gmres` iterates on
+    the band alone, one bordered inverse (`_bordered_inverse`) per
+    iteration.  Only the true residual at the end of a GMRES cycle
+    multiplies by A; it corrects the band cells and adds the column b1,
+    arc_coeff on the arc ring, there alone.  e may be the leading entries
+    of the pin row, and e_sum is its sum.  Returns (du, dkappa, missed):
+    missed is None when the true relative residual meets KRYLOV_RTOL, and
+    that residual otherwise.  The Krylov arrays come from, and go back
+    to, the store of spare arrays (`_take_spares`).
     """
-    def bordered(x):
-        du = x[:-1]
-        kx = np.empty(x.size)
-        y = lap.apply(du)
-        np.subtract(y, np.multiply(shift, du, out=kx[:-1]), out=kx[:-1])
-        kx[:-1] += np.multiply(b1, x[-1], out=y)
-        kx[-1] = e @ du
-        return kx
+    n_phi = lap.grid.n_phi
 
-    def precond_step(v, z, kz):
-        _bordered_inverse(lap, e, v, out=z)
-        np.subtract(v[:-1], np.multiply(shift, z[:-1], out=kz[:-1]), out=kz[:-1])
-        kz[-1] = v[-1]
+    def inverse(v, out):
+        return _bordered_inverse(lap, e, e_sum, v, out)
+
+    def residual(x):
+        du = x[:-1]
+        kx = lap.apply(du)
+        kx[band] -= shift * du[band]
+        kx[-n_phi:] += lap.arc_coeff * x[-1]
+        r = np.empty(x.size)
+        np.subtract(rhs[:-1], kx, out=r[:-1])
+        r[-1] = rhs[-1] - float(e @ du[:e.size])
+        return r
 
     rhs = np.empty(r1.size + 1)
     np.negative(r1, out=rhs[:-1])
     rhs[-1] = -r2
     spare = _take_spares(rhs.size)
-    x, _, relres = _gmres(rhs, bordered, precond_step, spare)
+    x, _, relres = _gmres(rhs, residual, inverse, band, shift, spare)
     _keep_spares(rhs.size, spare)
     return x[:-1], float(x[-1]), None if relres <= KRYLOV_RTOL else relres
 
@@ -395,13 +459,13 @@ def newton_stage(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, eps: float
     Converged when |R2| <= NEWTON_TOL and max |R1| <= NEWTON_TOL, or when
     max |R1| is at the rounding level of its own evaluation and within
     MAX_TOL_RELAXATION * NEWTON_TOL (fine radial grids, where the level
-    exceeds NEWTON_TOL).
+    exceeds NEWTON_TOL).  The level is evaluated only when max |R1| is
+    below its bound (`_rounding_bound`).
     """
     grid = lap.grid
     if np.shape(g) != (grid.n_phi,):
         raise ValueError(f"arc data must have shape ({grid.n_phi},)")
-    e = origin_weight_vector(grid)
-    b1 = lap.lift(np.ones(grid.n_phi))
+    e, e_sum = _pin_row(grid)
     tol = NEWTON_TOL
 
     def merit(r1, r2):
@@ -415,18 +479,17 @@ def newton_stage(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, eps: float
         if res1 <= tol:
             return True
         return (res1 <= MAX_TOL_RELAXATION * tol
+                and res1 <= _rounding_bound(lap, u, kappa, g)
                 and res1 <= _rounding_level(lap, u, kappa, g, eps))
 
-    r1, r2 = _residual(lap, e, u, kappa, g, eps)
+    r1, r2, band, shift = _residual(lap, e, u, kappa, g, eps)
     for it in range(MAX_NEWTON + 1):
         res1 = float(np.max(np.abs(r1)))
         if converged(res1, r2, u, kappa):
             return u, kappa, it, res1, abs(r2)
         if it == MAX_NEWTON:
             break
-        shift = f_eps_prime(u, eps)
-        shift *= lap.areas
-        du, dkappa, missed = _newton_direction(lap, e, b1, shift, r1, r2)
+        du, dkappa, missed = _newton_direction(lap, e, e_sum, band, shift, r1, r2)
         if missed is not None:
             raise StageFailed(eps, grid, it, res1,
                               f"GMRES did not reach the relative residual {KRYLOV_RTOL:g}"
@@ -439,9 +502,9 @@ def newton_stage(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, eps: float
             u_try = np.multiply(du, lam)
             u_try += u
             k_try = kappa + lam * dkappa
-            r1_try, r2_try = _residual(lap, e, u_try, k_try, g, eps)
-            if merit(r1_try, r2_try) <= (1.0 - 2.0 * ARMIJO_C * lam) * m0:
-                u, kappa, r1, r2 = u_try, k_try, r1_try, r2_try
+            trial = _residual(lap, e, u_try, k_try, g, eps)
+            if merit(*trial[:2]) <= (1.0 - 2.0 * ARMIJO_C * lam) * m0:
+                u, kappa, (r1, r2, band, shift) = u_try, k_try, trial
                 accepted = True
                 break
             lam *= ARMIJO_SHRINK
@@ -529,9 +592,11 @@ def _stages(grid: PolarGrid, g_arc, eps_min: float):
     (`_prolong`) and kappa carried over.  Coarse levels see the fine arc
     data averaged over the fine cells of each coarse cell.
 
-    A 256^2 cross run climbs 16^2, ..., 256^2: its eleven Newton steps make
-    26 Laplacian inverses, 5 in the last stage's 2 steps on 256^2 (25 with
-    every stage on 256^2); a 256^2 asterisk run makes 70, 18 on 256^2 (66).
+    A 256^2 cross run (M = 40) climbs 16^2, ..., 256^2: the predictor and
+    its eleven Newton steps make 27 Laplacian inverses, one per step plus
+    one per GMRES iteration on the band, 5 of them in the last stage's 2
+    steps on 256^2 (26 with every stage on 256^2); a 256^2 asterisk run
+    makes 71, 18 on 256^2 (67).
 
     A solve leaves each level's read-only operator arrays (`assemble`,
     cached for LEVEL_CACHE_SIZE = 16 shapes; a ladder has at most 14
@@ -568,8 +633,8 @@ def solve_fixed_point(grid: PolarGrid, g_arc, eps_min: float = 0.0125,
     """Run the eps continuation (`_stages`) from EPS_START down to eps_min on
     a sector grid; a StageFailed carries the last converged stage as
     partial.  Deterministic under a fixed BLAS thread count: the Krylov
-    solves and the DCTs of the preconditioner run in a fixed order, the DCTs
-    on one worker.
+    solves and the DCTs of the bordered inverse run in a fixed order, the
+    DCTs on one worker.
     """
     if grid.periodic:
         raise ValueError("solve_fixed_point needs a sector grid")

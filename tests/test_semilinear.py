@@ -38,8 +38,8 @@ EPS_VALUES = [0.2, 0.1, 0.05, 0.0125]
 def max_residual(sol):
     """max |R1| of a solution, evaluated afresh on its own grid."""
     grid = sol.u.grid
-    r1, _ = semilinear._residual(assemble(grid), origin_weight_vector(grid),
-                                 sol.u.values.ravel(), sol.kappa, sol.g_values, sol.eps)
+    r1, *_ = semilinear._residual(assemble(grid), origin_weight_vector(grid),
+                                  sol.u.values.ravel(), sol.kappa, sol.g_values, sol.eps)
     return float(np.max(np.abs(r1)))
 
 
@@ -79,12 +79,22 @@ def single_level_continuation(grid, g, eps_min):
     return u, kappa, iters
 
 
-def minres_elimination_direction(lap, e, b1, shift, r1, r2):
+def band_shift(lap, band, values):
+    """The dense shift: values at the cells band, +0.0 elsewhere."""
+    shift = np.zeros(lap.grid.size)
+    shift[band] = values
+    return shift
+
+
+def minres_elimination_direction(lap, e, e_sum, band, values, r1, r2):
     """Reference Newton direction: two MINRES solves with the Jacobian
     J = A - diag(shift), preconditioned by A^-1, and block elimination of
-    the bordered system."""
+    the bordered system; shift is values on the band and 0 elsewhere."""
     A = coo_assembly(lap.grid)
     n = A.shape[0]
+    shift = band_shift(lap, band, values)
+    e = origin_weight_vector(lap.grid)  # in full, not on its support
+    b1 = lap.lift(np.ones(lap.grid.n_phi))
     jac = spla.LinearOperator((n, n), matvec=lambda v: A @ v - shift * v, dtype=float)
     precond = spla.LinearOperator((n, n), matvec=lap.apply_inverse, dtype=float)
     w1, info1 = spla.minres(jac, r1, rtol=1e-14, maxiter=500, M=precond)
@@ -112,10 +122,11 @@ def assert_step_meets_forcing_term():
     e = origin_weight_vector(grid)
     b1 = lap.lift(np.ones(grid.n_phi))
     for eps in (0.2, 0.05):
-        r1, r2 = semilinear._residual(lap, e, u, kappa, g, eps)
+        r1, r2, band, values = semilinear._residual(lap, e, u, kappa, g, eps)
         shift = lap.areas * f_eps_prime(u, eps)
         assert abs(r2) > 1e-4
-        du, dkappa, missed = semilinear._newton_direction(lap, e, b1, shift, r1, r2)
+        du, dkappa, missed = semilinear._newton_direction(lap, e, float(e.sum()), band,
+                                                          values, r1, r2)
         assert missed is None
         res = np.append(r1, r2)
         K = bordered_matrix(lap, e, b1, shift)
@@ -173,6 +184,97 @@ class TestSmoothedIndicator:
             f_eps(0.0, 0.0)
         with pytest.raises(ValueError):
             f_eps_prime(0.0, -0.1)
+
+
+def dense_residual(lap, u, kappa, g, eps):
+    """R1 with the source f_eps(u) area on every cell."""
+    r1 = lap.apply(u)
+    source = f_eps(u, eps)
+    source *= lap.areas
+    r1 -= source
+    r1[-lap.grid.n_phi:] -= lap.arc_coeff * (g - kappa)
+    return r1
+
+
+class TestBand:
+    """f_eps and f_eps' are evaluated on the band alone (`_residual`)."""
+
+    @pytest.mark.parametrize("eps", [0.2, 0.3, 0.0125, 3.125e-5, 7e-9])
+    def test_band_source_and_slope_are_the_dense_ones_bit_for_bit(self, eps):
+        grid = build_sector_grid(2, 32, 24)
+        lap = assemble(grid)
+        e = origin_weight_vector(grid)
+        below = np.nextafter(-eps, -np.inf)
+        special = [0.0, -0.0, -eps, np.nextafter(-eps, np.inf), below,
+                   np.nextafter(below, -np.inf), -eps * 2.0**-54, 1e300, -1e300, -0.5 * eps]
+        assert -eps * 2.0**-54 / eps + 1.0 == 1.0
+        g = np.cos(2.0 * grid.phi)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            u = rng.uniform(-2.0 * eps, eps, grid.size)
+            u[seed * 40:seed * 40 + len(special)] = special
+            u.flags.writeable = False
+            r1, r2, band, shift = semilinear._residual(lap, e, u, 0.25, g, eps)
+            assert r1.tobytes() == dense_residual(lap, u, 0.25, g, eps).tobytes()
+            assert r2 == float(e @ u)
+            dense = f_eps_prime(u, eps)
+            dense *= lap.areas
+            assert shift.tobytes() == dense[band].tobytes()
+            off = np.delete(dense, band)
+            assert off.tobytes() == np.zeros(off.size).tobytes()  # +0.0, no -0.0
+            assert np.all(np.diff(band) > 0)
+            assert np.array_equal(band, np.flatnonzero((u > -eps) & (u < 0.0)))
+
+    def test_stage_without_band_takes_one_inverse_per_step(self, monkeypatch):
+        # at eps = 1e-6 no cell centre of the 32^2 grid falls in (-eps, 0), so
+        # K = P and each step is x = P^-1 b with no Krylov iteration
+        grid = build_sector_grid(2, 32, 32)
+        lap = assemble(grid)
+        g = 0.5 * np.cos(2.0 * grid.phi)
+        u0, kappa = initial_guess(grid, g, lap)
+        inverses, iterations, bands = [], [], []
+        apply_inverse, gmres = lap.apply_inverse, semilinear._gmres
+
+        def counted_inverse(rhs):
+            inverses.append(rhs.size)
+            return apply_inverse(rhs)
+
+        def counted_gmres(b, residual, inverse, band, shift, spare):
+            bands.append(band.size)
+            x, its, relres = gmres(b, residual, inverse, band, shift, spare)
+            iterations.append(its)
+            return x, its, relres
+
+        monkeypatch.setattr(lap, "apply_inverse", counted_inverse)
+        monkeypatch.setattr(semilinear, "_gmres", counted_gmres)
+        _, _, n_it, pde_res, origin_res = newton_stage(lap, u0.values.ravel(), kappa, 1e-6, g)
+        assert n_it >= 2
+        assert pde_res <= semilinear.NEWTON_TOL and origin_res <= semilinear.NEWTON_TOL
+        assert bands == [0] * n_it and iterations == [0] * n_it
+        assert len(inverses) == n_it
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rounding_bound_is_above_the_level(self, seed):
+        rng = np.random.default_rng(seed)
+        for n_r, n_phi, k in [(256, 8, 2), (64, 64, 2), (33, 17, 4), (8, 200, 2)]:
+            grid = build_sector_grid(k, n_r, n_phi)
+            lap = assemble(grid)
+            for scale in (1e-3, 1.0, 1e4):
+                u = scale * rng.standard_normal(grid.size)
+                g = scale * rng.standard_normal(n_phi)
+                kappa = scale * rng.standard_normal()
+                for eps in (0.2, 3.125e-5):
+                    assert semilinear._rounding_bound(lap, u, kappa, g) \
+                        >= semilinear._rounding_level(lap, u, kappa, g, eps)
+        # solved fields, the stage that stops at its rounding level among them
+        for n_r, n_phi, amp, eps in [(256, 8, 1e4, 0.2), (64, 64, 40.0, 0.05)]:
+            grid = build_sector_grid(2, n_r, n_phi)
+            lap = assemble(grid)
+            g = amp * np.cos(2.0 * grid.phi)
+            u0, kappa = initial_guess(grid, g, lap)
+            u, kappa, _, _, _ = newton_stage(lap, u0.values.ravel(), kappa, eps, g)
+            assert semilinear._rounding_bound(lap, u, kappa, g) \
+                >= semilinear._rounding_level(lap, u, kappa, g, eps)
 
 
 class TestSchedule:
@@ -291,11 +393,11 @@ class TestNewtonStage:
         p_norm = spla.norm(P, np.inf)
         g = 40.0 * np.cos(2.0 * grid.phi)
         u0, kappa = initial_guess(grid, g, lap)
-        r1, r2 = semilinear._residual(lap, e, u0.values.ravel(), kappa, g, 0.05)
+        r1, r2, *_ = semilinear._residual(lap, e, u0.values.ravel(), kappa, g, 0.05)
         rng = np.random.default_rng(7)
         for v in (np.append(r1, r2), rng.standard_normal(grid.size + 1),
                   np.append(b1, 1.0), np.append(np.zeros(grid.size), 1.0)):
-            x = semilinear._bordered_inverse(lap, e, v)
+            x = semilinear._bordered_inverse(lap, *semilinear._pin_row(grid), v)
             assert np.max(np.abs(P @ x - v)) <= 1e-12 * p_norm * np.max(np.abs(x))
 
     def test_step_meets_forcing_term(self):
@@ -308,6 +410,7 @@ class TestNewtonStage:
         assert_step_meets_forcing_term()
 
     def test_one_laplacian_inverse_per_krylov_iteration(self, monkeypatch):
+        # one inverse for P^-1 b, then one per iteration on the band
         grid = build_sector_grid(2, 96, 96)
         lap = assemble(grid)
         g = 40.0 * np.cos(2.0 * grid.phi)
@@ -330,7 +433,7 @@ class TestNewtonStage:
         for eps in (0.2, 0.1):
             u, kappa, _, _, _ = newton_stage(lap, u, kappa, eps, g)
         assert len(iterations) >= 2 and all(its >= 1 for its in iterations)
-        assert len(inverses) == sum(iterations)
+        assert len(inverses) == sum(1 + its for its in iterations)
 
     @pytest.mark.parametrize("restart", [semilinear.KRYLOV_RESTART, 3])
     def test_gmres_solves_a_small_nonsymmetric_system(self, monkeypatch, restart):
@@ -339,20 +442,23 @@ class TestNewtonStage:
         monkeypatch.setattr(semilinear, "KRYLOV_RESTART", restart)
         rng = np.random.default_rng(11)
         n = 40
-        K = np.eye(n) + 0.4 * rng.standard_normal((n, n)) / np.sqrt(n)
+        P = np.eye(n) + 0.4 * rng.standard_normal((n, n)) / np.sqrt(n)
+        band = np.sort(rng.choice(n, 24, replace=False))
+        shift = rng.uniform(-1.0, 1.0, band.size)
+        K = P.copy()
+        K[band, band] -= shift
         b = rng.standard_normal(n)
         products = []
 
-        def matvec(v):
-            products.append(v)
-            return K @ v
+        def residual(x):
+            products.append(x)
+            return b - K @ x
 
-        def precond_step(v, z, kz):
-            # P = I: z = v and K z, written into the arrays GMRES passes
-            z[:] = v
-            kz[:] = K @ v
+        def inverse(v, out):
+            out[:] = np.linalg.solve(P, v)
+            return out
 
-        x, its, relres = semilinear._gmres(b, matvec, precond_step)
+        x, its, relres = semilinear._gmres(b, residual, inverse, band, shift)
         assert its > 3
         assert len(products) == -(-its // restart)
         assert relres <= semilinear.KRYLOV_RTOL
@@ -529,6 +635,17 @@ class TestSolverMemory:
         assert (again.kappa, again.pde_residual, again.newton_iters) == \
             (first.kappa, first.pde_residual, first.newton_iters)
         assert other.u.values.tobytes() != first.u.values.tobytes()
+
+    def test_store_keeps_only_arrays_of_the_bordered_size(self, monkeypatch):
+        # the band's Arnoldi vectors are not kept, only the images P^-1 E v_j,
+        # the buffer for E v and P^-1 r, each of its level's size + 1
+        monkeypatch.setattr(semilinear, "_spares", {})
+        grid = build_sector_grid(2, 96, 96)
+        sol = solve_fixed_point(grid, lambda p: 40.0 * np.cos(2.0 * p), 0.025)
+        sizes = {level.size + 1 for level in semilinear._grid_levels(grid)}
+        assert semilinear._spares and set(semilinear._spares) <= sizes
+        kept = [a.size for arrays in semilinear._spares.values() for a in arrays]
+        assert set(kept) <= sizes and not set(kept) & set(sol.band_cells)
 
     def test_cached_operator_arrays_are_read_only_and_shared(self):
         grid = build_sector_grid(2, 40, 24)
