@@ -109,7 +109,7 @@ class RunManifest:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         path = Path(out_dir) / "manifest.json"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(asdict(self)), fh, indent=2)
+            fh.write(json.dumps(_jsonable(asdict(self)), indent=2))
         return path
 
     @staticmethod
@@ -295,7 +295,7 @@ def _write_arcs(u, radii, path) -> tuple[list | None, str]:
         arcs = fit_arcs_at_origin(u, radii)
     except ValueError as exc:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"limit_angles_deg": [], "note": str(exc)}, fh, indent=2)
+            fh.write(json.dumps({"limit_angles_deg": [], "note": str(exc)}, indent=2))
         return None, str(exc)
     write_arcs_json(arcs, path)
     return list(np.degrees(arcs.limit_angles)), ""

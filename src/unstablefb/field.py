@@ -226,15 +226,6 @@ def _origin_ring_weights(grid: PolarGrid) -> np.ndarray:
     return w
 
 
-def origin_weight_vector(grid: PolarGrid) -> np.ndarray:
-    """Flat weight vector e with e . u.ravel() = eval_origin(u)."""
-    w = _origin_ring_weights(grid)
-    e = np.zeros(grid.size)
-    for i in range(_ORIGIN_RINGS):
-        e[i * grid.n_phi : (i + 1) * grid.n_phi] = w[i] / grid.n_phi
-    return e
-
-
 def eval_origin(field: ScalarField) -> float:
     """Field value at the origin, extrapolated from inner ring means."""
     means = field.values[:_ORIGIN_RINGS, :].mean(axis=1)
@@ -333,9 +324,13 @@ def _circle_traces(field: ScalarField, radii, m: int) -> list[CircleTrace]:
 
 def write_table(path, header: str, columns) -> None:
     """CSV of the columns under one header line, every number as "%.17g",
-    which round-trips float64."""
-    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
-               comments="", fmt="%.17g")
+    which round-trips float64.  The bytes are those of np.savetxt with that
+    format, filled into one row template repeated over the rows and
+    written at once."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def write_field_csv(field: ScalarField, path) -> None:

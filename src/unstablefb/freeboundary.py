@@ -1,13 +1,21 @@
 """Zero level set extraction and free-boundary arc geometry.
 
-Marching squares classifies every quad of the logical (r, phi) grid of
-the symmetric disk extension in one array pass (nodes are cell centers,
-periodic in phi, nothing below the innermost ring); that extension is the
-one copy of a sector field the analyses make.  Crossing points are linear
-interpolations along grid edges, shared exactly between neighbouring
-quads, so polylines chain without seams.  Saddle quads are resolved by
-the sign of the corner average, which keeps the extraction deterministic.
-Crossing angles on circles read the sector field directly.
+Marching squares classifies every quad of the logical (r, phi) grid in one
+array pass (nodes are cell centers, nothing below the innermost ring).  A
+disk field's quads wrap around in phi.  A sector field is marched on its
+own quads, and its chains are placed in the 2k copies of the sector that
+tile the disk, so no analysis copies the field: copy m covers
+[m phi0, (m + 1) phi0] and is the sector turned (m even) or mirrored (m
+odd).  Crossing points are linear interpolations along grid edges, shared
+exactly between neighbouring quads, so polylines chain without seams.
+Saddle quads are resolved by the sign of the corner average, which keeps
+the extraction deterministic.  Crossing angles on circles read the sector
+field through the reflection index map.
+
+Polyline order: the chains of the marched field, open chains first (each
+from its end met first in row-major quad order), then closed loops (by
+lowest segment); each chain gives its polylines in order of the first
+copy m = 0, ..., 2k - 1 each one visits (`_place`).
 """
 from __future__ import annotations
 
@@ -17,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mesh
 from .field import ScalarField, _circle_samples, check_radii
 from .mesh import TWO_PI
 
@@ -68,13 +75,19 @@ def _case_segments(case: int, center_in: int) -> list[tuple[int, int]]:
 _SEGMENTS = np.array([[_case_segments(c, m) for m in (0, 1)] for c in range(16)])
 
 
-def _march(disk: ScalarField) -> tuple[list[np.ndarray], list[float]]:
-    vals = disk.values
-    g = disk.grid
+def _march(field: ScalarField) -> tuple[list[np.ndarray], list[float]]:
+    """Polylines of {u = 0} on the disk and their lengths.
+
+    A disk field's quads wrap around in phi.  A sector field's quads stop
+    at its first and last columns, and its chains are placed in the disk's
+    copies (`_place`).
+    """
+    vals = field.values
+    g = field.grid
     n_phi = g.n_phi
     inside = (vals > 0.0).astype(np.uint8)
     c = inside[:-1] + 2 * inside[1:]
-    case = c + 4 * np.roll(c, -1, axis=1)
+    case = c + 4 * np.roll(c, -1, axis=1) if g.periodic else c[:, :-1] + 4 * c[:, 1:]
     qi, qj = np.nonzero((case > 0) & (case < 15))
     jn = (qj + 1) % n_phi
     center_in = vals[qi, qj] + vals[qi + 1, qj] + vals[qi, jn] + vals[qi + 1, jn] > 0.0
@@ -94,11 +107,70 @@ def _march(disk: ScalarField) -> tuple[list[np.ndarray], list[float]]:
     t = v0 / (v0 - v1)
     rp = np.where(angular, g.r[i], g.r[i] + t * g.dr)
     ph = np.where(angular, g.phi[j] + t * g.dphi, g.phi[j])
-    xy = np.array([(a * math.cos(b), a * math.sin(b)) for a, b in zip(rp.tolist(), ph.tolist())])
 
-    polylines = [xy[chain] for chain in _chain(seg.reshape(segments.shape), first_seen)]
+    chains = _chain(seg.reshape(segments.shape), first_seen)
+    # the sector edge a chain may end on: 0 at phi = 0, 1 at phi = phi0
+    side = np.full(edges.size, -1)
+    if not g.periodic:
+        side[(angular == 0) & (j == 0)] = 0
+        side[(angular == 0) & (j == n_phi - 1)] = 1
+    lines = _place([np.array(chain) for chain in chains], side.tolist(), g.copies)
+    if not lines:
+        return [], []
+    pieces = [piece for line in lines for piece in line]
+    vertex = np.concatenate([chain for chain, _ in pieces])
+    copy = np.repeat([m for _, m in pieces], [len(chain) for chain, _ in pieces])
+    # copy m covers [m phi0, (m + 1) phi0], mirrored when m is odd
+    odd = copy & 1
+    angle = (copy + odd) * g.phi_total + (1 - 2 * odd) * ph[vertex]
+    radius = rp[vertex]
+    xy = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+
+    sizes = [sum(len(chain) for chain, _ in line) for line in lines]
+    polylines = np.split(xy, np.cumsum(sizes)[:-1])
     lengths = [float(np.sum(np.hypot(*np.diff(pts, axis=0).T))) for pts in polylines]
     return polylines, lengths
+
+
+def _place(chains: list[np.ndarray], side: list[int], copies: int
+           ) -> list[list[tuple[np.ndarray, int]]]:
+    """The disk polylines of the chains, as pieces (edge sequence, copy m).
+
+    side[e] is 0 or 1 for a radial edge on the first or last column of a
+    sector and -1 elsewhere; on the disk every side is -1 and each chain is
+    one polyline of copy 0.  The quad between a column and its mirror image
+    has pairwise-equal corners, so its one segment joins the crossing on
+    the column's radial edge to its mirror image and adds no vertex.  A
+    chain that ends on side s thus continues, reversed, in the copy across
+    that sector edge: m + 1 if m is odd and s = 0 or m is even and s = 1,
+    else m - 1 (mod copies).  A chain with one such end is walked from its
+    other end, into the mirror copy and back; one with two closes into a
+    loop over two copies (equal sides) or all of them, which repeats its
+    first vertex.
+    """
+    out = []
+    for chain in chains:
+        if side[chain[0]] >= 0 and side[chain[-1]] < 0:
+            chain = chain[::-1]  # walk from the free end
+        first, last = side[chain[0]], side[chain[-1]]
+        visited = [False] * copies
+        for m in range(copies):
+            if visited[m]:
+                continue
+            line, copy, forward = [], m, True
+            while True:
+                visited[copy] = True
+                line.append((chain if forward else chain[::-1], copy))
+                end = last if forward else first
+                if end < 0:
+                    break
+                copy = (copy + (1 if copy % 2 != end else -1)) % copies
+                forward = not forward
+                if copy == m and forward:
+                    line.append((chain[:1], m))
+                    break
+            out.append(line)
+    return out
 
 
 def _chain(seg: np.ndarray, first_seen: np.ndarray) -> list[list[int]]:
@@ -135,8 +207,8 @@ def _chain(seg: np.ndarray, first_seen: np.ndarray) -> list[list[int]]:
 
 
 def extract_zero_set(u: ScalarField) -> LevelSet:
-    """March the zero set of the symmetric disk extension of u."""
-    polylines, lengths = _march(mesh.reflect_to_disk(u))
+    """March the zero set of u, or of its even extension to the disk (`_march`)."""
+    polylines, lengths = _march(u)
     return LevelSet(polylines=polylines, lengths=lengths)
 
 
@@ -243,4 +315,4 @@ def write_arcs_json(fit: ArcFit, path) -> None:
         "topology_change": fit.topology_change,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        fh.write(json.dumps(payload, indent=2))

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import ScalarField, origin_weight_vector, write_field_vtk
+from .field import ScalarField, _origin_ring_weights, write_field_vtk
 from .mesh import PolarGrid
 from .poisson import DiscreteLaplacian, _arc_values, assemble
 
@@ -162,14 +162,20 @@ ROUNDING_FACTOR = 4.0
 # tolerance set further below what the arithmetic resolves stays unreachable.
 MAX_TOL_RELAXATION = 100.0
 # Forcing term of the Newton step: GMRES stops once the residual of the
-# bordered system is this fraction of |[R1; R2]|, estimated by the Givens
-# rotations and confirmed by one product with K per cycle.  Every stage
-# then takes the Newton iterations it takes with exact solves.  Not much
-# tighter: the attainable residual grows with n_r (first Newton step of the
-# asterisk at eps = 0.2: 1.7e-10 at 4096 x 8 cells, 6.4e-10 at 8192 x 8,
-# 4.7e-8 at 65536 x 8), so 1e-8 already fails on the finest grid in use.
+# bordered system is this fraction of |[R1; R2]| (or the floor below, if
+# that is larger), estimated by the Givens rotations and confirmed by one
+# product with K per cycle.  Every stage then takes the Newton iterations
+# it takes with exact solves.  Not much tighter: the attainable residual
+# grows with n_r (first Newton step of the asterisk at eps = 0.2: 1.7e-10
+# at 4096 x 8 cells, 6.4e-10 at 8192 x 8, 4.7e-8 at 65536 x 8), so 1e-8
+# already fails on the finest grid in use.
 KRYLOV_RTOL = 1e-6
-# A solve takes 1-2 iterations on the band of the 256^2 cross, 3-5 on the
+# Floor of the forcing term, as a fraction of NEWTON_TOL (`_krylov_target`).
+# In a stage's last step |b| falls to 1e-9 - 1e-8, where KRYLOV_RTOL |b|
+# solves hundreds of times below what the test max |R1| <= NEWTON_TOL can
+# see.  The Newton iterations per stage stay those of the tighter solves.
+KRYLOV_NEWTON_FRACTION = 0.1
+# A solve takes 0-2 iterations on the band of the 256^2 cross, 1-5 on the
 # default 256^2 asterisk and at most 11 on the asterisk down to
 # eps = 3.125e-5 (9 at 65536 x 8 cells), so one basis of KRYLOV_RESTART
 # vectors holds a whole solve; a solve that reaches KRYLOV_MAXITER
@@ -260,8 +266,8 @@ def _rounding_bound(lap: DiscreteLaplacian, u: np.ndarray, kappa: float,
 
 
 def _pin_row(grid: PolarGrid) -> tuple[np.ndarray, float]:
-    """The pin row e on its support, the leading cells, and its sum."""
-    e = np.trim_zeros(origin_weight_vector(grid), "b")
+    """The pin row e on its support, the cells of the origin rings, and its sum."""
+    e = np.repeat(_origin_ring_weights(grid) / grid.n_phi, grid.n_phi)
     return e, float(e.sum())
 
 
@@ -318,6 +324,11 @@ def _keep_spares(size: int, arrays: list[np.ndarray]) -> None:
         _spares[size] = arrays
 
 
+def _krylov_target(b_norm: float) -> float:
+    """Residual |b - K x| at which a Newton step's Krylov solve stops."""
+    return max(KRYLOV_RTOL * b_norm, KRYLOV_NEWTON_FRACTION * NEWTON_TOL)
+
+
 def _gmres(b: np.ndarray, residual, inverse, band: np.ndarray, shift: np.ndarray,
            spare: list | None = None) -> tuple[np.ndarray, int, float]:
     """Restarted GMRES for K x = b on the band's Schur complement.
@@ -330,13 +341,13 @@ def _gmres(b: np.ndarray, residual, inverse, band: np.ndarray, shift: np.ndarray
     r - K x = E (c - T q).  So GMRES runs on T, whose Arnoldi vectors have
     the band's length, each iteration is one inverse of a vector that is
     zero off the band, and the Givens estimate |g_{j+1}| is the residual of
-    K x = b itself; an iteration stops once it reaches KRYLOV_RTOL |b|.
+    K x = b itself; an iteration stops once it reaches `_krylov_target`.
     x = x0 + sum y_j z_j with the images z_j = P^-1 E v_j, so a cycle of m
     iterations makes 1 + m inverses, and an empty band gives x = x0.  Each
     cycle ends with one product K x to confirm the true residual; a miss
     restarts from x, with the residual in place of b.  Returns (x,
-    iterations, |b - K x| / |b|); the solve has converged iff that ratio
-    is at most KRYLOV_RTOL.
+    iterations, |b - K x| / |b|); the solve has converged iff |b - K x|
+    is at most the target.
 
     The images, the buffer for E v and the restarts' P^-1 r are taken from
     the list spare (new arrays while it is empty) and go back to it; x is
@@ -351,7 +362,7 @@ def _gmres(b: np.ndarray, residual, inverse, band: np.ndarray, shift: np.ndarray
     b_norm = float(np.linalg.norm(b))
     if not b_norm:
         return np.zeros_like(b), 0, 0.0
-    target = KRYLOV_RTOL * b_norm
+    target = _krylov_target(b_norm)
     x = inverse(b, np.empty_like(b))
     c = np.multiply(shift, x[band])
     scatter = take()  # E v: zero off the band
@@ -421,9 +432,9 @@ def _newton_direction(lap: DiscreteLaplacian, e: np.ndarray, e_sum: float,
     multiplies by A; it corrects the band cells and adds the column b1,
     arc_coeff on the arc ring, there alone.  e may be the leading entries
     of the pin row, and e_sum is its sum.  Returns (du, dkappa, missed):
-    missed is None when the true relative residual meets KRYLOV_RTOL, and
-    that residual otherwise.  The Krylov arrays come from, and go back
-    to, the store of spare arrays (`_take_spares`).
+    missed is None when the true residual meets `_krylov_target`, and the
+    pair (relative residual, relative target) otherwise.  The Krylov arrays
+    come from, and go back to, the store of spare arrays (`_take_spares`).
     """
     n_phi = lap.grid.n_phi
 
@@ -446,7 +457,9 @@ def _newton_direction(lap: DiscreteLaplacian, e: np.ndarray, e_sum: float,
     spare = _take_spares(rhs.size)
     x, _, relres = _gmres(rhs, residual, inverse, band, shift, spare)
     _keep_spares(rhs.size, spare)
-    return x[:-1], float(x[-1]), None if relres <= KRYLOV_RTOL else relres
+    b_norm = float(np.linalg.norm(rhs))
+    target = _krylov_target(b_norm) / b_norm if b_norm else 0.0
+    return x[:-1], float(x[-1]), None if relres <= target else (relres, target)
 
 
 def newton_stage(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, eps: float,
@@ -491,9 +504,10 @@ def newton_stage(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, eps: float
             break
         du, dkappa, missed = _newton_direction(lap, e, e_sum, band, shift, r1, r2)
         if missed is not None:
+            relres, target = missed
             raise StageFailed(eps, grid, it, res1,
-                              f"GMRES did not reach the relative residual {KRYLOV_RTOL:g}"
-                              f" (achieved {missed:.3e})", linear_residual=missed)
+                              f"GMRES did not reach the relative residual {target:.3g}"
+                              f" (achieved {relres:.3e})", linear_residual=relres)
 
         m0 = merit(r1, r2)
         lam = 1.0
@@ -593,10 +607,10 @@ def _stages(grid: PolarGrid, g_arc, eps_min: float):
     data averaged over the fine cells of each coarse cell.
 
     A 256^2 cross run (M = 40) climbs 16^2, ..., 256^2: the predictor and
-    its eleven Newton steps make 27 Laplacian inverses, one per step plus
-    one per GMRES iteration on the band, 5 of them in the last stage's 2
-    steps on 256^2 (26 with every stage on 256^2); a 256^2 asterisk run
-    makes 71, 18 on 256^2 (67).
+    its eleven Newton steps make 25 Laplacian inverses, one per step plus
+    one per GMRES iteration on the band, 4 of them in the last stage's 2
+    steps on 256^2 (24 with every stage on 256^2); a 256^2 asterisk run
+    makes 63, 17 on 256^2 (63).
 
     A solve leaves each level's read-only operator arrays (`assemble`,
     cached for LEVEL_CACHE_SIZE = 16 shapes; a ladder has at most 14
@@ -685,5 +699,5 @@ def export_solution(sol: Solution, out_dir) -> list[str]:
         "band_cells": sol.band_cells,
     }
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
+        fh.write(json.dumps(sidecar, indent=2))
     return [vtk_path, json_path]

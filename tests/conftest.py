@@ -1,5 +1,6 @@
-"""Shared fixtures: cached grids, synthetic fields, a capped Krylov solver
-and the sparse-matrix oracle of the Laplacian, used across test modules."""
+"""Shared fixtures: cached grids, synthetic fields, a capped Krylov solver,
+the sparse-matrix oracle of the Laplacian and the full-length pin row, used
+across test modules."""
 
 import math
 
@@ -15,6 +16,7 @@ from unstablefb import (
     field_from_function,
     write_field_vtk,
 )
+from unstablefb.field import _origin_ring_weights
 from unstablefb.poisson import _transmissibilities
 
 
@@ -23,6 +25,15 @@ def gmres_capped(monkeypatch):
     """Caps the Newton stage's GMRES solve at one iteration, so it stops
     short of its tolerance."""
     monkeypatch.setattr(semilinear, "KRYLOV_MAXITER", 1)
+
+
+def origin_weight_vector(grid: PolarGrid) -> np.ndarray:
+    """Flat weight vector e with e . u.ravel() = eval_origin(u)."""
+    w = _origin_ring_weights(grid)
+    e = np.zeros(grid.size)
+    for i in range(len(w)):
+        e[i * grid.n_phi : (i + 1) * grid.n_phi] = w[i] / grid.n_phi
+    return e
 
 
 def coo_assembly(grid):

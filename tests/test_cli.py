@@ -208,6 +208,29 @@ PUBLIC_API = [
 ]
 
 
+def test_no_analysis_copies_the_field_to_the_disk(monkeypatch, tmp_path):
+    """With mesh.reflect_to_disk raising wherever the package binds it, both
+    experiments and the fb command still run: each analysis reads the sector."""
+    original = unstablefb.mesh.reflect_to_disk
+
+    def refuse(field):
+        raise AssertionError("an analysis copied the field to the disk")
+
+    for name, mod in list(sys.modules.items()):
+        if name == "unstablefb" or name.startswith("unstablefb."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, refuse)
+    assert unstablefb.mesh.reflect_to_disk is refuse
+    for driver in (run_cross, run_asterisk):
+        m = driver(n_r=64, n_phi=64, out_dir=tmp_path / driver.__name__)
+        assert m.status != "solver_failure" and "fb.csv" in m.outputs
+    assert main(["fb", str(tmp_path / "run_cross" / "solution.vtk"),
+                 "--out", str(tmp_path / "fb")]) == cli.EXIT_OK
+    assert (tmp_path / "fb" / "fb.csv").read_bytes() == \
+        (tmp_path / "run_cross" / "fb.csv").read_bytes()
+
+
 def test_public_api_is_pinned():
     assert sorted(unstablefb.__all__) == PUBLIC_API
     assert all(hasattr(unstablefb, name) for name in PUBLIC_API)

@@ -38,6 +38,7 @@ from unstablefb.field import (
     _circle_traces,
     _integrate_rings,
     check_window,
+    write_table,
 )
 from unstablefb.freeboundary import _crossing_angles, crossing_angles
 from unstablefb.mesh import reflect_to_disk
@@ -429,6 +430,28 @@ class TestSerialization:
         assert data.startswith(b"# vtk DataFile")
         assert b"STRUCTURED_GRID" in data
         assert b"SCALARS" in data
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 37])
+    @pytest.mark.parametrize("n_cols", [1, 2, 4])
+    def test_table_bytes_equal_savetxt(self, tmp_path, n_rows, n_cols):
+        """np.savetxt, which write_table replaced, is the byte-level reference."""
+        columns = list(np.random.default_rng(n_rows + n_cols).standard_normal((n_cols, n_rows)))
+        write_table(tmp_path / "new.csv", "a,b", columns)
+        np.savetxt(tmp_path / "ref.csv", np.column_stack(columns), delimiter=",",
+                   header="a,b", comments="", fmt="%.17g")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_table_bytes_equal_savetxt_on_special_values(self, tmp_path):
+        special = np.array([math.nan, -0.0, 0.0, 1e300, -1e300, 5e-324, -5e-324, math.inf,
+                            -math.inf, 2.0**53, 0.1, 3.0])
+        columns = [special, special[::-1], np.arange(special.size)]
+        write_table(tmp_path / "new.csv", "x,y,i", columns)
+        np.savetxt(tmp_path / "ref.csv", np.column_stack(columns), delimiter=",",
+                   header="x,y,i", comments="", fmt="%.17g")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        assert new.startswith(b"x,y,i\nnan,3,0\n-0,0.10000000000000001,1\n")
+        assert b"\n1.0000000000000001e+300," in new and b"\n4.9406564584124654e-324," in new
 
     @pytest.mark.parametrize("grid", [
         PolarGrid(64, 64),

@@ -22,7 +22,7 @@ from unstablefb import (
     write_levelset_csv,
 )
 from unstablefb.freeboundary import LevelSet
-from unstablefb.mesh import reflect_to_disk
+from unstablefb.mesh import TWO_PI, reflect_to_disk
 
 DIAGONALS = np.array([1.0, 3.0, 5.0, 7.0]) * math.pi / 4.0
 
@@ -88,7 +88,8 @@ class TestMarching:
 
 def reference_march(disk):
     """The per-cell marching loop that the case-table _march replaced, kept
-    verbatim as its oracle."""
+    verbatim as its oracle but for the polar-to-Cartesian step, which takes
+    np.cos and np.sin of each polyline's angles as _march takes them of all."""
     vals = disk.values
     g = disk.grid
     n_r, n_phi = g.shape
@@ -186,12 +187,8 @@ def reference_march(disk):
     polylines: list[np.ndarray] = []
     lengths: list[float] = []
     for chain in chains:
-        pts = np.array(
-            [
-                (rp * math.cos(ph), rp * math.sin(ph))
-                for rp, ph in (edge_point[e] for e in chain)
-            ]
-        )
+        rp, ph = (np.array(c) for c in zip(*(edge_point[e] for e in chain)))
+        pts = np.column_stack([rp * np.cos(ph), rp * np.sin(ph)])
         polylines.append(pts)
         lengths.append(float(np.sum(np.hypot(*np.diff(pts, axis=0).T))) if len(pts) > 1 else 0.0)
     return polylines, lengths
@@ -227,10 +224,133 @@ class TestMarchingOracle:
     def test_sign_definite_field(self, disk64):
         assert_marches_like_reference(field_from_function(disk64, lambda r, p: 1.0 + r))
 
-    def test_reflected_cross_solution(self):
-        sol = solve_fixed_point(build_sector_grid(2, 96, 96), lambda p: 40.0 * np.cos(2.0 * p),
-                                0.05)
-        assert_marches_like_reference(reflect_to_disk(sol.u))
+    def test_reflected_cross_solution(self, cross96):
+        assert_marches_like_reference(reflect_to_disk(cross96))
+
+
+@pytest.fixture(scope="module")
+def cross96():
+    return solve_fixed_point(build_sector_grid(2, 96, 96), lambda p: 40.0 * np.cos(2.0 * p),
+                             0.05).u
+
+
+# vertices of the sector march within this of the disk march's (max norm)
+VERTEX_TOL = 1e-14
+
+
+def _same_line(pts, ref, start):
+    """pts is ref walked from its vertex start, either way round; a closed
+    ref, whose last vertex repeats its first, may be walked from any vertex."""
+    if len(pts) != len(ref):
+        return False
+    if np.array_equal(ref[0], ref[-1]) and len(ref) > 1:
+        loop = ref[:-1]
+        steps = np.arange(len(ref))
+        walks = [loop[(start + steps) % len(loop)], loop[(start - steps) % len(loop)]]
+    else:
+        walks = [ref] if start == 0 else [ref[::-1]] if start == len(ref) - 1 else []
+    return any(np.max(np.abs(pts - walk)) <= VERTEX_TOL for walk in walks)
+
+
+def assert_same_polylines(got, ref):
+    """got and ref, each (polylines, lengths), hold the same polylines as a
+    set: the same count, each polyline of got is one of ref's with its
+    vertex count and its vertices within VERTEX_TOL, up to orientation and,
+    for a closed loop, rotation, and the lengths agree to 1e-12 relative
+    (absolute below length 1: a short loop's length is at the rounding of
+    its vertices)."""
+    (polylines, lengths), (ref_polylines, ref_lengths) = got, ref
+    assert len(polylines) == len(ref_polylines)
+    if not polylines:
+        return
+    owner = np.repeat(np.arange(len(ref_polylines)), [len(p) for p in ref_polylines])
+    start = np.concatenate([np.arange(len(p)) for p in ref_polylines])
+    points = np.concatenate(ref_polylines)
+    unmatched = set(range(len(ref_polylines)))
+    for pts, length in zip(polylines, lengths):
+        near = np.flatnonzero(np.max(np.abs(points - pts[0]), axis=1) <= VERTEX_TOL)
+        match = next((owner[v] for v in near if owner[v] in unmatched
+                      and _same_line(pts, ref_polylines[owner[v]], start[v])), None)
+        assert match is not None, f"no polyline of the disk march matches one of {len(pts)}"
+        unmatched.remove(match)
+        assert abs(length - ref_lengths[match]) <= 1e-12 * max(ref_lengths[match], 1.0)
+
+
+def assert_marches_like_disk(u):
+    """The sector march of u gives the disk march of its reflected copy."""
+    ls = extract_zero_set(u)
+    assert_same_polylines((ls.polylines, ls.lengths), freeboundary._march(reflect_to_disk(u)))
+    return ls
+
+
+def sector_field(k, n_r, n_phi, fn):
+    return field_from_function(build_sector_grid(k, n_r, n_phi), fn)
+
+
+class TestSectorMarch:
+    """extract_zero_set marches the sector's own quads and places each chain
+    in the disk's 2k copies; the march of the reflected disk copy, which the
+    per-cell loop checks above, is its reference."""
+
+    def test_cross_solution(self, cross96):
+        ls = assert_marches_like_disk(cross96)
+        # one arc per quadrant, in the order of the copies
+        assert len(ls.polylines) == 4
+        for m, line in enumerate(ls.polylines):
+            angle = np.arctan2(line[:, 1], line[:, 0]) % TWO_PI
+            assert np.all((m * math.pi / 2 < angle) & (angle < (m + 1) * math.pi / 2))
+
+    def test_asterisk_solution(self):
+        u = solve_fixed_point(build_sector_grid(4, 64, 64), lambda p: np.cos(4.0 * p), 0.05).u
+        assert_marches_like_disk(u)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_circle_crossing_every_sector_edge_is_one_loop(self, k):
+        ls = assert_marches_like_disk(sector_field(k, 48, 20, lambda r, p: r - 0.5))
+        assert len(ls.polylines) == 1
+        loop = ls.polylines[0]
+        n = 2 * k * 20  # one vertex per disk column, on r = 1/2 to rounding
+        assert len(loop) == n + 1 and np.array_equal(loop[0], loop[-1])
+        assert np.allclose(np.hypot(loop[:, 0], loop[:, 1]), 0.5, rtol=0.0, atol=1e-15)
+        assert ls.lengths[0] == pytest.approx(n * math.sin(math.pi / n), rel=1e-12)
+
+    def test_chain_across_one_sector_edge_is_open(self):
+        """x = 0.6 meets the quarter sector's edge phi = 0: with its mirror
+        image it is one open chord, and so is x = -0.6."""
+        ls = assert_marches_like_disk(sector_field(2, 64, 32, lambda r, p: r * np.cos(p) - 0.6))
+        assert len(ls.polylines) == 2
+        for line in ls.polylines:
+            assert not np.array_equal(line[0], line[-1])
+            assert np.max(np.abs(np.abs(line[:, 0]) - 0.6)) < 1e-2
+            assert np.min(line[:, 1]) < 0.0 < np.max(line[:, 1])
+
+    @pytest.mark.parametrize("column", [0, -2], ids=["first", "last"])
+    def test_saddle_in_an_edge_column(self, column):
+        grid = build_sector_grid(2, 16, 16)
+        i = 5
+        r0 = 0.5 * (grid.r[i] + grid.r[i + 1]) + 0.3 * grid.dr
+        phi_c = 0.5 * (grid.phi[column] + grid.phi[column + 1]) + 0.2 * grid.dphi
+        u = field_from_function(grid, lambda r, p: (r - r0) * (p - phi_c))
+        corners = u.values[i:i + 2, column:][:, :2] > 0.0
+        assert corners[0, 0] == corners[1, 1] != corners[0, 1] == corners[1, 0]
+        assert_marches_like_disk(u)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_standard_normal_fields(self, k, seed):
+        """Many chains, with free ends, ends on one or both sector edges, and loops."""
+        values = np.random.default_rng(seed).standard_normal((40, 24))
+        assert_marches_like_disk(ScalarField(build_sector_grid(k, 40, 24), values))
+
+    @pytest.mark.parametrize("fn", [lambda r, p: r - 0.5, lambda r, p: r * r * np.cos(2.0 * p)],
+                             ids=["circle", "degree2"])
+    def test_disk_field_is_marched_periodically(self, disk64, fn):
+        u = field_from_function(disk64, fn)
+        ls = extract_zero_set(u)
+        polylines, lengths = freeboundary._march(u)
+        assert len(ls.polylines) == len(polylines)
+        assert all(np.array_equal(a, b) for a, b in zip(ls.polylines, polylines))
+        assert ls.lengths == lengths
 
 
 class TestArcFit:

@@ -28,9 +28,8 @@ from unstablefb import (
     solve,
     solve_fixed_point,
 )
-from unstablefb.field import origin_weight_vector
 
-from conftest import coo_assembly
+from conftest import coo_assembly, origin_weight_vector
 
 EPS_VALUES = [0.2, 0.1, 0.05, 0.0125]
 
@@ -379,6 +378,61 @@ class TestNewtonStage:
         assert info.value.iterations == 0
         assert info.value.linear_residual > semilinear.KRYLOV_RTOL
         assert "GMRES" in info.value.reason
+
+    def test_last_step_stops_at_the_newton_tolerance(self, monkeypatch):
+        """The 32^2 asterisk's last step at eps = 0.2 has |b| near 1e-9, where
+        KRYLOV_RTOL |b| takes three GMRES iterations that the Newton test
+        cannot see; stopped at KRYLOV_NEWTON_FRACTION * NEWTON_TOL it takes
+        none, and the stage the same Newton iterations."""
+        grid = build_sector_grid(4, 32, 32)
+        g = np.cos(4.0 * grid.phi)
+
+        def stage():
+            lap = assemble(grid)
+            u0, kappa = initial_guess(grid, g, lap)
+            inverses = []
+            apply_inverse = lap.apply_inverse
+            monkeypatch.setattr(lap, "apply_inverse",
+                                lambda rhs: inverses.append(1) or apply_inverse(rhs))
+            _, kappa, iters, pde_res, origin_res = newton_stage(lap, u0.values.ravel(),
+                                                                 kappa, 0.2, g)
+            assert max(pde_res, origin_res) <= semilinear.NEWTON_TOL
+            return len(inverses), iters, kappa
+
+        inverses, iters, kappa = stage()
+        monkeypatch.setattr(semilinear, "KRYLOV_NEWTON_FRACTION", 0.0)
+        inverses_rtol, iters_rtol, kappa_rtol = stage()
+        assert iters == iters_rtol == 3
+        assert inverses == inverses_rtol - 3
+        assert abs(kappa - kappa_rtol) <= 1e-9 * abs(kappa_rtol)
+
+    def test_missed_newton_tolerance_fails_with_its_residual(self, monkeypatch):
+        """Off a converged 32^2 stage by 1e-9, |b| = 1.8e-8 and the target is
+        KRYLOV_NEWTON_FRACTION * NEWTON_TOL; a solve held to P^-1 b alone
+        misses it, and the stage fails with the residual and the target."""
+        grid = build_sector_grid(2, 32, 32)
+        lap = assemble(grid)
+        g = 0.5 * np.cos(2.0 * grid.phi)
+        u0, kappa = initial_guess(grid, g, lap)
+        u, kappa, *_ = newton_stage(lap, u0.values.ravel(), kappa, 0.2, g)
+        u = u + 1e-9 * np.cos(3.0 * grid.r).repeat(grid.n_phi)
+        r1, r2, *_ = semilinear._residual(lap, origin_weight_vector(grid), u, kappa, g, 0.2)
+        b_norm = float(np.linalg.norm(np.append(r1, r2)))
+        target = semilinear.KRYLOV_NEWTON_FRACTION * semilinear.NEWTON_TOL / b_norm
+        assert target > 100.0 * semilinear.KRYLOV_RTOL
+        monkeypatch.setattr(semilinear, "KRYLOV_MAXITER", 0)
+        with pytest.raises(StageFailed) as info:
+            newton_stage(lap, u, kappa, 0.2, g)
+        assert info.value.iterations == 0
+        assert info.value.linear_residual > target
+        assert f"relative residual {target:.3g} (achieved" in info.value.reason
+
+    def test_pin_row_is_the_origin_weights_on_their_support(self):
+        for grid in (build_sector_grid(2, 8, 8), build_sector_grid(4, 64, 48), PolarGrid(40, 24)):
+            e, e_sum = semilinear._pin_row(grid)
+            full = origin_weight_vector(grid)
+            assert np.array_equal(e, np.trim_zeros(full, "b"))
+            assert e.size == 4 * grid.n_phi and e_sum == float(e.sum())
 
     @pytest.mark.parametrize("n", [32, 256])
     def test_preconditioner_inverts_bordered_laplacian(self, n):
