@@ -366,7 +366,12 @@ def _grid_from_nodes(path, r_vals, phi_vals) -> PolarGrid:
 
 
 def read_field_csv(path) -> ScalarField:
-    """Rebuild a ScalarField from a CSV produced by write_field_csv."""
+    """Rebuild a ScalarField from a CSV produced by write_field_csv; a file
+    with no data row is a ValueError, raised before numpy warns of it."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        if not any(line.split(b"#", 1)[0].strip() for line in fh):
+            raise ValueError(f"{path}: no data rows under the header r,phi,value")
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.ndim != 2 or data.shape[1] != 3:
         raise ValueError(f"{path}: expected 3 columns r,phi,value")

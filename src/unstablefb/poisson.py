@@ -15,7 +15,7 @@ tridiagonal solve per angular mode in r, and the inverse DCT
 """
 from __future__ import annotations
 
-import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +28,12 @@ from .mesh import PolarGrid
 # stagnation guard, not a precision target: the separable inverse leaves
 # relative residuals of about 2e-13 at 512^2 and 2e-10 at 65536 x 8 cells
 RESIDUAL_TOL = 1e-8
-# grid shapes whose operator arrays `assemble` keeps (`_level_arrays`): one
-# continuation ladder (`semilinear._grid_levels`) has at most 14 levels, from
-# 65536 x 8 cells down to 8 x 8
-LEVEL_CACHE_SIZE = 16
+# Bytes that the store (`_store`) keeps between solves over all grid shapes.
+# 160 MiB holds the whole ladder of a 1024^2 cross (73.5 MiB) and of criterion
+# 7's 65536 x 8 asterisk (114 MiB; 144 MiB with 12 Krylov arrays on every
+# level), so their repeated solves build and fault in nothing, but not one
+# 2048^2 level (192 MiB of operator arrays alone), which leaves nothing behind.
+STORE_BYTES = 160 << 20
 
 
 class SolverError(RuntimeError):
@@ -143,15 +145,12 @@ def _factor_modes(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-@functools.lru_cache(maxsize=LEVEL_CACHE_SIZE)
 def _level_arrays(grid: PolarGrid) -> tuple:
     """(radial, angular, diag, arc_coeff, areas, modes) of `DiscreteLaplacian`
-    on grid, read-only, cached per (n_r, n_phi, copies).
+    on grid, read-only.
 
-    The arrays depend on the grid's shape alone, and equal grids hash by
-    (n_r, n_phi, copies), so every grid of one shape shares one set.  The
-    diagonal of cell c sums its inner radial, outer radial and two angular
-    face coefficients and then the arc coefficient, in that order.
+    The diagonal of cell c sums its inner radial, outer radial and two
+    angular face coefficients and then the arc coefficient, in that order.
     """
     n_phi = grid.n_phi
     t_radial, t_angular, arc_coeff = _transmissibilities(grid)
@@ -170,17 +169,57 @@ def _level_arrays(grid: PolarGrid) -> tuple:
     return radial, angular, diag, arc_coeff, areas, modes
 
 
+# What a solve leaves behind, per grid shape, least recently used first:
+# [operator arrays (`_level_arrays`), Krylov arrays (`take_krylov`)].
+_store: dict[PolarGrid, list] = {}
+_store_lock = threading.Lock()
+
+
+def _nbytes(kept: list) -> int:
+    (radial, angular, diag, _, areas, modes), krylov = kept
+    return sum(a.nbytes for a in (radial, angular, diag, areas, *modes, *krylov))
+
+
+def _keep(grid: PolarGrid, kept: list) -> None:
+    """Store kept as grid's, the most recently used, then drop the least
+    recently used shapes while the store passes STORE_BYTES.  Needs the lock."""
+    _store.pop(grid, None)
+    _store[grid] = kept
+    while sum(map(_nbytes, _store.values())) > STORE_BYTES:
+        del _store[next(iter(_store))]
+
+
+def take_krylov(grid: PolarGrid) -> list[np.ndarray]:
+    """The Krylov arrays kept for grid's shape, now the caller's alone."""
+    with _store_lock:
+        kept = _store.get(grid)
+        if kept is None:
+            return []
+        arrays, kept[1] = kept[1], []
+        return arrays
+
+
+def keep_krylov(grid: PolarGrid, arrays: list[np.ndarray]) -> None:
+    """Keep Krylov arrays with grid's operator arrays, if the store holds those."""
+    with _store_lock:
+        if grid in _store:
+            _store[grid][1] = arrays
+            _keep(grid, _store[grid])
+
+
 def assemble(grid: PolarGrid) -> DiscreteLaplacian:
     """Face coefficients, diagonal and inverse factors of the SPD finite-volume operator.
 
-    Returns a new operator on the caller's grid object.  Its arrays come
-    from a cache of the last LEVEL_CACHE_SIZE grid shapes (`_level_arrays`)
-    and are read-only: a continuation that solves on one grid again builds
-    them once per process.
+    Returns a new operator on the caller's grid object.  Its read-only
+    arrays are built under the store's lock once per shape while the store
+    (`_store`) holds them, and shared by every operator of that shape.
     """
     if grid.periodic:
         raise ValueError("the Dirichlet-arc operator is assembled on sector grids only")
-    return DiscreteLaplacian(grid, *_level_arrays(grid))
+    with _store_lock:
+        kept = _store.get(grid) or [_level_arrays(grid), []]
+        _keep(grid, kept)
+    return DiscreteLaplacian(grid, *kept[0])
 
 
 def _arc_values(grid: PolarGrid, g_arc) -> np.ndarray:

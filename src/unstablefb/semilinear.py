@@ -34,14 +34,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .field import ScalarField, _origin_ring_weights, write_field_vtk
 from .mesh import PolarGrid
-from .poisson import DiscreteLaplacian, _arc_values, assemble
+from .poisson import DiscreteLaplacian, _arc_values, assemble, keep_krylov, take_krylov
 
 
 # --- smoothed indicator --------------------------------------------------
@@ -182,16 +181,6 @@ KRYLOV_NEWTON_FRACTION = 0.1
 # iterations (a multiple of the restart) has not converged.
 KRYLOV_RESTART = 40
 KRYLOV_MAXITER = 400
-# Bytes of Krylov arrays kept between GMRES solves (`_keep_spares`): the
-# images P^-1 E v_j, the buffer for E v and the restarts' P^-1 r, all of
-# the bordered size; the Arnoldi vectors have the band's length and are
-# not kept.  A solve that took new arrays instead would get pages that the
-# kernel faults in afresh each time, once the allocator has handed the
-# freed ones back.  Over its grid ladder the 256^2 cross keeps 2.0 MiB,
-# the default 256^2 asterisk 3.8 MiB and the asterisk down to
-# eps = 3.125e-5 6.8 MiB; an array of more than 2^21 cells (2048^2) is
-# never kept.
-KRYLOV_SPARE_BYTES = 16 << 20
 # Absolute tolerance of a Newton stage on max |R1| and |R2| (`newton_stage`).
 NEWTON_TOL = 1e-10
 # Newton iterations per stage: the finest widths on fine grids spend ~36
@@ -298,30 +287,6 @@ def _bordered_inverse(lap: DiscreteLaplacian, e: np.ndarray, e_sum: float,
     np.subtract(z, t, out=x[:-1])
     x[-1] = t
     return x
-
-
-# Krylov arrays kept per vector size; a solve takes a size's whole list out,
-# so no two solves ever hold the same array
-_spares: dict[int, list[np.ndarray]] = {}
-_spares_lock = threading.Lock()
-
-
-def _take_spares(size: int) -> list[np.ndarray]:
-    """The kept Krylov arrays of this size, now the caller's alone (`_keep_spares`)."""
-    with _spares_lock:
-        return _spares.pop(size, [])
-
-
-def _keep_spares(size: int, arrays: list[np.ndarray]) -> None:
-    """Keep arrays of this size for the next solve, as many as
-    KRYLOV_SPARE_BYTES allows; the other sizes go if they no longer fit."""
-    arrays = arrays[:KRYLOV_SPARE_BYTES // (8 * size)]
-    with _spares_lock:
-        _spares.pop(size, None)
-        held = sum(8 * n * len(kept) for n, kept in _spares.items())
-        if held + 8 * size * len(arrays) > KRYLOV_SPARE_BYTES:
-            _spares.clear()
-        _spares[size] = arrays
 
 
 def _krylov_target(b_norm: float) -> float:
@@ -434,7 +399,8 @@ def _newton_direction(lap: DiscreteLaplacian, e: np.ndarray, e_sum: float,
     of the pin row, and e_sum is its sum.  Returns (du, dkappa, missed):
     missed is None when the true residual meets `_krylov_target`, and the
     pair (relative residual, relative target) otherwise.  The Krylov arrays
-    come from, and go back to, the store of spare arrays (`_take_spares`).
+    are taken out of the store for lap's grid shape and go back to it
+    (`poisson.take_krylov`).
     """
     n_phi = lap.grid.n_phi
 
@@ -454,9 +420,9 @@ def _newton_direction(lap: DiscreteLaplacian, e: np.ndarray, e_sum: float,
     rhs = np.empty(r1.size + 1)
     np.negative(r1, out=rhs[:-1])
     rhs[-1] = -r2
-    spare = _take_spares(rhs.size)
+    spare = take_krylov(lap.grid)
     x, _, relres = _gmres(rhs, residual, inverse, band, shift, spare)
-    _keep_spares(rhs.size, spare)
+    keep_krylov(lap.grid, spare)
     b_norm = float(np.linalg.norm(rhs))
     target = _krylov_target(b_norm) / b_norm if b_norm else 0.0
     return x[:-1], float(x[-1]), None if relres <= target else (relres, target)
@@ -612,12 +578,10 @@ def _stages(grid: PolarGrid, g_arc, eps_min: float):
     steps on 256^2 (24 with every stage on 256^2); a 256^2 asterisk run
     makes 63, 17 on 256^2 (63).
 
-    A solve leaves each level's read-only operator arrays (`assemble`,
-    cached for LEVEL_CACHE_SIZE = 16 shapes; a ladder has at most 14
-    levels) and its Krylov arrays (`_keep_spares`) to the next one in the
-    process; neither changes a bit of a result.  With the in-place Newton
-    step, a repeated solve runs in memory the allocator still holds instead
-    of fresh pages that the kernel faults in (README, "Memory").
+    A solve leaves each level's operator and Krylov arrays to the next one
+    in the process, in `poisson`'s one byte-bounded store; neither changes a
+    bit of a result, and a repeated solve faults in no fresh pages (README,
+    "Memory").
 
     Yields each converged stage as (eps, lap, g, u, kappa, iterations,
     pde_residual, origin_residual): lap is the Laplacian of the stage's
@@ -684,20 +648,11 @@ def export_solution(sol: Solution, out_dir) -> list[str]:
     vtk_path = os.path.join(out_dir, "solution.vtk")
     json_path = os.path.join(out_dir, "solution.json")
     write_field_vtk(sol.u, vtk_path)
-    sidecar = {
-        "k": sol.u.grid.k,
-        "n_r": sol.u.grid.n_r,
-        "n_phi": sol.u.grid.n_phi,
-        "g_label": sol.g_label,
-        "kappa": sol.kappa,
-        "eps": sol.eps,
-        "eps_schedule": sol.eps_schedule,
-        "newton_iters": sol.newton_iters,
-        "stage_grids": sol.stage_grids,
-        "pde_residual": sol.pde_residual,
-        "origin_residual": sol.origin_residual,
-        "band_cells": sol.band_cells,
-    }
+    grid = sol.u.grid
+    keys = ("g_label", "kappa", "eps", "eps_schedule", "newton_iters", "stage_grids",
+            "pde_residual", "origin_residual", "band_cells")
+    sidecar = {"k": grid.k, "n_r": grid.n_r, "n_phi": grid.n_phi,
+               **{key: getattr(sol, key) for key in keys}}
     with open(json_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(sidecar, indent=2))
     return [vtk_path, json_path]

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -773,6 +774,18 @@ class TestConsoleEntry:
 
     def test_missing_field_file_is_usage_error(self, tmp_path):
         assert main(["phi", str(tmp_path / "absent.csv")]) == 2
+
+    @pytest.mark.parametrize("text", ["r,phi,value\n", "", "r,phi,value\n\n# none\n"],
+                             ids=["header_only", "empty", "blank_and_comment"])
+    def test_field_csv_without_data_rows_is_usage_error_before_numpy_warns(
+            self, tmp_path, capsys, text):
+        path = tmp_path / "h.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["phi", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: no data rows under the header r,phi,value\n"
 
     @pytest.mark.parametrize("command", ["phi", "blowup", "fb"])
     def test_directory_as_field_is_usage_error(self, tmp_path, capsys, command):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -669,37 +671,48 @@ class TestContinuation:
         assert solutions_built == []
 
 
-class TestSolverMemory:
-    """The per-shape operator cache (`poisson._level_arrays`) and the kept
-    Krylov arrays (`semilinear._keep_spares`) carry nothing from one solve
-    into the next."""
+def cross_96(M=40.0):
+    """(grid, arc data, eps_min) of the 96^2 cross, whose stages climb 12^2 ... 96^2."""
+    return build_sector_grid(2, 96, 96), lambda p: M * np.cos(2.0 * p), 0.025
 
-    def test_repeated_solve_after_another_is_bit_identical(self, monkeypatch):
-        # the first solve fills both stores afresh, the third reads what the
-        # first and second left in them
-        poisson._level_arrays.cache_clear()
-        monkeypatch.setattr(semilinear, "_spares", {})
-        grid = build_sector_grid(2, 96, 96)
-        runs = [solve_fixed_point(grid, lambda p: M * np.cos(2.0 * p), 0.025)
-                for M in (40.0, 0.5, 40.0)]
-        assert poisson._level_arrays.cache_info().hits > 0
-        assert semilinear._spares
+
+def assert_same_solution(sol, ref):
+    assert sol.u.values.tobytes() == ref.u.values.tobytes()
+    assert (sol.kappa, sol.pde_residual, sol.newton_iters) == \
+        (ref.kappa, ref.pde_residual, ref.newton_iters)
+
+
+def store_bytes():
+    return sum(map(poisson._nbytes, poisson._store.values()))
+
+
+class TestSolverMemory:
+    """The store of what a solve leaves behind (`poisson._store`: each grid
+    shape's operator arrays and Krylov arrays) stays within its bound and
+    carries nothing from one solve into the next."""
+
+    @pytest.fixture(autouse=True)
+    def empty_store(self, monkeypatch):
+        monkeypatch.setattr(poisson, "_store", {})
+
+    def test_repeated_solve_after_another_is_bit_identical(self):
+        # the first solve fills the store afresh, the third reads what the
+        # first and second left in it
+        runs = [solve_fixed_point(*cross_96(M)) for M in (40.0, 0.5, 40.0)]
+        assert poisson._store
         first, other, again = runs
-        assert again.u.values.tobytes() == first.u.values.tobytes()
-        assert (again.kappa, again.pde_residual, again.newton_iters) == \
-            (first.kappa, first.pde_residual, first.newton_iters)
+        assert_same_solution(again, first)
         assert other.u.values.tobytes() != first.u.values.tobytes()
 
-    def test_store_keeps_only_arrays_of_the_bordered_size(self, monkeypatch):
+    def test_store_keeps_only_arrays_of_the_bordered_size(self):
         # the band's Arnoldi vectors are not kept, only the images P^-1 E v_j,
         # the buffer for E v and P^-1 r, each of its level's size + 1
-        monkeypatch.setattr(semilinear, "_spares", {})
-        grid = build_sector_grid(2, 96, 96)
-        sol = solve_fixed_point(grid, lambda p: 40.0 * np.cos(2.0 * p), 0.025)
-        sizes = {level.size + 1 for level in semilinear._grid_levels(grid)}
-        assert semilinear._spares and set(semilinear._spares) <= sizes
-        kept = [a.size for arrays in semilinear._spares.values() for a in arrays]
-        assert set(kept) <= sizes and not set(kept) & set(sol.band_cells)
+        grid, g, eps_min = cross_96()
+        sol = solve_fixed_point(grid, g, eps_min)
+        assert [level.n_r for level in poisson._store] == [12, 24, 48, 96]
+        for level, (_, krylov) in poisson._store.items():
+            assert krylov and {a.size for a in krylov} == {level.size + 1}
+        assert not {level.size + 1 for level in poisson._store} & set(sol.band_cells)
 
     def test_cached_operator_arrays_are_read_only_and_shared(self):
         grid = build_sector_grid(2, 40, 24)
@@ -711,22 +724,110 @@ class TestSolverMemory:
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
-    def test_cache_holds_the_deepest_ladder(self):
-        levels = semilinear._grid_levels(build_sector_grid(2, 65536, 8))
-        assert len(levels) == 14
-        assert poisson._level_arrays.cache_info().maxsize == poisson.LEVEL_CACHE_SIZE >= 14
+    def test_store_drops_the_least_recently_used_shapes_first(self, monkeypatch):
+        first = solve_fixed_point(*cross_96())
+        held = {level: poisson._nbytes(kept) for level, kept in poisson._store.items()}
+        shapes = list(held)  # least recently used first
+        assert [level.n_r for level in shapes] == [12, 24, 48, 96]
+        bound = held[shapes[-2]] + held[shapes[-1]]
+        monkeypatch.setattr(poisson, "STORE_BYTES", bound)
+        poisson._store.clear()
+        assert_same_solution(solve_fixed_point(*cross_96()), first)
+        assert list(poisson._store) == shapes[-2:] and store_bytes() <= bound
+        # the third solve builds the two coarse levels again after their eviction
+        assert_same_solution(solve_fixed_point(*cross_96()), first)
+        assert list(poisson._store) == shapes[-2:] and store_bytes() <= bound
 
-    def test_kept_krylov_arrays_stay_within_their_bytes(self, monkeypatch):
-        monkeypatch.setattr(semilinear, "_spares", {})
-        monkeypatch.setattr(semilinear, "KRYLOV_SPARE_BYTES", 10 * 8 * 100)
-        for size, count in [(100, 4), (50, 6), (100, 5), (200, 3), (400, 3)]:
-            semilinear._keep_spares(size, [np.empty(size) for _ in range(count)])
-            held = sum(a.nbytes for kept in semilinear._spares.values() for a in kept)
-            assert held <= semilinear.KRYLOV_SPARE_BYTES
-            assert len(semilinear._spares[size]) == min(count, 1000 // size)
-            if size == 200:
-                assert list(semilinear._spares) == [200]  # the others no longer fit
-        assert len(semilinear._take_spares(400)) == 2 and semilinear._spares == {}
+    def test_shape_over_the_bound_is_not_kept(self, monkeypatch):
+        grid, g, eps_min = cross_96()
+        first = solve_fixed_point(grid, g, eps_min)
+        kept = poisson._store[grid]
+        bound = poisson._nbytes(kept) - 1
+        monkeypatch.setattr(poisson, "STORE_BYTES", bound)
+        poisson._store.clear()
+        assert_same_solution(solve_fixed_point(grid, g, eps_min), first)
+        assert grid not in poisson._store and store_bytes() <= bound
+        assemble(grid)
+        assert grid in poisson._store  # its operator arrays alone fit, not with the Krylov ones
+        poisson.keep_krylov(grid, [np.empty(grid.size + 1) for _ in kept[1]])
+        assert grid not in poisson._store
+        assert poisson.take_krylov(grid) == []
+
+    def test_taken_krylov_arrays_are_the_callers_alone(self):
+        grid = build_sector_grid(2, 16, 16)
+        assemble(grid)
+        arrays = [np.empty(grid.size + 1) for _ in range(3)]
+        poisson.keep_krylov(grid, arrays)
+        taken = poisson.take_krylov(grid)
+        assert taken == arrays and poisson.take_krylov(grid) == []
+        # arrays of a shape the store does not hold are dropped, and build nothing
+        other = build_sector_grid(2, 16, 8)
+        poisson.keep_krylov(other, arrays)
+        assert other not in poisson._store
+
+    def test_bound_holds_the_deepest_ladder(self):
+        # criterion 7's 65536 x 8 asterisk, from the shapes alone: the six
+        # operator arrays of `_level_arrays` (radial: size - n_phi, angular and
+        # the factor e: size - 1, diag, areas and the factor d: size) and, on
+        # every level, the 12 Krylov arrays of an 11-iteration GMRES cycle
+        levels = semilinear._grid_levels(build_sector_grid(4, 65536, 8))
+        assert len(levels) == 14
+        operator = sum(8 * (6 * lv.size - lv.n_phi - 2) for lv in levels)
+        krylov = sum(12 * 8 * (lv.size + 1) for lv in levels)
+        assert operator // 2**20 == 47 and krylov // 2**20 == 95
+        assert operator + krylov <= poisson.STORE_BYTES
+        level = levels[3]
+        assert 8 * (6 * level.size - level.n_phi - 2) == poisson._nbytes(
+            [poisson._level_arrays(level), []])
+        # one 2048^2 level's operator arrays alone pass the bound
+        assert 8 * 6 * 2048**2 > poisson.STORE_BYTES
+
+    def test_threads_solving_one_shape_at_once_match_a_serial_solve(self, monkeypatch):
+        # three threads, so that on two cores they also compete for a core
+        grid, g, eps_min = cross_64()
+        serial = solve_fixed_point(grid, g, eps_min)  # leaves Krylov arrays in the store
+        take, keep = semilinear.take_krylov, semilinear.keep_krylov
+        lock, first_take = threading.Lock(), threading.local()
+        all_hold = threading.Barrier(3, timeout=30)
+        held, shared = set(), []  # ids of the Krylov arrays a solve holds now
+
+        def taking(level):
+            arrays = take(level)
+            with lock:
+                shared.extend(id(a) for a in arrays if id(a) in held)
+                held.update(id(a) for a in arrays)
+            if not getattr(first_take, "done", False):
+                first_take.done = True
+                all_hold.wait()  # the solves hold their first arrays at once
+            return arrays
+
+        def keeping(level, arrays):
+            with lock:
+                held.difference_update(id(a) for a in arrays)
+            keep(level, arrays)
+
+        monkeypatch.setattr(semilinear, "take_krylov", taking)
+        monkeypatch.setattr(semilinear, "keep_krylov", keeping)
+        results = [[], [], []]
+
+        def solve_at_once(i):
+            for _ in range(3):
+                results[i].append(solve_fixed_point(build_sector_grid(2, 64, 64), g, eps_min))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so the solves interleave
+        try:
+            threads = [threading.Thread(target=solve_at_once, args=(i,)) for i in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(r) for r in results] == [3, 3, 3] and not shared
+        for sol in sum(results, []):
+            assert_same_solution(sol, serial)
 
 
 class TestGridSequencing:
