@@ -169,8 +169,8 @@ def _level_arrays(grid: PolarGrid) -> tuple:
     return radial, angular, diag, arc_coeff, areas, modes
 
 
-# What a solve leaves behind, per grid shape, least recently used first:
-# [operator arrays (`_level_arrays`), Krylov arrays (`take_krylov`)].
+# What a solve leaves behind, per grid shape (equal grids hash by (n_r, n_phi,
+# copies)), least recently used first: [operator arrays, Krylov arrays].
 _store: dict[PolarGrid, list] = {}
 _store_lock = threading.Lock()
 
