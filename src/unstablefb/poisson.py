@@ -29,11 +29,15 @@ from .mesh import PolarGrid
 # relative residuals of about 2e-13 at 512^2 and 2e-10 at 65536 x 8 cells
 RESIDUAL_TOL = 1e-8
 # Bytes that the store (`_store`) keeps between solves over all grid shapes.
-# 160 MiB holds the whole ladder of a 1024^2 cross (73.5 MiB) and of criterion
-# 7's 65536 x 8 asterisk (114 MiB; 144 MiB with 12 Krylov arrays on every
-# level), so their repeated solves build and fault in nothing, but not one
-# 2048^2 level (192 MiB of operator arrays alone), which leaves nothing behind.
+# 160 MiB holds the whole ladder of a 1024^2 cross (49 MiB) and of criterion
+# 7's 65536 x 8 asterisk (76 MiB), so their repeated solves build nothing, but
+# not one 2048^2 level's operator arrays (96 MiB) beside two of its Krylov
+# arrays, so a 2048^2 cross leaves nothing behind.
 STORE_BYTES = 160 << 20
+# Krylov arrays kept per grid shape (`keep_krylov`).  A GMRES solve of m
+# iterations takes 1 + m, so 6 hold every solve of the 256^2 cross and asterisk
+# (m <= 5), whose warm runs then fault in no page in the median run.
+KEPT_KRYLOV = 6
 
 
 class SolverError(RuntimeError):
@@ -51,15 +55,17 @@ class DiscreteLaplacian:
     For cell c the finite-volume balance reads
         (L u)_c + (B g)_c = area_c * (Delta u)_c + O(h^2),
     with B supported on the outer ring.  Solving Delta u = F with u = g on
-    the arc is A u = B g - area * F.  Cell (i, j) is c = i n_phi + j.
+    the arc is A u = B g - area * F.  Cell (i, j) is c = i n_phi + j.  The
+    radial faces, the areas and the diagonal (one value on the edge columns
+    j = 0 and n_phi - 1 of a ring, one inside) are kept per ring.
     """
 
     grid: PolarGrid
-    radial: np.ndarray  # face between cells c and c + n_phi, size - n_phi
+    radial: np.ndarray  # per ring: face between rings i and i + 1, n_r - 1
     angular: np.ndarray  # face between cells c and c + 1 (0 across rings), size - 1
-    diag: np.ndarray  # diagonal of A, size
+    diag: np.ndarray  # per ring, (n_r, 2): A's diagonal at columns 0 and n_phi - 1, and inside
     arc_coeff: float  # per-column Dirichlet transmissibility 2*dphi/dr
-    areas: np.ndarray  # flat cell areas, grid.size
+    areas: np.ndarray  # per ring: cell areas, grid.cell_areas
     modes: tuple[np.ndarray, np.ndarray]  # L D L^T factors of A's modes (`_factor_modes`)
 
     def apply(self, x: np.ndarray, magnitude: bool = False) -> np.ndarray:
@@ -72,18 +78,26 @@ class DiscreteLaplacian:
         zero that a zero start would; the inner ring, which has no such
         term, starts from +0.0.  The zero face between two rings adds a
         signed zero, which changes no sum.  The other four products take
-        turns in one scratch array.
+        turns in one scratch array.  The per-ring radial faces and diagonal
+        broadcast over (n_r, n_phi) views, the diagonal's edge value on
+        columns 0 and n_phi - 1 after its interior one on all; the angular
+        faces stay per cell, as per ring they ran slower on column slices.
         """
-        n_phi = self.grid.n_phi
+        n_r, n_phi = self.grid.shape
         off = np.add if magnitude else np.subtract  # sign of the off-diagonal terms
         y = np.empty(x.size)
         t = np.empty(x.size)
+        y2, t2, x2 = (a.reshape(n_r, n_phi) for a in (y, t, x))
+        radial = self.radial[:, None]
+        edges = np.s_[:, ::n_phi - 1]  # columns 0 and n_phi - 1
         y[:n_phi] = 0.0
-        off(0.0, np.multiply(self.radial, x[:-n_phi], out=y[n_phi:]), out=y[n_phi:])
+        off(0.0, np.multiply(radial, x2[:-1], out=y2[1:]), out=y2[1:])
         off(y[1:], np.multiply(self.angular, x[:-1], out=t[1:]), out=y[1:])
-        y += np.multiply(self.diag, x, out=t)
+        np.multiply(self.diag[:, 1:], x2, out=t2)
+        np.multiply(self.diag[:, :1], x2[edges], out=t2[edges])
+        y += t
         off(y[:-1], np.multiply(self.angular, x[1:], out=t[:-1]), out=y[:-1])
-        off(y[:-n_phi], np.multiply(self.radial, x[n_phi:], out=t[:-n_phi]), out=y[:-n_phi])
+        off(y2[:-1], np.multiply(radial, x2[1:], out=t2[:-1]), out=y2[:-1])
         return y
 
     def lift(self, g_values: np.ndarray) -> np.ndarray:
@@ -149,20 +163,19 @@ def _level_arrays(grid: PolarGrid) -> tuple:
     """(radial, angular, diag, arc_coeff, areas, modes) of `DiscreteLaplacian`
     on grid, read-only.
 
-    The diagonal of cell c sums its inner radial, outer radial and two
-    angular face coefficients and then the arc coefficient, in that order.
+    The radial faces, diagonal and areas are per ring.  The diagonal sums the
+    inner radial, outer radial and two angular face coefficients (one on an
+    edge column) and then the arc coefficient, in that order.
     """
     n_phi = grid.n_phi
-    t_radial, t_angular, arc_coeff = _transmissibilities(grid)
-    radial = np.repeat(t_radial, n_phi)
+    radial, t_angular, arc_coeff = _transmissibilities(grid)
     angular = np.repeat(t_angular, n_phi)
     angular[::n_phi] = 0.0  # no face between the ends of two rings
     angular = angular[1:]
-    diag = np.repeat(np.append(0.0, t_radial) + np.append(t_radial, 0.0), n_phi)
-    diag[:-1] += angular
-    diag[1:] += angular
-    diag[-n_phi:] += arc_coeff
-    areas = np.repeat(grid.cell_areas, n_phi)
+    edge = np.append(0.0, radial) + np.append(radial, 0.0) + t_angular
+    diag = np.column_stack([edge, edge + t_angular])
+    diag[-1] += arc_coeff
+    areas = grid.cell_areas.copy()
     modes = _factor_modes(grid)
     for a in (radial, angular, diag, areas, *modes):
         a.flags.writeable = False
@@ -200,10 +213,11 @@ def take_krylov(grid: PolarGrid) -> list[np.ndarray]:
 
 
 def keep_krylov(grid: PolarGrid, arrays: list[np.ndarray]) -> None:
-    """Keep Krylov arrays with grid's operator arrays, if the store holds those."""
+    """Keep up to KEPT_KRYLOV Krylov arrays with grid's operator arrays, if
+    the store holds those."""
     with _store_lock:
         if grid in _store:
-            _store[grid][1] = arrays
+            _store[grid][1] = arrays[:KEPT_KRYLOV]
             _keep(grid, _store[grid])
 
 
@@ -255,7 +269,7 @@ def solve(
         f_flat = np.full(grid.size, float(F))
     else:
         f_flat = np.asarray(F, dtype=float).reshape(grid.size)
-    rhs = lap.lift(_arc_values(grid, g_arc)) - lap.areas * f_flat
+    rhs = lap.lift(_arc_values(grid, g_arc)) - np.repeat(lap.areas, grid.n_phi) * f_flat
 
     u = lap.apply_inverse(rhs)
     rhs_norm = float(np.linalg.norm(rhs))

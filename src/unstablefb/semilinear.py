@@ -213,18 +213,21 @@ def _residual(lap: DiscreteLaplacian, e: np.ndarray, u: np.ndarray, kappa: float
     -eps < u < 0, evaluates the smoothstep, with the arithmetic of f_eps,
     so R1 is bitwise that of the dense source.  The lift is subtracted on
     the arc ring alone, where it is nonzero.  e may be the leading entries
-    of the pin row, R2 = e . u[:e.size].
+    of the pin row, R2 = e . u[:e.size].  The per-ring areas broadcast over
+    the rings, and band cell c reads its ring's, c // n_phi.
 
     Returns (r1, r2, band, shift): shift = area f_eps'(u) on the band,
     bitwise the dense one there, which is +0.0 off the band.  f_eps and
     f_eps' share one clipped s = u / eps + 1.
     """
+    shape = lap.grid.shape
     r1 = lap.apply(u)
     plateau = u >= 0.0
-    np.subtract(r1, lap.areas, out=r1, where=plateau)
+    np.subtract(r1.reshape(shape), lap.areas[:, None], out=r1.reshape(shape),
+                where=plateau.reshape(shape))
     band = np.flatnonzero((u > -eps) ^ plateau)
     s = _shifted(u[band], eps)
-    areas = lap.areas[band]
+    areas = lap.areas[band // shape[1]]
     source = _smoothstep(s)
     source *= areas
     r1[band] -= source
@@ -239,8 +242,8 @@ def _residual(lap: DiscreteLaplacian, e: np.ndarray, u: np.ndarray, kappa: float
 def _rounding_level(lap: DiscreteLaplacian, u: np.ndarray, kappa: float,
                     g: np.ndarray, eps: float) -> float:
     """Size of an R1 entry at the rounding level of its evaluation at u."""
-    terms = (lap.apply(np.abs(u), magnitude=True) + lap.areas * f_eps(u, eps)
-             + np.abs(lap.lift(g - kappa)))
+    source = lap.areas[:, None] * f_eps(u.reshape(lap.grid.shape), eps)
+    terms = lap.apply(np.abs(u), magnitude=True) + source.ravel() + np.abs(lap.lift(g - kappa))
     return ROUNDING_FACTOR * np.finfo(float).eps * float(np.max(terms))
 
 
@@ -267,7 +270,7 @@ def initial_guess(grid: PolarGrid, g_arc, lap: DiscreteLaplacian) -> tuple[Scala
     Laplacian P = [[A, b1], [e, 0]], so one bordered inverse (one Laplacian
     inverse, the one each GMRES iteration applies) gives both.
     """
-    rhs = lap.lift(_arc_values(grid, g_arc)) + lap.areas
+    rhs = lap.lift(_arc_values(grid, g_arc)) + np.repeat(lap.areas, grid.n_phi)
     x = _bordered_inverse(lap, *_pin_row(grid), np.append(rhs, 0.0))
     return ScalarField(grid, x[:-1].reshape(grid.shape)), float(x[-1])
 
@@ -449,7 +452,7 @@ def newton_stage(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, eps: float
 
     def merit(r1, r2):
         # area-normalized so PDE and origin parts carry comparable units
-        q = r1 / lap.areas
+        q = (r1.reshape(grid.shape) / lap.areas[:, None]).ravel()
         return float(np.dot(q, q) + r2 * r2)
 
     def converged(res1, r2, u, kappa):
@@ -462,6 +465,7 @@ def newton_stage(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, eps: float
                 and res1 <= _rounding_level(lap, u, kappa, g, eps))
 
     r1, r2, band, shift = _residual(lap, e, u, kappa, g, eps)
+    m0 = merit(r1, r2)  # the iterate's, then each accepted trial's
     for it in range(MAX_NEWTON + 1):
         res1 = float(np.max(np.abs(r1)))
         if converged(res1, r2, u, kappa):
@@ -475,21 +479,20 @@ def newton_stage(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, eps: float
                               f"GMRES did not reach the relative residual {target:.3g}"
                               f" (achieved {relres:.3e})", linear_residual=relres)
 
-        m0 = merit(r1, r2)
         lam = 1.0
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
             u_try = np.multiply(du, lam)
             u_try += u
             k_try = kappa + lam * dkappa
             trial = _residual(lap, e, u_try, k_try, g, eps)
-            if merit(*trial[:2]) <= (1.0 - 2.0 * ARMIJO_C * lam) * m0:
-                u, kappa, (r1, r2, band, shift) = u_try, k_try, trial
-                accepted = True
+            m_try = merit(*trial[:2])
+            if m_try <= (1.0 - 2.0 * ARMIJO_C * lam) * m0:
+                u, kappa, m0, (r1, r2, band, shift) = u_try, k_try, m_try, trial
                 break
             lam *= ARMIJO_SHRINK
-        if not accepted:
+        else:
             raise StageFailed(eps, grid, it, float(np.max(np.abs(r1))), "line search stalled")
+        del du, u_try, trial  # du views the whole GMRES solution: not held into the next step
     raise StageFailed(eps, grid, MAX_NEWTON, float(np.max(np.abs(r1))),
                       "iteration cap reached")
 

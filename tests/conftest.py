@@ -1,8 +1,9 @@
 """Shared fixtures: cached grids, synthetic fields, a capped Krylov solver,
-the sparse-matrix oracle of the Laplacian and the full-length pin row, used
-across test modules."""
+the sparse-matrix oracle of the Laplacian, its arrays on cells and the
+full-length pin row, used across test modules."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,6 +56,17 @@ def coo_assembly(grid):
     rows, cols, vals = (np.concatenate(parts) for parts in zip(
         radial, angular, (outer, outer, np.full(n_phi, arc_coeff))))
     return sp.coo_matrix((vals, (rows, cols)), shape=(grid.size, grid.size)).tocsc()
+
+
+def cell_arrays(lap) -> SimpleNamespace:
+    """The operator's arrays on cells, flat: radial (size - n_phi), angular
+    (size - 1), diag and areas (size), its per-ring values repeated along
+    each ring and the diagonal's edge value put on columns 0 and n_phi - 1."""
+    n_phi = lap.grid.n_phi
+    diag = np.repeat(lap.diag[:, 1], n_phi)
+    diag[::n_phi] = diag[n_phi - 1::n_phi] = lap.diag[:, 0]
+    return SimpleNamespace(radial=np.repeat(lap.radial, n_phi), angular=lap.angular,
+                           diag=diag, areas=np.repeat(lap.areas, n_phi))
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dpttrs
 import unstablefb
 from unstablefb import SolverError, f_eps, f_eps_prime
 
-from conftest import coo_assembly, degree2_field
+from conftest import cell_arrays, coo_assembly, degree2_field
 
 from unstablefb import (
     PolarGrid,
@@ -64,6 +64,22 @@ class TestAssembly:
         x[::3] = 0.0
         assert np.array_equal(lap.apply(x), ref @ x)
         assert np.array_equal(lap.apply(np.abs(x), magnitude=True), abs(ref) @ np.abs(x))
+
+    @pytest.mark.parametrize("k, n_r, n_phi", [(2, 64, 8), (4, 8, 64), (2, 8, 8), (4, 4096, 8)])
+    def test_product_keeps_the_matrix_signed_zeros_on_thin_grids(self, k, n_r, n_phi):
+        # at n_phi = 8 the edge columns, where the per-ring diagonal takes its
+        # edge value, are a quarter of the cells; at n_r = 8 the inner ring and
+        # the arc ring, whose sums start differently, are a quarter of the rings
+        grid = build_sector_grid(k, n_r, n_phi)
+        lap, ref = assemble(grid), coo_assembly(grid)
+        rng = np.random.default_rng(n_r * n_phi)
+        mixed = rng.standard_normal(grid.size)
+        mixed[::3] = 0.0
+        mixed[1::7] = -0.0
+        zeros = np.where(rng.random(grid.size) < 0.5, 0.0, -0.0)
+        for x in (frozen(mixed), frozen(zeros)):
+            assert_bitwise(lap.apply(x), ref @ x)
+            assert_bitwise(lap.apply(x, magnitude=True), abs(ref) @ x)
 
     def test_matrix_is_symmetric(self):
         for k in (1, 2, 4):
@@ -131,7 +147,7 @@ class TestHarmonic:
 def lu_oracle(lap, F, g_arc):
     """Reference solve: sparse LU of the oracle matrix."""
     g = lap.grid
-    rhs = lap.lift(g_arc(g.phi)) - lap.areas * F(g.r[:, None], g.phi[None, :]).ravel()
+    rhs = lap.lift(g_arc(g.phi)) - cell_arrays(lap).areas * F(g.r[:, None], g.phi[None, :]).ravel()
     return spla.splu(coo_assembly(g)).solve(rhs).reshape(g.shape)
 
 
@@ -175,14 +191,14 @@ class TestBackends:
 
 
 def apply_oracle(lap, x, magnitude=False):
-    n_phi = lap.grid.n_phi
+    n_phi, cells = lap.grid.n_phi, cell_arrays(lap)
     off = np.add if magnitude else np.subtract
     y = np.zeros(x.size)
-    off(y[n_phi:], lap.radial * x[:-n_phi], out=y[n_phi:])
-    off(y[1:], lap.angular * x[:-1], out=y[1:])
-    y += lap.diag * x
-    off(y[:-1], lap.angular * x[1:], out=y[:-1])
-    off(y[:-n_phi], lap.radial * x[n_phi:], out=y[:-n_phi])
+    off(y[n_phi:], cells.radial * x[:-n_phi], out=y[n_phi:])
+    off(y[1:], cells.angular * x[:-1], out=y[1:])
+    y += cells.diag * x
+    off(y[:-1], cells.angular * x[1:], out=y[:-1])
+    off(y[:-n_phi], cells.radial * x[n_phi:], out=y[:-n_phi])
     return y
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from unstablefb import (
     solve_fixed_point,
 )
 
-from conftest import coo_assembly, origin_weight_vector
+from conftest import cell_arrays, coo_assembly, origin_weight_vector
 
 EPS_VALUES = [0.2, 0.1, 0.05, 0.0125]
 
@@ -56,11 +57,11 @@ def lu_continuation(grid, g, eps_min):
     tol = semilinear.NEWTON_TOL
     for eps in semilinear._schedule(eps_min):
         for it in range(semilinear.MAX_NEWTON + 1):
-            r1 = A @ u - lap.areas * f_eps(u, eps) - lap.lift(g - kappa)
+            r1 = A @ u - cell_arrays(lap).areas * f_eps(u, eps) - lap.lift(g - kappa)
             r2 = float(e @ u)
             if np.max(np.abs(r1)) <= tol and abs(r2) <= tol:
                 break
-            jac = A - sp.diags(lap.areas * f_eps_prime(u, eps), format="csc")
+            jac = A - sp.diags(cell_arrays(lap).areas * f_eps_prime(u, eps), format="csc")
             lu = spla.splu(jac.tocsc())
             w1, w2 = lu.solve(r1), lu.solve(b1)
             dkappa = (r2 - float(e @ w1)) / float(e @ w2)
@@ -124,7 +125,7 @@ def assert_step_meets_forcing_term():
     b1 = lap.lift(np.ones(grid.n_phi))
     for eps in (0.2, 0.05):
         r1, r2, band, values = semilinear._residual(lap, e, u, kappa, g, eps)
-        shift = lap.areas * f_eps_prime(u, eps)
+        shift = cell_arrays(lap).areas * f_eps_prime(u, eps)
         assert abs(r2) > 1e-4
         du, dkappa, missed = semilinear._newton_direction(lap, e, float(e.sum()), band,
                                                           values, r1, r2)
@@ -191,7 +192,7 @@ def dense_residual(lap, u, kappa, g, eps):
     """R1 with the source f_eps(u) area on every cell."""
     r1 = lap.apply(u)
     source = f_eps(u, eps)
-    source *= lap.areas
+    source *= cell_arrays(lap).areas
     r1 -= source
     r1[-lap.grid.n_phi:] -= lap.arc_coeff * (g - kappa)
     return r1
@@ -219,7 +220,7 @@ class TestBand:
             assert r1.tobytes() == dense_residual(lap, u, 0.25, g, eps).tobytes()
             assert r2 == float(e @ u)
             dense = f_eps_prime(u, eps)
-            dense *= lap.areas
+            dense *= cell_arrays(lap).areas
             assert shift.tobytes() == dense[band].tobytes()
             off = np.delete(dense, band)
             assert off.tobytes() == np.zeros(off.size).tobytes()  # +0.0, no -0.0
@@ -364,7 +365,7 @@ class TestNewtonStage:
         u0, kappa = initial_guess(grid, g, lap)
         u, kappa, _, pde_res, origin_res = newton_stage(
             lap, u0.values.ravel(), kappa, 0.2, g)
-        terms = (abs(coo_assembly(grid)) @ np.abs(u) + lap.areas
+        terms = (abs(coo_assembly(grid)) @ np.abs(u) + cell_arrays(lap).areas
                  + np.abs(lap.lift(g - kappa)))
         level = 4.0 * np.finfo(float).eps * float(np.max(terms))
         assert semilinear.NEWTON_TOL < pde_res <= level
@@ -766,21 +767,47 @@ class TestSolverMemory:
         assert other not in poisson._store
 
     def test_bound_holds_the_deepest_ladder(self):
-        # criterion 7's 65536 x 8 asterisk, from the shapes alone: the six
-        # operator arrays of `_level_arrays` (radial: size - n_phi, angular and
-        # the factor e: size - 1, diag, areas and the factor d: size) and, on
-        # every level, the 12 Krylov arrays of an 11-iteration GMRES cycle
+        # criterion 7's 65536 x 8 asterisk, from the shapes alone: the operator
+        # arrays of `_level_arrays` (per ring radial: n_r - 1, diag: 2 n_r and
+        # areas: n_r; per cell angular and the factor e: size - 1 and the
+        # factor d: size) and, on every level, KEPT_KRYLOV Krylov arrays
         levels = semilinear._grid_levels(build_sector_grid(4, 65536, 8))
         assert len(levels) == 14
-        operator = sum(8 * (6 * lv.size - lv.n_phi - 2) for lv in levels)
-        krylov = sum(12 * 8 * (lv.size + 1) for lv in levels)
-        assert operator // 2**20 == 47 and krylov // 2**20 == 95
+        operator = sum(8 * (3 * lv.size + 4 * lv.n_r - 3) for lv in levels)
+        krylov = sum(poisson.KEPT_KRYLOV * 8 * (lv.size + 1) for lv in levels)
+        assert operator // 2**20 == 27 and krylov // 2**20 == 47
         assert operator + krylov <= poisson.STORE_BYTES
         level = levels[3]
-        assert 8 * (6 * level.size - level.n_phi - 2) == poisson._nbytes(
+        assert 8 * (3 * level.size + 4 * level.n_r - 3) == poisson._nbytes(
             [poisson._level_arrays(level), []])
-        # one 2048^2 level's operator arrays alone pass the bound
-        assert 8 * 6 * 2048**2 > poisson.STORE_BYTES
+        # one 2048^2 level's operator arrays (96 MiB) fit the bound alone, but
+        # not beside two of its Krylov arrays
+        one = 8 * (3 * 2048**2 + 4 * 2048 - 3)
+        assert one <= poisson.STORE_BYTES < one + 2 * 8 * (2048**2 + 1)
+
+    def test_store_keeps_at_most_kept_krylov_arrays_per_shape(self):
+        grid = build_sector_grid(2, 16, 16)
+        assemble(grid)
+        arrays = [np.empty(grid.size + 1) for _ in range(poisson.KEPT_KRYLOV + 2)]
+        poisson.keep_krylov(grid, arrays)
+        taken = poisson.take_krylov(grid)
+        assert len(taken) == poisson.KEPT_KRYLOV
+        assert all(a is b for a, b in zip(taken, arrays))
+
+    def test_cold_solve_stays_within_its_heap_bound(self):
+        # the cold 256^2 cross allocates what it keeps in the store (3.5 MiB)
+        # and its transients: a tracemalloc peak of 7.27 MiB, 7.77 MiB while a
+        # Newton step held the previous direction into the next GMRES solve,
+        # and 9.68 MiB while the radial faces, diagonal and areas were per cell
+        grid = build_sector_grid(2, 256, 256)
+        g = 40.0 * np.cos(2.0 * grid.phi)
+        tracemalloc.start()
+        try:
+            solve_fixed_point(grid, g, 0.0125)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * 2**20
 
     def test_threads_solving_one_shape_at_once_match_a_serial_solve(self, monkeypatch):
         # three threads, so that on two cores they also compete for a core
