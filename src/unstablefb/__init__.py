@@ -18,25 +18,17 @@ from .mesh import (
 from .field import (
     ScalarField,
     eval_origin,
-    field_from_function,
-    gradient_sq,
-    integrate_ball,
-    integrate_circle,
     radial_derivative,
     read_field,
     read_field_csv,
-    sample_circle,
-    trace_on_circle,
-    write_field_csv,
     write_field_vtk,
 )
-from .poisson import SolverError, assemble, solve
+from .poisson import assemble
 from .semilinear import (
     Solution,
     StageFailed,
     export_solution,
     f_eps,
-    f_eps_prime,
     initial_guess,
     newton_stage,
     solve_fixed_point,
@@ -45,7 +37,6 @@ from .monotonicity import (
     energy_bound_integral,
     find_threshold,
     mc_energy_bound,
-    phi,
     phi_profile,
     threshold_scan,
 )
@@ -55,12 +46,10 @@ from .blowup import (
     CASE3,
     INCONCLUSIVE,
     blowup_report,
-    s_norm,
     write_blowup_csv,
 )
 from .freeboundary import (
     LevelSet,
-    crossing_angles,
     extract_zero_set,
     fit_arcs_at_origin,
     write_arcs_json,
@@ -79,19 +68,17 @@ from .cli import (
 __all__ = [
     "__version__",
     "PolarGrid", "build_sector_grid",
-    "ScalarField", "eval_origin", "field_from_function",
-    "gradient_sq", "integrate_ball", "integrate_circle", "radial_derivative",
-    "read_field", "read_field_csv", "sample_circle", "trace_on_circle",
-    "write_field_csv", "write_field_vtk",
-    "SolverError", "assemble", "solve",
+    "ScalarField", "eval_origin", "radial_derivative",
+    "read_field", "read_field_csv", "write_field_vtk",
+    "assemble",
     "Solution", "StageFailed",
-    "export_solution", "f_eps", "f_eps_prime", "initial_guess",
+    "export_solution", "f_eps", "initial_guess",
     "newton_stage", "solve_fixed_point",
     "energy_bound_integral", "find_threshold",
-    "mc_energy_bound", "phi", "phi_profile", "threshold_scan",
+    "mc_energy_bound", "phi_profile", "threshold_scan",
     "CASE1", "CASE3", "INCONCLUSIVE", "DegenerateTrace",
-    "blowup_report", "s_norm", "write_blowup_csv",
-    "LevelSet", "crossing_angles", "extract_zero_set",
+    "blowup_report", "write_blowup_csv",
+    "LevelSet", "extract_zero_set",
     "fit_arcs_at_origin", "write_arcs_json", "write_levelset_csv",
     "RunManifest", "main", "rerun_manifest", "run_asterisk", "run_cross",
     "run_solve", "run_threshold_scan",

@@ -55,6 +55,7 @@ class BlowupReport:
     phi_max_r: float
 
 
+# not public: only tests and perfbench/spans.py call it; its hook reads float(args[1])
 def s_norm(u: ScalarField, r: float) -> float:
     """Boundary L2 amplitude (r^-1 int_{dB_r} u^2)^(1/2)."""
     return float(_s_values(u.apply(np.square), [r])[0])

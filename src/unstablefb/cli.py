@@ -31,7 +31,7 @@ import numpy as np
 from .blowup import CASE1, CASE3, TRACE_SAMPLES, blowup_report, write_blowup_csv
 from .field import check_radii, eval_origin, radial_derivative, read_field, write_table
 from .freeboundary import (
-    crossing_angles,
+    _crossing_angles,
     extract_zero_set,
     fit_arcs_at_origin,
     write_arcs_json,
@@ -433,8 +433,8 @@ def _asterisk_body(p: dict, out: Path):
     invariance_r = None
     gap_dev = float("inf")
     n_crossings = 0
-    for r_try in p["invariance_radii"]:
-        angles = crossing_angles(sol.u, r_try)
+    radii = p["invariance_radii"]
+    for r_try, angles in zip(radii, _crossing_angles(sol.u, radii)):
         if len(angles) >= 8 and len(angles) % 4 == 0:
             invariance_r = r_try
             n_crossings = len(angles)

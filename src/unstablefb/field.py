@@ -5,7 +5,7 @@ evaluates that extension without building it: integrals are multiplied by
 the number of symmetric copies (2k), the angular derivative is a cosine
 series, and circle samples read the disk columns through the reflection
 index map.  Every circle diagnostic takes its radii as one batch, in one
-array pass; the public one-radius functions are the batch's one-element case.
+array pass, and each row equals the one-element batch of its radius.
 """
 from __future__ import annotations
 
@@ -41,31 +41,21 @@ class ScalarField:
         return ScalarField(self.grid, np.asarray(fn(self.values), dtype=float))
 
 
+# not public: only tests and the benchmark's set-up (perfbench/workloads.py) call it
 def field_from_function(grid: PolarGrid, fn) -> ScalarField:
     """Sample fn(r, phi) at cell centers."""
     rr, pp = grid.mesh_coords()
     return ScalarField(grid, np.asarray(fn(rr, pp), dtype=float))
 
 
-def integrate_ball(field: ScalarField, integrand, r: float) -> float:
-    """Integral of integrand(u) over the disk of radius r about the origin.
-
-    Reduces to the radial integral of g(s) = s * (angular integral at s);
-    the angular integral at each ring comes from exact cell sums, so it
-    inherits the spectral accuracy of the rectangle rule on periodic data.
-    The radial rule is _integrate_rings.
-    """
-    vals = field.values if integrand is None else np.asarray(integrand(field.values), dtype=float)
-    return float(_integrate_rings(field.grid, vals.sum(axis=1), [r])[0])
-
-
 def _integrate_rings(g: PolarGrid, row_sums: np.ndarray, radii) -> np.ndarray:
     """Ball integrals over each radius from the per-ring sums of the cell values.
 
-    The composite midpoint rule over full rings with the Euler-Maclaurin
-    endpoint correction, plus an interpolated contribution of the partial
-    ring at the cut.  A sector grid's integral is multiplied by its copies.
-    Each radius keeps its own sum of full rings (a cumsum rounds differently).
+    The radial integral of s * (angular integral at s), spectrally accurate
+    in angle: the composite midpoint rule over full rings with the
+    Euler-Maclaurin endpoint correction, plus an interpolated contribution
+    of the partial ring at the cut, times a sector grid's copies.  Each
+    radius keeps its own sum of full rings (a cumsum rounds differently).
     """
     radii = np.asarray(radii, dtype=float)
     bad = ~((0.0 < radii) & (radii <= 1.0 + 1e-12))
@@ -137,11 +127,6 @@ def _radial_interp_rows(grid: PolarGrid, radii: np.ndarray) -> tuple[np.ndarray,
     return i, (radii - grid.r[i]) / grid.dr
 
 
-def integrate_circle(field: ScalarField, r: float) -> float:
-    """Line integral of u over the full circle of radius r (`_circle_integrals`)."""
-    return float(_circle_integrals(field, [r])[0])
-
-
 def _circle_integrals(field: ScalarField, radii) -> np.ndarray:
     """Line integrals of u over the full circles of the given radii.
 
@@ -195,15 +180,9 @@ def _angular_derivative(field: ScalarField, n: int) -> np.ndarray:
     return idst(s, type=2, axis=1, workers=1)
 
 
-def gradient_sq(field: ScalarField) -> ScalarField:
-    """|grad u|^2 = (du/dr)^2 + (du/dphi / r)^2 at cell centers."""
-    du_dr = radial_derivative(field).values
-    return ScalarField(field.grid, _gradient_sq_rings(field, du_dr, field.grid.n_r))
-
-
 def _gradient_sq_rings(field: ScalarField, du_dr: np.ndarray, n: int) -> np.ndarray:
-    """gradient_sq's values on the first n rings alone, given du_dr =
-    radial_derivative(field).values (a caller that needs it too takes it once)."""
+    """|grad u|^2 = (du/dr)^2 + (du/dphi / r)^2 on the first n rings, given
+    du_dr = radial_derivative(field).values (a caller that needs it too takes it once)."""
     return du_dr[:n] ** 2 + (_angular_derivative(field, n) / field.grid.r[:n, None]) ** 2
 
 
@@ -268,12 +247,6 @@ class CircleTrace:
         return float(part / total)
 
 
-def sample_circle(field: ScalarField, r: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m equispaced angles and u's samples there on the circle of radius r (`_circle_samples`)."""
-    angles, samples = _circle_samples(field, [r], m)
-    return angles, samples[0]
-
-
 def _circle_samples(field: ScalarField, radii, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Bilinear samples of the symmetric disk extension at m equispaced angles,
     one row per radius.
@@ -294,11 +267,6 @@ def _circle_samples(field: ScalarField, radii, m: int) -> tuple[np.ndarray, np.n
     v0 = (1.0 - s) * field.values[i, c0] + s * field.values[i, c1]
     v1 = (1.0 - s) * field.values[i + 1, c0] + s * field.values[i + 1, c1]
     return angles, (1.0 - t) * v0 + t * v1
-
-
-def trace_on_circle(field: ScalarField, r: float, m: int = 256) -> CircleTrace:
-    """Trace with Fourier coefficients 0..8 by periodic rectangle sums (`_circle_traces`)."""
-    return _circle_traces(field, [r], m)[0]
 
 
 def _circle_traces(field: ScalarField, radii, m: int) -> list[CircleTrace]:
@@ -333,6 +301,7 @@ def write_table(path, header: str, columns) -> None:
         fh.write(header + "\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
+# not public: only tests and the benchmark's set-up (perfbench/workloads.py) call it
 def write_field_csv(field: ScalarField, path) -> None:
     """Columns r, phi, value; one row per cell, row-major in (r, phi).
 

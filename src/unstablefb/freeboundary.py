@@ -37,6 +37,7 @@ class LevelSet:
     lengths: list[float]
 
 
+# not public: only tests and the benchmark's traced run (perfbench/spans.py) call it
 def crossing_angles(u: ScalarField, r: float) -> np.ndarray:
     """Angles where the circle trace changes sign (`_crossing_angles`)."""
     return _crossing_angles(u, [r])[0]

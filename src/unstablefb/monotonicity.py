@@ -56,6 +56,7 @@ def _phi_values(u: ScalarField, radii, du_dr: np.ndarray | None = None) -> np.nd
     return bulk / _powers(radii, 4) - 2.0 * surface / _powers(radii, 5)
 
 
+# not public: only tests and perfbench/spans.py call it; its hook reads float(args[1])
 def phi(u: ScalarField, r: float) -> float:
     """Scaled energy of u at radius r (see module docstring).
 
@@ -149,7 +150,7 @@ def energy_bound_integral(M: float, C1: float = 0.5, n_r: int = 1024, n_phi: int
     M*cos(2 phi) cannot stay sign-definite.  At M = 0 the value is exactly
     pi*C1^2.
 
-    The quadrature is integrate_ball's on the n_r x n_phi quarter-sector
+    The quadrature is that of _integrate_rings on the n_r x n_phi quarter-sector
     grid, without sampling the field: with the angular values a_j =
     M*cos(2 phi_j) sorted in decreasing order and P their prefix sums,
     ring i's cell sum of 2*(r_i^2 a_j - C1)^+ is 2*(r_i^2 P[k] - C1*k),

@@ -30,9 +30,9 @@ from .mesh import PolarGrid
 RESIDUAL_TOL = 1e-8
 # Bytes that the store (`_store`) keeps between solves over all grid shapes.
 # 160 MiB holds the whole ladder of a 1024^2 cross (49 MiB) and of criterion
-# 7's 65536 x 8 asterisk (76 MiB), so their repeated solves build nothing, but
-# not one 2048^2 level's operator arrays (96 MiB) beside two of its Krylov
-# arrays, so a 2048^2 cross leaves nothing behind.
+# 7's 65536 x 8 asterisk (76 MiB), and a 2048^2 cross's ladder with the finest
+# level's operator arrays (96 MiB) but not two of its Krylov arrays beside
+# them, so the repeated solves of all three build no operator array.
 STORE_BYTES = 160 << 20
 # Krylov arrays kept per grid shape (`keep_krylov`).  A GMRES solve of m
 # iterations takes 1 + m, so 6 hold every solve of the 256^2 cross and asterisk
@@ -40,6 +40,7 @@ STORE_BYTES = 160 << 20
 KEPT_KRYLOV = 6
 
 
+# not public: raised by solve alone
 class SolverError(RuntimeError):
     """Linear solve failed to reach the required residual."""
 
@@ -193,15 +194,6 @@ def _nbytes(kept: list) -> int:
     return sum(a.nbytes for a in (radial, angular, diag, areas, *modes, *krylov))
 
 
-def _keep(grid: PolarGrid, kept: list) -> None:
-    """Store kept as grid's, the most recently used, then drop the least
-    recently used shapes while the store passes STORE_BYTES.  Needs the lock."""
-    _store.pop(grid, None)
-    _store[grid] = kept
-    while sum(map(_nbytes, _store.values())) > STORE_BYTES:
-        del _store[next(iter(_store))]
-
-
 def take_krylov(grid: PolarGrid) -> list[np.ndarray]:
     """The Krylov arrays kept for grid's shape, now the caller's alone."""
     with _store_lock:
@@ -214,11 +206,14 @@ def take_krylov(grid: PolarGrid) -> list[np.ndarray]:
 
 def keep_krylov(grid: PolarGrid, arrays: list[np.ndarray]) -> None:
     """Keep up to KEPT_KRYLOV Krylov arrays with grid's operator arrays, if
-    the store holds those."""
+    the store holds those and stays within STORE_BYTES with them, and none
+    otherwise: only `assemble` evicts."""
     with _store_lock:
-        if grid in _store:
-            _store[grid][1] = arrays[:KEPT_KRYLOV]
-            _keep(grid, _store[grid])
+        kept = _store.get(grid)
+        if kept is not None:
+            kept[1] = arrays[:KEPT_KRYLOV]
+            if sum(map(_nbytes, _store.values())) > STORE_BYTES:
+                kept[1] = []
 
 
 def assemble(grid: PolarGrid) -> DiscreteLaplacian:
@@ -226,13 +221,16 @@ def assemble(grid: PolarGrid) -> DiscreteLaplacian:
 
     Returns a new operator on the caller's grid object.  Its read-only
     arrays are built under the store's lock once per shape while the store
-    (`_store`) holds them, and shared by every operator of that shape.
+    (`_store`) holds them, and shared by every operator of that shape; the
+    least recently used shapes go while the store passes STORE_BYTES.
     """
     if grid.periodic:
         raise ValueError("the Dirichlet-arc operator is assembled on sector grids only")
     with _store_lock:
-        kept = _store.get(grid) or [_level_arrays(grid), []]
-        _keep(grid, kept)
+        kept = _store.pop(grid, None) or [_level_arrays(grid), []]
+        _store[grid] = kept
+        while sum(map(_nbytes, _store.values())) > STORE_BYTES:
+            del _store[next(iter(_store))]
     return DiscreteLaplacian(grid, *kept[0])
 
 
@@ -247,6 +245,7 @@ def _arc_values(grid: PolarGrid, g_arc) -> np.ndarray:
     return g
 
 
+# not public: only tests and the benchmark's traced run (perfbench/spans.py) call it
 def solve(
     lap: DiscreteLaplacian,
     F=None,

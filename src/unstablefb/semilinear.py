@@ -92,6 +92,7 @@ def f_eps(z, eps: float):
     return out if out.ndim else float(out)
 
 
+# not public: the tests' dense reference for the band's shift
 def f_eps_prime(z, eps: float):
     """Derivative of f_eps; bounded by (15/8)/eps, zero outside (-eps, 0)."""
     if eps <= 0.0:

@@ -14,10 +14,9 @@ from unstablefb import (
     PolarGrid,
     ScalarField,
     build_sector_grid,
-    field_from_function,
     write_field_vtk,
 )
-from unstablefb.field import _origin_ring_weights
+from unstablefb.field import _origin_ring_weights, field_from_function
 from unstablefb.poisson import _transmissibilities
 
 

@@ -25,14 +25,14 @@ from unstablefb import (
     build_sector_grid,
     eval_origin,
     energy_bound_integral,
-    phi,
     phi_profile,
     rerun_manifest,
     run_asterisk,
     run_cross,
     run_threshold_scan,
-    solve,
 )
+from unstablefb.monotonicity import phi
+from unstablefb.poisson import solve
 
 DIAGONAL_DEG = np.array([45.0, 135.0, 225.0, 315.0])
 

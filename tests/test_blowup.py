@@ -26,9 +26,6 @@ from unstablefb import (
     ScalarField,
     blowup_report,
     build_sector_grid,
-    field_from_function,
-    phi,
-    s_norm,
     write_blowup_csv,
 )
 from unstablefb.blowup import (
@@ -37,8 +34,10 @@ from unstablefb.blowup import (
     TRACE_SAMPLES,
     TREND_SLACK,
     _s_values,
+    s_norm,
 )
-from unstablefb.field import integrate_circle, trace_on_circle
+from unstablefb.field import _circle_integrals, _circle_traces, field_from_function
+from unstablefb.monotonicity import phi
 
 RADII = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
 
@@ -121,8 +120,8 @@ class TestReport:
 def reference_trace(u, r, m):
     """S(r) and the normalized trace at one radius, each from its own
     square of u and its own trace."""
-    s = math.sqrt(max(integrate_circle(u.apply(np.square), r) / r, 0.0))
-    tr = trace_on_circle(u, r, m)
+    s = math.sqrt(max(_circle_integrals(u.apply(np.square), [r])[0] / r, 0.0))
+    tr, = _circle_traces(u, [r], m)
     return s, (tr.radius, tr.angles, tr.samples / s, tr.a / s, tr.b / s)
 
 

@@ -18,35 +18,32 @@ from unstablefb import (
     blowup_report,
     build_sector_grid,
     eval_origin,
-    field_from_function,
     fit_arcs_at_origin,
-    gradient_sq,
-    integrate_ball,
-    integrate_circle,
     phi_profile,
     radial_derivative,
     read_field,
     read_field_csv,
-    sample_circle,
-    trace_on_circle,
-    write_field_csv,
     write_field_vtk,
 )
 from unstablefb.field import (
     _circle_integrals,
     _circle_samples,
     _circle_traces,
+    _gradient_sq_rings,
     _integrate_rings,
     check_window,
+    field_from_function,
+    write_field_csv,
     write_table,
 )
-from unstablefb.freeboundary import _crossing_angles, crossing_angles
+from unstablefb.freeboundary import _crossing_angles
 from unstablefb.mesh import reflect_to_disk
 
 
 def reference_integrate_ball(field, integrand, r):
-    """integrate_ball as it was when it built its ring sums inline, kept
-    as the bit-level reference for the shared radial rule."""
+    """The ball integral of integrand(u) (u when None) over radius r as it was
+    when it built its ring sums inline, kept as the bit-level reference for
+    the shared radial rule."""
     g = field.grid
     vals = field.values if integrand is None else np.asarray(integrand(field.values), dtype=float)
     r = min(r, 1.0)
@@ -108,8 +105,8 @@ def former_integrate_rings(g, row_sums, radii):
 
 
 def reference_integrate_circle(field, r):
-    """integrate_circle as it was when it took one radius per call, kept as
-    the bit-level reference for the batched circle integrals."""
+    """The circle integral as it was when it took one radius per call, kept
+    as the bit-level reference for the batched circle integrals."""
     g = field.grid
     i = int(np.clip(math.floor(r / g.dr - 0.5), 0, g.n_r - 2))
     lo = int(np.clip(i - 1, 0, g.n_r - 4))
@@ -159,44 +156,45 @@ class TestBallIntegrals:
         # 0.02 is a tiny ball, 0.73 cuts a ring, 0.5 and 1.0 end on faces
         u = ScalarField(grid, np.random.default_rng(7).standard_normal(grid.shape))
         for integrand in (None, lambda v: 2.0 * np.maximum(v, 0.0)):
-            assert integrate_ball(u, integrand, r) == reference_integrate_ball(u, integrand, r)
+            vals = u.values if integrand is None else integrand(u.values)
+            got = _integrate_rings(grid, vals.sum(axis=1), [r])[0]
+            assert got == reference_integrate_ball(u, integrand, r)
 
     def test_constant_gives_ball_area(self, disk256):
-        one = field_from_function(disk256, lambda r, p: np.ones_like(r))
+        rows = np.full(disk256.n_r, float(disk256.n_phi))  # ring sums of u = 1
         for r in (0.2, 0.5, 0.93):
-            assert integrate_ball(one, None, r) == pytest.approx(
+            assert _integrate_rings(disk256, rows, [r])[0] == pytest.approx(
                 math.pi * r**2, abs=1e-12)
 
     def test_cut_ring_fraction(self, disk64):
         """Radii falling strictly inside a ring keep full accuracy."""
-        one = field_from_function(disk64, lambda r, p: np.ones_like(r))
+        rows = np.full(disk64.n_r, float(disk64.n_phi))
         r = 0.5 + 0.37 / 64
-        assert integrate_ball(one, None, r) == pytest.approx(math.pi * r**2, rel=1e-10)
+        assert _integrate_rings(disk64, rows, [r])[0] == pytest.approx(math.pi * r**2, rel=1e-10)
 
     def test_pure_angular_mode_integrates_to_zero(self, disk256):
-        u = degree2_field(disk256)
-        assert abs(integrate_ball(u, None, 0.6)) < 1e-12
+        rows = degree2_field(disk256).values.sum(axis=1)
+        assert abs(_integrate_rings(disk256, rows, [0.6])[0]) < 1e-12
 
     def test_radial_quartic_moment(self, disk256):
         """int_{B_r} s^2 = pi r^4 / 2 with fourth-order quadrature error."""
-        u = field_from_function(disk256, lambda r, p: r**2)
+        rows = field_from_function(disk256, lambda r, p: r**2).values.sum(axis=1)
         for r in (0.25, 0.75):
-            assert integrate_ball(u, None, r) == pytest.approx(
+            assert _integrate_rings(disk256, rows, [r])[0] == pytest.approx(
                 math.pi * r**4 / 2.0, rel=1e-6)
 
     def test_positive_part_integrand(self, disk256):
         # int_{B_r} 2 (r^2 cos 2phi)^+ = r^4: angular positive part has
         # integral 2 over the period, radial moment r^4/4
-        u = degree2_field(disk256)
-        got = integrate_ball(u, lambda v: 2.0 * np.maximum(v, 0.0), 0.5)
+        rows = (2.0 * np.maximum(degree2_field(disk256).values, 0.0)).sum(axis=1)
+        got = _integrate_rings(disk256, rows, [0.5])[0]
         # the positive-part kink limits angular midpoint accuracy to O(dphi^2)
         assert got == pytest.approx(0.5**4, rel=5e-4)
 
     def test_sector_field_counts_all_copies(self):
         g = build_sector_grid(2, 64, 64)
-        one = field_from_function(g, lambda r, p: np.ones_like(r))
-        assert integrate_ball(one, None, 0.5) == pytest.approx(
-            math.pi * 0.25, abs=1e-12)
+        rows = np.full(g.n_r, float(g.n_phi))
+        assert _integrate_rings(g, rows, [0.5])[0] == pytest.approx(math.pi * 0.25, abs=1e-12)
 
 
 DR64 = 1.0 / 64  # dr of disk64, the open inner end of its window
@@ -222,8 +220,8 @@ class TestRadiusRule:
     AT_DR = "radius 0.015625 outside the valid window"
     ONE = r"need at least two radii, got \[0.3\]"
     CASES = {
-        "integrate_circle-r_is_dr": (lambda u: integrate_circle(u, DR64), AT_DR),
-        "sample_circle-r_is_dr": (lambda u: sample_circle(u, DR64, 64), AT_DR),
+        "circle_integrals-r_is_dr": (lambda u: _circle_integrals(u, [DR64])[0], AT_DR),
+        "circle_samples-r_is_dr": (lambda u: _circle_samples(u, [DR64], 64), AT_DR),
         "phi_profile-r_is_dr": (lambda u: phi_profile(u, [DR64, 0.3]), AT_DR),
         "phi_profile-one_radius": (lambda u: phi_profile(u, [0.3]), ONE),
         "blowup_report-r_is_dr": (lambda u: blowup_report(u, [DR64, 0.3]), AT_DR),
@@ -250,7 +248,7 @@ class TestRadiusRule:
 @pytest.mark.parametrize("grid", BATCH_GRIDS, ids=["disk", "sector"])
 class TestBatches:
     """Each batched circle helper evaluates a whole radius list in one pass;
-    every row must be its one-radius function's value, bit for bit."""
+    every row must be its radius's one-element batch, bit for bit."""
 
     @staticmethod
     def field(grid):
@@ -260,8 +258,9 @@ class TestBatches:
         u, radii = self.field(grid), batch_radii(grid)
         for integrand in (None, lambda v: 2.0 * np.maximum(v, 0.0)):
             vals = u.values if integrand is None else integrand(u.values)
-            got = _integrate_rings(grid, vals.sum(axis=1), radii)
-            assert got.tolist() == [integrate_ball(u, integrand, r) for r in radii]
+            rows = vals.sum(axis=1)
+            got = _integrate_rings(grid, rows, radii)
+            assert got.tolist() == [_integrate_rings(grid, rows, [r])[0] for r in radii]
             assert got.tolist() == [reference_integrate_ball(u, integrand, r) for r in radii]
 
     @pytest.mark.parametrize("kind", ["full_only", "cut_only", "tiny_only", "mixed"])
@@ -279,20 +278,20 @@ class TestBatches:
     def test_circle_integrals(self, grid):
         u, radii = self.field(grid), batch_radii(grid)
         got = _circle_integrals(u, radii)
-        assert got.tolist() == [integrate_circle(u, r) for r in radii]
+        assert got.tolist() == [_circle_integrals(u, [r])[0] for r in radii]
         assert got.tolist() == [reference_integrate_circle(u, r) for r in radii]
 
     def test_circle_samples(self, grid):
         u, radii = self.field(grid), batch_radii(grid)
         angles, rows = _circle_samples(u, radii, 100)
         for r, row in zip(radii, rows):
-            ref_angles, ref = sample_circle(u, r, 100)
-            assert np.array_equal(angles, ref_angles) and np.array_equal(row, ref)
+            ref_angles, ref = _circle_samples(u, [r], 100)
+            assert np.array_equal(angles, ref_angles) and np.array_equal(row, ref[0])
 
     def test_circle_traces(self, grid):
         u, radii = self.field(grid), batch_radii(grid)
         for tr, r in zip(_circle_traces(u, radii, 256), radii):
-            ref = trace_on_circle(u, r, 256)
+            ref, = _circle_traces(u, [r], 256)
             assert tr.radius == ref.radius == r
             for name in ("angles", "samples", "a", "b"):
                 assert np.array_equal(getattr(tr, name), getattr(ref, name))
@@ -302,29 +301,29 @@ class TestBatches:
         got = _crossing_angles(u, radii)
         assert len(got) == len(radii) and all(len(a) > 0 for a in got)
         for angles, r in zip(got, radii):
-            assert np.array_equal(angles, crossing_angles(u, r))
+            assert np.array_equal(angles, _crossing_angles(u, [r])[0])
 
 
 class TestCircleIntegrals:
     def test_constant(self, disk256):
         c = field_from_function(disk256, lambda r, p: np.full_like(r, 1.7))
-        assert integrate_circle(c, 0.41) == pytest.approx(
+        assert _circle_integrals(c, [0.41])[0] == pytest.approx(
             2.0 * math.pi * 0.41 * 1.7, rel=1e-12)
 
     def test_angular_mode_annihilated(self, disk256):
         u = degree2_field(disk256)
-        assert abs(integrate_circle(u, 0.37)) < 1e-12
+        assert abs(_circle_integrals(u, [0.37])[0]) < 1e-12
 
     def test_radial_cubic_interpolation_is_exact(self, disk256):
         u = field_from_function(disk256, lambda r, p: r**3 - 0.2 * r)
         r = 0.437
-        assert integrate_circle(u, r) == pytest.approx(
+        assert _circle_integrals(u, [r])[0] == pytest.approx(
             2.0 * math.pi * r * (r**3 - 0.2 * r), rel=1e-12)
 
     def test_near_rim_uses_one_sided_stencil(self, disk64):
         u = field_from_function(disk64, lambda r, p: r**2)
         r = 1.0 - 1.2 / 64
-        assert integrate_circle(u, r) == pytest.approx(
+        assert _circle_integrals(u, [r])[0] == pytest.approx(
             2.0 * math.pi * r**3, rel=1e-10)
 
 
@@ -338,18 +337,18 @@ class TestDerivatives:
     def test_gradient_energy_of_degree2_mode(self, disk256):
         """|grad(r^2 cos 2phi)|^2 = 4 r^2 pointwise."""
         u = degree2_field(disk256)
-        gs = gradient_sq(u)
+        gs = _gradient_sq_rings(u, radial_derivative(u).values, disk256.n_r)
         exact = 4.0 * disk256.r[:, None] ** 2 * np.ones(disk256.shape)
-        assert np.max(np.abs(gs.values - exact)) < 1e-10
+        assert np.max(np.abs(gs - exact)) < 1e-10
 
     def test_gradient_energy_on_sector_matches_disk(self):
         sector = build_sector_grid(2, 64, 64)
         u = degree2_field(sector)
-        gs = gradient_sq(u)
+        gs = _gradient_sq_rings(u, radial_derivative(u).values, sector.n_r)
         exact = 4.0 * sector.r[:, None] ** 2
         # the cosine-series derivative is exact on cos(2 phi), as the disk's
         # Fourier derivative is, so only the radial stencil and rounding remain
-        assert np.max(np.abs(gs.values - exact * np.ones(sector.shape))) < 1e-10
+        assert np.max(np.abs(gs - exact * np.ones(sector.shape))) < 1e-10
 
 
 class TestOriginValue:
@@ -365,15 +364,15 @@ class TestOriginValue:
 
 
 class TestTraces:
-    def test_sample_circle_matches_function(self, disk256):
+    def test_circle_samples_match_function(self, disk256):
         u = field_from_function(disk256, lambda r, p: r * np.cos(p))
-        angles, vals = sample_circle(u, 0.5, 512)
+        angles, (vals,) = _circle_samples(u, [0.5], 512)
         assert angles.shape == vals.shape == (512,)
         assert np.max(np.abs(vals - 0.5 * np.cos(angles))) < 5e-5
 
     def test_fourier_single_mode(self, disk256):
         u = degree2_field(disk256)
-        tr = trace_on_circle(u, 0.5, m=256)
+        tr, = _circle_traces(u, [0.5], 256)
         assert tr.a[2] == pytest.approx(0.25, rel=1e-4)
         assert abs(tr.b[2]) < 1e-12
         others = np.delete(np.arange(len(tr.a)), 2)
@@ -383,7 +382,7 @@ class TestTraces:
 
     def test_mean_square(self, disk256):
         u = degree2_field(disk256)
-        tr = trace_on_circle(u, 0.5, m=512)
+        tr, = _circle_traces(u, [0.5], 512)
         assert tr.mean_square() == pytest.approx(0.25**2 / 2.0, rel=1e-3)
 
 

@@ -13,15 +13,14 @@ from unstablefb import (
     PolarGrid,
     ScalarField,
     build_sector_grid,
-    crossing_angles,
     extract_zero_set,
-    field_from_function,
     fit_arcs_at_origin,
     solve_fixed_point,
     write_arcs_json,
     write_levelset_csv,
 )
-from unstablefb.freeboundary import LevelSet
+from unstablefb.field import field_from_function
+from unstablefb.freeboundary import LevelSet, crossing_angles
 from unstablefb.mesh import TWO_PI, reflect_to_disk
 
 DIAGONALS = np.array([1.0, 3.0, 5.0, 7.0]) * math.pi / 4.0

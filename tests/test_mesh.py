@@ -5,12 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from unstablefb import (
-    PolarGrid,
-    ScalarField,
-    build_sector_grid,
-    field_from_function,
-)
+from unstablefb import PolarGrid, ScalarField, build_sector_grid
+from unstablefb.field import field_from_function
 from unstablefb.mesh import reflect_to_disk, reflection_index_map
 
 

@@ -35,15 +35,18 @@ from unstablefb import (
     ScalarField,
     build_sector_grid,
     energy_bound_integral,
-    field_from_function,
     find_threshold,
-    integrate_ball,
     mc_energy_bound,
-    phi,
     phi_profile,
     threshold_scan,
 )
-from unstablefb.field import _integrate_rings, gradient_sq, integrate_circle, radial_derivative
+from unstablefb.field import (
+    _circle_integrals,
+    _gradient_sq_rings,
+    _integrate_rings,
+    field_from_function,
+    radial_derivative,
+)
 from unstablefb import monotonicity
 from unstablefb.monotonicity import (
     MC_BLOCK,
@@ -51,6 +54,7 @@ from unstablefb.monotonicity import (
     MonotonicityProfile,
     _mc_block_sums,
     _phi_values,
+    phi,
 )
 
 BISECTED_THRESHOLD = 1.890723705291748  # frozen bisection output at C1 = 1/2
@@ -157,9 +161,10 @@ class TestRadialCompositeOracle:
 def reference_phi(u, r):
     """Phi at one radius, each term evaluated on its own (the per-radius
     evaluation that phi_profile's shared ring sums replace)."""
-    bulk = integrate_ball(gradient_sq(u), None, r) - integrate_ball(
-        u, lambda v: 2.0 * np.maximum(v, 0.0), r)
-    surface = integrate_circle(u.apply(np.square), r)
+    grad_sq = _gradient_sq_rings(u, radial_derivative(u).values, u.grid.n_r)
+    bulk = (_integrate_rings(u.grid, grad_sq.sum(axis=1), [r])[0]
+            - _integrate_rings(u.grid, (2.0 * np.maximum(u.values, 0.0)).sum(axis=1), [r])[0])
+    surface = _circle_integrals(u.apply(np.square), [r])[0]
     return float(bulk / r**4 - 2.0 * surface / r**5)
 
 
@@ -167,7 +172,7 @@ def reference_identity_integrand(u, r):
     """r^-4 int_{dB_r} 2 (du/dr - 2u/r)^2 dH at one radius."""
     du_dr = radial_derivative(u)
     w = ScalarField(u.grid, (du_dr.values - 2.0 * u.values / u.grid.r[:, None]) ** 2)
-    return 2.0 * integrate_circle(w, r) / r**4
+    return 2.0 * _circle_integrals(w, [r])[0] / r**4
 
 
 class TestSharedRingSums:
@@ -200,7 +205,7 @@ def reference_energy_bound(M, C1, n_r, n_phi):
     """The bound by sampling M r^2 cos(2 phi) on every cell of the grid."""
     grid = build_sector_grid(2, n_r, n_phi)
     h = field_from_function(grid, lambda r, p: M * r**2 * np.cos(2.0 * p))
-    excess = integrate_ball(h, lambda v: 2.0 * np.maximum(v - C1, 0.0), 1.0)
+    excess = _integrate_rings(grid, (2.0 * np.maximum(h.values - C1, 0.0)).sum(axis=1), [1.0])[0]
     return float(np.pi * C1 * C1 - excess)
 
 

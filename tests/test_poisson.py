@@ -17,7 +17,9 @@ from scipy.fft import dct, idct
 from scipy.linalg.lapack import dpttrs
 
 import unstablefb
-from unstablefb import SolverError, f_eps, f_eps_prime
+from unstablefb import f_eps
+from unstablefb.poisson import SolverError, solve
+from unstablefb.semilinear import f_eps_prime
 
 from conftest import cell_arrays, coo_assembly, degree2_field
 
@@ -26,9 +28,8 @@ from unstablefb import (
     assemble,
     build_sector_grid,
     eval_origin,
-    field_from_function,
-    solve,
 )
+from unstablefb.field import field_from_function
 
 
 def torsion_error(n: int) -> float:

@@ -18,11 +18,11 @@ from unstablefb import (
     PolarGrid,
     blowup_report,
     build_sector_grid,
-    crossing_angles,
     phi_profile,
-    sample_circle,
     solve_fixed_point,
 )
+from unstablefb.field import _circle_samples
+from unstablefb.freeboundary import crossing_angles
 from unstablefb.mesh import reflect_to_disk
 
 PHI_RADII = [0.25, 0.3125, 0.5, 0.61, 0.7]
@@ -49,7 +49,7 @@ def test_circle_samples_and_crossings_are_bit_identical(field):
     disk = reflect_to_disk(field)
     for r in CIRCLE_RADII:
         for m in (256, 2048):
-            got, ref = sample_circle(field, r, m), sample_circle(disk, r, m)
+            got, ref = _circle_samples(field, [r], m), _circle_samples(disk, [r], m)
             assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
         assert np.array_equal(crossing_angles(field, r), crossing_angles(disk, r))
 

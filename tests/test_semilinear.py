@@ -23,14 +23,14 @@ from unstablefb import (
     eval_origin,
     export_solution,
     f_eps,
-    f_eps_prime,
-    field_from_function,
     initial_guess,
     newton_stage,
     read_field,
-    solve,
     solve_fixed_point,
 )
+from unstablefb.field import field_from_function
+from unstablefb.poisson import solve
+from unstablefb.semilinear import f_eps_prime
 
 from conftest import cell_arrays, coo_assembly, origin_weight_vector
 
@@ -730,14 +730,18 @@ class TestSolverMemory:
         held = {level: poisson._nbytes(kept) for level, kept in poisson._store.items()}
         shapes = list(held)  # least recently used first
         assert [level.n_r for level in shapes] == [12, 24, 48, 96]
-        bound = held[shapes[-2]] + held[shapes[-1]]
+        finest = poisson._nbytes([poisson._store[shapes[-1]][0], []])
+        # the finest level's operator arrays fit only when the two coarsest
+        # levels go, and its Krylov arrays not at all
+        bound = held[shapes[-2]] + finest
         monkeypatch.setattr(poisson, "STORE_BYTES", bound)
         poisson._store.clear()
         assert_same_solution(solve_fixed_point(*cross_96()), first)
         assert list(poisson._store) == shapes[-2:] and store_bytes() <= bound
-        # the third solve builds the two coarse levels again after their eviction
+        assert poisson._store[shapes[-1]][1] == []
+        # the next solve builds the evicted levels again, within the bound
         assert_same_solution(solve_fixed_point(*cross_96()), first)
-        assert list(poisson._store) == shapes[-2:] and store_bytes() <= bound
+        assert list(poisson._store)[-1] == shapes[-1] and store_bytes() <= bound
 
     def test_shape_over_the_bound_is_not_kept(self, monkeypatch):
         grid, g, eps_min = cross_96()
@@ -747,12 +751,38 @@ class TestSolverMemory:
         monkeypatch.setattr(poisson, "STORE_BYTES", bound)
         poisson._store.clear()
         assert_same_solution(solve_fixed_point(grid, g, eps_min), first)
-        assert grid not in poisson._store and store_bytes() <= bound
-        assemble(grid)
-        assert grid in poisson._store  # its operator arrays alone fit, not with the Krylov ones
+        # its operator arrays alone fit, not with the Krylov ones, which are
+        # given back and dropped without evicting anything
+        assert poisson._store[grid][1] == [] and store_bytes() <= bound
+        shapes = list(poisson._store)
         poisson.keep_krylov(grid, [np.empty(grid.size + 1) for _ in kept[1]])
-        assert grid not in poisson._store
-        assert poisson.take_krylov(grid) == []
+        assert list(poisson._store) == shapes and poisson.take_krylov(grid) == []
+        # operator arrays over the bound alone: the shape is not kept at all
+        bound = poisson._nbytes([kept[0], []]) - 1
+        monkeypatch.setattr(poisson, "STORE_BYTES", bound)
+        poisson._store.clear()
+        assert_same_solution(solve_fixed_point(grid, g, eps_min), first)
+        assert grid not in poisson._store and store_bytes() <= bound
+
+    def test_krylov_arrays_never_evict_operator_arrays(self, monkeypatch):
+        # the 96^2 cross under a bound like that of a 2048^2 cross: the whole
+        # ladder and the finest operator arrays fit, not beside its Krylov arrays
+        grid, g, eps_min = cross_96()
+        first = solve_fixed_point(grid, g, eps_min)
+        coarse = sum(poisson._nbytes(kept) for level, kept in poisson._store.items()
+                     if level != grid)
+        bound = coarse + poisson._nbytes([poisson._store[grid][0], []]) + 8 * (grid.size + 1)
+        monkeypatch.setattr(poisson, "STORE_BYTES", bound)
+        poisson._store.clear()
+        assert_same_solution(solve_fixed_point(grid, g, eps_min), first)
+        assert [level.n_r for level in poisson._store] == [12, 24, 48, 96]
+        assert poisson._store[grid][1] == [] and store_bytes() <= bound
+        built = []
+        level_arrays = poisson._level_arrays
+        monkeypatch.setattr(poisson, "_level_arrays",
+                            lambda level: built.append(level) or level_arrays(level))
+        assert_same_solution(solve_fixed_point(grid, g, eps_min), first)
+        assert built == []
 
     def test_taken_krylov_arrays_are_the_callers_alone(self):
         grid = build_sector_grid(2, 16, 16)
