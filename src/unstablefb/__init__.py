@@ -28,7 +28,6 @@ from .semilinear import (
     Solution,
     StageFailed,
     export_solution,
-    f_eps,
     initial_guess,
     newton_stage,
     solve_fixed_point,
@@ -72,7 +71,7 @@ __all__ = [
     "read_field", "read_field_csv", "write_field_vtk",
     "assemble",
     "Solution", "StageFailed",
-    "export_solution", "f_eps", "initial_guess",
+    "export_solution", "initial_guess",
     "newton_stage", "solve_fixed_point",
     "energy_bound_integral", "find_threshold",
     "mc_energy_bound", "phi_profile", "threshold_scan",

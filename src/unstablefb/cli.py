@@ -45,17 +45,18 @@ from .monotonicity import (
     threshold_scan,
     write_profile_csv,
 )
-from .semilinear import EPS_START, NEWTON_TOL, StageFailed, export_solution, solve_fixed_point
+from .semilinear import NEWTON_TOL, StageFailed, export_solution, solve_fixed_point
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_CHECKS = 4
 
-# BLAS/OpenMP pool sizes: the Krylov reductions split by thread, so a replay
-# is bit-identical only under the settings the run was made with.  The
-# manifest stores their values as a list in this order (None if unset):
-# keyed by name they would grow a scan manifest by 6 % instead of 3 %.
+# BLAS/OpenMP pool sizes: BLAS may split the solver's norms and least
+# squares by thread, so a replay is bit-identical only under the settings
+# the run was made with.  The manifest stores their values as a list in
+# this order (None if unset): keyed by name they would grow a scan manifest
+# by 6 % instead of 3 %.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -161,7 +162,7 @@ def _default_phi_radii(n_r: int) -> list:
 
 
 # constants that each manifest records and a replay does not read, as it does
-# semilinear.EPS_START, NEWTON_TOL and the phi radii _default_phi_radii(n_r);
+# semilinear.NEWTON_TOL and the phi radii _default_phi_radii(n_r);
 # other radii go through the --radii of `phi`, `blowup` and `fb` on solution.vtk
 DEFAULT_BLOWUP_RADII = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
 DEFAULT_ARC_RADII = [0.05 + 0.025 * n for n in range(11)]  # 0.05 .. 0.30
@@ -199,8 +200,7 @@ def _numbers(name: str, values) -> list:
 
 def _solver_params(n_r, n_phi, eps_min) -> dict:
     return {"n_r": _number("n_r", n_r, int), "n_phi": _number("n_phi", n_phi, int),
-            "eps_start": EPS_START, "eps_min": _number("eps_min", eps_min),
-            "newton_tol": NEWTON_TOL}
+            "eps_min": _number("eps_min", eps_min), "newton_tol": NEWTON_TOL}
 
 
 def _radii_params(n_r) -> dict:
@@ -215,7 +215,6 @@ def _failure(stage: StageFailed) -> dict:
         "n_phi": stage.n_phi,
         "iterations": stage.iterations,
         "residual": stage.residual,
-        "linear_residual": stage.linear_residual,
         "reason": stage.reason,
     }
 
@@ -564,10 +563,10 @@ def rerun_manifest(manifest_path, out_dir=None) -> tuple[RunManifest, bool]:
     """Replay a recorded run and compare headline numbers for equality.
 
     The driver gets every stored parameter it accepts; recorded constants
-    (k, eps_start, newton_tol, phi_radii, blowup_radii, arc_radii,
-    invariance_radii, trace_samples, mc_samples and bisect_tol) and a
-    stored out_dir are ignored, so a manifest that recorded another value
-    of a constant replays with the constant.  The comparison is
+    (k, newton_tol, phi_radii, blowup_radii, arc_radii, invariance_radii,
+    trace_samples, mc_samples and bisect_tol), keys of older manifests
+    (eps_start) and a stored out_dir are ignored, so a manifest that
+    recorded another value of a constant replays with the constant.  The comparison is
     exact, down to the last bit of every float, because the replay
     consumes only manifest parameters and the solver is deterministic on
     a given machine under the same BLAS thread count.  A stored parameter

@@ -29,15 +29,10 @@ from .mesh import PolarGrid
 # relative residuals of about 2e-13 at 512^2 and 2e-10 at 65536 x 8 cells
 RESIDUAL_TOL = 1e-8
 # Bytes that the store (`_store`) keeps between solves over all grid shapes.
-# 160 MiB holds the whole ladder of a 1024^2 cross (49 MiB) and of criterion
-# 7's 65536 x 8 asterisk (76 MiB), and a 2048^2 cross's ladder with the finest
-# level's operator arrays (96 MiB) but not two of its Krylov arrays beside
-# them, so the repeated solves of all three build no operator array.
+# 160 MiB holds the operator arrays of one 2048^2 grid (96 MiB) or of
+# criterion 7's 65536 x 8 asterisk (14 MiB), so a repeated solve on either
+# builds no operator array.
 STORE_BYTES = 160 << 20
-# Krylov arrays kept per grid shape (`keep_krylov`).  A GMRES solve of m
-# iterations takes 1 + m, so 6 hold every solve of the 256^2 cross and asterisk
-# (m <= 5), whose warm runs then fault in no page in the median run.
-KEPT_KRYLOV = 6
 
 
 # not public: raised by solve alone
@@ -69,36 +64,35 @@ class DiscreteLaplacian:
     areas: np.ndarray  # per ring: cell areas, grid.cell_areas
     modes: tuple[np.ndarray, np.ndarray]  # L D L^T factors of A's modes (`_factor_modes`)
 
-    def apply(self, x: np.ndarray, magnitude: bool = False) -> np.ndarray:
-        """A x for a flat vector x as the 5-point stencil, or |A| x.
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x for a flat vector x as the 5-point stencil.
 
         Row c sums from 0 in column order c - n_phi, c - 1, c, c + 1,
         c + n_phi, as a sorted sparse-matrix product does, so the result is
-        bitwise that product's.  The first term t enters as 0 - t (0 + t
-        for |A|), written straight into the result, which gives the signed
-        zero that a zero start would; the inner ring, which has no such
-        term, starts from +0.0.  The zero face between two rings adds a
-        signed zero, which changes no sum.  The other four products take
-        turns in one scratch array.  The per-ring radial faces and diagonal
+        bitwise that product's.  The first term t enters as 0 - t, written
+        straight into the result, which gives the signed zero that a zero
+        start would; the inner ring, which has no such term, starts from
+        +0.0.  The zero face between two rings adds a signed zero, which
+        changes no sum.  The other four products take turns in one scratch
+        array.  The per-ring radial faces and diagonal
         broadcast over (n_r, n_phi) views, the diagonal's edge value on
         columns 0 and n_phi - 1 after its interior one on all; the angular
         faces stay per cell, as per ring they ran slower on column slices.
         """
         n_r, n_phi = self.grid.shape
-        off = np.add if magnitude else np.subtract  # sign of the off-diagonal terms
         y = np.empty(x.size)
         t = np.empty(x.size)
         y2, t2, x2 = (a.reshape(n_r, n_phi) for a in (y, t, x))
         radial = self.radial[:, None]
         edges = np.s_[:, ::n_phi - 1]  # columns 0 and n_phi - 1
         y[:n_phi] = 0.0
-        off(0.0, np.multiply(radial, x2[:-1], out=y2[1:]), out=y2[1:])
-        off(y[1:], np.multiply(self.angular, x[:-1], out=t[1:]), out=y[1:])
+        np.subtract(0.0, np.multiply(radial, x2[:-1], out=y2[1:]), out=y2[1:])
+        np.subtract(y[1:], np.multiply(self.angular, x[:-1], out=t[1:]), out=y[1:])
         np.multiply(self.diag[:, 1:], x2, out=t2)
         np.multiply(self.diag[:, :1], x2[edges], out=t2[edges])
         y += t
-        off(y[:-1], np.multiply(self.angular, x[1:], out=t[:-1]), out=y[:-1])
-        off(y2[:-1], np.multiply(radial, x2[1:], out=t2[:-1]), out=y2[:-1])
+        np.subtract(y[:-1], np.multiply(self.angular, x[1:], out=t[:-1]), out=y[:-1])
+        np.subtract(y2[:-1], np.multiply(radial, x2[1:], out=t2[:-1]), out=y2[:-1])
         return y
 
     def lift(self, g_values: np.ndarray) -> np.ndarray:
@@ -183,37 +177,15 @@ def _level_arrays(grid: PolarGrid) -> tuple:
     return radial, angular, diag, arc_coeff, areas, modes
 
 
-# What a solve leaves behind, per grid shape (equal grids hash by (n_r, n_phi,
-# copies)), least recently used first: [operator arrays, Krylov arrays].
-_store: dict[PolarGrid, list] = {}
+# The operator arrays of each grid shape (equal grids hash by (n_r, n_phi,
+# copies)), least recently used first.
+_store: dict[PolarGrid, tuple] = {}
 _store_lock = threading.Lock()
 
 
-def _nbytes(kept: list) -> int:
-    (radial, angular, diag, _, areas, modes), krylov = kept
-    return sum(a.nbytes for a in (radial, angular, diag, areas, *modes, *krylov))
-
-
-def take_krylov(grid: PolarGrid) -> list[np.ndarray]:
-    """The Krylov arrays kept for grid's shape, now the caller's alone."""
-    with _store_lock:
-        kept = _store.get(grid)
-        if kept is None:
-            return []
-        arrays, kept[1] = kept[1], []
-        return arrays
-
-
-def keep_krylov(grid: PolarGrid, arrays: list[np.ndarray]) -> None:
-    """Keep up to KEPT_KRYLOV Krylov arrays with grid's operator arrays, if
-    the store holds those and stays within STORE_BYTES with them, and none
-    otherwise: only `assemble` evicts."""
-    with _store_lock:
-        kept = _store.get(grid)
-        if kept is not None:
-            kept[1] = arrays[:KEPT_KRYLOV]
-            if sum(map(_nbytes, _store.values())) > STORE_BYTES:
-                kept[1] = []
+def _nbytes(arrays: tuple) -> int:
+    radial, angular, diag, _, areas, modes = arrays
+    return sum(a.nbytes for a in (radial, angular, diag, areas, *modes))
 
 
 def assemble(grid: PolarGrid) -> DiscreteLaplacian:
@@ -227,11 +199,11 @@ def assemble(grid: PolarGrid) -> DiscreteLaplacian:
     if grid.periodic:
         raise ValueError("the Dirichlet-arc operator is assembled on sector grids only")
     with _store_lock:
-        kept = _store.pop(grid, None) or [_level_arrays(grid), []]
+        kept = _store.pop(grid, None) or _level_arrays(grid)
         _store[grid] = kept
         while sum(map(_nbytes, _store.values())) > STORE_BYTES:
             del _store[next(iter(_store))]
-    return DiscreteLaplacian(grid, *kept[0])
+    return DiscreteLaplacian(grid, *kept)
 
 
 def _arc_values(grid: PolarGrid, g_arc) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared fixtures: cached grids, synthetic fields, a capped Krylov solver,
+"""Shared fixtures: cached grids, synthetic fields, a capped fixed-point solver,
 the sparse-matrix oracle of the Laplacian, its arrays on cells and the
 full-length pin row, used across test modules."""
 
@@ -21,10 +21,10 @@ from unstablefb.poisson import _transmissibilities
 
 
 @pytest.fixture
-def gmres_capped(monkeypatch):
-    """Caps the Newton stage's GMRES solve at one iteration, so it stops
-    short of its tolerance."""
-    monkeypatch.setattr(semilinear, "KRYLOV_MAXITER", 1)
+def iterations_capped(monkeypatch):
+    """Caps the fixed-point iteration at one step, so it stops short of its
+    tolerance."""
+    monkeypatch.setattr(semilinear, "MAX_ITERATIONS", 1)
 
 
 def origin_weight_vector(grid: PolarGrid) -> np.ndarray:

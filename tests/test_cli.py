@@ -99,16 +99,16 @@ class TestFailurePath:
         assert stored["status"] == "solver_failure"
         assert stored["failure"]["kind"] == "continuation_stage"
         assert set(stored["failure"]) == {"kind", "eps", "n_r", "n_phi", "iterations",
-                                          "residual", "linear_residual", "reason"}
-        # the grid of the failed stage, which may be a coarser level
+                                          "residual", "reason"}
         assert (stored["failure"]["n_r"], stored["failure"]["n_phi"]) == (32, 32)
 
-    def test_unconverged_krylov_solve_reports_its_residual(self, tmp_path, gmres_capped):
+    def test_iteration_cap_reports_its_residual(self, tmp_path, iterations_capped):
         m = run_solve(2, M=40.0, n_r=32, n_phi=32, eps_min=0.1, out_dir=tmp_path)
         assert m.status == "solver_failure"
         stored = json.loads((tmp_path / "manifest.json").read_text())
-        assert stored["failure"]["linear_residual"] > semilinear.KRYLOV_RTOL
-        assert "GMRES" in stored["failure"]["reason"]
+        assert stored["failure"]["iterations"] == 1
+        assert stored["failure"]["residual"] > semilinear.NEWTON_TOL
+        assert stored["failure"]["reason"] == "iteration cap reached"
 
 
 class TestDefaultPhiRadii:
@@ -165,20 +165,22 @@ RECORDED_RUNS = {
 
 
 # parameter keys, in order, and content hashes of runs that the drivers wrote
-# while eps_start, newton_tol, phi_radii and mc_samples were still options; a
-# recorded constant keeps its key, its place and its value, so the hash holds
+# while newton_tol, phi_radii and mc_samples were still options; a recorded
+# constant keeps its key, its place and its value, so the hash holds.  The
+# solver records no eps_start since it solves at eps_min alone, which changed
+# the hashes of solve, cross and asterisk once
 PINNED = {
     "solve": (lambda out: run_solve(2, M=40.0, out_dir=out, **COARSE),
-              ["k", "M", "n_r", "n_phi", "eps_start", "eps_min", "newton_tol"],
-              "7319962df53737b58a32d43fd4af7032530fc63d2bfa92f1682ac12c69c91631"),
+              ["k", "M", "n_r", "n_phi", "eps_min", "newton_tol"],
+              "09963a6a96a395760d9e74cfef806dde78e44aec710d5aebc2a86bcc401181ef"),
     "cross": (RECORDED_RUNS["cross"],
-              ["k", "M", "n_r", "n_phi", "eps_start", "eps_min", "newton_tol", "phi_radii",
+              ["k", "M", "n_r", "n_phi", "eps_min", "newton_tol", "phi_radii",
                "blowup_radii", "arc_radii", "trace_samples"],
-              "7e51afc11cca11583b3116143d05e98ff1d7312064b394b5a73afdbfdc24b42d"),
+              "4bd740cab83a16260bef1d5df9c971ad0190decb9af7e6d1be5fc265a2a52f68"),
     "asterisk": (RECORDED_RUNS["asterisk"],
-                 ["k", "n_r", "n_phi", "eps_start", "eps_min", "newton_tol", "phi_radii",
+                 ["k", "n_r", "n_phi", "eps_min", "newton_tol", "phi_radii",
                   "blowup_radii", "invariance_radii", "trace_samples"],
-                 "d7a971d1d89b85b9ecaa7ada9210e7af5c24806d539cd1c1f37efcf72cf79b91"),
+                 "db7f52dd673fef191961ea239d9fdb5587bafdaa96d5764b7410770e81199640"),
     "scan": (lambda out: run_threshold_scan([0.0, 2.0, 4.0], 0.5, out, n_r=64, n_phi=64),
              ["M_values", "C1", "n_r", "n_phi", "mc_samples", "mc_seed", "bisect_tol"],
              "dad1cead7a7b6c630e1c518ec9666cb13bb67870a0e442dfcca7cef9934dda9d"),
@@ -198,7 +200,7 @@ PUBLIC_API = [
     "CASE1", "CASE3", "DegenerateTrace", "INCONCLUSIVE", "LevelSet", "PolarGrid",
     "RunManifest", "ScalarField", "Solution", "StageFailed", "__version__", "assemble",
     "blowup_report", "build_sector_grid", "energy_bound_integral", "eval_origin",
-    "export_solution", "extract_zero_set", "f_eps", "find_threshold", "fit_arcs_at_origin",
+    "export_solution", "extract_zero_set", "find_threshold", "fit_arcs_at_origin",
     "initial_guess", "main", "mc_energy_bound", "newton_stage", "phi_profile",
     "radial_derivative", "read_field", "read_field_csv", "rerun_manifest", "run_asterisk",
     "run_cross", "run_solve", "run_threshold_scan", "solve_fixed_point", "threshold_scan",
@@ -472,14 +474,16 @@ class TestNonFiniteParameters:
 
 
 class TestRejectedBeforeWriting:
-    """Parameters that the grid, the width ladder or the analysis window
+    """Parameters that the grid, the width bound or the analysis window
     reject, and an output path that is a file, exit 2 before anything is
     written."""
 
     CASES = {
-        "eps_min_above_eps_start": ("solve", {"eps_min": 0.5}),
+        "eps_min_above_eps_max": ("solve", {"eps_min": 0.5}),
         "grid_below_8_cells": ("solve", {"n_r": 4}),
         "eps_min_not_positive": ("solve", {"eps_min": 0.0}),
+        "eps_min_negative": ("solve", {"eps_min": -0.1}),
+        "cross_eps_min_above_eps_max": ("cross", {"eps_min": 0.5}),
         # dr = 1/16 puts the constant blow-up and arc radius 0.05 below the window
         "radius_outside_window": ("cross", {"n_r": 16, "n_phi": 16}),
         "M_not_positive": ("cross", {"M": 0.0}),
@@ -509,7 +513,7 @@ class TestRejectedBeforeWriting:
 
     def test_cli(self, tmp_path, capsys):
         for argv, message in [
-            (["solve", "--k", "2", "--eps-min", "0.5"], "eps_min <= eps_start"),
+            (["solve", "--k", "2", "--eps-min", "0.5"], "eps_min <= eps_max = 0.2"),
             (["cross", "--M", "-1"], "M must be positive, got -1.0"),
         ]:
             out = tmp_path / argv[0]
@@ -836,7 +840,7 @@ class TestConsoleEntry:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
-        # the eps ladder's ratio is a constant, not an option
+        # the eps ladder's ratio, an option of older versions, is none now
         with pytest.raises(SystemExit) as info:
             main(["solve", "--k", "2", "--eps-ratio", "0.5"])
         assert info.value.code == 2
