@@ -7,18 +7,12 @@ sampled radii, never as a limit claim.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (
-    CircleTrace,
-    ScalarField,
-    _circle_integrals,
-    _circle_traces,
-    check_radii,
-    write_table,
-)
+from .field import ScalarField, _circle_integrals, _circle_traces, check_radii, write_table
 from .monotonicity import _phi_values
 
 CASE1 = "case1"
@@ -48,7 +42,9 @@ class BlowupReport:
     radii: np.ndarray
     s_values: np.ndarray
     ratios: np.ndarray  # S(r) / r^2
-    traces: list[CircleTrace]
+    # normalized trace coefficients, one row per radius (field._circle_traces)
+    a: np.ndarray
+    b: np.ndarray
     mode_fractions: dict[int, np.ndarray]
     classification: str
     phi_min_r: float
@@ -90,22 +86,23 @@ def _classify(u: ScalarField, radii: np.ndarray, s_small: float, s_large: float,
 
 
 def blowup_report(u: ScalarField, radii, du_dr: np.ndarray | None = None) -> BlowupReport:
-    """Assemble S, normalized traces, mode energies, and the trend
-    classification (`_classify`) over at least two radii (`field.check_radii`).
-    du_dr = radial_derivative(u).values spares the classification its own."""
+    """Assemble S, the normalized trace coefficients (one row per radius),
+    mode energies, and the trend classification (`_classify`) over at least
+    two radii (`field.check_radii`).  du_dr = radial_derivative(u).values
+    spares the classification its own."""
     radii = check_radii(u.grid, radii)
     s_values = _s_values(u.apply(np.square), radii)
-    # each trace over its S(r), of unit L2(dB_1) norm, unless S is too small
     floor = S_FLOOR * max(float(np.max(np.abs(u.values))), 1.0)
-    traces = _circle_traces(u, radii, TRACE_SAMPLES)
-    for r, tr, s in zip(radii, traces, s_values):
+    for r, s in zip(radii, s_values):
         if s <= floor:
             raise DegenerateTrace(f"S({r:g}) = {s:.3e} is too small to normalize the trace")
-        tr.samples /= s
-        tr.a /= s
-        tr.b /= s
+    # each trace over its S(r), of unit L2(dB_1) norm
+    samples, a, b = (x / s_values[:, None] for x in _circle_traces(u, radii, TRACE_SAMPLES))
+    # share of each trace's L2 energy carried by mode ell >= 1, 0 for a zero trace
+    total = 2.0 * math.pi * np.mean(samples**2, axis=1)
     fractions = {
-        ell: np.array([tr.mode_energy_fraction(ell) for tr in traces])
+        ell: np.divide(math.pi * (a[:, ell] ** 2 + b[:, ell] ** 2), total,
+                       out=np.zeros_like(total), where=total > 0.0)
         for ell in REPORTED_MODES
     }
     classification, phi_min, phi_max = _classify(u, radii, s_values[0], s_values[-1], du_dr)
@@ -113,7 +110,8 @@ def blowup_report(u: ScalarField, radii, du_dr: np.ndarray | None = None) -> Blo
         radii=radii,
         s_values=s_values,
         ratios=s_values / radii**2,
-        traces=traces,
+        a=a,
+        b=b,
         mode_fractions=fractions,
         classification=classification,
         phi_min_r=phi_min,
@@ -123,14 +121,12 @@ def blowup_report(u: ScalarField, radii, du_dr: np.ndarray | None = None) -> Blo
 
 def write_blowup_csv(report: BlowupReport, path) -> None:
     """One row per radius: r, S, S/r^2, normalized a0..a8, b1..b8, fractions."""
-    n_modes = len(report.traces[0].a) - 1
+    n_modes = report.a.shape[1] - 1
     modes = sorted(report.mode_fractions)
     cols = ["r", "s", "s_over_r2"]
     cols += [f"a{l}" for l in range(n_modes + 1)]
     cols += [f"b{l}" for l in range(1, n_modes + 1)]
     cols += [f"mode{ell}_energy_fraction" for ell in modes]
     write_table(path, ",".join(cols),
-                [report.radii, report.s_values, report.ratios,
-                 np.array([tr.a for tr in report.traces]),
-                 np.array([tr.b[1:] for tr in report.traces]),
+                [report.radii, report.s_values, report.ratios, report.a, report.b[:, 1:],
                  *(report.mode_fractions[ell] for ell in modes)])

@@ -23,13 +23,13 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .blowup import CASE1, CASE3, TRACE_SAMPLES, blowup_report, write_blowup_csv
-from .field import check_radii, eval_origin, radial_derivative, read_field, write_table
+from .field import check_radii, eval_origin, radial_derivative, read_field, write_json, write_table
 from .freeboundary import (
     _crossing_angles,
     extract_zero_set,
@@ -109,8 +109,7 @@ class RunManifest:
     def write(self, out_dir) -> Path:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         path = Path(out_dir) / "manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_jsonable(asdict(self)), indent=2))
+        write_json(path, _jsonable(vars(self)))
         return path
 
     @staticmethod
@@ -207,18 +206,6 @@ def _radii_params(n_r) -> dict:
     return {"phi_radii": _default_phi_radii(n_r), "blowup_radii": list(DEFAULT_BLOWUP_RADII)}
 
 
-def _failure(stage: StageFailed) -> dict:
-    return {
-        "kind": "continuation_stage",
-        "eps": stage.eps,
-        "n_r": stage.n_r,
-        "n_phi": stage.n_phi,
-        "iterations": stage.iterations,
-        "residual": stage.residual,
-        "reason": stage.reason,
-    }
-
-
 def _run(experiment: str, p: dict, out_dir, body) -> RunManifest:
     """Run body(p, out) -> (outputs, headline, checks) and write the manifest.
 
@@ -237,7 +224,7 @@ def _run(experiment: str, p: dict, out_dir, body) -> RunManifest:
         status = "ok" if all(c["passed"] for c in checks) else "check_failure"
     except StageFailed as exc:
         outputs, headline, checks = [], {}, []
-        status, failure = "solver_failure", _failure(exc)
+        status, failure = "solver_failure", {"kind": "continuation_stage", **vars(exc)}
     manifest = RunManifest(
         experiment=experiment,
         parameters=p,
@@ -293,18 +280,18 @@ def _write_arcs(u, radii, path) -> tuple[list | None, str]:
     try:
         arcs = fit_arcs_at_origin(u, radii)
     except ValueError as exc:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"limit_angles_deg": [], "note": str(exc)}, indent=2))
+        write_json(path, {"limit_angles_deg": [], "note": str(exc)})
         return None, str(exc)
     write_arcs_json(arcs, path)
     return list(np.degrees(arcs.limit_angles)), ""
 
 
-def _analyze(sol, p: dict, out: Path, outputs: list):
+def _analyze(sol, p: dict, out: Path, outputs: list, headline: dict):
     """Profile, blow-up report, zero set and origin arcs of the solution.
 
-    Appends the names of the four files it writes to outputs.  The arc
-    angles read None when the arc fit fails (`_write_arcs`).
+    Appends the names of the four files it writes to outputs, and the
+    numbers that the cross and the asterisk both report to headline.  The
+    arc angles read None when the arc fit fails (`_write_arcs`).
     """
     # one radial derivative serves both Phi evaluations
     du_dr = radial_derivative(sol.u).values
@@ -316,7 +303,15 @@ def _analyze(sol, p: dict, out: Path, outputs: list):
     write_levelset_csv(levelset, out / "fb.csv")
     arc_angles_deg, _ = _write_arcs(sol.u, DEFAULT_ARC_RADII, out / "arcs.json")
     outputs += ["phi_profile.csv", "blowup.csv", "fb.csv", "arcs.json"]
-    return prof, report, levelset, arc_angles_deg
+    headline.update({
+        "phi_radii": list(prof.radii),
+        "phi_values": list(prof.phi_values),
+        "classification": report.classification,
+        "s_over_r2": list(report.ratios),
+        "arc_angles_deg": arc_angles_deg,
+        "n_polylines": len(levelset.polylines),
+    })
+    return prof, report
 
 
 def _circular_gap_to(targets_deg, angle_deg: float) -> float:
@@ -351,8 +346,9 @@ def run_cross(M: float = 40.0, n_r: int = 256, n_phi: int = 256,
 
 def _cross_body(p: dict, out: Path):
     sol, outputs, headline, checks = _solve(p, out)
-    prof, report, levelset, arc_angles_deg = _analyze(sol, p, out, outputs)
-    arc_angles_deg = arc_angles_deg or []
+    prof, report = _analyze(sol, p, out, outputs, headline)
+    # the cross records a failed arc fit as no angles
+    arc_angles_deg = headline["arc_angles_deg"] = headline["arc_angles_deg"] or []
 
     # tolerance for the monotone trend, two percent of the Phi increment
     # over the window [0.25, 0.75] if both ends are sampled, else overall
@@ -380,15 +376,9 @@ def _cross_body(p: dict, out: Path):
                f"{len(arc_angles_deg)} arcs, worst deviation {worst_arc_dev:.2f} deg")
 
     headline.update({
-        "phi_radii": list(prof.radii),
-        "phi_values": list(prof.phi_values),
         "min_phi_increment": prof.min_increment(),
-        "classification": report.classification,
-        "s_over_r2": list(report.ratios),
         "mode2_fraction": list(report.mode_fractions[2]),
-        "arc_angles_deg": arc_angles_deg,
         "worst_arc_deviation_deg": worst_arc_dev,
-        "n_polylines": len(levelset.polylines),
     })
     return outputs, headline, checks
 
@@ -420,10 +410,8 @@ def run_asterisk(n_r: int = 256, n_phi: int = 256, eps_min: float = 0.0125,
 
 def _asterisk_body(p: dict, out: Path):
     sol, outputs, headline, checks = _solve(p, out, "cos(4*phi)")
-    prof, report, levelset, arc_angles_deg = _analyze(sol, p, out, outputs)
-
-    mode2_max = max(
-        float(np.max(np.abs([tr.a[2], tr.b[2]]))) for tr in report.traces)
+    _, report = _analyze(sol, p, out, outputs, headline)
+    mode2_max = float(np.max(np.abs([report.a[:, 2], report.b[:, 2]])))
 
     # symmetry of the zero crossings, tested on the outermost circle that
     # the petals actually cut: the solution is invariant under quarter
@@ -461,16 +449,10 @@ def _asterisk_body(p: dict, out: Path):
                f"and reflection deviation {gap_dev:.2e} rad")
 
     headline.update({
-        "phi_radii": list(prof.radii),
-        "phi_values": list(prof.phi_values),
-        "classification": report.classification,
-        "s_over_r2": list(ratios),
         "mode2_max": mode2_max,
         "mode4_fraction": list(report.mode_fractions[4]),
         "invariance_radius": invariance_r,
         "crossing_gap_deviation": gap_dev if math.isfinite(gap_dev) else None,
-        "arc_angles_deg": arc_angles_deg,
-        "n_polylines": len(levelset.polylines),
     })
     return outputs, headline, checks
 
@@ -719,8 +701,9 @@ def _cmd_rerun(args) -> int:
     if not same and recorded is not None and recorded != fresh.threads:
         print(f"note: the run was recorded under the thread settings "
               f"{dict(zip(THREAD_VARS, recorded))} and replayed under "
-              f"{dict(zip(THREAD_VARS, fresh.threads))}; the Krylov reductions depend "
-              "on the thread count, so the headline can differ in the last digits")
+              f"{dict(zip(THREAD_VARS, fresh.threads))}; the solver's norms and Anderson "
+              "least squares depend on the BLAS thread count, so the headline can "
+              "differ in the last digits")
     return EXIT_OK if same else EXIT_CHECKS
 
 

@@ -19,13 +19,12 @@ copy m = 0, ..., 2k - 1 each one visits (`_place`).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ScalarField, _circle_samples, check_radii
+from .field import ScalarField, _circle_samples, check_radii, write_json, write_table
 from .mesh import TWO_PI
 
 
@@ -293,27 +292,20 @@ def fit_arcs_at_origin(u: ScalarField, radii) -> ArcFit:
 
 
 def write_levelset_csv(ls: LevelSet, path) -> None:
-    """Columns polyline, vertex, x, y; one row per vertex.
-
-    The bytes are those of `field.write_table` on the four columns.  Each
-    polyline fills one row template with a single % and is written on its
-    own, so the text of only one polyline is held at a time.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("polyline,vertex,x,y\n")
-        for p, pts in enumerate(ls.polylines):
-            n = len(pts)
-            rows = np.column_stack([np.arange(n), pts]).ravel().tolist()
-            fh.write((f"{p},%d,%.17g,%.17g\n" * n) % tuple(rows))
+    """Columns polyline, vertex, x, y; one row per vertex, written by
+    `field.write_table`, whose format prints the two indices as integers."""
+    sizes = [len(pts) for pts in ls.polylines]
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    write_table(path, "polyline,vertex,x,y",
+                [np.repeat(np.arange(len(sizes)), sizes), np.arange(len(starts)) - starts,
+                 np.concatenate([np.empty((0, 2)), *ls.polylines])])
 
 
 def write_arcs_json(fit: ArcFit, path) -> None:
-    payload = {
+    write_json(path, {
         "radii": fit.radii.tolist(),
         "angles_deg": np.degrees(fit.angle_table).tolist(),
         "limit_angles_deg": np.degrees(fit.limit_angles).tolist(),
         "gaps_deg": np.degrees(fit.gaps).tolist(),
         "topology_change": fit.topology_change,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2))
+    })

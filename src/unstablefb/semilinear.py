@@ -22,13 +22,12 @@ once plain steps stop contracting fast.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ScalarField, _origin_ring_weights, write_field_vtk
+from .field import ScalarField, _origin_ring_weights, write_field_vtk, write_json
 from .mesh import PolarGrid
 from .poisson import DiscreteLaplacian, _arc_values, assemble
 
@@ -311,6 +310,5 @@ def export_solution(sol: Solution, out_dir) -> list[str]:
             "band_cells")
     sidecar = {"k": grid.k, "n_r": grid.n_r, "n_phi": grid.n_phi,
                **{key: getattr(sol, key) for key in keys}}
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(sidecar, indent=2))
+    write_json(json_path, sidecar)
     return [vtk_path, json_path]

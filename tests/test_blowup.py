@@ -61,14 +61,14 @@ class TestSNorm:
 class TestRescaledTrace:
     def test_normalized_amplitude(self, disk256):
         u = degree2_field(disk256, M=40.0)
-        tr = blowup_report(u, [0.2, 0.3]).traces[1]
+        rep = blowup_report(u, [0.2, 0.3])
         # normalization strips the amplitude: a2 = 1/sqrt(pi) regardless of M
-        assert tr.a[2] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-4)
-        assert tr.mode_energy_fraction(2) == pytest.approx(1.0, abs=1e-8)
+        assert rep.a[1, 2] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-4)
+        assert rep.mode_fractions[2][1] == pytest.approx(1.0, abs=1e-8)
 
     def test_scale_invariance_across_radii(self, disk256):
         u = degree2_field(disk256)
-        a2 = [tr.a[2] for tr in blowup_report(u, (0.2, 0.4, 0.6)).traces]
+        a2 = blowup_report(u, (0.2, 0.4, 0.6)).a[:, 2]
         assert np.ptp(a2) < 1e-4
 
     def test_zero_field_is_degenerate(self, disk64):
@@ -100,7 +100,7 @@ class TestReport:
         assert rep.classification == CASE1
         assert np.array_equal(rep.radii, np.asarray(RADII))
         assert np.allclose(rep.ratios, rep.s_values / rep.radii**2)
-        assert len(rep.traces) == len(RADII)
+        assert rep.a.shape[0] == rep.b.shape[0] == len(RADII)
         assert set(rep.mode_fractions) >= {2, 4}
         assert np.all(rep.mode_fractions[2] > 0.99)
 
@@ -118,11 +118,11 @@ class TestReport:
 
 
 def reference_trace(u, r, m):
-    """S(r) and the normalized trace at one radius, each from its own
-    square of u and its own trace."""
+    """S(r) and the normalized trace coefficients (a, b) at one radius, each
+    from its own square of u and its own trace."""
     s = math.sqrt(max(_circle_integrals(u.apply(np.square), [r])[0] / r, 0.0))
-    tr, = _circle_traces(u, [r], m)
-    return s, (tr.radius, tr.angles, tr.samples / s, tr.a / s, tr.b / s)
+    _, (a,), (b,) = _circle_traces(u, [r], m)
+    return s, (a / s, b / s)
 
 
 def reference_classification(u, radii):
@@ -154,8 +154,7 @@ class TestSharedWork:
         for n, r in enumerate(RADII):
             s_ref, trace_ref = reference_trace(u, r, TRACE_SAMPLES)
             assert rep.s_values[n] == s_norm(u, r) == s_ref
-            tr = rep.traces[n]
-            got = (tr.radius, tr.angles, tr.samples, tr.a, tr.b)
+            got = (rep.a[n], rep.b[n])
             assert all(np.array_equal(x, y) for x, y in zip(got, trace_ref))
         assert rep.phi_min_r == phi(u, RADII[0])
         assert rep.phi_max_r == phi(u, RADII[-1])

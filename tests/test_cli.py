@@ -571,6 +571,9 @@ class TestThreadSettings:
         printed = capsys.readouterr().out
         assert "DIFFERS" in printed
         assert ("thread settings" in printed) == noted
+        # the solver has no Krylov solve; its norms and least squares use BLAS
+        assert "Krylov" not in printed
+        assert ("norms and Anderson least squares" in printed) == noted
 
 
 class TestScanDriver:

@@ -290,11 +290,9 @@ class TestBatches:
 
     def test_circle_traces(self, grid):
         u, radii = self.field(grid), batch_radii(grid)
-        for tr, r in zip(_circle_traces(u, radii, 256), radii):
-            ref, = _circle_traces(u, [r], 256)
-            assert tr.radius == ref.radius == r
-            for name in ("angles", "samples", "a", "b"):
-                assert np.array_equal(getattr(tr, name), getattr(ref, name))
+        for r, *rows in zip(radii, *_circle_traces(u, radii, 256)):
+            ref = [arr[0] for arr in _circle_traces(u, [r], 256)]
+            assert all(np.array_equal(row, ref_row) for row, ref_row in zip(rows, ref))
 
     def test_crossing_angles(self, grid):
         u, radii = self.field(grid), batch_radii(grid)
@@ -372,18 +370,22 @@ class TestTraces:
 
     def test_fourier_single_mode(self, disk256):
         u = degree2_field(disk256)
-        tr, = _circle_traces(u, [0.5], 256)
-        assert tr.a[2] == pytest.approx(0.25, rel=1e-4)
-        assert abs(tr.b[2]) < 1e-12
-        others = np.delete(np.arange(len(tr.a)), 2)
-        assert np.max(np.abs(tr.a[others])) < 1e-6
-        assert tr.mode_energy_fraction(2) == pytest.approx(1.0, abs=1e-9)
-        assert tr.parseval_gap() == pytest.approx(0.0, abs=1e-9)
+        (samples,), (a,), (b,) = _circle_traces(u, [0.5], 256)
+        assert a[2] == pytest.approx(0.25, rel=1e-4)
+        assert abs(b[2]) < 1e-12
+        others = np.delete(np.arange(len(a)), 2)
+        assert np.max(np.abs(a[others])) < 1e-6
+        mean_square = np.mean(samples**2)
+        # mode 2's share of the L2 energy, and mean(u^2) minus the energy of modes 0..8
+        assert math.pi * (a[2] ** 2 + b[2] ** 2) / (2.0 * math.pi * mean_square) == \
+            pytest.approx(1.0, abs=1e-9)
+        parseval_gap = mean_square - (a[0] ** 2 + 0.5 * np.sum(a[1:] ** 2 + b[1:] ** 2))
+        assert parseval_gap == pytest.approx(0.0, abs=1e-9)
 
     def test_mean_square(self, disk256):
         u = degree2_field(disk256)
-        tr, = _circle_traces(u, [0.5], 512)
-        assert tr.mean_square() == pytest.approx(0.25**2 / 2.0, rel=1e-3)
+        (samples,), _, _ = _circle_traces(u, [0.5], 512)
+        assert np.mean(samples**2) == pytest.approx(0.25**2 / 2.0, rel=1e-3)
 
 
 class TestDiskExtension:
