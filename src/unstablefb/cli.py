@@ -63,25 +63,12 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # --- manifest plumbing ---------------------------------------------------
 
 
-def _jsonable(obj):
-    """Coerce numpy containers and scalars into plain JSON types."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
 def _thread_settings() -> list:
     return [os.environ.get(var) for var in THREAD_VARS]
 
 
 def _content_hash(experiment: str, parameters: dict) -> str:
-    blob = json.dumps({"experiment": experiment, "parameters": _jsonable(parameters)},
+    blob = json.dumps({"experiment": experiment, "parameters": parameters},
                       sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
@@ -107,9 +94,11 @@ class RunManifest:
         return {"ok": EXIT_OK, "check_failure": EXIT_CHECKS}.get(self.status, EXIT_SOLVER)
 
     def write(self, out_dir) -> Path:
+        """Write manifest.json unconverted: parameters are plain Python (`_number`), and
+        a headline np.float64 is a float, which json writes through float.__repr__."""
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         path = Path(out_dir) / "manifest.json"
-        write_json(path, _jsonable(vars(self)))
+        write_json(path, vars(self))
         return path
 
     @staticmethod
@@ -230,7 +219,7 @@ def _run(experiment: str, p: dict, out_dir, body) -> RunManifest:
         parameters=p,
         content_hash=_content_hash(experiment, p),
         outputs=outputs,
-        headline=_jsonable(headline),
+        headline=headline,
         checks=checks,
         status=status,
         failure=failure,
@@ -495,8 +484,8 @@ def _scan_body(p: dict, out: Path):
         m_star = find_threshold(C1, float(Ms[sign_change]), float(Ms[sign_change + 1]),
                                 tol=BISECT_TOL, n_r=n_r, n_phi=n_phi)
 
-    # both endpoints share one seeded draw; the set's order fixes the row order
-    ends = [float(m) for m in {Ms[0], Ms[-1]}]
+    # both endpoints share one seeded draw, in scan order, a one-amplitude scan once
+    ends = list(dict.fromkeys([float(Ms[0]), float(Ms[-1])]))
     mcs = mc_energy_bound(ends, C1, samples=p["mc_samples"], seed=p["mc_seed"])
     mc_rows = [{"M": m, "quadrature": float(values[list(Ms).index(m)]), "monte_carlo": float(mc)}
                for m, mc in zip(ends, mcs)]

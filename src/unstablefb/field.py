@@ -283,23 +283,9 @@ def write_table(path, header: str, columns) -> None:
 
 # not public: only tests and the benchmark's set-up (perfbench/workloads.py) call it
 def write_field_csv(field: ScalarField, path) -> None:
-    """Columns r, phi, value; one row per cell, row-major in (r, phi).
-
-    The bytes are those of write_table on the three columns, written
-    faster: each r and phi node is formatted once, a ring's values fill
-    one template with a single %, and the file is written one ring at a
-    time.  At 512^2 on two cores it took 143-230 ms with a tracemalloc
-    peak of 0.1 MiB; write_table on the same columns took 350-460 ms and
-    peaked at 52 MiB.
-    """
-    g = field.grid
-    # ",phi_j,%.17g\n" per node; joining with a ring's r gives its rows
-    pieces = ["," + "%.17g" % p + ",%.17g\n" for p in g.phi]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("r,phi,value\n")
-        for r, row in zip(g.r, field.values):
-            r_txt = "%.17g" % r
-            fh.write(r_txt + r_txt.join(pieces) % tuple(row.tolist()))
+    """Columns r, phi, value through write_table; one row per cell, row-major in (r, phi)."""
+    rr, pp = field.grid.mesh_coords()
+    write_table(path, "r,phi,value", [rr.ravel(), pp.ravel(), field.values.ravel()])
 
 
 def _grid_from_nodes(path, r_vals, phi_vals) -> PolarGrid:

@@ -35,11 +35,12 @@ from .poisson import DiscreteLaplacian, _arc_values, assemble
 # --- smoothed indicator --------------------------------------------------
 
 
-# Both polynomials clip s in place and round as s * s * s * (10 + s (-15 + 6 s))
-# and 30 s s (1 - s)^2 do, left to right; s is a float array the caller owns.
-
-
 def _smoothstep(s: np.ndarray) -> np.ndarray:
+    """f_eps(z) = _smoothstep(z / eps + 1), the C^2 surrogate for the indicator of {z > 0}.
+
+    Clips s, a float array the caller owns, to [0, 1] in place and rounds as
+    s * s * s * (10 + s (-15 + 6 s)) does, left to right (the tests' f_eps_oracle).
+    """
     np.clip(s, 0.0, 1.0, out=s)
     out = s * s
     out *= s
@@ -49,47 +50,6 @@ def _smoothstep(s: np.ndarray) -> np.ndarray:
     poly += 10.0
     out *= poly
     return out
-
-
-def _smoothstep_prime(s: np.ndarray) -> np.ndarray:
-    np.clip(s, 0.0, 1.0, out=s)
-    out = np.multiply(s, 30.0)
-    out *= s
-    np.subtract(1.0, s, out=s)
-    out *= np.square(s, out=s)
-    return out
-
-
-def _shifted(z, eps: float) -> np.ndarray:
-    """z / eps + 1 in a new array, 0-d for a scalar z."""
-    z = np.asarray(z, dtype=float)
-    s = np.divide(z, eps, out=np.empty(z.shape))
-    s += 1.0
-    return s
-
-
-# not public: the tests' dense reference for the band's source
-def f_eps(z, eps: float):
-    """C^2 monotone surrogate for the indicator of {z > 0}.
-
-    Equals 1 for z >= 0 and 0 for z <= -eps; in between it is the quintic
-    smoothstep of z/eps + 1.  Pointwise nonincreasing in eps, always above
-    the sharp indicator.
-    """
-    if eps <= 0.0:
-        raise ValueError(f"regularization width must be positive, got {eps}")
-    out = _smoothstep(_shifted(z, eps))
-    return out if out.ndim else float(out)
-
-
-# not public: the tests' dense reference for the Jacobian of the Newton oracle
-def f_eps_prime(z, eps: float):
-    """Derivative of f_eps; bounded by (15/8)/eps, zero outside (-eps, 0)."""
-    if eps <= 0.0:
-        raise ValueError(f"regularization width must be positive, got {eps}")
-    out = _smoothstep_prime(_shifted(z, eps))
-    out /= eps
-    return out if out.ndim else float(out)
 
 
 # --- results ------------------------------------------------------------
@@ -152,11 +112,12 @@ def _residual(lap: DiscreteLaplacian, e: np.ndarray, u: np.ndarray, kappa: float
     u >= 0, and +0.0 where u <= -eps: rounding is monotone, so there
     u / eps rounds to at most -1 and s = u / eps + 1 clips to 0.  x - (+0.0)
     is x, so those cells subtract nothing.  Only the band between,
-    -eps < u < 0, evaluates the smoothstep, with the arithmetic of f_eps,
-    so R1 is bitwise that of the dense source.  The lift is subtracted on
-    the arc ring alone, where it is nonzero.  e may be the leading entries
-    of the pin row, R2 = e . u[:e.size].  The per-ring areas broadcast over
-    the rings, and band cell c reads its ring's, c // n_phi.
+    -eps < u < 0, evaluates the smoothstep of u / eps + 1, so R1 is bitwise
+    that of the dense source f_eps(u) on every cell, the tests' oracle.
+    The lift is subtracted on the arc ring alone, where it is nonzero.
+    e may be the leading entries of the pin row, R2 = e . u[:e.size].  The
+    per-ring areas broadcast over the rings, and band cell c reads its
+    ring's, c // n_phi.
     """
     shape = lap.grid.shape
     r1 = lap.apply(u)
@@ -164,7 +125,9 @@ def _residual(lap: DiscreteLaplacian, e: np.ndarray, u: np.ndarray, kappa: float
     np.subtract(r1.reshape(shape), lap.areas[:, None], out=r1.reshape(shape),
                 where=plateau.reshape(shape))
     band = np.flatnonzero((u > -eps) ^ plateau)
-    source = _smoothstep(_shifted(u[band], eps))
+    s = u[band] / eps
+    s += 1.0
+    source = _smoothstep(s)
     source *= lap.areas[band // shape[1]]
     r1[band] -= source
     r1[-lap.grid.n_phi:] -= lap.arc_coeff * (g - kappa)

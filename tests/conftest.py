@@ -1,6 +1,7 @@
 """Shared fixtures: cached grids, synthetic fields, a capped fixed-point solver,
-the sparse-matrix oracle of the Laplacian, its arrays on cells and the
-full-length pin row, used across test modules."""
+the sparse-matrix oracle of the Laplacian, its arrays on cells, the
+full-length pin row and the dense smoothed indicator with its derivative,
+used across test modules."""
 
 import math
 from types import SimpleNamespace
@@ -55,6 +56,20 @@ def coo_assembly(grid):
     rows, cols, vals = (np.concatenate(parts) for parts in zip(
         radial, angular, (outer, outer, np.full(n_phi, arc_coeff))))
     return sp.coo_matrix((vals, (rows, cols)), shape=(grid.size, grid.size)).tocsc()
+
+
+def f_eps_oracle(z, eps):
+    """The smoothed indicator f_eps on every cell: the quintic smoothstep of
+    z / eps + 1 clipped to [0, 1], 1 for z >= 0 and 0 for z <= -eps."""
+    s = np.clip(np.asarray(z, dtype=float) / eps + 1.0, 0.0, 1.0)
+    return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
+
+
+def f_eps_prime_oracle(z, eps):
+    """Derivative of f_eps_oracle, the Jacobian's diagonal of the LU Newton
+    reference; bounded by (15/8)/eps, zero outside (-eps, 0)."""
+    s = np.clip(np.asarray(z, dtype=float) / eps + 1.0, 0.0, 1.0)
+    return 30.0 * s * s * (1.0 - s) ** 2 / eps
 
 
 def cell_arrays(lap) -> SimpleNamespace:

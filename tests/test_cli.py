@@ -636,7 +636,9 @@ class TestScanDriver:
         # machinery must not demand one below the 4*C1 landmark
         assert m.status == "ok"
 
-    def test_both_endpoints_come_from_one_monte_carlo_call(self, tmp_path, monkeypatch):
+    # a set iterates {7.0, 8.0} as [8.0, 7.0]; the rows follow the scan's order
+    @pytest.mark.parametrize("Ms", [[0.0, 2.0, 4.0], [7.0, 8.0]])
+    def test_both_endpoints_come_from_one_monte_carlo_call(self, tmp_path, monkeypatch, Ms):
         calls, estimate = [], cli.mc_energy_bound
 
         def counting(M, *args, **kwargs):
@@ -644,9 +646,9 @@ class TestScanDriver:
             return estimate(M, *args, **kwargs)
 
         monkeypatch.setattr(cli, "mc_energy_bound", counting)
-        m = run_threshold_scan([0.0, 2.0, 4.0], 0.5, tmp_path, n_r=64, n_phi=64)
+        m = run_threshold_scan(Ms, 0.5, tmp_path, n_r=64, n_phi=64)
         assert len(calls) == 1
-        assert sorted(calls[0]) == [0.0, 4.0]
+        assert calls[0] == [Ms[0], Ms[-1]]
         assert [row["M"] for row in m.headline["monte_carlo"]] == calls[0]
 
     def test_one_amplitude_gives_one_monte_carlo_row(self, tmp_path):
