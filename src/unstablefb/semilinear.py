@@ -261,8 +261,9 @@ def solve_fixed_point(grid: PolarGrid, g_arc, eps_min: float = 0.0125,
 def export_solution(sol: Solution, out_dir) -> list[str]:
     """Write the field once, as legacy-VTK BINARY, and a JSON sidecar; returns the paths.
 
-    The VTK file holds the values bit for bit (big-endian float64): `phi`,
-    `blowup` and `fb` read it back through read_field, and viewers open it.
+    The VTK file holds the values bit for bit (big-endian float64) and the
+    points as float32 (write_field_vtk): `phi`, `blowup` and `fb` read it
+    back through read_field, and viewers open it.
     """
     os.makedirs(out_dir, exist_ok=True)
     vtk_path = os.path.join(out_dir, "solution.vtk")

@@ -103,12 +103,22 @@ def degree2_field(grid: PolarGrid, M: float = 1.0) -> ScalarField:
     return field_from_function(grid, lambda r, p: M * r**2 * np.cos(2.0 * p))
 
 
+def _move_first_ring_point(data: bytes, shift: float) -> bytes:
+    """data with y of the first ring's point on ray 5 (of a 64 x 48 file) moved by shift."""
+    at = data.index(b"POINTS 3072 float\n") + 18 + 12 * (5 * 64) + 4
+    y = np.frombuffer(data, ">f4", 1, at) + np.float32(shift)
+    return data[:at] + y.astype(">f4").tobytes() + data[at + 4:]
+
+
 # byte edits that break a write_field_vtk file of a 64 x 48 disk field
 VTK_DEFECTS = {
     "truncated-points": lambda data: data[: len(data) // 2],
     "truncated-values": lambda data: data[:-9],
     "ascii-header": lambda data: data.replace(b"\nBINARY\n", b"\nASCII\n", 1),
     "dims-vs-points": lambda data: data.replace(b"DIMENSIONS 64 48 1", b"DIMENSIONS 64 47 1", 1),
+    "int-points": lambda data: data.replace(b"POINTS 3072 float", b"POINTS 3072 int", 1),
+    # outside both the 1e-9 of double points and the 4 * 2^-24 relative of float points
+    "moved-ring-point": lambda data: _move_first_ring_point(data, 1e-5),
 }
 
 

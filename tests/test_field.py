@@ -126,9 +126,28 @@ def reference_write_field_csv(field: ScalarField, path) -> None:
     np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
+def reference_write_double_points_vtk(field: ScalarField, path) -> None:
+    """write_field_vtk as it was when it wrote the points as float64, kept as
+    the oracle of that layout, which every earlier run directory holds."""
+    g = field.grid
+    points = np.zeros((g.n_phi, g.n_r, 3), dtype=">f8")
+    np.multiply.outer(np.cos(g.phi), g.r, out=points[..., 0])
+    np.multiply.outer(np.sin(g.phi), g.r, out=points[..., 1])
+    header = ("# vtk DataFile Version 3.0\nu on polar grid\nBINARY\nDATASET STRUCTURED_GRID\n"
+              f"DIMENSIONS {g.n_r} {g.n_phi} 1\nPOINTS {g.size} double\n")
+    point_data = f"\nPOINT_DATA {g.size}\nSCALARS u double 1\nLOOKUP_TABLE default\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8"))
+        fh.write(points)
+        fh.write(point_data.encode("utf-8"))
+        fh.write(np.ascontiguousarray(field.values.T, dtype=">f8"))
+        fh.write(b"\n")
+
+
 def read_legacy_vtk(path):
     """Header lines, points, point-data lines, values and trailing bytes of a
-    BINARY legacy-VTK structured grid as write_field_vtk lays it out."""
+    BINARY legacy-VTK structured grid as write_field_vtk lays it out, with
+    float or double points as the POINTS line declares."""
     raw = path.read_bytes()
     pos = 0
 
@@ -139,9 +158,11 @@ def read_legacy_vtk(path):
         return text
 
     header = [line() for _ in range(6)]
-    n = int(header[5].split()[1])
-    points = np.frombuffer(raw, ">f8", 3 * n, pos).reshape(n, 3)
-    pos += 24 * n
+    _, count, point_type = header[5].split()
+    n = int(count)
+    dtype = np.dtype({"float": ">f4", "double": ">f8"}[point_type])
+    points = np.frombuffer(raw, dtype, 3 * n, pos).reshape(n, 3)
+    pos += 3 * dtype.itemsize * n
     assert line() == ""  # the newline that ends the point block
     point_data = [line() for _ in range(3)]
     values = np.frombuffer(raw, ">f8", n, pos)
@@ -496,25 +517,26 @@ class TestSerialization:
             "BINARY",
             "DATASET STRUCTURED_GRID",
             f"DIMENSIONS {grid.n_r} {grid.n_phi} 1",
-            f"POINTS {n} double",
+            f"POINTS {n} float",
         ]
         assert point_data == [f"POINT_DATA {n}", "SCALARS u double 1",
                               "LOOKUP_TABLE default"]
         rr, pp = grid.mesh_coords()
+        # the float64 centers, each rounded once to float32
         x = (rr * np.cos(pp)).ravel(order="F")
         y = (rr * np.sin(pp)).ravel(order="F")
-        assert points[:, 0].tobytes() == x.astype(">f8").tobytes()
-        assert points[:, 1].tobytes() == y.astype(">f8").tobytes()
-        assert points[:, 2].tobytes() == bytes(8 * n)
+        assert points[:, 0].tobytes() == x.astype(">f4").tobytes()
+        assert points[:, 1].tobytes() == y.astype(">f4").tobytes()
+        assert points[:, 2].tobytes() == bytes(4 * n)
         assert values.tobytes() == u.values.ravel(order="F").astype(">f8").tobytes()
         assert rest == b"\n"
 
     def test_vtk_file_size(self, tmp_path, disk64):
         path = tmp_path / "field.vtk"
         write_field_vtk(degree2_field(disk64), path)
-        # 112 header bytes, 4096 points of 3 doubles, 57 point-data bytes
+        # 111 header bytes, 4096 points of 3 floats, 57 point-data bytes
         # (with the newline ending the points), 4096 doubles, final newline
-        assert path.stat().st_size == 112 + 24 * 4096 + 57 + 8 * 4096 + 1
+        assert path.stat().st_size == 111 + 12 * 4096 + 57 + 8 * 4096 + 1
 
     def test_read_field_accepts_any_scalars_token(self, tmp_path, disk64):
         u = degree2_field(disk64)
@@ -538,6 +560,23 @@ class TestSerialization:
         assert np.array_equal(back.values, u.values)
         # native C order, as read_field_csv gives, so analyses sum in the same order
         assert back.values.flags.c_contiguous and back.values.dtype == np.float64
+
+    @pytest.mark.parametrize("grid", [
+        PolarGrid(64, 64),
+        build_sector_grid(2, 256, 256),
+        build_sector_grid(4, 4096, 8),
+    ], ids=["disk64", "k2-256", "k4-thin"])
+    def test_read_field_reads_double_points_bitwise(self, tmp_path, grid):
+        """Files written with float64 points, as every earlier run holds, read
+        back with the same grid and values as the float-point file."""
+        u = ScalarField(grid, np.random.default_rng(10).standard_normal(grid.shape))
+        reference_write_double_points_vtk(u, tmp_path / "double.vtk")
+        write_field_vtk(u, tmp_path / "float.vtk")
+        assert read_legacy_vtk(tmp_path / "double.vtk")[0][5] == f"POINTS {grid.size} double"
+        old, new = read_field(tmp_path / "double.vtk"), read_field(tmp_path / "float.vtk")
+        assert old.grid == new.grid == grid
+        assert np.array_equal(old.values, u.values) and np.array_equal(new.values, u.values)
+        assert old.values.flags.c_contiguous and old.values.dtype == np.float64
 
     def test_read_field_reads_a_csv_like_read_field_csv(self, tmp_path):
         g = build_sector_grid(2, 40, 24)
