@@ -214,6 +214,7 @@ def _run(experiment: str, p: dict, out_dir, body) -> RunManifest:
     except StageFailed as exc:
         outputs, headline, checks = [], {}, []
         status, failure = "solver_failure", {"kind": "continuation_stage", **vars(exc)}
+        failure["residual"] = exc.residual if math.isfinite(exc.residual) else None
     manifest = RunManifest(
         experiment=experiment,
         parameters=p,
@@ -367,7 +368,7 @@ def _cross_body(p: dict, out: Path):
     headline.update({
         "min_phi_increment": prof.min_increment(),
         "mode2_fraction": list(report.mode_fractions[2]),
-        "worst_arc_deviation_deg": worst_arc_dev,
+        "worst_arc_deviation_deg": worst_arc_dev if math.isfinite(worst_arc_dev) else None,
     })
     return outputs, headline, checks
 

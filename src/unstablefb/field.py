@@ -265,9 +265,10 @@ def _circle_traces(field: ScalarField, radii, m: int) -> tuple[np.ndarray, ...]:
 
 
 def write_json(path, obj) -> None:
-    """obj as JSON indented by two spaces, with no final newline."""
+    """obj as strict JSON (NaN or inf: ValueError), indented by two spaces, no final newline."""
+    text = json.dumps(obj, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2))
+        fh.write(text)
 
 
 def write_table(path, header: str, columns) -> None:

@@ -284,7 +284,7 @@ def find_threshold(C1: float, m_lo: float, m_hi: float, tol: float = 1e-6,
     """Bisect the sign change of the bound value between m_lo and m_hi.
 
     The bound is continuous and strictly decreasing once the positive part
-    activates, so a bracket with opposite signs pins the threshold.
+    activates, so f(m_lo) > 0 >= f(m_hi), the scan's bracket, pins the threshold.
     """
     if not tol > 0.0:
         raise ValueError(f"bisection tolerance must be positive, got {tol}")
@@ -292,7 +292,7 @@ def find_threshold(C1: float, m_lo: float, m_hi: float, tol: float = 1e-6,
         raise ValueError(f"bisection bracket must have m_lo < m_hi, got [{m_lo}, {m_hi}]")
     f_lo = energy_bound_integral(m_lo, C1, n_r, n_phi)
     f_hi = energy_bound_integral(m_hi, C1, n_r, n_phi)
-    if f_lo <= 0.0 or f_hi >= 0.0:
+    if f_lo <= 0.0 or f_hi > 0.0:
         raise ValueError(
             f"[{m_lo}, {m_hi}] does not bracket a sign change "
             f"(values {f_lo:.4g}, {f_hi:.4g})"

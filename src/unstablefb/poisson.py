@@ -4,7 +4,9 @@ Discretizes -Delta with a Dirichlet arc at r = 1 (second-order ghost
 elimination) and homogeneous Neumann radial edges.  The innermost radial
 face has zero length, so the origin needs no special stencil.  The matrix
 A is symmetric positive definite; fluxes enter antisymmetrically, so A
-applied to constants leaves only the Dirichlet arc contribution.
+applied to constants leaves only the Dirichlet arc contribution b1: one
+inverse of A also inverts the bordered [[A, b1], [e, 0]] with the pin row
+e (`DiscreteLaplacian.bordered_inverse`).
 
 A is separable, A = T_r (x) I + diag(dr / (r_i dphi)) (x) L_phi, with T_r
 the radial tridiagonal (arc term included) and L_phi the Neumann path
@@ -22,7 +24,7 @@ import numpy as np
 from scipy.fft import dct, idct
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .field import ScalarField
+from .field import ScalarField, _origin_ring_weights
 from .mesh import PolarGrid
 
 # stagnation guard, not a precision target: the separable inverse leaves
@@ -46,7 +48,7 @@ class SolverError(RuntimeError):
 
 @dataclass
 class DiscreteLaplacian:
-    """Operator A = -L: face coefficients, factors of A^-1 and the Dirichlet lift.
+    """Operator A = -L: face coefficients, factors of A^-1, the Dirichlet lift and the pin row.
 
     For cell c the finite-volume balance reads
         (L u)_c + (B g)_c = area_c * (Delta u)_c + O(h^2),
@@ -63,6 +65,8 @@ class DiscreteLaplacian:
     arc_coeff: float  # per-column Dirichlet transmissibility 2*dphi/dr
     areas: np.ndarray  # per ring: cell areas, grid.cell_areas
     modes: tuple[np.ndarray, np.ndarray]  # L D L^T factors of A's modes (`_factor_modes`)
+    pin: np.ndarray  # the pin row e on its support, the cells of the origin rings
+    pin_sum: float  # e 1
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x for a flat vector x as the 5-point stencil.
@@ -121,6 +125,20 @@ class DiscreteLaplacian:
         x, _ = dpttrs(d, e, coef.reshape(-1, 1), overwrite_b=True)
         return idct(x.reshape(n_phi, n_r).T, type=2, axis=1, norm="ortho", workers=1).ravel()
 
+    def bordered_inverse(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """[[A, b1], [e, 0]]^-1 v with one Laplacian inverse, into out if given.
+
+        A 1 = b1 (constants leave only the arc term), so the solution of
+        A x + t b1 = v[:-1], e x = v[-1] is x = z - t 1 with z = A^-1 v[:-1]
+        and t = (e z - v[-1]) / (e 1).  out may be v itself.
+        """
+        z = self.apply_inverse(v[:-1])
+        t = (float(self.pin @ z[:self.pin.size]) - v[-1]) / self.pin_sum
+        x = np.empty(v.size) if out is None else out
+        np.subtract(z, t, out=x[:-1])
+        x[-1] = t
+        return x
+
 
 def _transmissibilities(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray, float]:
     """Face coefficients of A: radial faces between rings i and i+1 (at
@@ -131,7 +149,7 @@ def _transmissibilities(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray, float]
     return grid.r_faces[1:-1] * dphi / dr, dr / (grid.r * dphi), 2.0 * dphi / dr
 
 
-def _factor_modes(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
+def _factor_modes(grid: PolarGrid, t_radial, t_angular, arc_coeff) -> tuple[np.ndarray, np.ndarray]:
     """L D L^T factors of the radial tridiagonals of all angular modes.
 
     The n_phi systems are stacked mode-major into one tridiagonal whose
@@ -139,7 +157,6 @@ def _factor_modes(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
     (and one solves) them all, with the same arithmetic as separate calls.
     """
     n_r, n_phi = grid.shape
-    t_radial, t_angular, arc_coeff = _transmissibilities(grid)
     radial = np.zeros(n_r)
     radial[:-1] += t_radial
     radial[1:] += t_radial
@@ -155,8 +172,8 @@ def _factor_modes(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _level_arrays(grid: PolarGrid) -> tuple:
-    """(radial, angular, diag, arc_coeff, areas, modes) of `DiscreteLaplacian`
-    on grid, read-only.
+    """(radial, angular, diag, arc_coeff, areas, modes, pin, pin_sum) of
+    `DiscreteLaplacian` on grid, read-only.
 
     The radial faces, diagonal and areas are per ring.  The diagonal sums the
     inner radial, outer radial and two angular face coefficients (one on an
@@ -171,10 +188,11 @@ def _level_arrays(grid: PolarGrid) -> tuple:
     diag = np.column_stack([edge, edge + t_angular])
     diag[-1] += arc_coeff
     areas = grid.cell_areas.copy()
-    modes = _factor_modes(grid)
-    for a in (radial, angular, diag, areas, *modes):
+    modes = _factor_modes(grid, radial, t_angular, arc_coeff)
+    pin = np.repeat(_origin_ring_weights(grid) / n_phi, n_phi)
+    for a in (radial, angular, diag, areas, *modes, pin):
         a.flags.writeable = False
-    return radial, angular, diag, arc_coeff, areas, modes
+    return radial, angular, diag, arc_coeff, areas, modes, pin, float(pin.sum())
 
 
 # The operator arrays of each grid shape (equal grids hash by (n_r, n_phi,
@@ -184,12 +202,12 @@ _store_lock = threading.Lock()
 
 
 def _nbytes(arrays: tuple) -> int:
-    radial, angular, diag, _, areas, modes = arrays
-    return sum(a.nbytes for a in (radial, angular, diag, areas, *modes))
+    radial, angular, diag, _, areas, modes, pin, _ = arrays
+    return sum(a.nbytes for a in (radial, angular, diag, areas, *modes, pin))
 
 
 def assemble(grid: PolarGrid) -> DiscreteLaplacian:
-    """Face coefficients, diagonal and inverse factors of the SPD finite-volume operator.
+    """Face coefficients, diagonal, inverse factors and pin row of the SPD finite-volume operator.
 
     Returns a new operator on the caller's grid object.  Its read-only
     arrays are built under the store's lock once per shape while the store

@@ -7,8 +7,8 @@ extrapolated origin value of u vanishes.  With the bordered Laplacian
     P = [ A   b1 ]
         [ e   0  ],
 
-whose exact inverse costs one Laplacian inverse because A 1 = b1, the
-pinned fixed-point map is
+which poisson keeps and inverts (`DiscreteLaplacian.bordered_inverse`),
+the pinned fixed-point map is
 
     [u; kappa] <- P^-1 [B g + area f_eps(u); 0].
 
@@ -22,12 +22,13 @@ once plain steps stop contracting fast.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import ScalarField, _origin_ring_weights, write_field_vtk, write_json
+from .field import ScalarField, write_field_vtk, write_json
 from .mesh import PolarGrid
 from .poisson import DiscreteLaplacian, _arc_values, assemble
 
@@ -104,20 +105,19 @@ ANDERSON_START = 0.1
 EPS_MAX = 0.2
 
 
-def _residual(lap: DiscreteLaplacian, e: np.ndarray, u: np.ndarray, kappa: float,
-              g: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
+def _residual(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, g: np.ndarray,
+              eps: float) -> tuple[np.ndarray, float]:
     """Finite-volume residual R1 (area-weighted) and origin residual R2.
 
-    R1 = A u - area f_eps(u) - B (g - kappa).  The source is area * 1 where
-    u >= 0, and +0.0 where u <= -eps: rounding is monotone, so there
-    u / eps rounds to at most -1 and s = u / eps + 1 clips to 0.  x - (+0.0)
-    is x, so those cells subtract nothing.  Only the band between,
+    R1 = A u - area f_eps(u) - B (g - kappa), R2 = e u.  The source is
+    area * 1 where u >= 0, and +0.0 where u <= -eps: rounding is monotone,
+    so there u / eps rounds to at most -1 and s = u / eps + 1 clips to 0.
+    x - (+0.0) is x, so those cells subtract nothing.  Only the band between,
     -eps < u < 0, evaluates the smoothstep of u / eps + 1, so R1 is bitwise
-    that of the dense source f_eps(u) on every cell, the tests' oracle.
-    The lift is subtracted on the arc ring alone, where it is nonzero.
-    e may be the leading entries of the pin row, R2 = e . u[:e.size].  The
-    per-ring areas broadcast over the rings, and band cell c reads its
-    ring's, c // n_phi.
+    that of the dense source f_eps(u) on every cell, the tests' oracle.  The
+    lift is subtracted on the arc ring alone, where it is nonzero, and e u
+    is summed over the pin row's support.  The per-ring areas broadcast
+    over the rings, and band cell c reads its ring's, c // n_phi.
     """
     shape = lap.grid.shape
     r1 = lap.apply(u)
@@ -131,42 +131,20 @@ def _residual(lap: DiscreteLaplacian, e: np.ndarray, u: np.ndarray, kappa: float
     source *= lap.areas[band // shape[1]]
     r1[band] -= source
     r1[-lap.grid.n_phi:] -= lap.arc_coeff * (g - kappa)
-    return r1, float(e @ u[:e.size])
-
-
-def _pin_row(grid: PolarGrid) -> tuple[np.ndarray, float]:
-    """The pin row e on its support, the cells of the origin rings, and its sum."""
-    e = np.repeat(_origin_ring_weights(grid) / grid.n_phi, grid.n_phi)
-    return e, float(e.sum())
+    return r1, float(lap.pin @ u[:lap.pin.size])
 
 
 def initial_guess(grid: PolarGrid, g_arc, lap: DiscreteLaplacian) -> tuple[ScalarField, float]:
     """Linear predictor: solve Delta u = -1 with u = g - kappa, u(0) = 0.
 
-    The pair solves P [u; kappa] = [B g + area; 0] with the bordered
-    Laplacian P = [[A, b1], [e, 0]], so one bordered inverse (one Laplacian
-    inverse, as each fixed-point step makes) gives both.
+    The pair solves P [u; kappa] = [B g + area; 0], so one bordered inverse
+    gives both.  A non-finite pair (overflowing data) raises StageFailed at eps NaN.
     """
     rhs = lap.lift(_arc_values(grid, g_arc)) + np.repeat(lap.areas, grid.n_phi)
-    x = _bordered_inverse(lap, *_pin_row(grid), np.append(rhs, 0.0))
+    x = lap.bordered_inverse(np.append(rhs, 0.0))
+    if not np.isfinite(x).all():
+        raise StageFailed(math.nan, grid, 0, math.nan, "non-finite iterate")
     return ScalarField(grid, x[:-1].reshape(grid.shape)), float(x[-1])
-
-
-def _bordered_inverse(lap: DiscreteLaplacian, e: np.ndarray, e_sum: float,
-                      v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """[[A, b1], [e, 0]]^-1 v with one Laplacian inverse, into out if given.
-
-    A 1 = b1 (constants leave only the arc term), so the solution of
-    A x + t b1 = v[:-1], e x = v[-1] is x = z - t 1 with z = A^-1 v[:-1]
-    and t = (e z - v[-1]) / (e 1).  e may be the leading entries of the
-    pin row (`_pin_row`), e_sum is e 1.  out may be v itself.
-    """
-    z = lap.apply_inverse(v[:-1])
-    t = (float(e @ z[:e.size]) - v[-1]) / e_sum
-    x = np.empty(v.size) if out is None else out
-    np.subtract(z, t, out=x[:-1])
-    x[-1] = t
-    return x
 
 
 def newton_stage(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, eps: float,
@@ -200,12 +178,11 @@ def newton_stage(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, eps: float
     grid = lap.grid
     if np.shape(g) != (grid.n_phi,):
         raise ValueError(f"arc data must have shape ({grid.n_phi},)")
-    e, e_sum = _pin_row(grid)
     x = np.append(u, kappa)
     x_prev = d_prev = d_norm = dx = dd = None
     it = pairs = 0
     while True:
-        r1, r2 = _residual(lap, e, x[:-1], x[-1], g, eps)
+        r1, r2 = _residual(lap, x[:-1], x[-1], g, eps)
         res1 = float(np.max(np.abs(r1)))
         if res1 <= NEWTON_TOL and abs(r2) <= NEWTON_TOL:
             return x[:-1], float(x[-1]), it, res1, abs(r2)
@@ -216,7 +193,7 @@ def newton_stage(lap: DiscreteLaplacian, u: np.ndarray, kappa: float, eps: float
         it += 1
         d = np.append(r1, r2)
         del r1
-        np.negative(_bordered_inverse(lap, e, e_sum, d, out=d), out=d)
+        np.negative(lap.bordered_inverse(d, out=d), out=d)
         d_norm, last_norm = float(np.linalg.norm(d)), d_norm
         if dx is None and last_norm is not None and d_norm > ANDERSON_START * last_norm:
             dx, dd = np.empty((ANDERSON_DEPTH, x.size)), np.empty((ANDERSON_DEPTH, x.size))
@@ -239,9 +216,8 @@ def solve_fixed_point(grid: PolarGrid, g_arc, eps_min: float = 0.0125,
     """Solve at eps_min on a sector grid from the linear predictor
     (`initial_guess`) by the pinned fixed-point iteration (`newton_stage`).
 
-    Deterministic under a fixed BLAS thread count: the norms and the least
-    squares of the mixing and the DCTs of the bordered inverse run in a
-    fixed order, the DCTs on one worker.
+    Deterministic under a fixed BLAS thread count: the mixing's norms and
+    least squares and the bordered inverse's one-worker DCTs run in a fixed order.
     """
     if grid.periodic:
         raise ValueError("solve_fixed_point needs a sector grid")
@@ -249,7 +225,10 @@ def solve_fixed_point(grid: PolarGrid, g_arc, eps_min: float = 0.0125,
         raise ValueError(f"need 0 < eps_min <= eps_max = {EPS_MAX:g}, got {eps_min:g}")
     lap = assemble(grid)
     g = _arc_values(grid, g_arc)
-    u0, kappa = initial_guess(grid, g, lap)
+    try:
+        u0, kappa = initial_guess(grid, g, lap)
+    except StageFailed as exc:  # a non-finite predictor, recorded at eps_min
+        raise StageFailed(eps_min, grid, 0, exc.residual, exc.reason) from None
     u, kappa, iterations, pde_res, origin_res = newton_stage(
         lap, u0.values.ravel(), kappa, eps_min, g)
     return Solution(u=ScalarField(grid, u.reshape(grid.shape)), kappa=kappa, eps=eps_min,

@@ -21,6 +21,7 @@ from conftest import VTK_DEFECTS, malformed_vtk
 
 import unstablefb
 import unstablefb.cli as cli
+import unstablefb.monotonicity as monotonicity
 import unstablefb.semilinear as semilinear
 from unstablefb import (
     PolarGrid,
@@ -109,6 +110,49 @@ class TestFailurePath:
         assert stored["failure"]["iterations"] == 1
         assert stored["failure"]["residual"] > semilinear.NEWTON_TOL
         assert stored["failure"]["reason"] == "iteration cap reached"
+
+    def test_overflowing_predictor_is_a_solver_failure(self, tmp_path, capsys):
+        # the arc lift 2 dphi/dr * M overflows, so the predictor is not finite
+        argv = ["solve", "--k", "2", "--M", "1e308", "--nr", "32", "--nphi", "32",
+                "--eps-min", "0.2", "--out", str(tmp_path / "run")]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(argv) == 3
+        stored = strict_json(tmp_path / "run" / "manifest.json")
+        assert stored["status"] == "solver_failure" and stored["outputs"] == []
+        assert stored["failure"] == {"kind": "continuation_stage", "eps": 0.2, "n_r": 32,
+                                     "n_phi": 32, "iterations": 0, "residual": None,
+                                     "reason": "non-finite iterate"}
+        replay = ["rerun", str(tmp_path / "run" / "manifest.json"),
+                  "--out", str(tmp_path / "replay")]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(replay) == 0
+        assert "headline comparison: identical" in capsys.readouterr().out
+        assert strict_json(tmp_path / "replay" / "manifest.json")["failure"] == stored["failure"]
+
+    def test_failed_arc_fit_of_a_cross_records_null(self, tmp_path, monkeypatch):
+        def no_arcs(u, radii):
+            raise ValueError("no zero crossings at the arc radii")
+
+        monkeypatch.setattr(cli, "fit_arcs_at_origin", no_arcs)
+        m = run_cross(40.0, 64, 64, 0.05, out_dir=tmp_path / "run")
+        assert m.status == "check_failure"
+        stored = strict_json(tmp_path / "run" / "manifest.json")
+        assert stored["headline"]["worst_arc_deviation_deg"] is None
+        assert stored["headline"]["arc_angles_deg"] == []
+        check = next(c for c in stored["checks"] if c["name"] == "four_diagonal_arcs")
+        assert not check["passed"] and check["detail"] == "0 arcs, worst deviation inf deg"
+        fresh, same = rerun_manifest(tmp_path / "run" / "manifest.json", tmp_path / "replay")
+        assert same and fresh.headline == m.headline
+        for path in [*(tmp_path / "run").glob("*.json"), *(tmp_path / "replay").glob("*.json")]:
+            strict_json(path)
+
+
+def strict_json(path):
+    """The JSON of path, parsed as RFC 8259 JSON: NaN and infinities fail."""
+    def refuse(name):
+        raise ValueError(f"{path} holds {name}, which is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
 class TestDefaultPhiRadii:
@@ -650,6 +694,17 @@ class TestScanDriver:
         assert len(calls) == 1
         assert calls[0] == [Ms[0], Ms[-1]]
         assert [row["M"] for row in m.headline["monte_carlo"]] == calls[0]
+
+    def test_scan_row_of_exactly_zero_brackets_the_threshold(self, tmp_path, monkeypatch):
+        # the scan brackets at values[n] > 0 >= values[n + 1], and the bisection
+        # accepts that bracket, so a row of 0.0 gives a threshold and a manifest
+        bound = monotonicity.energy_bound_integral
+        monkeypatch.setattr(monotonicity, "energy_bound_integral",
+                            lambda M, *args: 0.0 if M == 2.0 else bound(M, *args))
+        m = run_threshold_scan([0.0, 2.0, 4.0], 0.5, tmp_path, n_r=64, n_phi=64)
+        assert m.headline["energy_bound_values"][1] == 0.0
+        assert 1.5 < m.headline["m_star"] < 2.0
+        assert strict_json(tmp_path / "manifest.json")["headline"]["m_star"] == m.headline["m_star"]
 
     def test_one_amplitude_gives_one_monte_carlo_row(self, tmp_path):
         m = run_threshold_scan([2.5], 0.5, tmp_path, n_r=64, n_phi=64)

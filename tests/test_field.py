@@ -34,6 +34,7 @@ from unstablefb.field import (
     check_window,
     field_from_function,
     write_field_csv,
+    write_json,
     write_table,
 )
 from unstablefb.freeboundary import _crossing_angles
@@ -424,6 +425,15 @@ class TestDiskExtension:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_refuses_what_strict_json_cannot_hold(self, tmp_path, value):
+        path = tmp_path / "record.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_json(path, {"residual": [1.0, value]})
+        assert not path.exists()
+        write_json(path, {"residual": [1.0, None]})
+        assert path.read_text() == '{\n  "residual": [\n    1.0,\n    null\n  ]\n}'
+
     def test_csv_roundtrip_is_bitwise(self, tmp_path, disk64):
         rng = np.random.default_rng(11)
         u = ScalarField(disk64, rng.standard_normal(disk64.shape))

@@ -366,6 +366,14 @@ class TestEnergyBound:
         with pytest.raises(ValueError, match="does not bracket a sign change"):
             find_threshold(0.5, m_lo, m_hi, n_r=64, n_phi=64)
 
+    def test_bisection_accepts_an_upper_end_of_exactly_zero(self, monkeypatch):
+        # the scan brackets at f(m_lo) > 0 >= f(m_hi), and the bisection sends
+        # a zero to the upper side, so a zero at m_hi is a bracket
+        monkeypatch.setattr(monotonicity, "energy_bound_integral", lambda M, *args: 1.0 - M)
+        assert find_threshold(0.5, 0.0, 1.0, tol=1e-6) == pytest.approx(1.0, abs=1e-6)
+        with pytest.raises(ValueError, match="does not bracket a sign change"):
+            find_threshold(0.5, 1.0, 2.0)
+
     @pytest.mark.parametrize("m_lo, m_hi", [(1.0, -3.0), (1.5, 1.5), (math.nan, 2.0)])
     def test_bisection_rejects_reversed_bracket(self, m_lo, m_hi):
         # the bound is even in M, so f(1) > 0 > f(-3) passes the sign test;

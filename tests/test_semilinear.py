@@ -43,8 +43,8 @@ EPS_VALUES = [0.2, 0.1, 0.05, 0.0125]
 def max_residual(sol):
     """max |R1| of a solution, evaluated afresh on its own grid."""
     grid = sol.u.grid
-    r1, _ = semilinear._residual(assemble(grid), origin_weight_vector(grid),
-                                 sol.u.values.ravel(), sol.kappa, sol.g_values, sol.eps)
+    r1, _ = semilinear._residual(assemble(grid), sol.u.values.ravel(), sol.kappa,
+                                 sol.g_values, sol.eps)
     return float(np.max(np.abs(r1)))
 
 
@@ -156,12 +156,27 @@ class TestBand:
             u = rng.uniform(-2.0 * eps, eps, grid.size)
             u[seed * 40:seed * 40 + len(special)] = special
             u.flags.writeable = False
-            r1, r2 = semilinear._residual(lap, e, u, 0.25, g, eps)
+            r1, r2 = semilinear._residual(lap, u, 0.25, g, eps)
             assert r1.tobytes() == dense_residual(lap, u, 0.25, g, eps).tobytes()
             assert r2 == float(e @ u)
 
 
 class TestInitialGuess:
+    def test_overflowing_predictor_fails_the_solve_at_its_eps(self):
+        # the arc lift 2 dphi/dr * 1e308 overflows; the predictor has no eps,
+        # the solve records its own
+        grid = build_sector_grid(2, 32, 32)
+        g = np.full(32, 1e308)
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(StageFailed) as failed:
+            initial_guess(grid, g, assemble(grid))
+        assert np.isnan(failed.value.eps) and np.isnan(failed.value.residual)
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(StageFailed, match="eps=0.2 on 32x32 cells failed after 0 "
+                              r"iterations \(residual nan\): non-finite iterate") as failed:
+            solve_fixed_point(grid, g, 0.2)
+        assert (failed.value.eps, failed.value.iterations) == (0.2, 0)
+
     def test_zero_data_reproduces_quarter_shift(self):
         grid = build_sector_grid(2, 64, 64)
         u0, kappa = initial_guess(grid, np.zeros(64), assemble(grid))
@@ -279,9 +294,9 @@ class TestFixedPoint:
         lap, u0, kappa, g = predictor(2, 0.5, 32, 1e-6)
         bands, residual = [], semilinear._residual
         monkeypatch.setattr(semilinear, "_residual",
-                            lambda lap, e, u, kappa, g, eps: bands.append(
+                            lambda lap, u, kappa, g, eps: bands.append(
                                 np.count_nonzero((u > -eps) & (u < 0.0)))
-                            or residual(lap, e, u, kappa, g, eps))
+                            or residual(lap, u, kappa, g, eps))
         inverses = counted_inverses(monkeypatch)
         _, _, iters, pde_res, origin_res = newton_stage(lap, u0, kappa, 1e-6, g)
         assert iters >= 2
@@ -311,7 +326,7 @@ class TestFixedPoint:
     def test_returned_residuals_are_those_of_the_returned_iterate(self, k, M, eps):
         lap, u0, kappa0, g = predictor(k, M, 64, eps)
         u, kappa, _, pde_res, origin_res = newton_stage(lap, u0, kappa0, eps, g)
-        r1, r2 = semilinear._residual(lap, origin_weight_vector(lap.grid), u, kappa, g, eps)
+        r1, r2 = semilinear._residual(lap, u, kappa, g, eps)
         assert pde_res == float(np.max(np.abs(r1)))
         assert origin_res == abs(r2)
 
@@ -338,20 +353,19 @@ class TestFixedPoint:
         """The map's step solves P x1 = [B g + area f_eps(u0); 0], so R1 of x1
         is area (f_eps(u0) - f_eps(u1)) and R2 vanishes, to rounding."""
         lap, u0, kappa0, g = predictor(k, M, 64, eps)
-        e, e_sum = semilinear._pin_row(lap.grid)
         areas = cell_arrays(lap).areas
         rhs = np.append(lap.lift(g) + areas * f_eps_oracle(u0, eps), 0.0)
-        x1 = semilinear._bordered_inverse(lap, e, e_sum, rhs)
+        x1 = lap.bordered_inverse(rhs)
         # the program's first step, the second iterate that it evaluates
         iterates, residual = [], semilinear._residual
         monkeypatch.setattr(semilinear, "_residual",
-                            lambda lap, e, u, *args: iterates.append(u.copy())
-                            or residual(lap, e, u, *args))
+                            lambda lap, u, *args: iterates.append(u.copy())
+                            or residual(lap, u, *args))
         newton_stage(lap, u0, kappa0, eps, g)
         assert len(iterates) > 2
         scale = float(np.max(np.abs(u0)))
         assert np.max(np.abs(iterates[1] - x1[:-1])) <= 1e-13 * scale
-        r1, r2 = residual(lap, e, x1[:-1], x1[-1], g, eps)
+        r1, r2 = residual(lap, x1[:-1], x1[-1], g, eps)
         change = areas * (f_eps_oracle(u0, eps) - f_eps_oracle(x1[:-1], eps))
         assert np.max(np.abs(change)) > 1e3 * semilinear.NEWTON_TOL
         assert np.max(np.abs(r1 - change)) <= 1e-13 * float(np.max(lap.diag)) * scale
@@ -485,10 +499,13 @@ class TestFixedPoint:
             newton_stage(lap, u0, kappa, 0.2, g)
 
     def test_pin_row_is_the_origin_weights_on_their_support(self):
+        # the periodic grid has no operator (`assemble`), so its arrays are
+        # read from `_level_arrays`
         for grid in (build_sector_grid(2, 8, 8), build_sector_grid(4, 64, 48), PolarGrid(40, 24)):
-            e, e_sum = semilinear._pin_row(grid)
+            *_, e, e_sum = poisson._level_arrays(grid)
             full = origin_weight_vector(grid)
             assert np.array_equal(e, np.trim_zeros(full, "b"))
+            assert np.array_equal(e, full[:e.size]) and not full[e.size:].any()
             assert e.size == 4 * grid.n_phi and e_sum == float(e.sum())
 
     @pytest.mark.parametrize("n", [32, 256])
@@ -502,15 +519,15 @@ class TestFixedPoint:
         b1 = lap.lift(np.ones(grid.n_phi))
         P = bordered_laplacian(lap, e, b1)
         p_norm = spla.norm(P, np.inf)
-        r1, r2 = semilinear._residual(lap, e, u0, kappa, g, 0.05)
+        r1, r2 = semilinear._residual(lap, u0, kappa, g, 0.05)
         rng = np.random.default_rng(7)
         for v in (np.append(r1, r2), rng.standard_normal(grid.size + 1),
                   np.append(b1, 1.0), np.append(np.zeros(grid.size), 1.0)):
-            x = semilinear._bordered_inverse(lap, *semilinear._pin_row(grid), v)
+            x = lap.bordered_inverse(v)
             assert np.max(np.abs(P @ x - v)) <= 1e-12 * p_norm * np.max(np.abs(x))
             # in place, as each step applies it
             y = v.copy()
-            assert semilinear._bordered_inverse(lap, *semilinear._pin_row(grid), y, out=y) is y
+            assert lap.bordered_inverse(y, out=y) is y
             assert np.array_equal(x, y)
 
 
@@ -625,7 +642,8 @@ class TestSolverMemory:
         assert lap.grid is grid
         twin = assemble(build_sector_grid(2, 40, 24))
         assert twin is not lap and twin.diag is lap.diag
-        for a in (lap.radial, lap.angular, lap.diag, lap.areas, *lap.modes):
+        assert twin.pin is lap.pin
+        for a in (lap.radial, lap.angular, lap.diag, lap.areas, *lap.modes, lap.pin):
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
@@ -661,21 +679,44 @@ class TestSolverMemory:
         lap = assemble(grid)
         assert list(poisson._store) == [grid]
         kept = poisson._store[grid]
-        assert len(kept) == 6
+        assert len(kept) == 8
         assert all(a is b for a, b in zip(kept, (lap.radial, lap.angular, lap.diag,
-                                                 lap.arc_coeff, lap.areas, lap.modes)))
+                                                 lap.arc_coeff, lap.areas, lap.modes,
+                                                 lap.pin, lap.pin_sum)))
         assert store_bytes() == poisson._nbytes(poisson._level_arrays(grid))
+
+    def test_pin_row_is_built_once_per_shape(self, monkeypatch):
+        # the cold solve builds the pin row with the operator arrays, the
+        # repeated one reads it from the store
+        calls, weights = [], poisson._origin_ring_weights
+        monkeypatch.setattr(poisson, "_origin_ring_weights",
+                            lambda grid: calls.append(grid) or weights(grid))
+        grid, g, eps_min = cross_64()
+        first = solve_fixed_point(grid, g, eps_min)
+        assert calls == [grid]
+        calls.clear()
+        assert_same_solution(solve_fixed_point(build_sector_grid(2, 64, 64), g, eps_min), first)
+        assert calls == []
+
+    def test_level_arrays_take_the_face_coefficients_once(self, monkeypatch):
+        calls, transmissibilities = [], poisson._transmissibilities
+        monkeypatch.setattr(poisson, "_transmissibilities",
+                            lambda grid: calls.append(grid) or transmissibilities(grid))
+        grid = build_sector_grid(2, 40, 24)
+        poisson._level_arrays(grid)
+        assert calls == [grid]
 
     def test_bound_holds_a_2048_grid(self):
         # from the shapes alone: the operator arrays of `_level_arrays` (per
         # ring radial: n_r - 1, diag: 2 n_r and areas: n_r; per cell angular
-        # and the factor e: size - 1 and the factor d: size)
+        # and the factor e: size - 1 and the factor d: size; the pin row on
+        # the four origin rings: 4 n_phi)
         level = build_sector_grid(4, 512, 8)
-        assert 8 * (3 * level.size + 4 * level.n_r - 3) == poisson._nbytes(
+        assert 8 * (3 * level.size + 4 * level.n_r - 3 + 4 * level.n_phi) == poisson._nbytes(
             poisson._level_arrays(level))
         # criterion 7's 65536 x 8 asterisk and one 2048^2 grid fit, a 4096^2 does not
         for n_r, n_phi, mib in ((65536, 8, 14), (2048, 2048, 96)):
-            nbytes = 8 * (3 * n_r * n_phi + 4 * n_r - 3)
+            nbytes = 8 * (3 * n_r * n_phi + 4 * n_r - 3 + 4 * n_phi)
             assert round(nbytes / 2**20) == mib and nbytes <= poisson.STORE_BYTES
         assert 8 * 3 * 4096**2 > poisson.STORE_BYTES
 
